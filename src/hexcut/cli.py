@@ -95,6 +95,15 @@ def _check_mn(args) -> None:
         raise InvalidParams(f"need m >= 1 and n >= 1, got m={args.m}, n={args.n}")
 
 
+def _check_subsets(args, k: int) -> None:
+    """Refuse, without --force, to enumerate more k-subsets than the guard."""
+    n_subsets = comb(2 * args.m + 2 * args.n + 2 * args.m * args.n, k)
+    if n_subsets > FACET_SUBSET_GUARD and not args.force:
+        raise ResourceGuard(
+            f"{n_subsets} candidate subsets exceed guard {FACET_SUBSET_GUARD}; use --force"
+        )
+
+
 def _add_common(p, with_k=False) -> None:
     p.add_argument("--m", type=int, required=True, help="hexagon columns")
     p.add_argument("--n", type=int, required=True, help="hexagon rows")
@@ -119,12 +128,8 @@ def cmd_graph(args) -> int:
 
 def cmd_facets(args) -> int:
     _check_mn(args)
+    _check_subsets(args, args.k)
     g = build_hex_graph(args.m, args.n)
-    n_subsets = comb(g.n_vertices, args.k)
-    if n_subsets > FACET_SUBSET_GUARD and not args.force:
-        raise ResourceGuard(
-            f"{n_subsets} candidate subsets exceed guard {FACET_SUBSET_GUARD}; use --force"
-        )
     cx = enumerate_facets(g, args.k)
     if args.format == "csv":
         _emit(args, facets_to_csv(cx))
@@ -148,11 +153,7 @@ def _build_order(args):
 
 def cmd_order(args) -> int:
     _check_mn(args)
-    n_subsets = comb(2 * args.m + 2 * args.n + 2 * args.m * args.n, 3)
-    if n_subsets > FACET_SUBSET_GUARD and not args.force:
-        raise ResourceGuard(
-            f"{n_subsets} candidate subsets exceed guard {FACET_SUBSET_GUARD}; use --force"
-        )
+    _check_subsets(args, 3)
     g = build_hex_graph(args.m, args.n)
     cx = enumerate_facets(g, 3)
     order = shelling_order(cx, relocate_tail=not args.no_relocate_t)
@@ -278,12 +279,8 @@ def cmd_homology(args) -> int:
 
 def cmd_explore(args) -> int:
     _check_mn(args)
+    _check_subsets(args, args.k)
     g = build_hex_graph(args.m, args.n)
-    n_subsets = comb(g.n_vertices, args.k)
-    if n_subsets > FACET_SUBSET_GUARD and not args.force:
-        raise ResourceGuard(
-            f"{n_subsets} candidate subsets exceed guard {FACET_SUBSET_GUARD}; use --force"
-        )
     verdict = verify_k_cut_order(
         g, args.k, rule=args.rule, force=args.force,
         strategy=args.strategy, jobs=args.jobs,

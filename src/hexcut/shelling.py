@@ -16,11 +16,17 @@ swapped.  For each position j the swap set
 decides everything: the order is a shelling iff every earlier complement
 meets Lambda_j, and the facet at j is spanning iff Lambda_j covers all of
 F_j (|Lambda_j| = N - 3).
+
+Equivalently, row j fails iff some earlier complement lies inside
+S_j = V - Lambda_j.  For k = 3 the verifier builds Lambda in row blocks and
+checks each row along the cheaper exact path: look up the C(|S_j|, 3)
+triples of S_j, or scan the j earlier complements.  A row costs
+min(j, C(|S_j|, 3)) operations instead of j, and a passing order keeps its
+swap table for the spanning report, so Lambda is built once per order.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -44,6 +50,10 @@ from .hexgraph import Graph, HexGraph
 
 PAIR_GUARD = 100_000_000
 DENSE_TABLE_MAX_VERTICES = 130
+# Rows of the swap table built and checked together, and the candidate
+# triples or pairwise cells handled per numpy step; both bound memory only.
+_BLOCK_ROWS = 4096
+_STEP_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +145,8 @@ class ShellingOrder:
     tail: tuple[TailFacet, ...] = ()
     base_count: int = 0
     verified: bool = False
+    # swap table kept by a passing verification, read by spanning_facets
+    _swaps: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_facets(self) -> int:
@@ -237,45 +249,48 @@ def swap_set(order: ShellingOrder, j: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _dense_position_table(order: ShellingOrder) -> np.ndarray | None:
-    """Packed complement -> 0-based position lookup, or None when N is too big."""
+def _dense_position_table(order: ShellingOrder) -> np.ndarray:
+    """Packed complement -> 0-based position lookup; triples that are no
+    facet map past every position."""
     N = order.n_vertices
     if N > DENSE_TABLE_MAX_VERTICES:
-        return None
+        raise InvalidParams(f"dense swap table limited to N <= {DENSE_TABLE_MAX_VERTICES}")
     K = N + 1
-    table = np.full(K * K * K, -1, dtype=np.int64)
+    table = np.full(K * K * K, np.iinfo(np.int32).max, dtype=np.int32)
     comp = np.asarray(order.facets, dtype=np.int64)
     keys = (comp[:, 0] * K + comp[:, 1]) * K + comp[:, 2]
     table[keys] = np.arange(len(order.facets))
     return table
 
 
-def _swap_table(order: ShellingOrder) -> np.ndarray:
-    """Boolean table L with L[j, v] true iff v lies in Lambda_{j+1}.
-
-    Column 0 is unused.  Requires k = 3 and a dense position table.
-    """
-    N = order.n_vertices
+def _swap_rows(comp: np.ndarray, pos: np.ndarray, N: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 (0-based) of the boolean swap table: entry [r, v] is
+    true iff v lies in Lambda_{lo+r+1}.  Column 0 is unused."""
     K = N + 1
-    pos = _dense_position_table(order)
-    if pos is None:
-        raise InvalidParams(f"dense swap table limited to N <= {DENSE_TABLE_MAX_VERTICES}")
-    comp = np.asarray(order.facets, dtype=np.int64)
-    eta = len(comp)
-    table = np.zeros((eta, N + 1), dtype=bool)
-    lam = np.arange(1, N + 1, dtype=np.int64)
-    ordinals = np.arange(eta, dtype=np.int64)[:, None]
+    rows = np.zeros((hi - lo, K), dtype=bool)
+    lam = np.arange(1, K, dtype=np.int64)
+    ordinals = np.arange(lo, hi)[:, None]
     for slot in range(3):
-        keep = [c for c in range(3) if c != slot]
-        u = comp[:, keep[0]][:, None]
-        v = comp[:, keep[1]][:, None]
+        u, v = (comp[lo:hi, c][:, None] for c in range(3) if c != slot)
         key = np.where(
             lam < u,
             (lam * K + u) * K + v,
             np.where(lam < v, (u * K + lam) * K + v, (u * K + v) * K + lam),
         )
-        p = pos[key]
-        table[:, 1:] |= (p >= 0) & (p < ordinals)
+        rows[:, 1:] |= pos[key] < ordinals
+    return rows
+
+
+def _swap_table(order: ShellingOrder) -> np.ndarray:
+    """The whole swap table, row [j, v] true iff v lies in Lambda_{j+1},
+    built in blocks of rows.  Requires k = 3 and a dense position table."""
+    pos = _dense_position_table(order)
+    comp = np.asarray(order.facets, dtype=np.int64)
+    eta = len(comp)
+    table = np.zeros((eta, order.n_vertices + 1), dtype=bool)
+    for lo in range(0, eta, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, eta)
+        table[lo:hi] = _swap_rows(comp, pos, order.n_vertices, lo, hi)
     return table
 
 
@@ -287,95 +302,78 @@ def _swap_table(order: ShellingOrder) -> np.ndarray:
 class VerifyResult:
     ok: bool
     counterexample: tuple[int, int] | None  # 1-based (i, j), minimal in (j, i)
-    pairs_checked: int
+    pairs_checked: int  # pairs of the O(eta^2) definition, not the work done
     strategy: str
     jobs: int
 
 
-_WORKER: dict = {}
+def _colex_triples(s: int) -> np.ndarray:
+    """The 3-subsets of range(s) as index rows in colex order, so that the
+    first C(t, 3) rows are exactly the 3-subsets of range(t)."""
+    t = np.array(list(combinations(range(s), 3)), dtype=np.intp).reshape(-1, 3)
+    return t[np.lexsort(t.T)]
 
 
-def _scan_range(swaps, A, B, C, lo, hi, chunk=256):
-    """First failing (i, j) with lo <= j < hi (0-based), else None."""
-    for start in range(lo, hi, chunk):
-        stop = min(start + chunk, hi)
-        block = swaps[start:stop]
-        ok = block[:, A[:stop]] | block[:, B[:stop]] | block[:, C[:stop]]
-        ok |= np.arange(stop)[None, :] >= np.arange(start, stop)[:, None]
-        if not ok.all():
-            j_rel, i0 = np.argwhere(~ok)[0]
-            return int(i0), start + int(j_rel)
-    return None
+def _pairwise_ok(rows: np.ndarray, comp: np.ndarray, ords: np.ndarray) -> np.ndarray:
+    """ok[r, i] true iff complement i meets the swap set in rows[r], or
+    i is not before that row's position ords[r]."""
+    upto = int(ords[-1])
+    ok = rows[:, comp[:upto, 0]] | rows[:, comp[:upto, 1]] | rows[:, comp[:upto, 2]]
+    ok |= np.arange(upto)[None, :] >= ords[:, None]
+    return ok
 
 
-def _pairwise_worker(bounds):
-    lo, hi = bounds
-    w = _WORKER
-    return _scan_range(w["swaps"], w["A"], w["B"], w["C"], lo, hi)
-
-
-def _job_bounds(eta: int, jobs: int) -> list[tuple[int, int]]:
-    """Split [1, eta) so each range carries roughly equal pair work (~ j)."""
-    cuts = [1] + [max(1, round(eta * (k / jobs) ** 0.5)) for k in range(1, jobs)] + [eta]
-    cuts = sorted(set(min(c, eta) for c in cuts))
-    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+def _first_failing_row(rows, lo, comp, pos, triples) -> int | None:
+    """The smallest 0-based position among rows lo.. whose S_j contains an
+    earlier complement, each row checked along the cheaper exact path."""
+    K = rows.shape[1]
+    ords = np.arange(lo, lo + len(rows))
+    size = (K - 1) - rows[:, 1:].sum(axis=1)  # |S_j|
+    by_triples = size * (size - 1) * (size - 2) // 6 < ords
+    failing = []
+    for s in np.unique(size[by_triples]).tolist():
+        cand = triples[: comb(s, 3)]
+        sel = np.flatnonzero(by_triples & (size == s))
+        step = max(1, _STEP_CELLS // len(cand))
+        for start in range(0, len(sel), step):
+            r = sel[start:start + step]
+            support = np.nonzero(~rows[r, 1:])[1].reshape(len(r), s).astype(np.int32) + 1
+            a, b, c = (support[:, cand[:, t]] for t in range(3))
+            bad = (pos[(a * K + b) * K + c] < ords[r, None]).any(axis=1)
+            if bad.any():
+                failing.append(int(r[bad][0]))
+                break
+    sel = np.flatnonzero(~by_triples)
+    step = max(1, _STEP_CELLS // (lo + len(rows)))
+    for start in range(0, len(sel), step):
+        r = sel[start:start + step]
+        bad = ~_pairwise_ok(rows[r], comp, ords[r]).all(axis=1)
+        if bad.any():
+            failing.append(int(r[bad][0]))
+            break
+    return lo + min(failing) if failing else None
 
 
 def _verify_k3(order: ShellingOrder, strategy: str, jobs: int) -> VerifyResult:
-    swaps = _swap_table(order)
+    """Stream row blocks of the swap table; check each row j along the
+    cheaper of C(|S_j|, 3) position lookups and the j-pair row scan; stop at
+    the first block holding a failing row.  A passing order keeps the table."""
     comp = np.asarray(order.facets, dtype=np.int64)
-    A = np.ascontiguousarray(comp[:, 0])
-    B = np.ascontiguousarray(comp[:, 1])
-    C = np.ascontiguousarray(comp[:, 2])
-    eta = len(comp)
-    N = order.n_vertices
-
-    found: tuple[int, int] | None = None
-    if strategy == "pairwise":
-        if jobs > 1 and eta > 2048 and hasattr(os, "fork"):
-            import multiprocessing as mp
-
-            _WORKER.update({"swaps": swaps, "A": A, "B": B, "C": C})
-            try:
-                with mp.get_context("fork").Pool(jobs) as pool:
-                    results = pool.map(_pairwise_worker, _job_bounds(eta, jobs))
-            finally:
-                _WORKER.clear()
-            hits = [r for r in results if r is not None]
-            found = min(hits, key=lambda t: (t[1], t[0])) if hits else None
-        else:
-            found = _scan_range(swaps, A, B, C, 1, eta)
-    else:  # lambda-complement
-        rowfill = swaps[:, 1:].sum(axis=1)
-        index = order.position
-        for j in range(1, eta):
-            if rowfill[j] == N - 3:
-                continue  # Lambda_j = F_j, every earlier complement meets it
-            support = np.flatnonzero(~swaps[j])
-            support = support[support >= 1]  # vertices outside Lambda_j
-            n_cand = comb(len(support), 3)
-            if n_cand >= j:
-                row = swaps[j]
-                ok = row[A[:j]] | row[B[:j]] | row[C[:j]]
-                if not ok.all():
-                    found = (int(np.argmin(ok)), j)
-                    break
-            else:
-                best = None
-                for cand in combinations(support.tolist(), 3):
-                    p = index.get(cand)
-                    if p is not None and p - 1 < j and (best is None or p - 1 < best):
-                        best = p - 1
-                if best is not None:
-                    found = (best, j)
-                    break
-
-    if found is None:
-        pairs = eta * (eta - 1) // 2
-        return VerifyResult(True, None, pairs, strategy, jobs)
-    i0, j0 = found
-    pairs = j0 * (j0 + 1) // 2  # through position j0+1 (1-based), deterministic
-    return VerifyResult(False, (i0 + 1, j0 + 1), pairs, strategy, jobs)
+    pos = _dense_position_table(order)
+    eta, N = len(comp), order.n_vertices
+    s_max = max((s for s in range(3, N + 1) if comb(s, 3) < eta), default=3)
+    triples = _colex_triples(s_max)
+    table = np.zeros((eta, N + 1), dtype=bool)
+    for lo in range(0, eta, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, eta)
+        table[lo:hi] = _swap_rows(comp, pos, N, lo, hi)
+        j0 = _first_failing_row(table[lo:hi], lo, comp, pos, triples)
+        if j0 is not None:
+            i0 = int(np.argmin(_pairwise_ok(table[j0:j0 + 1], comp, np.array([j0]))[0]))
+            pairs = j0 * (j0 + 1) // 2  # through position j0+1 (1-based), deterministic
+            return VerifyResult(False, (i0 + 1, j0 + 1), pairs, strategy, jobs)
+    order._swaps = table
+    return VerifyResult(True, None, eta * (eta - 1) // 2, strategy, jobs)
 
 
 def _verify_generic(order: ShellingOrder, strategy: str) -> VerifyResult:
@@ -435,7 +433,11 @@ def verify_shelling(
     """Check the single-swap shelling condition over every pair i < j.
 
     Returns ok, or the failing pair (i, j) minimal in (j, i) order.  A
-    successful run marks the order as verified.
+    successful run marks the order as verified.  For k = 3, row j fails
+    iff an earlier complement lies inside S_j = V - Lambda_j, tested at a
+    cost of min(j, C(|S_j|, 3)) per row; ``strategy`` and ``jobs`` are
+    validated and echoed but select the same verifier.  ``pairs_checked``
+    counts the pairs of the O(eta^2) definition, not the work done.
     """
     if strategy not in ("pairwise", "lambda-complement"):
         raise InvalidParams(f"unknown strategy {strategy!r}")
@@ -493,18 +495,12 @@ def spanning_facets(order: ShellingOrder, allow_unverified: bool = False) -> Spa
     _check_cover(order)
     N = order.n_vertices
     if order.cx.k == 3 and N <= DENSE_TABLE_MAX_VERTICES:
-        swaps = _swap_table(order)
-        fill = swaps[:, 1:].sum(axis=1)
-        flags = tuple(bool(b) for b in (fill == N - 3))
-        swap_sets = None
+        swaps = order._swaps if order._swaps is not None else _swap_table(order)
     else:
-        flags_l = []
-        swap_sets = []
-        for j in range(1, order.n_facets + 1):
-            lam = swap_set(order, j)
-            flags_l.append(len(lam) == N - order.cx.k)
-            swap_sets.append(lam)
-        flags = tuple(flags_l)
+        swaps = np.zeros((order.n_facets, N + 1), dtype=bool)
+        for j in range(order.n_facets):
+            swaps[j, list(swap_set(order, j + 1))] = True
+    flags = tuple(bool(b) for b in (swaps[:, 1:].sum(axis=1) == N - order.cx.k))
 
     spanning_comps = tuple(
         order.facets[j] for j in range(order.n_facets) if flags[j]
@@ -524,12 +520,7 @@ def spanning_facets(order: ShellingOrder, allow_unverified: bool = False) -> Spa
         c = order.facets[j]
         if flags[j] or len(c) != 3 or c[2] != N:
             continue
-        if swap_sets is None:
-            row = swaps[j]
-            outside = [v for v in range(1, N + 1) if not row[v] and v not in c]
-        else:
-            lam = swap_sets[j]
-            outside = [v for v in range(1, N + 1) if v not in lam and v not in c]
+        outside = [v for v in range(1, N + 1) if not swaps[j][v] and v not in c]
         if outside:
             witness[(c[0], c[1])] = min(outside)
     return SpanningReport(

@@ -92,6 +92,21 @@ def oracle_is_shelling(facet_sets: list[frozenset[int]]):
     return True, None
 
 
+def oracle_row_violation(facet_sets: list[frozenset[int]], j: int):
+    """Smallest 1-based i < j at which the single-swap condition fails for
+    the facet at 1-based position j, or None.  One row, O(j) set operations."""
+    fj = facet_sets[j - 1]
+    swaps: set[int] = set()
+    for fr in facet_sets[: j - 1]:
+        missing = fj - fr
+        if len(missing) == 1:
+            swaps |= missing
+    for i, fi in enumerate(facet_sets[: j - 1], start=1):
+        if not (fj - fi) & swaps:
+            return i
+    return None
+
+
 def oracle_spanning_flags(facet_sets: list[frozenset[int]]) -> list[bool]:
     swap = oracle_swap_map(facet_sets)
     return [set(swap[j]) == set(facet_sets[j]) for j in range(len(facet_sets))]

@@ -51,6 +51,13 @@ def test_facets_and_guard(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["facets"], ["order"], ["explore", "--k", "3"]])
+def test_subset_guard_without_force(capsys, command):
+    assert main([*command, "--m", "4", "--n", "6"]) == 3
+    err = capsys.readouterr().err
+    assert "50116 candidate subsets exceed guard 20000; use --force" in err
+
+
 def test_order_output(capsys):
     code, out = run(capsys, "order", "--m", "1", "--n", "2")
     assert code == 0

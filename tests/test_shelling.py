@@ -1,6 +1,12 @@
 """Order construction and shelling verification."""
 
+import dataclasses
+from functools import cache
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexcut import (
     IncompleteOrder,
@@ -12,7 +18,9 @@ from hexcut import (
     cycle_graph,
     enumerate_facets,
     order_with_tail_reinserted,
+    shelling,
     shelling_order,
+    spanning_facets,
     swap_set,
     tail_facet_count,
     tail_facets,
@@ -23,7 +31,24 @@ from hexcut import (
 from hexcut.hexgraph import HexGraph, hex_edges
 from hexcut.shelling import ShellingOrder, order_to_json_dict
 
-from conftest import oracle_is_shelling
+from conftest import oracle_is_shelling, oracle_row_violation, oracle_spanning_flags
+
+SMALL_INSTANCES = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]  # N <= 16
+
+
+@cache
+def _complex(m, n):
+    return enumerate_facets(build_hex_graph(m, n), 3)
+
+
+def _order_of(cx, seq):
+    return ShellingOrder(cx=cx, facets=tuple(seq),
+                         position={f: i + 1 for i, f in enumerate(seq)})
+
+
+def _facet_sets(cx, seq):
+    verts = set(range(1, cx.n_vertices + 1))
+    return [frozenset(verts - set(c)) for c in seq]
 
 
 def test_tail_count_cases():
@@ -182,11 +207,100 @@ def test_strategies_agree():
 
 
 def test_jobs_do_not_change_the_verdict():
-    cx = enumerate_facets(build_hex_graph(2, 2), 3)
+    # on a failing order, jobs changes neither the counterexample nor pairs_checked
+    plain = shelling_order(_complex(3, 3), relocate_tail=False)
+    r1 = verify_shelling(plain, jobs=1)
+    r2 = verify_shelling(plain, jobs=2)
+    assert not r1.ok and r2.jobs == 2
+    assert dataclasses.replace(r2, jobs=1) == r1
+
+
+@st.composite
+def perturbed_orders(draw):
+    """The candidate order at N <= 16 after an adjacent transposition, a move
+    of one facet or a random permutation, plus the row block and step sizes."""
+    cx = _complex(*draw(st.sampled_from(SMALL_INSTANCES)))
+    seq = list(shelling_order(cx).facets)
+    kind = draw(st.sampled_from(["transpose", "move", "permute"]))
+    if kind == "transpose":
+        a = draw(st.integers(0, len(seq) - 2))
+        seq[a], seq[a + 1] = seq[a + 1], seq[a]
+    elif kind == "move":
+        f = seq.pop(draw(st.integers(0, len(seq) - 1)))
+        seq.insert(draw(st.integers(0, len(seq))), f)
+    else:
+        seq = draw(st.permutations(seq))
+    block = draw(st.sampled_from([1, 7, shelling._BLOCK_ROWS]))
+    step = draw(st.sampled_from([1, 50, shelling._STEP_CELLS]))
+    return cx, seq, block, step
+
+
+@settings(max_examples=50, deadline=None)
+@given(perturbed_orders())
+def test_verifier_matches_oracle_on_perturbed_orders(case):
+    cx, seq, block, step = case
+    with mock.patch.multiple(shelling, _BLOCK_ROWS=block, _STEP_CELLS=step):
+        res = verify_shelling(_order_of(cx, seq))
+    assert (res.ok, res.counterexample) == oracle_is_shelling(_facet_sets(cx, seq))
+
+
+def _h33_failing_orders():
+    cx = _complex(3, 3)
+    plain = shelling_order(cx, relocate_tail=False)
+    first_tail = min(plain.position[t.complement] for t in tail_facets(3, 3))
+    yield "plain", plain, first_tail
+    for idx in range(1, tail_facet_count(3, 3) + 1):
+        order, spot = order_with_tail_reinserted(cx, idx)
+        yield f"reinsert{idx}", order, spot
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_h33_failing_orders_match_row_brute_force(jobs):
+    for label, order, j in _h33_failing_orders():
+        res = verify_shelling(order, jobs=jobs)
+        i = oracle_row_violation(_facet_sets(order.cx, order.facets), j)
+        assert i is not None, label
+        assert (res.ok, res.counterexample) == (False, (i, j)), label
+        # rows before the failure take both paths: triple lookups and pair scans
+        rows = shelling._swap_table(order)[: j - 1]
+        size = order.n_vertices - rows[:, 1:].sum(axis=1)
+        by_triples = size * (size - 1) * (size - 2) // 6 < range(j - 1)
+        assert by_triples.any() and not by_triples.all(), label
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
+def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
+    built = []
+    real = shelling._swap_rows
+
+    def counting(comp, pos, N, lo, hi):
+        built.extend(range(lo, hi))
+        return real(comp, pos, N, lo, hi)
+
+    monkeypatch.setattr(shelling, "_swap_rows", counting)
+    monkeypatch.setattr(shelling, "_BLOCK_ROWS", 64)
+    cx = _complex(m, n)
     order = shelling_order(cx)
-    # facet count is under the multiprocessing cutoff, so this exercises
-    # the same code path deterministically; parity with jobs=1 matters
-    assert verify_shelling(order, jobs=2).ok == verify_shelling(order, jobs=1).ok
+    assert verify_shelling(order).ok
+    report = spanning_facets(order)
+    assert sorted(built) == list(range(order.n_facets))
+    assert list(report.spanning_flags) == oracle_spanning_flags(_facet_sets(cx, order.facets))
+    twin = dataclasses.replace(order, _swaps=None)
+    assert order._swaps is not None
+    assert twin == order and repr(twin) == repr(order)
+
+    # a failing order stops at the block holding the failure, keeps no
+    # table, and an unverified spanning report builds a whole one
+    plain = shelling_order(cx, relocate_tail=False)
+    built.clear()
+    res = verify_shelling(plain)
+    j0 = res.counterexample[1] - 1
+    assert not res.ok and plain._swaps is None
+    assert sorted(built) == list(range(min(plain.n_facets, (j0 // 64 + 1) * 64)))
+    built.clear()
+    report = spanning_facets(plain, allow_unverified=True)
+    assert sorted(built) == list(range(plain.n_facets))
+    assert list(report.spanning_flags) == oracle_spanning_flags(_facet_sets(cx, plain.facets))
 
 
 def test_incomplete_order_rejected():

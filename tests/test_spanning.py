@@ -10,6 +10,7 @@ from hexcut import (
     enumerate_facets,
     non_spanning_pair_table,
     non_spanning_witnesses,
+    shelling,
     shelling_order,
     spanning_count_formula,
     spanning_facets,
@@ -62,6 +63,18 @@ def test_requires_verified_order():
         spanning_facets(order)
     report = spanning_facets(order, allow_unverified=True)
     assert report.psi == 4
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
+def test_report_without_dense_table_is_the_same(monkeypatch, m, n):
+    # past the dense-table limit the report is built from swap_set per row;
+    # the plain order fails, so neither path has a cached table to read
+    plain = shelling_order(enumerate_facets(build_hex_graph(m, n), 3), relocate_tail=False)
+    dense = spanning_facets(plain, allow_unverified=True)
+    monkeypatch.setattr(shelling, "DENSE_TABLE_MAX_VERTICES", 0)
+    sparse = spanning_facets(plain, allow_unverified=True)
+    assert sparse == dense  # witness_map included
+    assert sparse.witness_map
 
 
 def test_non_spanning_pair_count_is_triple_count(instance):
