@@ -96,8 +96,12 @@ def _check_mn(args) -> None:
 
 
 def _check_subsets(args, k: int) -> None:
-    """Refuse, without --force, to enumerate more k-subsets than the guard."""
-    n_subsets = comb(2 * args.m + 2 * args.n + 2 * args.m * args.n, k)
+    """Reject a cut size outside [1, N-1], then refuse, without --force, to
+    enumerate more k-subsets than the guard."""
+    N = 2 * args.m + 2 * args.n + 2 * args.m * args.n
+    if not 1 <= k <= N - 1:
+        raise InvalidParams(f"k={k} outside [1,{N - 1}]")
+    n_subsets = comb(N, k)
     if n_subsets > FACET_SUBSET_GUARD and not args.force:
         raise ResourceGuard(
             f"{n_subsets} candidate subsets exceed guard {FACET_SUBSET_GUARD}; use --force"

@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .errors import InvalidParams, KOutOfRange, SizeLimitExceeded, VertexOutOfRange
 from .hexgraph import Graph, HexGraph
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
+_COUNT_CHUNK = 1 << 16  # bitmap entries popcounted per numpy step
 
 
 def induced_p3_count(m: int, n: int) -> int:
@@ -135,6 +138,25 @@ def is_face(cx: CutComplex, sigma) -> bool:
     )
 
 
+def downward_closure(masks, n_vertices: int) -> np.ndarray:
+    """Boolean bitmap over the 2^N vertex subsets, set exactly at the subsets
+    of some mask in ``masks`` (bit v-1 stands for vertex v).
+
+    One in-place pass per vertex: viewing the bitmap as blocks of 2^(b+1)
+    entries, the upper half of each block (bit b set) is ORed into the lower
+    half (bit b clear).
+    """
+    masks = np.fromiter(masks, dtype=np.int64)
+    if masks.size and (masks.min() < 0 or int(masks.max()) >> n_vertices):
+        raise VertexOutOfRange(f"a face mask has a vertex outside [1,{n_vertices}]")
+    bitmap = np.zeros(1 << n_vertices, dtype=bool)
+    bitmap[masks] = True
+    for b in range(n_vertices):
+        blocks = bitmap.reshape(-1, 2, 1 << b)
+        blocks[:, 0, :] |= blocks[:, 1, :]
+    return bitmap
+
+
 @dataclass(frozen=True)
 class FVector:
     """Face counts by dimension; ``counts[i]`` is the number of faces of
@@ -161,8 +183,12 @@ def f_vector(
 ) -> FVector:
     """Face counts of the complex.
 
-    ``exhaustive`` counts is_face over all 2^N subsets (guarded by
-    ``limit`` unless ``force``).  ``closed`` applies to the hexagonal
+    ``exhaustive`` derives the facets from the graph, testing all C(N, k)
+    subsets for disconnectedness without reading ``cx.facets``, so that it
+    cross-checks the enumeration.  It closes them downward on one 2^N
+    bitmap (guarded by ``limit`` unless ``force``) and counts the set
+    entries by popcount in fixed-size chunks; a subset is counted iff
+    :func:`is_face` holds for it.  ``closed`` applies to the hexagonal
     family with k = 3 only: girth 6 rules out 4-cycles, so every 4-subset
     of V contains a disconnected triple, hence every subset of size at
     most N-4 is a face and f_{j-1} = C(N, j) for j <= N-4, with the top
@@ -187,15 +213,20 @@ def f_vector(
         raise SizeLimitExceeded(
             f"exhaustive f-vector over 2^{N} subsets exceeds limit {limit}"
         )
-    if cx.n_facets == 0:
+    full = (1 << N) - 1
+    facet_masks = [
+        full ^ sum(1 << (v - 1) for v in t)
+        for t in combinations(range(1, N + 1), cx.k)
+        if _subset_disconnected(cx.graph, t)
+    ]
+    if not facet_masks:
         return FVector((0,))
-    counts = [0] * (N - cx.k + 1)
-    verts = list(range(1, N + 1))
-    for mask in range(1 << N):
-        sigma = [verts[i] for i in range(N) if mask >> i & 1]
-        if len(sigma) <= N - cx.k and is_face(cx, sigma):
-            counts[len(sigma)] += 1
-    return FVector(tuple(counts))
+    faces = downward_closure(facet_masks, N)
+    counts = np.zeros(N + 1, dtype=np.int64)
+    for start in range(0, faces.size, _COUNT_CHUNK):
+        masks = np.flatnonzero(faces[start:start + _COUNT_CHUNK]) + start
+        counts += np.bincount(np.bitwise_count(masks), minlength=N + 1)
+    return FVector(tuple(int(c) for c in counts[: N - cx.k + 1]))
 
 
 def facets_to_json_dict(cx: CutComplex) -> dict:

@@ -5,13 +5,19 @@ Betti numbers are reduced.  Boundary ranks drive everything:
 
     b~_p = dim ker d_p - rank d_{p+1} = f_p - rank d_p - rank d_{p+1}.
 
+The face poset comes from one boolean bitmap over all 2^N vertex subsets:
+the facet masks are set and closed downward in N in-place numpy passes, and
+the set entries are split into levels by popcount.
+
 Rank strategy per dimension: small matrices are row-reduced directly over
 GF(2) with integer bitmask rows.  When a dimension pair is a complete
 skeleton (all C(N, s) faces present, verified by counting), elimination is
 run with cone pivots: columns containing the apex vertex pair bijectively
 with the rows lacking it, and every remaining column is explicitly reduced
-to zero against those pivots.  That keeps the N = 16 run well under the
-time guard without trusting any closed form.
+to zero against those pivots.  The reduction runs in numpy: each column's
+residual is written out as a multiset of row faces, sorted, and must pair
+up into equal neighbours.  That keeps the N = 16 run well under the time
+guard without trusting any closed form.
 """
 
 from __future__ import annotations
@@ -20,11 +26,14 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .cutcomplex import CutComplex, FVector, f_vector, hex_facet_count
+import numpy as np
+
+from .cutcomplex import CutComplex, FVector, downward_closure, f_vector, hex_facet_count
 from .errors import HexCutError, InvalidParams, SizeLimitExceeded
 
 HOMOLOGY_VERTEX_LIMIT = 16
 DENSE_ENTRY_LIMIT = 4_000_000
+_CHUNK_CELLS = 1 << 20  # int64 entries per numpy step of the cone reduction
 
 
 # ---------------------------------------------------------------------------
@@ -34,24 +43,14 @@ DENSE_ENTRY_LIMIT = 4_000_000
 def faces_by_size(facet_masks, n_vertices: int) -> list[list[int]]:
     """Downward closure of the facet masks, grouped by face size.
 
-    Returns ``levels`` with ``levels[s]`` the sorted size-s face masks;
+    Returns ``levels`` with ``levels[s]`` the ascending size-s face masks;
     ``levels[0] == [0]`` is the empty face.
     """
     if not facet_masks:
         return []
-    top = max(m.bit_count() for m in facet_masks)
-    levels: list[set[int]] = [set() for _ in range(top + 1)]
-    for m in facet_masks:
-        levels[m.bit_count()].add(m)
-    for s in range(top, 0, -1):
-        lower = levels[s - 1]
-        for f in levels[s]:
-            x = f
-            while x:
-                b = x & -x
-                lower.add(f ^ b)
-                x ^= b
-    return [sorted(level) for level in levels]
+    faces = np.flatnonzero(downward_closure(facet_masks, n_vertices))
+    sizes = np.bitwise_count(faces)
+    return [faces[sizes == s].tolist() for s in range(int(sizes.max()) + 1)]
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -94,14 +93,23 @@ def boundary_matrix(levels: list[list[int]], s: int) -> BoundaryMatrixGF2:
     return BoundaryMatrixGF2((s - 1, s), len(levels[s - 1]), tuple(cols))
 
 
-def _boundary_set(mask: int) -> set[int]:
-    out = set()
-    x = mask
-    while x:
-        b = x & -x
-        out.add(mask ^ b)
-        x ^= b
+def _boundary(faces: np.ndarray, size: int) -> np.ndarray:
+    """Row i lists the ``size`` faces obtained by removing one vertex from
+    ``faces[i]``, a face of exactly ``size`` vertices."""
+    out = np.empty((faces.size, size), dtype=np.int64)
+    rest = faces.copy()
+    for i in range(size):
+        low = rest & -rest
+        out[:, i] = faces ^ low
+        rest ^= low
     return out
+
+
+def _cancels(multisets: np.ndarray) -> bool:
+    """True iff every value occurs an even number of times in each row,
+    i.e. each row sums to zero over GF(2)."""
+    ordered = np.sort(multisets, axis=1)
+    return bool(np.array_equal(ordered[:, 0::2], ordered[:, 1::2]))
 
 
 def _rank_complete_skeleton(levels: list[list[int]], s: int, n_vertices: int) -> int:
@@ -109,30 +117,26 @@ def _rank_complete_skeleton(levels: list[list[int]], s: int, n_vertices: int) ->
 
     Pivot columns are the size-s faces containing the apex (vertex 1): each
     holds the only nonzero entry in its row ``face ^ apex`` among apex-free
-    rows, so they are independent.  Every apex-free column is then reduced
-    against those pivots and must cancel to zero; the reduction is executed,
-    not assumed.
+    rows, so they are independent.  Every apex-free column f is then reduced
+    against those pivots: for each of its rows f^b the pivot column
+    (f^b) | apex is added, and the residual {f^b} + d((f^b) | apex), summed
+    over b, must cancel to zero.  The reduction is executed, not assumed: each
+    column's s + s^2 entries are sorted and must pair up, in chunks of at most
+    ``_CHUNK_CELLS`` entries.
     """
     apex = 1  # bit of vertex 1
-    pivot_count = 0
-    residual = []
-    for f in levels[s]:
-        if f & apex:
-            pivot_count += 1
-        else:
-            residual.append(f)
+    faces = np.asarray(levels[s], dtype=np.int64)
+    is_pivot = (faces & apex) != 0
+    pivot_count = int(np.count_nonzero(is_pivot))
     if pivot_count != comb(n_vertices - 1, s - 1):
         raise HexCutError("cone elimination invoked on an incomplete skeleton")
-    for f in residual:
-        acc: set[int] = set()
-        x = f
-        while x:
-            b = x & -x
-            face = f ^ b  # row of the original column
-            acc ^= {face}
-            acc ^= _boundary_set(face | apex)  # XOR the pivot column for that row
-            x ^= b
-        if acc:
+    residual = faces[~is_pivot]
+    chunk = max(1, _CHUNK_CELLS // (s + s * s))
+    for start in range(0, residual.size, chunk):
+        cols = residual[start:start + chunk]
+        rows = _boundary(cols, s)
+        pivot_cols = _boundary((rows | apex).ravel(), s).reshape(cols.size, s * s)
+        if not _cancels(np.concatenate([rows, pivot_cols], axis=1)):
             raise HexCutError("cone reduction left a nonzero residual")
     return pivot_count
 
@@ -211,12 +215,13 @@ def boundary_composition_is_zero(
     levels = faces_by_size(masks, n_vertices)
     pool = [f for level in levels[2:] for f in level]
     rng = random.Random(seed)
-    take = pool if len(pool) <= samples else rng.sample(pool, samples)
-    for f in take:
-        acc: set[int] = set()
-        for face in _boundary_set(f):
-            acc ^= _boundary_set(face)
-        if acc:
+    take = np.array(pool if len(pool) <= samples else rng.sample(pool, samples),
+                    dtype=np.int64)
+    sizes = np.bitwise_count(take)
+    for size in np.unique(sizes).tolist():
+        faces = take[sizes == size]
+        twice = _boundary(_boundary(faces, size).ravel(), size - 1)
+        if not _cancels(twice.reshape(faces.size, size * (size - 1))):
             return False
     return True
 

@@ -118,8 +118,8 @@ def test_criterion_03_shelling_grid_and_stress(stress_46):
     _announce(
         3,
         True,
-        f"grid verified (worst {worst:.2f}s < 10s); (4,6) with {STRESS_JOBS} "
-        f"workers in {stress_46.elapsed:.1f}s (< 600s)",
+        f"grid verified (worst {worst:.2f}s < 10s); (4,6) with jobs={STRESS_JOBS} "
+        f"in {stress_46.elapsed:.1f}s (< 600s)",
     )
 
 

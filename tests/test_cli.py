@@ -58,6 +58,15 @@ def test_subset_guard_without_force(capsys, command):
     assert "50116 candidate subsets exceed guard 20000; use --force" in err
 
 
+@pytest.mark.parametrize("command", ["facets", "explore"])
+@pytest.mark.parametrize("k", [-1, 0, 6])  # H(1,1) has N = 6 vertices
+def test_k_out_of_range_is_a_usage_error(capsys, command, k):
+    assert main([command, "--m", "1", "--n", "1", "--k", str(k)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: k={k} outside [1,5]" in err
+    assert "Traceback" not in err
+
+
 def test_order_output(capsys):
     code, out = run(capsys, "order", "--m", "1", "--n", "2")
     assert code == 0

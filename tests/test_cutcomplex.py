@@ -2,10 +2,14 @@
 
 import random
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexcut import (
+    Graph,
     InvalidParams,
     KOutOfRange,
     SizeLimitExceeded,
@@ -17,7 +21,8 @@ from hexcut import (
     induced_p3_count,
     is_face,
 )
-from hexcut.cutcomplex import facets_to_csv, facets_to_json_dict
+from hexcut import cutcomplex
+from hexcut.cutcomplex import CutComplex, facets_to_csv, facets_to_json_dict
 
 from conftest import oracle_face_counts, oracle_facet_complements, oracle_full_facets
 
@@ -124,6 +129,33 @@ def test_f_vector_six_cycle_exhaustive():
 def test_f_vector_closed_equals_exhaustive(m, n):
     cx = enumerate_facets(build_hex_graph(m, n), 3)
     assert f_vector(cx, mode="closed").counts == f_vector(cx, mode="exhaustive").counts
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_exhaustive_f_vector_matches_oracle_on_random_graphs(data):
+    k = data.draw(st.sampled_from((2, 3, 4)), label="k")
+    n = data.draw(st.integers(k + 1, 12), label="n")
+    edges = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                               .filter(lambda e: e[0] != e[1]), max_size=2 * n),
+                      label="edges")
+    g = Graph(n, edges)
+    cx = enumerate_facets(g, k)
+    expected = oracle_face_counts(oracle_full_facets(g, k), n)
+    assert list(f_vector(cx, mode="exhaustive").counts) == expected
+    with mock.patch.object(cutcomplex, "_COUNT_CHUNK", 7):  # many small chunks
+        assert list(f_vector(cx, mode="exhaustive").counts) == expected
+
+
+def test_exhaustive_f_vector_ignores_the_facet_list():
+    cx = enumerate_facets(build_hex_graph(1, 2), 3)
+    facets = cx.facets[1:]
+    tampered = CutComplex(graph=cx.graph, k=3, facets=facets,
+                          facet_index={t: i for i, t in enumerate(facets)})
+    # the exhaustive count derives the facets from the graph ...
+    assert f_vector(tampered, mode="exhaustive").f(6) == hex_facet_count(1, 2)
+    # ... while the closed form takes the stored facet count
+    assert f_vector(tampered, mode="closed").f(6) == hex_facet_count(1, 2) - 1
 
 
 def test_f_vector_1_2_values():

@@ -1,14 +1,20 @@
 """GF(2) homology and Euler-characteristic oracles."""
 
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hexcut import (
+    HexCutError,
     SizeLimitExceeded,
+    VertexOutOfRange,
     betti_numbers,
     betti_numbers_from_facets,
     build_hex_graph,
+    cycle_graph,
     enumerate_facets,
     f_vector,
     reduced_euler_closed,
@@ -16,7 +22,9 @@ from hexcut import (
     reduced_euler_from_fvector,
     wedge_check,
 )
+from hexcut import homology
 from hexcut.homology import (
+    _rank_complete_skeleton,
     boundary_composition_is_zero,
     boundary_matrix,
     faces_by_size,
@@ -55,6 +63,53 @@ def oracle_betti(facets, n_vertices):
     return [
         len(by_size.get(s, [])) - ranks[s] - ranks[s + 1] for s in range(top + 1)
     ]
+
+
+def reference_faces_by_size(facet_masks):
+    """Set-based downward closure, one level at a time: every face of size s
+    contributes its s subfaces of size s-1."""
+    if not facet_masks:
+        return []
+    top = max(m.bit_count() for m in facet_masks)
+    levels = [set() for _ in range(top + 1)]
+    for m in facet_masks:
+        levels[m.bit_count()].add(m)
+    for s in range(top, 0, -1):
+        lower = levels[s - 1]
+        for f in levels[s]:
+            x = f
+            while x:
+                b = x & -x
+                lower.add(f ^ b)
+                x ^= b
+    return [sorted(level) for level in levels]
+
+
+def corrupt_boundary(monkeypatch):
+    """Make the first entry of every boundary the kernels compute wrong."""
+    real = homology._boundary
+
+    def corrupted(faces, size):
+        out = real(faces, size)
+        out[0, 0] ^= 1 << 20
+        return out
+
+    monkeypatch.setattr(homology, "_boundary", corrupted)
+
+
+@st.composite
+def facet_sets(draw):
+    """Facet lists at N <= 10: arbitrary subsets (so non-pure complexes and
+    complexes with unused vertices, where no level is a complete skeleton),
+    optionally joined by every subset of one size, so that low levels are
+    complete skeletons and the cone-pivot path runs."""
+    n = draw(st.integers(1, 10))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    size = draw(st.none() | st.integers(1, n))
+    if size is not None:
+        masks += [sum(1 << (v - 1) for v in t) for t in combinations(range(1, n + 1), size)]
+    facets = [tuple(v + 1 for v in range(n) if m >> v & 1) for m in masks]
+    return n, facets
 
 
 def test_gf2_rank_basics():
@@ -114,10 +169,53 @@ def test_betti_2_2_concentrated():
     assert all(bv.b(d) == 0 for d in range(-1, 12))
 
 
+@settings(max_examples=60, deadline=None)
+@given(facet_sets())
+@example((6, [(1, 2, 3), (3, 4)]))  # vertices 5, 6 unused: no complete level
+@example((5, [(1, 2, 3, 4), (5,), (1, 5)]))  # non-pure, complete 1-skeleton
+def test_bitmap_kernels_match_references(case):
+    n, facets = case
+    masks = [sum(1 << (v - 1) for v in f) for f in facets]
+    levels = faces_by_size(masks, n)
+    assert levels == reference_faces_by_size(masks)
+    assert all(type(f) is int for level in levels for f in level)
+    expected = oracle_betti(facets, n)
+    assert list(betti_numbers_from_facets(facets, n).values) == expected
+    with mock.patch.object(homology, "_CHUNK_CELLS", 50):  # many small chunks
+        assert list(betti_numbers_from_facets(facets, n).values) == expected
+    assert boundary_composition_is_zero(facets, n, samples=16, seed=n)
+
+
+def test_cone_elimination_guards(monkeypatch):
+    levels = faces_by_size([(1 << 6) - 1], 6)  # every subset of six vertices
+    assert _rank_complete_skeleton(levels, 3, 6) == 10
+    missing_pivot = [list(level) for level in levels]
+    missing_pivot[3].remove(0b000111)
+    with pytest.raises(HexCutError, match="incomplete skeleton"):
+        _rank_complete_skeleton(missing_pivot, 3, 6)
+    # every apex-free column is reduced, chunk by chunk, with its s + s^2 entries
+    shapes = []
+    real_cancels = homology._cancels
+    monkeypatch.setattr(homology, "_cancels",
+                        lambda rows: shapes.append(rows.shape) or real_cancels(rows))
+    monkeypatch.setattr(homology, "_CHUNK_CELLS", 100)  # 8 columns per chunk
+    assert _rank_complete_skeleton(levels, 3, 6) == 10
+    assert shapes == [(8, 12), (2, 12)]  # the C(5, 3) = 10 apex-free columns
+    # the residual is computed, not assumed: a wrong boundary entry shows up
+    corrupt_boundary(monkeypatch)
+    with pytest.raises(HexCutError, match="nonzero residual"):
+        _rank_complete_skeleton(levels, 3, 6)
+
+
+def test_facet_vertex_outside_the_vertex_set_is_rejected():
+    with pytest.raises(VertexOutOfRange):
+        betti_numbers_from_facets([(1, 2), (3, 7)], 6)
+
+
 def test_betti_guard():
-    cx = enumerate_facets(build_hex_graph(2, 3), 3)  # 22 vertices
-    with pytest.raises(SizeLimitExceeded):
-        betti_numbers(cx)
+    for graph in (build_hex_graph(2, 3), cycle_graph(17)):  # N = 22 and 17 > 16
+        with pytest.raises(SizeLimitExceeded):
+            betti_numbers(enumerate_facets(graph, 3))
 
 
 def test_face_closure_counts():
@@ -141,11 +239,14 @@ def test_boundary_matrix_columns_have_face_size_entries():
             assert bin(col).count("1") == s
 
 
-def test_boundary_composition_vanishes():
+def test_boundary_composition_vanishes(monkeypatch):
     cx = enumerate_facets(build_hex_graph(1, 2), 3)
     verts = set(range(1, 11))
     facets = [tuple(sorted(verts - set(c))) for c in cx.facets]
     assert boundary_composition_is_zero(facets, 10, samples=100, seed=3)
+    # the check is computed, not assumed: a wrong boundary entry shows up
+    corrupt_boundary(monkeypatch)
+    assert not boundary_composition_is_zero(facets, 10, samples=100, seed=3)
 
 
 def test_rank_alternating_sum_reproduces_euler():
