@@ -117,6 +117,12 @@ def _add_common(p, with_k=False) -> None:
     p.add_argument("--force", action="store_true", help="override resource guards")
 
 
+def _add_jobs(p) -> None:
+    p.add_argument("--jobs", type=int, default=_default_jobs(),
+                   help="accepted for compatibility (default from HEXCUT_JOBS); "
+                        "has no effect")
+
+
 def cmd_graph(args) -> int:
     _check_mn(args)
     g = build_hex_graph(args.m, args.n, validate=False)
@@ -168,13 +174,12 @@ def cmd_order(args) -> int:
 def cmd_verify(args) -> int:
     _check_mn(args)
     order = _build_order(args)
-    res = verify_shelling(order, strategy=args.strategy, jobs=args.jobs)
+    res = verify_shelling(order, jobs=args.jobs)
     payload = {
         "ok": res.ok,
         "counterexample": list(res.counterexample) if res.counterexample else None,
         "n_facets": order.n_facets,
         "pairs_checked": res.pairs_checked,
-        "strategy": res.strategy,
         "relocated_tail": not args.no_relocate_t,
     }
     _emit_json(args, payload)
@@ -184,7 +189,7 @@ def cmd_verify(args) -> int:
 def cmd_spanning(args) -> int:
     _check_mn(args)
     order = _build_order(args)
-    res = verify_shelling(order, strategy=args.strategy, jobs=args.jobs)
+    res = verify_shelling(order, jobs=args.jobs)
     if not res.ok:
         _emit_json(args, {"ok": False, "counterexample": list(res.counterexample)})
         return EXIT_CHECK_FAILED
@@ -286,8 +291,7 @@ def cmd_explore(args) -> int:
     _check_subsets(args, args.k)
     g = build_hex_graph(args.m, args.n)
     verdict = verify_k_cut_order(
-        g, args.k, rule=args.rule, force=args.force,
-        strategy=args.strategy, jobs=args.jobs,
+        g, args.k, rule=args.rule, force=args.force, jobs=args.jobs,
     )
     payload = {
         "rule": verdict.rule,
@@ -326,18 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify the shelling condition pairwise")
     _add_common(p)
-    p.add_argument("--strategy", choices=["pairwise", "lambda-complement"],
-                   default="pairwise")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_jobs(p)
     p.add_argument("--no-relocate-t", action="store_true",
                    help="keep tail facets at their sorted positions")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spanning", help="spanning facet report")
     _add_common(p)
-    p.add_argument("--strategy", choices=["pairwise", "lambda-complement"],
-                   default="pairwise")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_jobs(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--no-relocate-t", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_spanning)
@@ -356,16 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--wedge", action="store_true",
                    help="emit the aggregated sphere-wedge verdict instead")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_jobs(p)
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("explore", help="mechanical k-cut order check, any k")
     _add_common(p, with_k=True)
     p.add_argument("--rule", choices=["revlex", "revlex-with-neighborhood-tail"],
                    default="revlex")
-    p.add_argument("--strategy", choices=["pairwise", "lambda-complement"],
-                   default="pairwise")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_jobs(p)
     p.set_defaults(func=cmd_explore)
 
     return parser

@@ -9,7 +9,7 @@ The face poset comes from one boolean bitmap over all 2^N vertex subsets:
 the facet masks are set and closed downward in N in-place numpy passes, and
 the set entries are split into levels by popcount.
 
-Rank strategy per dimension: small matrices are row-reduced directly over
+Rank method per dimension: small matrices are row-reduced directly over
 GF(2) with integer bitmask rows.  When a dimension pair is a complete
 skeleton (all C(N, s) faces present, verified by counting), elimination is
 run with cone pivots: columns containing the apex vertex pair bijectively
@@ -290,7 +290,6 @@ def wedge_check(
     pair_guard: int | None = None,
     force: bool = False,
     jobs: int = 1,
-    strategy: str = "pairwise",
 ) -> WedgeVerdict:
     """Aggregate: (a) the candidate order verifies as a shelling, (b) the
     spanning count matches the closed form, (c) the reduced Euler
@@ -319,7 +318,7 @@ def wedge_check(
     order = None
     if pairs <= guard or force:
         order = shelling_order(cx)
-        res = verify_shelling(order, strategy=strategy, jobs=jobs)
+        res = verify_shelling(order, jobs=jobs)
         checks["shelling"] = {"ran": True, "pass": res.ok,
                               "counterexample": res.counterexample}
     else:

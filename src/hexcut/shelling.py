@@ -1,13 +1,14 @@
-"""Facet orders on 3-cut complexes of hexagonal grids and their verification.
+"""Facet orders on cut complexes and their verification.
 
-The candidate shelling order sorts facets by ascending lexicographic order
-of their complement triples, then relocates the tail facets (facets whose
-complement is the open neighborhood of a degree-3 center in the lower
-color class, per the arithmetic schedule below) to the end.
+The candidate shelling order of the 3-cut complex of a hexagonal grid sorts
+facets by ascending lexicographic order of their complement triples, then
+relocates the tail facets (facets whose complement is the open neighborhood
+of a degree-3 center in the lower color class, per the arithmetic schedule
+below) to the end.
 
-Verification runs entirely in complement arithmetic: with facet
-complements of size 3, an earlier facet F_r meets F_j in all but one
-vertex exactly when F_r's complement is F_j's complement with one entry
+Verification runs entirely in complement arithmetic, for any cut size k:
+with facet complements of size k, an earlier facet F_r meets F_j in all but
+one vertex exactly when F_r's complement is F_j's complement with one entry
 swapped.  For each position j the swap set
 
     Lambda_j = { v not in F_j^c : some single entry of F_j^c can be
@@ -15,14 +16,18 @@ swapped.  For each position j the swap set
 
 decides everything: the order is a shelling iff every earlier complement
 meets Lambda_j, and the facet at j is spanning iff Lambda_j covers all of
-F_j (|Lambda_j| = N - 3).
+F_j (|Lambda_j| = N - k).
 
 Equivalently, row j fails iff some earlier complement lies inside
-S_j = V - Lambda_j.  For k = 3 the verifier builds Lambda in row blocks and
-checks each row along the cheaper exact path: look up the C(|S_j|, 3)
-triples of S_j, or scan the j earlier complements.  A row costs
-min(j, C(|S_j|, 3)) operations instead of j, and a passing order keeps its
-swap table for the spanning report, so Lambda is built once per order.
+S_j = V - Lambda_j.  The verifier packs each complement into a key of a
+dense position table with (N + 1)^k cells while that fits
+``POSITION_TABLE_LIMIT``; larger instances pack colex ranks instead and
+search them among the sorted facet keys.  It builds Lambda in row blocks
+from those lookups and checks each row along the cheaper exact path:
+look up the C(|S_j|, k) k-subsets of S_j, or scan the j earlier complements.
+A row costs min(j, C(|S_j|, k)) operations instead of j, and a passing order
+keeps its swap table for the spanning report, so Lambda is built once per
+order.
 """
 
 from __future__ import annotations
@@ -49,9 +54,13 @@ from .errors import (
 from .hexgraph import Graph, HexGraph
 
 PAIR_GUARD = 100_000_000
-DENSE_TABLE_MAX_VERTICES = 130
+# Cells of the dense complement -> position table, (N + 1)^k int32 entries
+# whose packed keys are int32 too; H(10, 10) at k = 3 needs 241^3, about 1.4e7.
+# Past it the facet keys are searched in sorted order instead.
+POSITION_TABLE_LIMIT = 1 << 24
+_FAR = np.iinfo(np.int32).max  # the position of a key that is no facet
 # Rows of the swap table built and checked together, and the candidate
-# triples or pairwise cells handled per numpy step; both bound memory only.
+# subsets or pairwise cells handled per numpy step; both bound memory only.
 _BLOCK_ROWS = 4096
 _STEP_CELLS = 1 << 20
 
@@ -230,7 +239,8 @@ def _check_cover(order: ShellingOrder) -> None:
 
 
 def swap_set(order: ShellingOrder, j: int) -> frozenset[int]:
-    """Lambda_j for the 1-based position j, via 3(N-3) position lookups."""
+    """Lambda_j for the 1-based position j, via k(N-k) position lookups; the
+    one-row reference for the swap table."""
     if not 1 <= j <= order.n_facets:
         raise OrdinalOutOfRange(f"position {j} outside [1,{order.n_facets}]")
     compl = order.facets[j - 1]
@@ -249,49 +259,72 @@ def swap_set(order: ShellingOrder, j: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _dense_position_table(order: ShellingOrder) -> np.ndarray:
-    """Packed complement -> 0-based position lookup; triples that are no
-    facet map past every position."""
-    N = order.n_vertices
-    if N > DENSE_TABLE_MAX_VERTICES:
-        raise InvalidParams(f"dense swap table limited to N <= {DENSE_TABLE_MAX_VERTICES}")
-    K = N + 1
-    table = np.full(K * K * K, np.iinfo(np.int32).max, dtype=np.int32)
-    comp = np.asarray(order.facets, dtype=np.int64)
-    keys = (comp[:, 0] * K + comp[:, 1]) * K + comp[:, 2]
-    table[keys] = np.arange(len(order.facets))
-    return table
+class _Positions:
+    """Complement key -> 0-based position, where a key of no facet maps past
+    every position.  A tuple x_1 <= ... <= x_k packs to the key
+    sum_t weight[t, x_t].
+
+    While the (N + 1)^k cells fit ``POSITION_TABLE_LIMIT`` the key is the
+    base-(N + 1) number x_1 ... x_k in int32, read from a dense table, and a
+    tuple with a repeated entry hits no facet.  Past the limit the key is the
+    colex rank sum_t C(x_t - 1, t) of a k-subset (t counted from 1), in
+    int64, searched among the sorted facet keys; the ranks stay below
+    C(N, k), the number of subsets that enumeration already walked."""
+
+    def __init__(self, comp: np.ndarray, N: int):
+        K, k = N + 1, comp.shape[1]
+        t, x = np.arange(k)[:, None], np.arange(K)
+        self.dense = K**k <= POSITION_TABLE_LIMIT
+        if self.dense:
+            self.weight = (x * K ** (k - 1 - t)).astype(np.int32)
+            self.table = np.full(K**k, _FAR, dtype=np.int32)
+            self.table[self.key(comp.T)] = np.arange(len(comp), dtype=np.int32)
+        else:
+            self.weight = np.array(
+                [[comb(v - 1, p + 1) if v else 0 for v in range(K)] for p in range(k)],
+                dtype=np.int64,
+            )
+            keys = self.key(comp.T)
+            self.rank = np.argsort(keys)
+            self.sorted = keys[self.rank]
+
+    def key(self, cols) -> np.ndarray:
+        """Keys of tuples given column by column."""
+        return sum(w[col] for w, col in zip(self.weight, cols))
+
+    def __getitem__(self, key: np.ndarray) -> np.ndarray:
+        if self.dense:
+            return self.table[key]
+        at = np.searchsorted(self.sorted, key).clip(max=len(self.sorted) - 1)
+        return np.where(self.sorted[at] == key, self.rank[at], _FAR)
 
 
-def _swap_rows(comp: np.ndarray, pos: np.ndarray, N: int, lo: int, hi: int) -> np.ndarray:
+def _swap_rows(comp: np.ndarray, pos: _Positions, N: int, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 (0-based) of the boolean swap table: entry [r, v] is
-    true iff v lies in Lambda_{lo+r+1}.  Column 0 is unused."""
-    K = N + 1
-    rows = np.zeros((hi - lo, K), dtype=bool)
-    lam = np.arange(1, K, dtype=np.int64)
+    true iff v lies in Lambda_{lo+r+1}.  Column 0 is unused.
+
+    Swapping v in for one entry leaves u_1 < ... < u_{k-1}; with c of them
+    below v, v takes place c+1 and each later u_t moves up one place.  A v
+    in F_j^c gives F_j^c itself, at position j, or a tuple with a repeated
+    entry; its column is cleared, since a colex key of such a tuple may hit
+    a facet."""
+    K, k = N + 1, comp.shape[1]
+    lam = np.arange(1, K)
+    w = pos.weight
+    place = np.arange(k - 1)
     ordinals = np.arange(lo, hi)[:, None]
-    for slot in range(3):
-        u, v = (comp[lo:hi, c][:, None] for c in range(3) if c != slot)
-        key = np.where(
-            lam < u,
-            (lam * K + u) * K + v,
-            np.where(lam < v, (u * K + lam) * K + v, (u * K + v) * K + lam),
-        )
+    rows = np.zeros((hi - lo, K), dtype=bool)
+    for slot in range(k):
+        u = np.delete(comp[lo:hi], slot, axis=1)
+        # base[:, c]: the k-1 kept entries placed around a v with c below it
+        base = np.zeros((hi - lo, k), dtype=w.dtype)
+        base[:, 1:] = np.cumsum(w[place, u], axis=1, dtype=w.dtype)
+        base[:, :-1] += np.cumsum(w[place + 1, u][:, ::-1], axis=1, dtype=w.dtype)[:, ::-1]
+        below = (u[:, :, None] < lam).sum(axis=1)
+        key = np.take_along_axis(base, below, axis=1) + w[below, lam]
         rows[:, 1:] |= pos[key] < ordinals
+    rows[np.arange(hi - lo)[:, None], comp[lo:hi]] = False
     return rows
-
-
-def _swap_table(order: ShellingOrder) -> np.ndarray:
-    """The whole swap table, row [j, v] true iff v lies in Lambda_{j+1},
-    built in blocks of rows.  Requires k = 3 and a dense position table."""
-    pos = _dense_position_table(order)
-    comp = np.asarray(order.facets, dtype=np.int64)
-    eta = len(comp)
-    table = np.zeros((eta, order.n_vertices + 1), dtype=bool)
-    for lo in range(0, eta, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, eta)
-        table[lo:hi] = _swap_rows(comp, pos, order.n_vertices, lo, hi)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -303,47 +336,51 @@ class VerifyResult:
     ok: bool
     counterexample: tuple[int, int] | None  # 1-based (i, j), minimal in (j, i)
     pairs_checked: int  # pairs of the O(eta^2) definition, not the work done
-    strategy: str
     jobs: int
 
 
-def _colex_triples(s: int) -> np.ndarray:
-    """The 3-subsets of range(s) as index rows in colex order, so that the
-    first C(t, 3) rows are exactly the 3-subsets of range(t)."""
-    t = np.array(list(combinations(range(s), 3)), dtype=np.intp).reshape(-1, 3)
-    return t[np.lexsort(t.T)]
+def _colex_subsets(s: int, k: int) -> np.ndarray:
+    """The k-subsets of range(s) in colex order as k rows of indices, so
+    that the first C(t, k) columns are exactly the k-subsets of range(t)."""
+    t = np.array(list(combinations(range(s), k)), dtype=np.intp).reshape(-1, k)
+    return t[np.lexsort(t.T)].T
 
 
 def _pairwise_ok(rows: np.ndarray, comp: np.ndarray, ords: np.ndarray) -> np.ndarray:
     """ok[r, i] true iff complement i meets the swap set in rows[r], or
     i is not before that row's position ords[r]."""
     upto = int(ords[-1])
-    ok = rows[:, comp[:upto, 0]] | rows[:, comp[:upto, 1]] | rows[:, comp[:upto, 2]]
-    ok |= np.arange(upto)[None, :] >= ords[:, None]
+    ok = np.arange(upto)[None, :] >= ords[:, None]
+    for t in range(comp.shape[1]):
+        ok |= rows[:, comp[:upto, t]]
     return ok
 
 
-def _first_failing_row(rows, lo, comp, pos, triples) -> int | None:
-    """The smallest 0-based position among rows lo.. whose S_j contains an
-    earlier complement, each row checked along the cheaper exact path."""
+def _first_failure(rows, lo, comp, pos, cost, subsets) -> tuple[int, int] | None:
+    """The 0-based (i, j) with j the smallest position among rows lo.. whose
+    S_j contains an earlier complement, each row checked along the cheaper
+    exact path (cost[s] = C(s, k) lookups, capped at #facets, or j scanned
+    complements), and i the first such complement."""
     K = rows.shape[1]
     ords = np.arange(lo, lo + len(rows))
     size = (K - 1) - rows[:, 1:].sum(axis=1)  # |S_j|
-    by_triples = size * (size - 1) * (size - 2) // 6 < ords
+    by_subsets = cost[size] < ords
     failing = []
-    for s in np.unique(size[by_triples]).tolist():
-        cand = triples[: comb(s, 3)]
-        sel = np.flatnonzero(by_triples & (size == s))
-        step = max(1, _STEP_CELLS // len(cand))
+    for s in np.unique(size[by_subsets]).tolist():
+        cand = subsets[:, : cost[s]]
+        sel = np.flatnonzero(by_subsets & (size == s))
+        step = max(1, _STEP_CELLS // cand.shape[1])
         for start in range(0, len(sel), step):
             r = sel[start:start + step]
-            support = np.nonzero(~rows[r, 1:])[1].reshape(len(r), s).astype(np.int32) + 1
-            a, b, c = (support[:, cand[:, t]] for t in range(3))
-            bad = (pos[(a * K + b) * K + c] < ords[r, None]).any(axis=1)
+            support = np.nonzero(~rows[r, 1:])[1].reshape(len(r), s) + 1
+            # weight[t] of each support vertex, so a key costs one gather per place
+            share = pos.weight[:, support]
+            key = sum(w[:, c] for w, c in zip(share, cand))
+            bad = (pos[key] < ords[r, None]).any(axis=1)
             if bad.any():
                 failing.append(int(r[bad][0]))
                 break
-    sel = np.flatnonzero(~by_triples)
+    sel = np.flatnonzero(~by_subsets)
     step = max(1, _STEP_CELLS // (lo + len(rows)))
     for start in range(0, len(sel), step):
         r = sel[start:start + step]
@@ -351,109 +388,63 @@ def _first_failing_row(rows, lo, comp, pos, triples) -> int | None:
         if bad.any():
             failing.append(int(r[bad][0]))
             break
-    return lo + min(failing) if failing else None
+    if not failing:
+        return None
+    j = min(failing)
+    i = int(np.argmin(_pairwise_ok(rows[j:j + 1], comp, ords[j:j + 1])[0]))
+    return i, lo + j
 
 
-def _verify_k3(order: ShellingOrder, strategy: str, jobs: int) -> VerifyResult:
-    """Stream row blocks of the swap table; check each row j along the
-    cheaper of C(|S_j|, 3) position lookups and the j-pair row scan; stop at
-    the first block holding a failing row.  A passing order keeps the table."""
-    comp = np.asarray(order.facets, dtype=np.int64)
-    pos = _dense_position_table(order)
-    eta, N = len(comp), order.n_vertices
-    s_max = max((s for s in range(3, N + 1) if comb(s, 3) < eta), default=3)
-    triples = _colex_triples(s_max)
+def _swap_table(order: ShellingOrder, verify: bool) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The swap table, row [j, v] true iff v lies in Lambda_{j+1}, built in
+    blocks of rows.  With ``verify`` each block is checked as it is built,
+    and the build stops at the first block holding a failing row; the
+    failing 0-based (i, j), minimal in (j, i), comes back with the table."""
+    N, k = order.n_vertices, order.cx.k
+    comp = np.asarray(order.facets, dtype=np.int32).reshape(-1, k)
+    pos = _Positions(comp, N)
+    eta = len(comp)
+    if verify:
+        cost = np.array([min(comb(s, k), eta) for s in range(N + 1)])
+        subsets = _colex_subsets(int(np.flatnonzero(cost < eta).max()), k)
     table = np.zeros((eta, N + 1), dtype=bool)
     for lo in range(0, eta, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, eta)
         table[lo:hi] = _swap_rows(comp, pos, N, lo, hi)
-        j0 = _first_failing_row(table[lo:hi], lo, comp, pos, triples)
-        if j0 is not None:
-            i0 = int(np.argmin(_pairwise_ok(table[j0:j0 + 1], comp, np.array([j0]))[0]))
-            pairs = j0 * (j0 + 1) // 2  # through position j0+1 (1-based), deterministic
-            return VerifyResult(False, (i0 + 1, j0 + 1), pairs, strategy, jobs)
-    order._swaps = table
-    return VerifyResult(True, None, eta * (eta - 1) // 2, strategy, jobs)
+        if verify:
+            failure = _first_failure(table[lo:hi], lo, comp, pos, cost, subsets)
+            if failure is not None:
+                return table, failure
+    return table, None
 
 
-def _verify_generic(order: ShellingOrder, strategy: str) -> VerifyResult:
-    """Reference implementation for any k, pure python."""
-    facets = order.facets
-    eta = len(facets)
-    N = order.n_vertices
-    k = order.cx.k
-    index = {t: i for i, t in enumerate(facets)}
-
-    found = None
-    for j in range(1, eta):
-        cset = set(facets[j])
-        lam_set = set()
-        for lam in range(1, N + 1):
-            if lam in cset:
-                continue
-            for a in facets[j]:
-                cand = tuple(sorted((cset - {a}) | {lam}))
-                p = index.get(cand)
-                if p is not None and p < j:
-                    lam_set.add(lam)
-                    break
-        if strategy == "lambda-complement" and len(lam_set) == N - k:
-            continue
-        support = [v for v in range(1, N + 1) if v not in lam_set]
-        use_candidates = strategy == "lambda-complement" and comb(len(support), k) < j
-        if use_candidates:
-            best = None
-            for cand in combinations(support, k):
-                p = index.get(cand)
-                if p is not None and p < j and (best is None or p < best):
-                    best = p
-            if best is not None:
-                found = (best, j)
-                break
-        else:
-            hit = None
-            for i in range(j):
-                if not set(facets[i]) & lam_set:
-                    hit = i
-                    break
-            if hit is not None:
-                found = (hit, j)
-                break
-    if found is None:
-        return VerifyResult(True, None, eta * (eta - 1) // 2, strategy, 1)
-    i0, j0 = found
-    return VerifyResult(False, (i0 + 1, j0 + 1), j0 * (j0 + 1) // 2, strategy, 1)
-
-
-def verify_shelling(
-    order: ShellingOrder,
-    strategy: str = "pairwise",
-    jobs: int = 1,
-) -> VerifyResult:
+def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     """Check the single-swap shelling condition over every pair i < j.
 
     Returns ok, or the failing pair (i, j) minimal in (j, i) order.  A
-    successful run marks the order as verified.  For k = 3, row j fails
-    iff an earlier complement lies inside S_j = V - Lambda_j, tested at a
-    cost of min(j, C(|S_j|, 3)) per row; ``strategy`` and ``jobs`` are
-    validated and echoed but select the same verifier.  ``pairs_checked``
-    counts the pairs of the O(eta^2) definition, not the work done.
+    successful run marks the order as verified.  Row j fails iff an earlier
+    complement lies inside S_j = V - Lambda_j, tested for any k at a cost of
+    min(j, C(|S_j|, k)) per row.  Complements are looked up in a dense
+    table of (N + 1)^k cells, or past ``POSITION_TABLE_LIMIT`` by binary
+    search among the sorted facet keys.
+    ``jobs`` is validated and echoed, and changes nothing.
+    ``pairs_checked`` counts the pairs of the O(eta^2) definition, not the
+    work done.
     """
-    if strategy not in ("pairwise", "lambda-complement"):
-        raise InvalidParams(f"unknown strategy {strategy!r}")
     if jobs < 1:
         raise InvalidParams(f"jobs must be >= 1, got {jobs}")
     _check_cover(order)
-    if order.n_facets <= 1:
+    eta = order.n_facets
+    if eta <= 1:
         order.verified = True
-        return VerifyResult(True, None, 0, strategy, jobs)
-    if order.cx.k == 3 and order.n_vertices <= DENSE_TABLE_MAX_VERTICES:
-        result = _verify_k3(order, strategy, jobs)
-    else:
-        result = _verify_generic(order, strategy)
-    if result.ok:
-        order.verified = True
-    return result
+        return VerifyResult(True, None, 0, jobs)
+    table, failure = _swap_table(order, verify=True)
+    if failure is not None:
+        i, j = failure
+        return VerifyResult(False, (i + 1, j + 1), j * (j + 1) // 2, jobs)
+    order._swaps = table
+    order.verified = True
+    return VerifyResult(True, None, eta * (eta - 1) // 2, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +485,7 @@ def spanning_facets(order: ShellingOrder, allow_unverified: bool = False) -> Spa
         raise UnverifiedOrder("verify the order first or pass allow_unverified=True")
     _check_cover(order)
     N = order.n_vertices
-    if order.cx.k == 3 and N <= DENSE_TABLE_MAX_VERTICES:
-        swaps = order._swaps if order._swaps is not None else _swap_table(order)
-    else:
-        swaps = np.zeros((order.n_facets, N + 1), dtype=bool)
-        for j in range(order.n_facets):
-            swaps[j, list(swap_set(order, j + 1))] = True
+    swaps = order._swaps if order._swaps is not None else _swap_table(order, verify=False)[0]
     flags = tuple(bool(b) for b in (swaps[:, 1:].sum(axis=1) == N - order.cx.k))
 
     spanning_comps = tuple(
@@ -787,7 +773,6 @@ def verify_k_cut_order(
     rule: str = "revlex",
     pair_guard: int = PAIR_GUARD,
     force: bool = False,
-    strategy: str = "pairwise",
     jobs: int = 1,
 ) -> ExploreVerdict:
     """Build the k-cut complex, order facets by the named rule, verify.
@@ -819,7 +804,7 @@ def verify_k_cut_order(
         rset = set(relocated)
         seq = [f for f in seq if f not in rset] + relocated
     order = _make_order(cx, seq, (), len(seq) - len(relocated))
-    res = verify_shelling(order, strategy=strategy, jobs=jobs)
+    res = verify_shelling(order, jobs=jobs)
     return ExploreVerdict(
         k=k,
         rule=rule,

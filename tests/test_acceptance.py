@@ -51,7 +51,7 @@ def stress_46():
     cx = enumerate_facets(g, 3)
     order = shelling_order(cx)
     t0 = time.perf_counter()
-    result = verify_shelling(order, strategy="pairwise", jobs=STRESS_JOBS)
+    result = verify_shelling(order, jobs=STRESS_JOBS)
     elapsed = time.perf_counter() - t0
     report = spanning_facets(order) if result.ok else None
     return SimpleNamespace(

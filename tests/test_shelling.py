@@ -2,6 +2,7 @@
 
 import dataclasses
 from functools import cache
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexcut import (
+    Graph,
     IncompleteOrder,
     InvalidParams,
     NoTailFacets,
@@ -28,10 +30,17 @@ from hexcut import (
     verify_shelling,
     verify_tail_obstruction,
 )
+from hexcut.cli import main
 from hexcut.hexgraph import HexGraph, hex_edges
 from hexcut.shelling import ShellingOrder, order_to_json_dict
 
-from conftest import oracle_is_shelling, oracle_row_violation, oracle_spanning_flags
+from conftest import (
+    oracle_facet_complements,
+    oracle_full_facets,
+    oracle_is_shelling,
+    oracle_row_violation,
+    oracle_spanning_flags,
+)
 
 SMALL_INSTANCES = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]  # N <= 16
 
@@ -194,16 +203,35 @@ def test_reinserting_each_tail_facet_breaks_order(m, n):
         assert res.counterexample[1] == expected_j
 
 
-def test_strategies_agree():
-    for m, n in [(1, 2), (2, 2)]:
-        cx = enumerate_facets(build_hex_graph(m, n), 3)
-        good = shelling_order(cx)
-        assert verify_shelling(good, strategy="pairwise").ok
-        assert verify_shelling(good, strategy="lambda-complement").ok
-        plain = shelling_order(cx, relocate_tail=False)
-        r1 = verify_shelling(plain, strategy="pairwise")
-        r2 = verify_shelling(plain, strategy="lambda-complement")
-        assert r1.counterexample == r2.counterexample
+@st.composite
+def random_k_orders(draw):
+    """A random graph on N <= 9 vertices, k in {2, 3, 4, 5}, a random
+    permutation of its k-cut facets, plus the row block and step sizes and
+    a table limit that picks the dense table or the sorted keys."""
+    k = draw(st.sampled_from([2, 3, 4, 5]))
+    N = draw(st.integers(k + 1, 9))
+    edges = draw(st.sets(st.sampled_from(list(combinations(range(1, N + 1), 2)))))
+    cx = enumerate_facets(Graph(N, sorted(edges)), k)
+    seq = draw(st.permutations(cx.facets))
+    block = draw(st.sampled_from([1, 7, shelling._BLOCK_ROWS]))
+    step = draw(st.sampled_from([1, 50, shelling._STEP_CELLS]))
+    limit = draw(st.sampled_from([1, shelling.POSITION_TABLE_LIMIT]))
+    return cx, seq, dict(_BLOCK_ROWS=block, _STEP_CELLS=step, POSITION_TABLE_LIMIT=limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_k_orders())
+def test_any_k_verifier_and_report_match_oracles(case):
+    cx, seq, patches = case
+    g, k = cx.graph, cx.k
+    full = dict(zip(oracle_facet_complements(g, k), oracle_full_facets(g, k)))
+    assert set(full) == set(seq)
+    facet_sets = [full[c] for c in seq]
+    with mock.patch.multiple(shelling, **patches):
+        res = verify_shelling(_order_of(cx, seq))
+        report = spanning_facets(_order_of(cx, seq), allow_unverified=True)
+    assert (res.ok, res.counterexample) == oracle_is_shelling(facet_sets)
+    assert list(report.spanning_flags) == oracle_spanning_flags(facet_sets)
 
 
 def test_jobs_do_not_change_the_verdict():
@@ -262,7 +290,7 @@ def test_h33_failing_orders_match_row_brute_force(jobs):
         assert i is not None, label
         assert (res.ok, res.counterexample) == (False, (i, j)), label
         # rows before the failure take both paths: triple lookups and pair scans
-        rows = shelling._swap_table(order)[: j - 1]
+        rows = shelling._swap_table(order, verify=False)[0][: j - 1]
         size = order.n_vertices - rows[:, 1:].sum(axis=1)
         by_triples = size * (size - 1) * (size - 2) // 6 < range(j - 1)
         assert by_triples.any() and not by_triples.all(), label
@@ -301,6 +329,56 @@ def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
     report = spanning_facets(plain, allow_unverified=True)
     assert sorted(built) == list(range(plain.n_facets))
     assert list(report.spanning_flags) == oracle_spanning_flags(_facet_sets(cx, plain.facets))
+
+
+def test_k3_past_130_vertices_is_refuted_without_python_rows(monkeypatch):
+    # the revlex order of the 131-vertex path with its last facet moved to
+    # position 2; swap_set, the one-row Python reference, must not run
+    cx = enumerate_facets(Graph(131, [(v, v + 1) for v in range(1, 131)]), 3)
+    seq = list(cx.facets)
+    seq.insert(1, seq.pop())
+
+    def no_python_rows(order, j):
+        raise AssertionError("swap_set called")
+
+    monkeypatch.setattr(shelling, "swap_set", no_python_rows)
+    res = verify_shelling(_order_of(cx, seq))
+    i = oracle_row_violation(_facet_sets(cx, seq[:2]), 2)
+    assert i is not None
+    assert (res.ok, res.counterexample, res.pairs_checked) == (False, (i, 2), 1)
+
+
+@pytest.mark.parametrize("m,n,k", [(1, 2, 7), (2, 2, 6)])
+def test_explore_past_the_table_limit(m, n, k):
+    # (N + 1)^k exceeds the dense table, so complements are looked up among
+    # the sorted colex keys; every row up to the verdict matches the oracle
+    g = build_hex_graph(m, n)
+    assert (g.n_vertices + 1) ** k > shelling.POSITION_TABLE_LIMIT
+    verdict = verify_k_cut_order(g, k)
+    sets = oracle_full_facets(g, k)  # revlex: complements in lex order
+    assert verdict.n_facets == len(sets)
+    if (m, n) == (1, 2):
+        assert (verdict.ok, verdict.counterexample) == oracle_is_shelling(sets)
+    else:
+        i, j = verdict.counterexample
+        assert not verdict.ok
+        assert all(oracle_row_violation(sets, r) is None for r in range(2, j))
+        assert oracle_row_violation(sets, j) == i
+    assert main(["explore", "--m", str(m), "--n", str(n), "--k", str(k)]) == 0
+
+
+def test_sorted_keys_match_the_dense_table(capsys):
+    cx = _complex(1, 2)
+    dense = [verify_shelling(shelling_order(cx, rel)) for rel in (True, False)]
+    report = spanning_facets(shelling_order(cx, False), allow_unverified=True)
+    main(["explore", "--m", "1", "--n", "2", "--k", "4"])
+    out = capsys.readouterr().out
+    with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", 1):
+        assert [verify_shelling(shelling_order(cx, rel)) for rel in (True, False)] == dense
+        assert spanning_facets(shelling_order(cx, False), allow_unverified=True) == report
+        assert main(["explore", "--m", "1", "--n", "2", "--k", "4"]) == 0
+    assert capsys.readouterr().out == out
+    assert not dense[1].ok and report.witness_map
 
 
 def test_incomplete_order_rejected():

@@ -1,5 +1,7 @@
 """Spanning facets, the tabulated pair families, and blocking vertices."""
 
+from unittest import mock
+
 import pytest
 
 from hexcut import (
@@ -14,8 +16,10 @@ from hexcut import (
     shelling_order,
     spanning_count_formula,
     spanning_facets,
+    swap_set,
 )
 from hexcut.shelling import (
+    ShellingOrder,
     spanning_report_to_csv,
     spanning_report_to_json_dict,
 )
@@ -65,16 +69,29 @@ def test_requires_verified_order():
     assert report.psi == 4
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
-def test_report_without_dense_table_is_the_same(monkeypatch, m, n):
-    # past the dense-table limit the report is built from swap_set per row;
-    # the plain order fails, so neither path has a cached table to read
-    plain = shelling_order(enumerate_facets(build_hex_graph(m, n), 3), relocate_tail=False)
-    dense = spanning_facets(plain, allow_unverified=True)
-    monkeypatch.setattr(shelling, "DENSE_TABLE_MAX_VERTICES", 0)
-    sparse = spanning_facets(plain, allow_unverified=True)
-    assert sparse == dense  # witness_map included
-    assert sparse.witness_map
+@pytest.mark.parametrize("m,n,k", [(1, 2, 3), (2, 2, 3), (1, 2, 4)])
+def test_unverified_report_matches_swap_set_rows(m, n, k):
+    # an unverified order keeps no swap table, so the report builds one, from
+    # the dense table or the sorted keys; it must agree with the one-row
+    # reference swap_set on every row
+    cx = enumerate_facets(build_hex_graph(m, n), k)
+    seq = sorted(cx.facets)
+    order = ShellingOrder(cx=cx, facets=tuple(seq),
+                          position={f: i + 1 for i, f in enumerate(seq)})
+    report = spanning_facets(order, allow_unverified=True)
+    with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", 1):
+        assert spanning_facets(order, allow_unverified=True) == report
+    N = cx.n_vertices
+    rows = [swap_set(order, j) for j in range(1, order.n_facets + 1)]
+    flags = tuple(len(r) == N - k for r in rows)
+    witness = {}
+    for c, r, flag in zip(seq, rows, flags):
+        outside = [v for v in range(1, N + 1) if v not in r and v not in c]
+        if not flag and len(c) == 3 and c[2] == N and outside:
+            witness[(c[0], c[1])] = min(outside)
+    assert report.spanning_flags == flags
+    assert report.witness_map == witness
+    assert bool(witness) == (k == 3)
 
 
 def test_non_spanning_pair_count_is_triple_count(instance):
