@@ -23,11 +23,14 @@ S_j = V - Lambda_j.  The verifier packs each complement into a key of a
 dense position table with (N + 1)^k cells while that fits
 ``POSITION_TABLE_LIMIT``; larger instances pack colex ranks instead and
 search them among the sorted facet keys.  It builds Lambda in row blocks
-from those lookups and checks each row along the cheaper exact path:
-look up the C(|S_j|, k) k-subsets of S_j, or scan the j earlier complements.
-A row costs min(j, C(|S_j|, k)) operations instead of j, and a passing order
-keeps its swap table for the spanning report, so Lambda is built once per
-order.
+from those lookups and checks each row along the cheaper exact path: scan
+the j earlier complements, or test S_j against bitmasks of the complements
+passed so far.  There is one bitmask per (k-1)-prefix P of a complement,
+with bit z set iff P + (z,) came earlier, so S_j holds an earlier
+complement iff masks[P] & S_j is nonzero for one of the C(|S_j|, k - 1)
+(k-1)-subsets P of S_j.  A row costs min(j, C(|S_j|, k - 1)) operations
+instead of j, and a passing order keeps its swap table for the spanning
+report, so Lambda is built once per order.
 """
 
 from __future__ import annotations
@@ -59,10 +62,14 @@ PAIR_GUARD = 100_000_000
 # Past it the facet keys are searched in sorted order instead.
 POSITION_TABLE_LIMIT = 1 << 24
 _FAR = np.iinfo(np.int32).max  # the position of a key that is no facet
-# Rows of the swap table built and checked together, and the candidate
-# subsets or pairwise cells handled per numpy step; both bound memory only.
+# Rows of the swap table built and checked together, and the mask words of
+# candidate subsets or pairwise cells handled per numpy step; both bound
+# memory only.
 _BLOCK_ROWS = 4096
 _STEP_CELLS = 1 << 20
+# Rows per sub-block, whose first row snapshots the passed-complement
+# bitmasks for the rest of it; bounds memory only.
+_SUB_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +353,50 @@ def _colex_subsets(s: int, k: int) -> np.ndarray:
     return t[np.lexsort(t.T)].T
 
 
+def _bitmasks(flags: np.ndarray, words: int) -> np.ndarray:
+    """Boolean rows packed into ``words`` uint64 words each: bit z of word
+    z // 64 is flags[:, z]."""
+    packed = np.zeros((len(flags), 8 * words), dtype=np.uint8)
+    raw = np.packbits(flags, axis=1, bitorder="little")
+    packed[:, : raw.shape[1]] = raw
+    return packed.view("<u8")
+
+
+class _Passed:
+    """The complements at the positions passed so far, one bitmask of
+    W = ceil((N + 1) / 64) uint64 words per distinct (k-1)-prefix: bit z of
+    the mask of P is set iff P + (z,) is such a complement.  Prefixes are
+    indexed by ``_Positions``; a (k-1)-subset that starts no facet reads the
+    last mask, which stays zero.  Masks are stored word by word, so that a
+    gather reads one contiguous array per word.  ``sets`` holds each
+    complement as a bitmask of the same W words."""
+
+    def __init__(self, comp: np.ndarray, N: int):
+        prefixes, row = np.unique(comp[:, :-1], axis=0, return_inverse=True)
+        self.pos = _Positions(prefixes, N)
+        self.zero = len(prefixes)
+        self.row = row.reshape(-1)
+        self.masks = np.zeros(((N + 64) // 64, len(prefixes) + 1), dtype="<u8")
+        self.sets = np.zeros((len(comp), len(self.masks)), dtype="<u8")
+        word = (comp >> 6).astype(np.intp)
+        bit = np.left_shift(np.uint64(1), (comp & 63).astype(np.uint64))
+        self.word, self.bit = word[:, -1], bit[:, -1]
+        for t in range(comp.shape[1]):
+            self.sets[np.arange(len(comp)), word[:, t]] |= bit[:, t]
+
+    def snapshots(self, lo: int, hi: int) -> np.ndarray:
+        """The masks as they stand at lo, lo + _SUB_ROWS, ... below hi, as
+        [word, t * (zero + 1) + prefix]; afterwards every complement before
+        hi has been passed."""
+        words, width = self.masks.shape
+        out = np.empty((words, -(-(hi - lo) // _SUB_ROWS), width), dtype="<u8")
+        for t, b in enumerate(range(lo, hi, _SUB_ROWS)):
+            out[:, t] = self.masks
+            e = min(b + _SUB_ROWS, hi)
+            np.bitwise_or.at(self.masks, (self.word[b:e], self.row[b:e]), self.bit[b:e])
+        return out.reshape(words, -1)
+
+
 def _pairwise_ok(rows: np.ndarray, comp: np.ndarray, ords: np.ndarray) -> np.ndarray:
     """ok[r, i] true iff complement i meets the swap set in rows[r], or
     i is not before that row's position ords[r]."""
@@ -356,27 +407,56 @@ def _pairwise_ok(rows: np.ndarray, comp: np.ndarray, ords: np.ndarray) -> np.nda
     return ok
 
 
-def _first_failure(rows, lo, comp, pos, cost, subsets) -> tuple[int, int] | None:
+def _first_failure(rows, lo, comp, passed, cost, subsets) -> tuple[int, int] | None:
     """The 0-based (i, j) with j the smallest position among rows lo.. whose
-    S_j contains an earlier complement, each row checked along the cheaper
-    exact path (cost[s] = C(s, k) lookups, capped at #facets, or j scanned
-    complements), and i the first such complement."""
+    S_j contains an earlier complement, and i the first such complement.
+
+    Each row is checked along the cheaper exact path: scan the j earlier
+    complements, or, when cost[s] = C(s, k-1) is below j, test the (k-1)-
+    subsets P of S_j against the bitmasks of ``passed`` as they stood at the
+    start of the row's sub-block of ``_SUB_ROWS`` rows.  Row j fails there
+    iff some masks[P] & S_j is nonzero, or a complement earlier in the
+    sub-block lies inside S_j, which is read from the packed swap row."""
     K = rows.shape[1]
     ords = np.arange(lo, lo + len(rows))
     size = (K - 1) - rows[:, 1:].sum(axis=1)  # |S_j|
     by_subsets = cost[size] < ords
+    snaps = passed.snapshots(lo, lo + len(rows))
+    words = len(snaps)
+    swaps = _bitmasks(rows, words)  # Lambda_j
     failing = []
+    for b in range(0, len(rows), _SUB_ROWS):
+        r = np.flatnonzero(by_subsets[b:b + _SUB_ROWS]) + b
+        if len(r) and r[-1] > b:
+            sets = passed.sets[lo + b:lo + r[-1]]
+            within = np.arange(len(sets)) < (r - b)[:, None]
+            for w in range(words):
+                within &= (sets[:, w] & swaps[r, w, None]) == 0
+            bad = within.any(axis=1)
+            if bad.any():
+                failing.append(int(r[bad][0]))
+                break
+    inside = ~swaps  # S_j; no mask sets bit 0 or a bit past N
     for s in np.unique(size[by_subsets]).tolist():
         cand = subsets[:, : cost[s]]
         sel = np.flatnonzero(by_subsets & (size == s))
-        step = max(1, _STEP_CELLS // cand.shape[1])
+        step = max(1, _STEP_CELLS // (cand.shape[1] * words))
         for start in range(0, len(sel), step):
             r = sel[start:start + step]
             support = np.nonzero(~rows[r, 1:])[1].reshape(len(r), s) + 1
             # weight[t] of each support vertex, so a key costs one gather per place
-            share = pos.weight[:, support]
+            share = passed.pos.weight[:, support]
             key = sum(w[:, c] for w, c in zip(share, cand))
-            bad = (pos[key] < ords[r, None]).any(axis=1)
+            # mask index within the snapshot of each row's sub-block
+            at = np.minimum(passed.pos[key], passed.zero)
+            del key  # freed before the wider uint64 gathers, which set the peak
+            at = at + (r // _SUB_ROWS * (passed.zero + 1))[:, None]
+            hit = np.zeros(at.shape, dtype="<u8")
+            for w in range(words):
+                word = np.take(snaps[w], at)
+                word &= inside[r, w, None]
+                hit |= word
+            bad = hit.max(axis=1) != 0
             if bad.any():
                 failing.append(int(r[bad][0]))
                 break
@@ -405,14 +485,15 @@ def _swap_table(order: ShellingOrder, verify: bool) -> tuple[np.ndarray, tuple[i
     pos = _Positions(comp, N)
     eta = len(comp)
     if verify:
-        cost = np.array([min(comb(s, k), eta) for s in range(N + 1)])
-        subsets = _colex_subsets(int(np.flatnonzero(cost < eta).max()), k)
+        cost = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
+        subsets = _colex_subsets(int(np.flatnonzero(cost < eta).max()), k - 1)
+        passed = _Passed(comp, N)
     table = np.zeros((eta, N + 1), dtype=bool)
     for lo in range(0, eta, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, eta)
         table[lo:hi] = _swap_rows(comp, pos, N, lo, hi)
         if verify:
-            failure = _first_failure(table[lo:hi], lo, comp, pos, cost, subsets)
+            failure = _first_failure(table[lo:hi], lo, comp, passed, cost, subsets)
             if failure is not None:
                 return table, failure
     return table, None
@@ -424,9 +505,11 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     Returns ok, or the failing pair (i, j) minimal in (j, i) order.  A
     successful run marks the order as verified.  Row j fails iff an earlier
     complement lies inside S_j = V - Lambda_j, tested for any k at a cost of
-    min(j, C(|S_j|, k)) per row.  Complements are looked up in a dense
-    table of (N + 1)^k cells, or past ``POSITION_TABLE_LIMIT`` by binary
-    search among the sorted facet keys.
+    min(j, C(|S_j|, k - 1)) per row: a scan of the j earlier complements, or
+    a test of the (k-1)-subsets of S_j against bitmasks of the earlier
+    complements that start with them.  Complements and prefixes are looked
+    up in a dense table of (N + 1)^k or (N + 1)^(k-1) cells, or past
+    ``POSITION_TABLE_LIMIT`` by binary search among sorted keys.
     ``jobs`` is validated and echoed, and changes nothing.
     ``pairs_checked`` counts the pairs of the O(eta^2) definition, not the
     work done.

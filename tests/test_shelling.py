@@ -203,20 +203,29 @@ def test_reinserting_each_tail_facet_breaks_order(m, n):
         assert res.counterexample[1] == expected_j
 
 
+def _verifier_sizes(draw):
+    """Row block, step and sub-block sizes, and a table limit that picks the
+    dense table or the sorted keys.  A sub-block of one row finds every
+    earlier complement through a bitmask snapshot; longer ones find some
+    inside the row's own sub-block."""
+    return dict(
+        _BLOCK_ROWS=draw(st.sampled_from([1, 7, shelling._BLOCK_ROWS])),
+        _STEP_CELLS=draw(st.sampled_from([1, 50, shelling._STEP_CELLS])),
+        _SUB_ROWS=draw(st.sampled_from([1, 3, shelling._SUB_ROWS])),
+        POSITION_TABLE_LIMIT=draw(st.sampled_from([1, shelling.POSITION_TABLE_LIMIT])),
+    )
+
+
 @st.composite
 def random_k_orders(draw):
     """A random graph on N <= 9 vertices, k in {2, 3, 4, 5}, a random
-    permutation of its k-cut facets, plus the row block and step sizes and
-    a table limit that picks the dense table or the sorted keys."""
+    permutation of its k-cut facets, plus the verifier sizes."""
     k = draw(st.sampled_from([2, 3, 4, 5]))
     N = draw(st.integers(k + 1, 9))
     edges = draw(st.sets(st.sampled_from(list(combinations(range(1, N + 1), 2)))))
     cx = enumerate_facets(Graph(N, sorted(edges)), k)
     seq = draw(st.permutations(cx.facets))
-    block = draw(st.sampled_from([1, 7, shelling._BLOCK_ROWS]))
-    step = draw(st.sampled_from([1, 50, shelling._STEP_CELLS]))
-    limit = draw(st.sampled_from([1, shelling.POSITION_TABLE_LIMIT]))
-    return cx, seq, dict(_BLOCK_ROWS=block, _STEP_CELLS=step, POSITION_TABLE_LIMIT=limit)
+    return cx, seq, _verifier_sizes(draw)
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,7 +255,7 @@ def test_jobs_do_not_change_the_verdict():
 @st.composite
 def perturbed_orders(draw):
     """The candidate order at N <= 16 after an adjacent transposition, a move
-    of one facet or a random permutation, plus the row block and step sizes."""
+    of one facet or a random permutation, plus the verifier sizes."""
     cx = _complex(*draw(st.sampled_from(SMALL_INSTANCES)))
     seq = list(shelling_order(cx).facets)
     kind = draw(st.sampled_from(["transpose", "move", "permute"]))
@@ -258,16 +267,14 @@ def perturbed_orders(draw):
         seq.insert(draw(st.integers(0, len(seq))), f)
     else:
         seq = draw(st.permutations(seq))
-    block = draw(st.sampled_from([1, 7, shelling._BLOCK_ROWS]))
-    step = draw(st.sampled_from([1, 50, shelling._STEP_CELLS]))
-    return cx, seq, block, step
+    return cx, seq, _verifier_sizes(draw)
 
 
 @settings(max_examples=50, deadline=None)
 @given(perturbed_orders())
 def test_verifier_matches_oracle_on_perturbed_orders(case):
-    cx, seq, block, step = case
-    with mock.patch.multiple(shelling, _BLOCK_ROWS=block, _STEP_CELLS=step):
+    cx, seq, patches = case
+    with mock.patch.multiple(shelling, **patches):
         res = verify_shelling(_order_of(cx, seq))
     assert (res.ok, res.counterexample) == oracle_is_shelling(_facet_sets(cx, seq))
 
@@ -289,11 +296,43 @@ def test_h33_failing_orders_match_row_brute_force(jobs):
         i = oracle_row_violation(_facet_sets(order.cx, order.facets), j)
         assert i is not None, label
         assert (res.ok, res.counterexample) == (False, (i, j)), label
-        # rows before the failure take both paths: triple lookups and pair scans
+        # rows before the failure take both paths: C(|S_j|, k - 1) prefix
+        # bitmask tests and pair scans
         rows = shelling._swap_table(order, verify=False)[0][: j - 1]
         size = order.n_vertices - rows[:, 1:].sum(axis=1)
-        by_triples = size * (size - 1) * (size - 2) // 6 < range(j - 1)
-        assert by_triples.any() and not by_triples.all(), label
+        by_prefixes = size * (size - 1) // 2 < range(j - 1)
+        assert by_prefixes.any() and not by_prefixes.all(), label
+
+
+class _LazyFacetSets:
+    """The full facet sets of an order, built on access, so that a row
+    oracle over some 50 000 facets holds one set at a time."""
+
+    def __init__(self, order):
+        self.verts = frozenset(range(1, order.n_vertices + 1))
+        self.facets = order.facets
+
+    def __getitem__(self, at):
+        if isinstance(at, slice):
+            return (self.verts - set(c) for c in self.facets[at])
+        return self.verts - set(self.facets[at])
+
+
+@pytest.mark.parametrize("t,expected", [(1, (9831, 44095)), (22, (42807, 49913))])
+def test_h46_reinsertions_across_the_word_boundary(instance, t, expected):
+    # N = 68, so a prefix bitmask spans two 64-bit words; the offender of
+    # t = 22, (32, 62, 68), sets a bit in the second one
+    order, spot = order_with_tail_reinserted(instance(4, 6, verify=False).cx, t)
+    res = verify_shelling(order)
+    assert (res.ok, res.counterexample) == (False, expected)
+    i, j = expected
+    assert j == spot
+    assert oracle_row_violation(_LazyFacetSets(order), j) == i
+    if t == 22:
+        assert order.facets[i - 1] == (32, 62, 68)
+    # row j took the prefix bitmask path: C(|S_j|, 2) < j - 1
+    s = order.n_vertices - len(swap_set(order, j))
+    assert s * (s - 1) // 2 < j - 1
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
