@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from math import comb
 
 from . import __version__
@@ -78,16 +79,26 @@ def _envelope(args, payload: dict) -> dict:
     return out
 
 
-def _emit(args, text: str) -> None:
+@contextmanager
+def _output(args):
+    """The file named by ``--out``, or stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text: str) -> None:
+    with _output(args) as fh:
+        fh.write(text)
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(_envelope(args, payload), indent=2) + "\n")
+    # streamed, so a large document is never held as one string
+    with _output(args) as fh:
+        json.dump(_envelope(args, payload), fh, indent=2)
+        fh.write("\n")
 
 
 def _check_mn(args) -> None:

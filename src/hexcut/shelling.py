@@ -19,18 +19,21 @@ meets Lambda_j, and the facet at j is spanning iff Lambda_j covers all of
 F_j (|Lambda_j| = N - k).
 
 Equivalently, row j fails iff some earlier complement lies inside
-S_j = V - Lambda_j.  The verifier packs each complement into a key of a
-dense position table with (N + 1)^k cells while that fits
-``POSITION_TABLE_LIMIT``; larger instances pack colex ranks instead and
-search them among the sorted facet keys.  It builds Lambda in row blocks
-from those lookups and checks each row along the cheaper exact path: scan
-the j earlier complements, or test S_j against bitmasks of the complements
-passed so far.  There is one bitmask per (k-1)-prefix P of a complement,
-with bit z set iff P + (z,) came earlier, so S_j holds an earlier
-complement iff masks[P] & S_j is nonzero for one of the C(|S_j|, k - 1)
-(k-1)-subsets P of S_j.  A row costs min(j, C(|S_j|, k - 1)) operations
-instead of j, and a passing order keeps its swap table for the spanning
-report, so Lambda is built once per order.
+S_j = V - Lambda_j.  The verifier keeps one bitmask per face, a
+(k-1)-subset u of a complement, with bit z set iff u + {z} is a complement
+passed so far.  Faces are numbered through a dense table of (N + 1)^(k-1)
+cells while that fits ``POSITION_TABLE_LIMIT``, and through their sorted
+colex ranks past it.  Lambda_j is the OR of the masks of the k faces of
+F_j^c, built in row blocks with prefix sums and packed into
+ceil((N + 1) / 64) words per row.  Each row is then checked along the
+cheaper exact path: scan the j earlier complements, or test S_j against
+the masks of its (k-1)-subsets P, since S_j holds an earlier complement iff
+masks[P] & S_j is nonzero for some P.  Reading the P that start at or
+below the last vertex of S_j that starts a passed complement is enough,
+so a row costs min(j, C(s, k - 1) - C(s - L, k - 1)) operations, with
+s = |S_j| and L the vertices of S_j up to that one.  A passing order keeps
+its packed swap table for the spanning report, so Lambda is built once per
+order.
 """
 
 from __future__ import annotations
@@ -57,18 +60,17 @@ from .errors import (
 from .hexgraph import Graph, HexGraph
 
 PAIR_GUARD = 100_000_000
-# Cells of the dense complement -> position table, (N + 1)^k int32 entries
-# whose packed keys are int32 too; H(10, 10) at k = 3 needs 241^3, about 1.4e7.
-# Past it the facet keys are searched in sorted order instead.
+# Cells of the dense face -> index table, (N + 1)^(k-1) int32 entries whose
+# packed keys are int32 too; H(10, 10) at k = 3 needs 241^2, about 5.8e4.
+# Past it the face keys are searched in sorted order instead.
 POSITION_TABLE_LIMIT = 1 << 24
-_FAR = np.iinfo(np.int32).max  # the position of a key that is no facet
 # Rows of the swap table built and checked together, and the mask words of
 # candidate subsets or pairwise cells handled per numpy step; both bound
 # memory only.
 _BLOCK_ROWS = 4096
 _STEP_CELLS = 1 << 20
-# Rows per sub-block, whose first row snapshots the passed-complement
-# bitmasks for the rest of it; bounds memory only.
+# Rows per sub-block, whose first row snapshots the face masks and the live
+# vertices for the rest of it; bounds memory only.
 _SUB_ROWS = 256
 
 
@@ -161,7 +163,7 @@ class ShellingOrder:
     tail: tuple[TailFacet, ...] = ()
     base_count: int = 0
     verified: bool = False
-    # swap table kept by a passing verification, read by spanning_facets
+    # packed swap table kept by a passing verification, read by spanning_facets
     _swaps: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -267,71 +269,53 @@ def swap_set(order: ShellingOrder, j: int) -> frozenset[int]:
 
 
 class _Positions:
-    """Complement key -> 0-based position, where a key of no facet maps past
-    every position.  A tuple x_1 <= ... <= x_k packs to the key
-    sum_t weight[t, x_t].
+    """Key of a (k-1)-subset x_1 < ... < x_{k-1} -> index of that face
+    among the ``count`` distinct faces, or ``count`` for a subset that is no
+    face.  The key is sum_t weight[t, x_t].
 
-    While the (N + 1)^k cells fit ``POSITION_TABLE_LIMIT`` the key is the
-    base-(N + 1) number x_1 ... x_k in int32, read from a dense table, and a
-    tuple with a repeated entry hits no facet.  Past the limit the key is the
-    colex rank sum_t C(x_t - 1, t) of a k-subset (t counted from 1), in
-    int64, searched among the sorted facet keys; the ranks stay below
-    C(N, k), the number of subsets that enumeration already walked."""
+    While the (N + 1)^(k-1) cells fit ``POSITION_TABLE_LIMIT`` the key is
+    the base-(N + 1) number x_1 ... x_{k-1} in int32, read from a dense
+    table.  Past the limit the key is the colex rank sum_t C(x_t - 1, t)
+    (t counted from 1) in int64, searched among the sorted face keys; the
+    ranks stay below C(N, k - 1) = C(N, k) k / (N - k + 1), within a factor
+    k of the C(N, k) subsets that enumeration already walked."""
 
-    def __init__(self, comp: np.ndarray, N: int):
-        K, k = N + 1, comp.shape[1]
-        t, x = np.arange(k)[:, None], np.arange(K)
-        self.dense = K**k <= POSITION_TABLE_LIMIT
+    def __init__(self, N: int, k: int):
+        K = N + 1
+        t, x = np.arange(k - 1)[:, None], np.arange(K)
+        self.cells = K ** (k - 1)
+        self.dense = self.cells <= POSITION_TABLE_LIMIT
         if self.dense:
-            self.weight = (x * K ** (k - 1 - t)).astype(np.int32)
-            self.table = np.full(K**k, _FAR, dtype=np.int32)
-            self.table[self.key(comp.T)] = np.arange(len(comp), dtype=np.int32)
+            self.weight = (x * K ** (k - 2 - t)).astype(np.int32)
         else:
             self.weight = np.array(
-                [[comb(v - 1, p + 1) if v else 0 for v in range(K)] for p in range(k)],
+                [[comb(v - 1, p + 1) if v else 0 for v in range(K)] for p in range(k - 1)],
                 dtype=np.int64,
             )
-            keys = self.key(comp.T)
-            self.rank = np.argsort(keys)
-            self.sorted = keys[self.rank]
 
     def key(self, cols) -> np.ndarray:
-        """Keys of tuples given column by column."""
+        """Keys of (k-1)-subsets given column by column."""
         return sum(w[col] for w, col in zip(self.weight, cols))
+
+    def number(self, keys: np.ndarray) -> np.ndarray:
+        """Index the distinct ``keys`` in ascending order; returns the index
+        of each key, and sets ``count`` to the number of faces."""
+        if self.dense:
+            present = np.zeros(self.cells, dtype=bool)
+            present[keys] = True
+            self.count = int(present.sum())
+            self.table = np.full(self.cells, self.count, dtype=np.int32)
+            self.table[present] = np.arange(self.count, dtype=np.int32)
+            return self.table[keys]
+        self.sorted, index = np.unique(keys, return_inverse=True)
+        self.count = len(self.sorted)
+        return index.astype(np.int32)
 
     def __getitem__(self, key: np.ndarray) -> np.ndarray:
         if self.dense:
             return self.table[key]
         at = np.searchsorted(self.sorted, key).clip(max=len(self.sorted) - 1)
-        return np.where(self.sorted[at] == key, self.rank[at], _FAR)
-
-
-def _swap_rows(comp: np.ndarray, pos: _Positions, N: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 (0-based) of the boolean swap table: entry [r, v] is
-    true iff v lies in Lambda_{lo+r+1}.  Column 0 is unused.
-
-    Swapping v in for one entry leaves u_1 < ... < u_{k-1}; with c of them
-    below v, v takes place c+1 and each later u_t moves up one place.  A v
-    in F_j^c gives F_j^c itself, at position j, or a tuple with a repeated
-    entry; its column is cleared, since a colex key of such a tuple may hit
-    a facet."""
-    K, k = N + 1, comp.shape[1]
-    lam = np.arange(1, K)
-    w = pos.weight
-    place = np.arange(k - 1)
-    ordinals = np.arange(lo, hi)[:, None]
-    rows = np.zeros((hi - lo, K), dtype=bool)
-    for slot in range(k):
-        u = np.delete(comp[lo:hi], slot, axis=1)
-        # base[:, c]: the k-1 kept entries placed around a v with c below it
-        base = np.zeros((hi - lo, k), dtype=w.dtype)
-        base[:, 1:] = np.cumsum(w[place, u], axis=1, dtype=w.dtype)
-        base[:, :-1] += np.cumsum(w[place + 1, u][:, ::-1], axis=1, dtype=w.dtype)[:, ::-1]
-        below = (u[:, :, None] < lam).sum(axis=1)
-        key = np.take_along_axis(base, below, axis=1) + w[below, lam]
-        rows[:, 1:] |= pos[key] < ordinals
-    rows[np.arange(hi - lo)[:, None], comp[lo:hi]] = False
-    return rows
+        return np.where(self.sorted[at] == key, at, self.count)
 
 
 # ---------------------------------------------------------------------------
@@ -347,153 +331,225 @@ class VerifyResult:
 
 
 def _colex_subsets(s: int, k: int) -> np.ndarray:
-    """The k-subsets of range(s) in colex order as k rows of indices, so
-    that the first C(t, k) columns are exactly the k-subsets of range(t)."""
-    t = np.array(list(combinations(range(s), k)), dtype=np.intp).reshape(-1, k)
+    """The k-subsets of range(s) in colex order as k rows of int32 indices,
+    so that the first C(t, k) columns are exactly the k-subsets of range(t)."""
+    t = np.array(list(combinations(range(s), k)), dtype=np.int32).reshape(-1, k)
     return t[np.lexsort(t.T)].T
 
 
-def _bitmasks(flags: np.ndarray, words: int) -> np.ndarray:
-    """Boolean rows packed into ``words`` uint64 words each: bit z of word
-    z // 64 is flags[:, z]."""
-    packed = np.zeros((len(flags), 8 * words), dtype=np.uint8)
-    raw = np.packbits(flags, axis=1, bitorder="little")
-    packed[:, : raw.shape[1]] = raw
-    return packed.view("<u8")
-
-
-class _Passed:
-    """The complements at the positions passed so far, one bitmask of
-    W = ceil((N + 1) / 64) uint64 words per distinct (k-1)-prefix: bit z of
-    the mask of P is set iff P + (z,) is such a complement.  Prefixes are
-    indexed by ``_Positions``; a (k-1)-subset that starts no facet reads the
-    last mask, which stays zero.  Masks are stored word by word, so that a
-    gather reads one contiguous array per word.  ``sets`` holds each
-    complement as a bitmask of the same W words."""
+class _Faces:
+    """The complements passed so far, one mask of W = ceil((N + 1) / 64)
+    uint64 words per face.  A face is a (k-1)-subset u of a complement, so
+    each complement has k faces, and bit z of the mask of u is set iff
+    u + {z} is a complement already passed.  The faces are numbered by
+    ``_Positions``; a (k-1)-subset that is no face reads the last mask,
+    which stays zero.  Masks are stored word by word, so that a gather reads
+    one contiguous array per word.  ``face[i, s]`` numbers the face of
+    complement i without its entry s, ``sets`` holds each complement as a
+    bitmask of W words, ``first[v]`` is the first position whose complement
+    starts with v (eta if none), and ``vertices`` packs V = {1..N}."""
 
     def __init__(self, comp: np.ndarray, N: int):
-        prefixes, row = np.unique(comp[:, :-1], axis=0, return_inverse=True)
-        self.pos = _Positions(prefixes, N)
-        self.zero = len(prefixes)
-        self.row = row.reshape(-1)
-        self.masks = np.zeros(((N + 64) // 64, len(prefixes) + 1), dtype="<u8")
-        self.sets = np.zeros((len(comp), len(self.masks)), dtype="<u8")
-        word = (comp >> 6).astype(np.intp)
-        bit = np.left_shift(np.uint64(1), (comp & 63).astype(np.uint64))
-        self.word, self.bit = word[:, -1], bit[:, -1]
-        for t in range(comp.shape[1]):
-            self.sets[np.arange(len(comp)), word[:, t]] |= bit[:, t]
+        eta, k = comp.shape
+        self.pos = _Positions(N, k)
+        keys = np.zeros((eta, k), dtype=self.pos.weight.dtype)
+        for s in range(k):
+            keys[:, s] = self.pos.key(np.delete(comp, s, axis=1).T)
+        self.face = self.pos.number(keys.reshape(-1)).reshape(eta, k)
+        self.zero = self.pos.count
+        words = (N + 64) // 64
+        self.masks = np.zeros((words, self.zero + 1), dtype="<u8")
+        self.word = (comp >> 6).astype(np.intp)
+        self.bit = np.left_shift(np.uint64(1), (comp & 63).astype(np.uint64))
+        self.sets = np.zeros((eta, words), dtype="<u8")
+        for s in range(k):
+            self.sets[np.arange(eta), self.word[:, s]] |= self.bit[:, s]
+        self.first = np.full(N + 1, eta)
+        np.minimum.at(self.first, comp[:, 0], np.arange(eta))
+        v = np.arange(N + 1)
+        self.vertex_bit = np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
+        self.vertices = self.packed(v > 0)
 
-    def snapshots(self, lo: int, hi: int) -> np.ndarray:
-        """The masks as they stand at lo, lo + _SUB_ROWS, ... below hi, as
-        [word, t * (zero + 1) + prefix]; afterwards every complement before
-        hi has been passed."""
+    def packed(self, flags: np.ndarray) -> np.ndarray:
+        """Rows of per-vertex flags, vertices 0..N, as rows of W words."""
+        bits = np.where(flags, self.vertex_bit, np.uint64(0))
+        return np.bitwise_or.reduceat(bits, np.arange(0, len(self.vertex_bit), 64), axis=-1)
+
+    def swap_rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows lo..hi-1 (0-based) of the packed swap table, bit v of row r
+        set iff v lies in Lambda_{lo+r+1}, and the masks as they stood at
+        lo, lo + _SUB_ROWS, ... below hi, as [word, t * (zero + 1) + face].
+        Afterwards every complement before hi has been passed.
+
+        Lambda_j is the OR of the masks of the k faces of F_j^c as they
+        stand at j: the mask at lo, plus the extra vertices of the rows of
+        the block before j that share the face.  Those vertices are distinct
+        bits, so their OR is an exclusive prefix sum over the (face, row)
+        entries sorted stably by face, exact modulo 2^64.  A face of F_j^c
+        plus z is F_j^c itself only for the z it left out, which comes at j,
+        not before, so no entry of F_j^c is set."""
         words, width = self.masks.shape
-        out = np.empty((words, -(-(hi - lo) // _SUB_ROWS), width), dtype="<u8")
+        face = self.face[lo:hi].reshape(-1)
+        order = np.argsort(face, kind="stable")
+        face = face[order]
+        head = np.flatnonzero(np.diff(face, prepend=-1))
+        head = np.repeat(head, np.diff(head, append=len(face)))
+        word, bit = self.word[lo:hi].reshape(-1)[order], self.bit[lo:hi].reshape(-1)[order]
+        entries = np.empty((len(face), words), dtype="<u8")
+        for w in range(words):
+            own = np.where(word == w, bit, 0)
+            sums = np.cumsum(own, dtype="<u8")
+            sums -= own  # exclusive
+            entries[order, w] = (sums - sums[head]) | self.masks[w, face]
+        rows = np.bitwise_or.reduce(entries.reshape(hi - lo, -1, words), axis=1)
+        snaps = np.empty((words, -(-(hi - lo) // _SUB_ROWS), width), dtype="<u8")
         for t, b in enumerate(range(lo, hi, _SUB_ROWS)):
-            out[:, t] = self.masks
+            snaps[:, t] = self.masks
             e = min(b + _SUB_ROWS, hi)
-            np.bitwise_or.at(self.masks, (self.word[b:e], self.row[b:e]), self.bit[b:e])
-        return out.reshape(words, -1)
+            np.bitwise_or.at(self.masks, (self.word[b:e], self.face[b:e]), self.bit[b:e])
+        return rows, snaps.reshape(words, -1)
 
 
-def _pairwise_ok(rows: np.ndarray, comp: np.ndarray, ords: np.ndarray) -> np.ndarray:
-    """ok[r, i] true iff complement i meets the swap set in rows[r], or
-    i is not before that row's position ords[r]."""
+def _pairwise_ok(rows: np.ndarray, sets: np.ndarray, ords: np.ndarray) -> np.ndarray:
+    """ok[r, i] true iff complement i (a bitmask in ``sets``) meets the
+    packed swap set rows[r], or i is not before that row's position ords[r]."""
     upto = int(ords[-1])
-    ok = np.arange(upto)[None, :] >= ords[:, None]
-    for t in range(comp.shape[1]):
-        ok |= rows[:, comp[:upto, t]]
-    return ok
+    meet = sets[:upto, 0] & rows[:, 0, None]
+    for w in range(1, sets.shape[1]):
+        meet |= sets[:upto, w] & rows[:, w, None]
+    return (meet != 0) | (np.arange(upto) >= ords[:, None])
 
 
-def _first_failure(rows, lo, comp, passed, cost, subsets) -> tuple[int, int] | None:
-    """The 0-based (i, j) with j the smallest position among rows lo.. whose
-    S_j contains an earlier complement, and i the first such complement.
+def _through_last(live: np.ndarray) -> np.ndarray:
+    """Packed rows holding every bit at or below the highest bit set in the
+    same row of ``live``, none for an empty row."""
+    out = np.empty_like(live)
+    higher = np.zeros(len(live), dtype=bool)
+    for w in reversed(range(live.shape[1])):
+        x = live[:, w].copy()
+        for shift in (1, 2, 4, 8, 16, 32):
+            x |= x >> np.uint64(shift)
+        out[:, w] = np.where(higher, ~np.uint64(0), x)
+        higher |= live[:, w] != 0
+    return out
+
+
+def _subset_failure(inside, sel, size, skip, span, snaps, faces, subsets) -> int | None:
+    """The first of the rows ``sel`` for which masks[P] & S_j is nonzero,
+    with P running over the columns [skip, skip + span) of ``subsets`` over
+    the vertices of S_j in descending order, or None.  ``inside`` holds the
+    packed S_j; rows are read in ragged steps of at most ``_STEP_CELLS``
+    mask words, or one row."""
+    words = inside.shape[1]
+    # the vertices of each S_j in descending order, one row after another:
+    # bit 64 W - 1 - c of a row is the big-endian bit c of its reversed bytes
+    bits = np.unpackbits(inside[sel].view(np.uint8)[:, ::-1], bitorder="big")
+    support = (64 * words - 1 - np.flatnonzero(bits) % (64 * words)).astype(np.int32)
+    del bits
+    offset = (np.cumsum(size[sel]) - size[sel]).astype(np.int32)
+    snap = (sel // _SUB_ROWS * (faces.zero + 1)).astype(np.int32)
+    skip, span, inside = skip[sel].astype(np.int32), span[sel], inside[sel].T.copy()
+    ends = np.cumsum(span)
+    budget = max(1, _STEP_CELLS // words)
+    a = 0
+    while a < len(sel):
+        e = max(a + 1, int(np.searchsorted(ends, ends[a] - span[a] + budget, "right")))
+        n = span[a:e]
+        cell_row = np.repeat(np.arange(a, e, dtype=np.int32), n)
+        column = np.arange(len(cell_row), dtype=np.int32)
+        column += np.repeat(skip[a:e] - (np.cumsum(n) - n).astype(np.int32), n)
+        base = offset[cell_row]
+        # places ascend in vertex order, so descend in support index
+        key = faces.pos.key([support[base + c] for c in subsets[::-1, column]])
+        del column, base
+        at = faces.pos[key]
+        del key  # freed before the wider uint64 gathers, which set the peak
+        at += snap[cell_row]
+        hit = np.take(snaps[0], at) & np.take(inside[0], cell_row)
+        for w in range(1, words):
+            hit |= np.take(snaps[w], at) & np.take(inside[w], cell_row)
+        if hit.any():
+            return int(sel[cell_row[np.flatnonzero(hit)[0]]])
+        a = e
+    return None
+
+
+def _first_failure(rows, snaps, lo, faces, choose, subsets) -> tuple[int, int] | None:
+    """The 0-based (i, j) with j the smallest position among the packed
+    swap rows lo.. whose S_j contains an earlier complement, and i the first
+    such complement.
 
     Each row is checked along the cheaper exact path: scan the j earlier
-    complements, or, when cost[s] = C(s, k-1) is below j, test the (k-1)-
-    subsets P of S_j against the bitmasks of ``passed`` as they stood at the
-    start of the row's sub-block of ``_SUB_ROWS`` rows.  Row j fails there
-    iff some masks[P] & S_j is nonzero, or a complement earlier in the
-    sub-block lies inside S_j, which is read from the packed swap row."""
-    K = rows.shape[1]
+    complements, or test (k-1)-subsets P of S_j against the face masks as
+    they stood at the start of the row's sub-block of ``_SUB_ROWS`` rows.
+    Row j fails there iff some masks[P] & S_j is nonzero, or a complement
+    earlier in the sub-block lies inside S_j.  A complement passed at the
+    snapshot starts with a vertex that was live there, first in some passed
+    complement, and the face that drops its last entry starts there too.
+    So only the P whose smallest vertex lies at or below the last live
+    vertex of S_j are read: listed in colex order over the s vertices of
+    S_j in descending order, they are the columns
+    [C(s - L, k - 1), C(s, k - 1)) of ``subsets``, where L counts the
+    vertices of S_j up to its last live one.  A row costs
+    min(j, C(s, k - 1) - C(s - L, k - 1)).  ``choose[s]`` is C(s, k - 1)
+    capped at eta; a row whose S_j has eta or more (k-1)-subsets is
+    scanned."""
+    eta = len(faces.sets)
     ords = np.arange(lo, lo + len(rows))
-    size = (K - 1) - rows[:, 1:].sum(axis=1)  # |S_j|
-    by_subsets = cost[size] < ords
-    snaps = passed.snapshots(lo, lo + len(rows))
-    words = len(snaps)
-    swaps = _bitmasks(rows, words)  # Lambda_j
+    inside = ~rows & faces.vertices  # S_j
+    size = np.bitwise_count(inside).sum(axis=1, dtype=np.int64)  # |S_j|
+    starts = np.arange(lo, lo + len(rows), _SUB_ROWS)
+    live = inside & faces.packed(faces.first < starts[:, None])[(ords - lo) // _SUB_ROWS]
+    L = np.bitwise_count(inside & _through_last(live)).sum(axis=1, dtype=np.int64)
+    skip = choose[size - L]
+    span = choose[size] - skip
+    by_subsets = (choose[size] < eta) & (span < ords)
     failing = []
     for b in range(0, len(rows), _SUB_ROWS):
         r = np.flatnonzero(by_subsets[b:b + _SUB_ROWS]) + b
-        if len(r) and r[-1] > b:
-            sets = passed.sets[lo + b:lo + r[-1]]
-            within = np.arange(len(sets)) < (r - b)[:, None]
-            for w in range(words):
-                within &= (sets[:, w] & swaps[r, w, None]) == 0
-            bad = within.any(axis=1)
+        if len(r):
+            bad = ~_pairwise_ok(rows[r], faces.sets[lo + b:], r - b).all(axis=1)
             if bad.any():
                 failing.append(int(r[bad][0]))
                 break
-    inside = ~swaps  # S_j; no mask sets bit 0 or a bit past N
-    for s in np.unique(size[by_subsets]).tolist():
-        cand = subsets[:, : cost[s]]
-        sel = np.flatnonzero(by_subsets & (size == s))
-        step = max(1, _STEP_CELLS // (cand.shape[1] * words))
-        for start in range(0, len(sel), step):
-            r = sel[start:start + step]
-            support = np.nonzero(~rows[r, 1:])[1].reshape(len(r), s) + 1
-            # weight[t] of each support vertex, so a key costs one gather per place
-            share = passed.pos.weight[:, support]
-            key = sum(w[:, c] for w, c in zip(share, cand))
-            # mask index within the snapshot of each row's sub-block
-            at = np.minimum(passed.pos[key], passed.zero)
-            del key  # freed before the wider uint64 gathers, which set the peak
-            at = at + (r // _SUB_ROWS * (passed.zero + 1))[:, None]
-            hit = np.zeros(at.shape, dtype="<u8")
-            for w in range(words):
-                word = np.take(snaps[w], at)
-                word &= inside[r, w, None]
-                hit |= word
-            bad = hit.max(axis=1) != 0
-            if bad.any():
-                failing.append(int(r[bad][0]))
-                break
+    sel = np.flatnonzero(by_subsets & (span > 0))
+    j = _subset_failure(inside, sel, size, skip, span, snaps, faces, subsets)
+    if j is not None:
+        failing.append(j)
     sel = np.flatnonzero(~by_subsets)
-    step = max(1, _STEP_CELLS // (lo + len(rows)))
-    for start in range(0, len(sel), step):
-        r = sel[start:start + step]
-        bad = ~_pairwise_ok(rows[r], comp, ords[r]).all(axis=1)
+    step = max(1, _STEP_CELLS // ((lo + len(rows)) * rows.shape[1]))
+    for a in range(0, len(sel), step):
+        r = sel[a:a + step]
+        bad = ~_pairwise_ok(rows[r], faces.sets, ords[r]).all(axis=1)
         if bad.any():
             failing.append(int(r[bad][0]))
             break
     if not failing:
         return None
     j = min(failing)
-    i = int(np.argmin(_pairwise_ok(rows[j:j + 1], comp, ords[j:j + 1])[0]))
+    i = int(np.argmin(_pairwise_ok(rows[j:j + 1], faces.sets, ords[j:j + 1])[0]))
     return i, lo + j
 
 
 def _swap_table(order: ShellingOrder, verify: bool) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """The swap table, row [j, v] true iff v lies in Lambda_{j+1}, built in
-    blocks of rows.  With ``verify`` each block is checked as it is built,
-    and the build stops at the first block holding a failing row; the
-    failing 0-based (i, j), minimal in (j, i), comes back with the table."""
+    """The packed swap table, bit v of row j set iff v lies in
+    Lambda_{j+1}, in W uint64 words per row, built in blocks of rows.  With
+    ``verify`` each block is checked as it is built, and the build stops at
+    the first block holding a failing row; the failing 0-based (i, j),
+    minimal in (j, i), comes back with the table."""
     N, k = order.n_vertices, order.cx.k
     comp = np.asarray(order.facets, dtype=np.int32).reshape(-1, k)
-    pos = _Positions(comp, N)
+    faces = _Faces(comp, N)
     eta = len(comp)
     if verify:
-        cost = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
-        subsets = _colex_subsets(int(np.flatnonzero(cost < eta).max()), k - 1)
-        passed = _Passed(comp, N)
-    table = np.zeros((eta, N + 1), dtype=bool)
+        choose = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
+        subsets = _colex_subsets(int(np.flatnonzero(choose < eta).max()), k - 1)
+    table = np.zeros((eta, faces.masks.shape[0]), dtype="<u8")
     for lo in range(0, eta, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, eta)
-        table[lo:hi] = _swap_rows(comp, pos, N, lo, hi)
+        table[lo:hi], snaps = faces.swap_rows(lo, hi)
         if verify:
-            failure = _first_failure(table[lo:hi], lo, comp, passed, cost, subsets)
+            failure = _first_failure(table[lo:hi], snaps, lo, faces, choose, subsets)
             if failure is not None:
                 return table, failure
     return table, None
@@ -504,15 +560,17 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
 
     Returns ok, or the failing pair (i, j) minimal in (j, i) order.  A
     successful run marks the order as verified.  Row j fails iff an earlier
-    complement lies inside S_j = V - Lambda_j, tested for any k at a cost of
-    min(j, C(|S_j|, k - 1)) per row: a scan of the j earlier complements, or
-    a test of the (k-1)-subsets of S_j against bitmasks of the earlier
-    complements that start with them.  Complements and prefixes are looked
-    up in a dense table of (N + 1)^k or (N + 1)^(k-1) cells, or past
-    ``POSITION_TABLE_LIMIT`` by binary search among sorted keys.
-    ``jobs`` is validated and echoed, and changes nothing.
-    ``pairs_checked`` counts the pairs of the O(eta^2) definition, not the
-    work done.
+    complement lies inside S_j = V - Lambda_j, tested for any k along the
+    cheaper of two paths: a scan of the j earlier complements, or a test of
+    (k-1)-subsets of S_j against bitmasks of the earlier complements that
+    contain them.  The test reads only the subsets that start at or below
+    the last vertex of S_j that starts an earlier complement; with
+    s = |S_j| and L the vertices of S_j up to that one, a row costs
+    min(j, C(s, k - 1) - C(s - L, k - 1)).  Faces are looked up in a dense
+    table of (N + 1)^(k-1) cells, or past ``POSITION_TABLE_LIMIT`` by binary
+    search among sorted keys.  ``jobs`` is validated and echoed, and changes
+    nothing.  ``pairs_checked`` counts the pairs of the O(eta^2) definition,
+    not the work done.
     """
     if jobs < 1:
         raise InvalidParams(f"jobs must be >= 1, got {jobs}")
@@ -569,7 +627,7 @@ def spanning_facets(order: ShellingOrder, allow_unverified: bool = False) -> Spa
     _check_cover(order)
     N = order.n_vertices
     swaps = order._swaps if order._swaps is not None else _swap_table(order, verify=False)[0]
-    flags = tuple(bool(b) for b in (swaps[:, 1:].sum(axis=1) == N - order.cx.k))
+    flags = tuple(bool(b) for b in (np.bitwise_count(swaps).sum(axis=1) == N - order.cx.k))
 
     spanning_comps = tuple(
         order.facets[j] for j in range(order.n_facets) if flags[j]
@@ -589,7 +647,8 @@ def spanning_facets(order: ShellingOrder, allow_unverified: bool = False) -> Spa
         c = order.facets[j]
         if flags[j] or len(c) != 3 or c[2] != N:
             continue
-        outside = [v for v in range(1, N + 1) if not swaps[j][v] and v not in c]
+        row = np.unpackbits(swaps[j].view(np.uint8), bitorder="little")
+        outside = [v for v in range(1, N + 1) if not row[v] and v not in c]
         if outside:
             witness[(c[0], c[1])] = min(outside)
     return SpanningReport(

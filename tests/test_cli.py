@@ -203,3 +203,16 @@ def test_jobs_flag_deterministic(tmp_path):
     main(["verify", "--m", "2", "--n", "2", "--jobs", "1", "--out", str(f1)])
     main(["verify", "--m", "2", "--n", "2", "--jobs", "2", "--out", str(f2)])
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv", [["order", "--m", "1", "--n", "2"], ["spanning", "--m", "2", "--n", "2"]]
+)
+def test_out_file_equals_stdout(capsysbinary, tmp_path, argv):
+    # the JSON is streamed to either sink; both get the same bytes
+    path = tmp_path / "doc.json"
+    assert main(argv) == 0
+    out = capsysbinary.readouterr().out
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert path.read_bytes() == out and out.endswith(b"}\n")

@@ -3,8 +3,10 @@
 import dataclasses
 from functools import cache
 from itertools import combinations
+from math import comb
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,15 +218,29 @@ def _verifier_sizes(draw):
     )
 
 
+def _nearly_sorted(draw, facets):
+    """Revlex, the complements in lex order, with one to three facets moved
+    earlier.  Vertices become live in ascending order, so the live-first
+    pruning skips subsets here, where a random permutation skips none."""
+    seq = sorted(facets)
+    for _ in range(draw(st.integers(1, 3)) if len(seq) > 1 else 0):
+        a = draw(st.integers(1, len(seq) - 1))
+        seq.insert(draw(st.integers(0, a - 1)), seq.pop(a))
+    return seq
+
+
 @st.composite
 def random_k_orders(draw):
-    """A random graph on N <= 9 vertices, k in {2, 3, 4, 5}, a random
-    permutation of its k-cut facets, plus the verifier sizes."""
+    """A random graph on N <= 9 vertices, k in {2, 3, 4, 5}, a random or a
+    nearly sorted order of its k-cut facets, plus the verifier sizes."""
     k = draw(st.sampled_from([2, 3, 4, 5]))
     N = draw(st.integers(k + 1, 9))
     edges = draw(st.sets(st.sampled_from(list(combinations(range(1, N + 1), 2)))))
     cx = enumerate_facets(Graph(N, sorted(edges)), k)
-    seq = draw(st.permutations(cx.facets))
+    if draw(st.booleans()):
+        seq = draw(st.permutations(cx.facets))
+    else:
+        seq = _nearly_sorted(draw, cx.facets)
     return cx, seq, _verifier_sizes(draw)
 
 
@@ -241,6 +257,87 @@ def test_any_k_verifier_and_report_match_oracles(case):
         report = spanning_facets(_order_of(cx, seq), allow_unverified=True)
     assert (res.ok, res.counterexample) == oracle_is_shelling(facet_sets)
     assert list(report.spanning_flags) == oracle_spanning_flags(facet_sets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_k_orders())
+def test_packed_swap_rows_equal_swap_set(case):
+    # every row of the packed table, unpacked, is the one-row reference
+    cx, seq, patches = case
+    order = _order_of(cx, seq)
+    with mock.patch.multiple(shelling, **patches):
+        table = shelling._swap_table(order, verify=False)[0]
+    bits = np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")
+    for j in range(1, order.n_facets + 1):
+        assert set(np.flatnonzero(bits[j - 1]).tolist()) == swap_set(order, j)
+
+
+def test_offender_live_only_inside_its_sub_block():
+    # H(2, 3) revlex with its last facet moved to 898: row 898 fails against
+    # 840, the first complement that starts with its vertex.  Both lie in
+    # the sub-block from 769, so the snapshot taken there does not count
+    # that vertex as live, and the pruned subset test reads no mask for it.
+    cx = _complex(2, 3)
+    seq = sorted(cx.facets)
+    seq.insert(897, seq.pop())
+    order = _order_of(cx, seq)
+    res = verify_shelling(order)
+    assert oracle_row_violation(_facet_sets(cx, seq), 898) == 840
+    assert (res.ok, res.counterexample) == (False, (840, 898))
+    start = 897 // shelling._SUB_ROWS * shelling._SUB_ROWS
+    assert start <= 839 and all(c[0] != seq[839][0] for c in seq[:start])
+    # row 898 takes the subset path: fewer live-first pairs than rows before it
+    inside = set(range(1, cx.n_vertices + 1)) - swap_set(order, 898)
+    live = {c[0] for c in seq[:start]} & inside
+    s, L = len(inside), sum(v <= max(live, default=0) for v in inside)
+    assert comb(s, 2) - comb(s - L, 2) < 897
+
+
+def test_last_live_vertex_in_the_second_mask_word():
+    # the 66-cycle at k = 2 in descending lex order: S_2017 = {1, 64, 65, 66}
+    # holds the first complement (64, 66).  Its last live vertex, 64, and
+    # the bit of 66 lie in the second 64-bit word, and the subsets read are
+    # the L = 2 vertices of S_j up to 64, across both words.
+    cx = enumerate_facets(cycle_graph(66), 2)
+    seq = sorted(cx.facets, reverse=True)
+    sets = _facet_sets(cx, seq)
+    assert (seq[0], seq[2016]) == ((64, 66), (1, 65))
+    assert oracle_row_violation(sets, 2017) == 1
+    assert all(oracle_row_violation(sets, j) is None for j in range(1990, 2017))
+    res = verify_shelling(_order_of(cx, seq))
+    assert (res.ok, res.counterexample) == (False, (1, 2017))
+
+
+@pytest.mark.parametrize("limit", [1, shelling.POSITION_TABLE_LIMIT])
+def test_subsets_that_are_no_face_read_the_zero_mask(limit):
+    # vertex 1 of the fan is adjacent to every other vertex, so it lies in
+    # no complement and in every S_j, and the (k-1)-subsets of S_j through
+    # it are no face; under both lookups they must hit nothing
+    g = Graph(12, [(1, v) for v in range(2, 13)] + [(v, v + 1) for v in range(2, 12)])
+    cx = enumerate_facets(g, 4)
+    seq = sorted(cx.facets)
+    with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", limit):
+        res = verify_shelling(_order_of(cx, seq))
+    assert (res.ok, res.counterexample) == oracle_is_shelling(_facet_sets(cx, seq)) == (True, None)
+
+
+def test_live_pruning_reads_under_a_tenth_of_the_pairs(instance, monkeypatch):
+    # the rows of the H(4, 6) order that an unpruned test would check by
+    # subsets, C(|S_j|, 2) < j - 1, read under a tenth of those pairs
+    order = instance(4, 6).order
+    size = order.n_vertices - np.bitwise_count(order._swaps).sum(axis=1, dtype=np.int64)
+    pairs = size * (size - 1) // 2
+    unpruned = int(pairs[pairs < np.arange(len(pairs))].sum())
+    looked_up = []
+    real = shelling._Positions.__getitem__
+
+    def counting(pos, key):
+        looked_up.append(key.size)
+        return real(pos, key)
+
+    monkeypatch.setattr(shelling._Positions, "__getitem__", counting)
+    assert verify_shelling(dataclasses.replace(order, _swaps=None)).ok
+    assert 0 < sum(looked_up) < unpruned / 10
 
 
 def test_jobs_do_not_change_the_verdict():
@@ -299,7 +396,7 @@ def test_h33_failing_orders_match_row_brute_force(jobs):
         # rows before the failure take both paths: C(|S_j|, k - 1) prefix
         # bitmask tests and pair scans
         rows = shelling._swap_table(order, verify=False)[0][: j - 1]
-        size = order.n_vertices - rows[:, 1:].sum(axis=1)
+        size = order.n_vertices - np.bitwise_count(rows).sum(axis=1)
         by_prefixes = size * (size - 1) // 2 < range(j - 1)
         assert by_prefixes.any() and not by_prefixes.all(), label
 
@@ -338,13 +435,13 @@ def test_h46_reinsertions_across_the_word_boundary(instance, t, expected):
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
 def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
     built = []
-    real = shelling._swap_rows
+    real = shelling._Faces.swap_rows
 
-    def counting(comp, pos, N, lo, hi):
+    def counting(faces, lo, hi):
         built.extend(range(lo, hi))
-        return real(comp, pos, N, lo, hi)
+        return real(faces, lo, hi)
 
-    monkeypatch.setattr(shelling, "_swap_rows", counting)
+    monkeypatch.setattr(shelling._Faces, "swap_rows", counting)
     monkeypatch.setattr(shelling, "_BLOCK_ROWS", 64)
     cx = _complex(m, n)
     order = shelling_order(cx)
@@ -387,22 +484,20 @@ def test_k3_past_130_vertices_is_refuted_without_python_rows(monkeypatch):
     assert (res.ok, res.counterexample, res.pairs_checked) == (False, (i, 2), 1)
 
 
-@pytest.mark.parametrize("m,n,k", [(1, 2, 7), (2, 2, 6)])
-def test_explore_past_the_table_limit(m, n, k):
-    # (N + 1)^k exceeds the dense table, so complements are looked up among
+@pytest.mark.parametrize("m,n,k,expected", [(2, 2, 7, (164, 166)), (1, 3, 8, (172, 173))],
+                         ids=["2-2-7", "1-3-8"])
+def test_explore_past_the_table_limit(m, n, k, expected):
+    # (N + 1)^(k - 1) exceeds the dense table, so faces are looked up among
     # the sorted colex keys; every row up to the verdict matches the oracle
     g = build_hex_graph(m, n)
-    assert (g.n_vertices + 1) ** k > shelling.POSITION_TABLE_LIMIT
+    assert (g.n_vertices + 1) ** (k - 1) > shelling.POSITION_TABLE_LIMIT
     verdict = verify_k_cut_order(g, k)
     sets = oracle_full_facets(g, k)  # revlex: complements in lex order
     assert verdict.n_facets == len(sets)
-    if (m, n) == (1, 2):
-        assert (verdict.ok, verdict.counterexample) == oracle_is_shelling(sets)
-    else:
-        i, j = verdict.counterexample
-        assert not verdict.ok
-        assert all(oracle_row_violation(sets, r) is None for r in range(2, j))
-        assert oracle_row_violation(sets, j) == i
+    assert (verdict.ok, verdict.counterexample) == (False, expected)
+    i, j = expected
+    assert all(oracle_row_violation(sets, r) is None for r in range(2, j))
+    assert oracle_row_violation(sets, j) == i
     assert main(["explore", "--m", str(m), "--n", str(n), "--k", str(k)]) == 0
 
 
