@@ -13,10 +13,10 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from math import comb
 
 from . import __version__
 from .cutcomplex import (
+    check_subset_count,
     enumerate_facets,
     facets_to_csv,
     facets_to_json_dict,
@@ -39,7 +39,6 @@ from .homology import (
     wedge_verdict_to_json_dict,
 )
 from .shelling import (
-    PAIR_GUARD,
     non_spanning_pair_table,
     order_to_json_dict,
     shelling_order,
@@ -51,8 +50,6 @@ from .shelling import (
     verify_k_cut_order,
     verify_shelling,
 )
-
-FACET_SUBSET_GUARD = 20_000
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -107,16 +104,9 @@ def _check_mn(args) -> None:
 
 
 def _check_subsets(args, k: int) -> None:
-    """Reject a cut size outside [1, N-1], then refuse, without --force, to
-    enumerate more k-subsets than the guard."""
-    N = 2 * args.m + 2 * args.n + 2 * args.m * args.n
-    if not 1 <= k <= N - 1:
-        raise InvalidParams(f"k={k} outside [1,{N - 1}]")
-    n_subsets = comb(N, k)
-    if n_subsets > FACET_SUBSET_GUARD and not args.force:
-        raise ResourceGuard(
-            f"{n_subsets} candidate subsets exceed guard {FACET_SUBSET_GUARD}; use --force"
-        )
+    """The subset guard of every command that walks k-subsets of H(m, n),
+    checked before the graph is built."""
+    check_subset_count(2 * args.m + 2 * args.n + 2 * args.m * args.n, k, args.force)
 
 
 def _add_common(p, with_k=False) -> None:
@@ -160,30 +150,18 @@ def cmd_facets(args) -> int:
 
 
 def _build_order(args):
-    g = build_hex_graph(args.m, args.n)
-    cx = enumerate_facets(g, 3)
-    eta = cx.n_facets
-    pairs = eta * (eta - 1) // 2
-    if pairs > PAIR_GUARD and not args.force:
-        raise ResourceGuard(
-            f"{eta} facets imply {pairs} ordered pairs > guard {PAIR_GUARD}; use --force"
-        )
-    relocate = not getattr(args, "no_relocate_t", False)
-    return shelling_order(cx, relocate_tail=relocate)
+    _check_mn(args)
+    _check_subsets(args, 3)
+    cx = enumerate_facets(build_hex_graph(args.m, args.n), 3)
+    return shelling_order(cx, relocate_tail=not args.no_relocate_t)
 
 
 def cmd_order(args) -> int:
-    _check_mn(args)
-    _check_subsets(args, 3)
-    g = build_hex_graph(args.m, args.n)
-    cx = enumerate_facets(g, 3)
-    order = shelling_order(cx, relocate_tail=not args.no_relocate_t)
-    _emit_json(args, order_to_json_dict(order))
+    _emit_json(args, order_to_json_dict(_build_order(args)))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    _check_mn(args)
     order = _build_order(args)
     res = verify_shelling(order, jobs=args.jobs)
     payload = {
@@ -198,7 +176,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spanning(args) -> int:
-    _check_mn(args)
     order = _build_order(args)
     res = verify_shelling(order, jobs=args.jobs)
     if not res.ok:
@@ -287,7 +264,7 @@ def cmd_homology(args) -> int:
             f"N={g.n_vertices} exceeds homology limit {HOMOLOGY_VERTEX_LIMIT}; use --force"
         )
     cx = enumerate_facets(g, 3)
-    bv = betti_numbers(cx, limit=HOMOLOGY_VERTEX_LIMIT, force=args.force)
+    bv = betti_numbers(cx, force=args.force)
     payload = {
         "betti": {str(dim): bv.b(dim) for dim in range(-1, bv.dim + 1)},
         "top_dimension": g.n_vertices - 4,
@@ -301,9 +278,7 @@ def cmd_explore(args) -> int:
     _check_mn(args)
     _check_subsets(args, args.k)
     g = build_hex_graph(args.m, args.n)
-    verdict = verify_k_cut_order(
-        g, args.k, rule=args.rule, force=args.force, jobs=args.jobs,
-    )
+    verdict = verify_k_cut_order(g, args.k, rule=args.rule, jobs=args.jobs)
     payload = {
         "rule": verdict.rule,
         "n_facets": verdict.n_facets,

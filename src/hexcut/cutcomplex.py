@@ -15,10 +15,11 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidParams, KOutOfRange, SizeLimitExceeded, VertexOutOfRange
+from .errors import InvalidParams, KOutOfRange, ResourceGuard, SizeLimitExceeded, VertexOutOfRange
 from .hexgraph import Graph, HexGraph
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
+FACET_SUBSET_GUARD = 20_000  # k-subsets walked without force, see check_subset_count
 _COUNT_CHUNK = 1 << 16  # bitmap entries popcounted per numpy step
 
 
@@ -39,6 +40,22 @@ def hex_facet_count(m: int, n: int) -> int:
 def _check_params(m: int, n: int) -> None:
     if m < 1 or n < 1:
         raise InvalidParams(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+
+
+def check_subset_count(n_vertices: int, k: int, force: bool = False) -> None:
+    """Reject a cut size outside [1, N-1], then refuse, unless ``force``, to
+    walk more than ``FACET_SUBSET_GUARD`` k-subsets of the N vertices.
+
+    C(N, k) is the number of Python calls :func:`enumerate_facets` makes,
+    and it bounds the facets, so the swap-table rows and the faces too.
+    """
+    if not 1 <= k <= n_vertices - 1:
+        raise InvalidParams(f"k={k} outside [1,{n_vertices - 1}]")
+    n_subsets = comb(n_vertices, k)
+    if n_subsets > FACET_SUBSET_GUARD and not force:
+        raise ResourceGuard(
+            f"{n_subsets} candidate subsets exceed guard {FACET_SUBSET_GUARD}; use --force"
+        )
 
 
 def _subset_disconnected(g: Graph, subset: tuple[int, ...]) -> bool:

@@ -28,8 +28,16 @@ from math import comb
 
 import numpy as np
 
-from .cutcomplex import CutComplex, FVector, downward_closure, f_vector, hex_facet_count
-from .errors import HexCutError, InvalidParams, SizeLimitExceeded
+from .cutcomplex import (
+    EXHAUSTIVE_VERTEX_LIMIT,
+    CutComplex,
+    FVector,
+    check_subset_count,
+    downward_closure,
+    f_vector,
+    hex_facet_count,
+)
+from .errors import HexCutError, InvalidParams, ResourceGuard, SizeLimitExceeded
 
 HOMOLOGY_VERTEX_LIMIT = 16
 DENSE_ENTRY_LIMIT = 4_000_000
@@ -259,7 +267,9 @@ def reduced_euler_closed(m: int, n: int) -> int:
     return total
 
 
-def reduced_euler_exhaustive(cx: CutComplex, limit: int = 20, force: bool = False) -> int:
+def reduced_euler_exhaustive(
+    cx: CutComplex, limit: int = EXHAUSTIVE_VERTEX_LIMIT, force: bool = False
+) -> int:
     return reduced_euler_from_fvector(f_vector(cx, mode="exhaustive", limit=limit, force=force))
 
 
@@ -283,47 +293,39 @@ class WedgeVerdict:
         return all(c["pass"] for c in self.checks.values() if c["ran"])
 
 
-def wedge_check(
-    m: int,
-    n: int,
-    homology_limit: int = HOMOLOGY_VERTEX_LIMIT,
-    pair_guard: int | None = None,
-    force: bool = False,
-    jobs: int = 1,
-) -> WedgeVerdict:
+def wedge_check(m: int, n: int, force: bool = False, jobs: int = 1) -> WedgeVerdict:
     """Aggregate: (a) the candidate order verifies as a shelling, (b) the
     spanning count matches the closed form, (c) the reduced Euler
     characteristic matches it too, (d) GF(2) homology is concentrated in
     the top dimension with that value.  Skipped checks are reported, not
-    failed."""
+    failed: without ``force``, (a) and (b) past the subset guard of
+    :func:`hexcut.cutcomplex.check_subset_count`, the one the CLI applies,
+    and (d) past ``HOMOLOGY_VERTEX_LIMIT`` vertices."""
     from .cutcomplex import enumerate_facets
     from .hexgraph import build_hex_graph
     from .shelling import (
-        PAIR_GUARD,
         shelling_order,
         spanning_count_formula,
         spanning_facets,
         verify_shelling,
     )
 
-    guard = PAIR_GUARD if pair_guard is None else pair_guard
     g = build_hex_graph(m, n)
     N = g.n_vertices
     psi = spanning_count_formula(m, n)
     checks: dict[str, dict] = {}
 
-    cx = enumerate_facets(g, 3)
-    eta = cx.n_facets
-    pairs = eta * (eta - 1) // 2
-    order = None
-    if pairs <= guard or force:
+    cx = order = None
+    try:
+        check_subset_count(N, 3, force)
+    except ResourceGuard as exc:
+        checks["shelling"] = {"ran": False, "pass": None, "detail": str(exc)}
+    else:
+        cx = enumerate_facets(g, 3)
         order = shelling_order(cx)
         res = verify_shelling(order, jobs=jobs)
         checks["shelling"] = {"ran": True, "pass": res.ok,
                               "counterexample": res.counterexample}
-    else:
-        checks["shelling"] = {"ran": False, "pass": None,
-                              "detail": f"{pairs} pairs exceed guard {guard}"}
 
     if order is not None and order.verified:
         report = spanning_facets(order)
@@ -335,8 +337,9 @@ def wedge_check(
     euler = reduced_euler_closed(m, n)
     checks["euler_eq_psi"] = {"ran": True, "pass": euler == psi, "computed": euler}
 
-    if N <= homology_limit:
-        bv = betti_numbers(cx, limit=homology_limit)
+    if N <= HOMOLOGY_VERTEX_LIMIT:
+        # cx was enumerated above: C(16, 3) = 560 triples pass the guard
+        bv = betti_numbers(cx)
         concentrated = bv.b(N - 4) == psi and all(
             bv.b(d) == 0 for d in range(-1, N - 4)
         )
@@ -344,7 +347,7 @@ def wedge_check(
                            "top": bv.b(N - 4)}
     else:
         checks["betti"] = {"ran": False, "pass": None,
-                           "detail": f"N={N} exceeds homology limit {homology_limit}"}
+                           "detail": f"N={N} exceeds homology limit {HOMOLOGY_VERTEX_LIMIT}"}
 
     return WedgeVerdict(m=m, n=n, psi=psi, dimension=N - 4, checks=checks)
 

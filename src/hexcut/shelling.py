@@ -21,9 +21,9 @@ F_j (|Lambda_j| = N - k).
 Equivalently, row j fails iff some earlier complement lies inside
 S_j = V - Lambda_j.  The verifier keeps one bitmask per face, a
 (k-1)-subset u of a complement, with bit z set iff u + {z} is a complement
-passed so far.  Faces are numbered through a dense table of (N + 1)^(k-1)
-cells while that fits ``POSITION_TABLE_LIMIT``, and through their sorted
-colex ranks past it.  Lambda_j is the OR of the masks of the k faces of
+passed so far.  Faces are numbered by colex rank, through a dense table of
+C(N, k - 1) cells while that fits ``POSITION_TABLE_LIMIT``, and through the
+sorted ranks past it.  Lambda_j is the OR of the masks of the k faces of
 F_j^c, built in row blocks with prefix sums and packed into
 ceil((N + 1) / 64) words per row.  Each row is then checked along the
 cheaper exact path: scan the j earlier complements, or test S_j against
@@ -51,7 +51,6 @@ from .errors import (
     InvalidParams,
     NoTailFacets,
     OrdinalOutOfRange,
-    ResourceGuard,
     TailFacetInvariantViolated,
     TailFacetNotFound,
     UnverifiedOrder,
@@ -59,10 +58,9 @@ from .errors import (
 )
 from .hexgraph import Graph, HexGraph
 
-PAIR_GUARD = 100_000_000
-# Cells of the dense face -> index table, (N + 1)^(k-1) int32 entries whose
-# packed keys are int32 too; H(10, 10) at k = 3 needs 241^2, about 5.8e4.
-# Past it the face keys are searched in sorted order instead.
+# Cells of the dense face -> index table, one int32 entry per colex rank of a
+# (k-1)-subset, C(N, k - 1) in all; H(10, 10) at k = 3 needs C(240, 2) =
+# 28 680.  Past it the face ranks are searched in sorted order instead.
 POSITION_TABLE_LIMIT = 1 << 24
 # Rows of the swap table built and checked together, and the mask words of
 # candidate subsets or pairwise cells handled per numpy step; both bound
@@ -269,29 +267,26 @@ def swap_set(order: ShellingOrder, j: int) -> frozenset[int]:
 
 
 class _Positions:
-    """Key of a (k-1)-subset x_1 < ... < x_{k-1} -> index of that face
-    among the ``count`` distinct faces, or ``count`` for a subset that is no
-    face.  The key is sum_t weight[t, x_t].
+    """Key of a (k-1)-subset x_1 < ... < x_{k-1} of {1..N} -> index of that
+    face among the ``count`` distinct faces, or ``count`` for a subset that
+    is no face.  The key is the colex rank sum_t C(x_t - 1, t), t counted
+    from 1, read as sum_t weight[t, x_t]; the ranks run over [0, C(N, k - 1)).
 
-    While the (N + 1)^(k-1) cells fit ``POSITION_TABLE_LIMIT`` the key is
-    the base-(N + 1) number x_1 ... x_{k-1} in int32, read from a dense
-    table.  Past the limit the key is the colex rank sum_t C(x_t - 1, t)
-    (t counted from 1) in int64, searched among the sorted face keys; the
-    ranks stay below C(N, k - 1) = C(N, k) k / (N - k + 1), within a factor
-    k of the C(N, k) subsets that enumeration already walked."""
+    While the C(N, k - 1) cells fit ``POSITION_TABLE_LIMIT`` the keys are
+    int32 and index a dense table.  Past the limit they are int64 and
+    searched among the sorted face keys, the one lookup that fits k near N:
+    H(10, 10) at k = 237 would need C(240, 236), about 1.3e8 cells.  A
+    weight no subset reaches, C(x - 1, t) with x > N - k + 1 + t, is capped
+    at C(N, k - 1), so the weights fit the key type."""
 
     def __init__(self, N: int, k: int):
-        K = N + 1
-        t, x = np.arange(k - 1)[:, None], np.arange(K)
-        self.cells = K ** (k - 1)
+        self.cells = comb(N, k - 1)
         self.dense = self.cells <= POSITION_TABLE_LIMIT
-        if self.dense:
-            self.weight = (x * K ** (k - 2 - t)).astype(np.int32)
-        else:
-            self.weight = np.array(
-                [[comb(v - 1, p + 1) if v else 0 for v in range(K)] for p in range(k - 1)],
-                dtype=np.int64,
-            )
+        self.weight = np.array(
+            [[min(comb(x - 1, t), self.cells) if x else 0 for x in range(N + 1)]
+             for t in range(1, k)],
+            dtype=np.int32 if self.dense else np.int64,
+        )
 
     def key(self, cols) -> np.ndarray:
         """Keys of (k-1)-subsets given column by column."""
@@ -566,11 +561,11 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     contain them.  The test reads only the subsets that start at or below
     the last vertex of S_j that starts an earlier complement; with
     s = |S_j| and L the vertices of S_j up to that one, a row costs
-    min(j, C(s, k - 1) - C(s - L, k - 1)).  Faces are looked up in a dense
-    table of (N + 1)^(k-1) cells, or past ``POSITION_TABLE_LIMIT`` by binary
-    search among sorted keys.  ``jobs`` is validated and echoed, and changes
-    nothing.  ``pairs_checked`` counts the pairs of the O(eta^2) definition,
-    not the work done.
+    min(j, C(s, k - 1) - C(s - L, k - 1)).  Faces are looked up by colex
+    rank in a dense table of C(N, k - 1) cells, or past
+    ``POSITION_TABLE_LIMIT`` by binary search among the sorted ranks.
+    ``jobs`` is validated and echoed, and changes nothing.  ``pairs_checked``
+    counts the pairs of the O(eta^2) definition, not the work done.
     """
     if jobs < 1:
         raise InvalidParams(f"jobs must be >= 1, got {jobs}")
@@ -913,8 +908,6 @@ def verify_k_cut_order(
     g: Graph,
     k: int,
     rule: str = "revlex",
-    pair_guard: int = PAIR_GUARD,
-    force: bool = False,
     jobs: int = 1,
 ) -> ExploreVerdict:
     """Build the k-cut complex, order facets by the named rule, verify.
@@ -923,6 +916,8 @@ def verify_k_cut_order(
     ``revlex-with-neighborhood-tail`` additionally relocates every facet
     whose complement is an open vertex neighborhood of size k to the end,
     in complement-lex order.  Purely mechanical; no claim beyond the verdict.
+    Unguarded: a caller that must bound the C(N, k) subsets walked checks
+    :func:`hexcut.cutcomplex.check_subset_count` first, as the CLI does.
     """
     if rule not in ("revlex", "revlex-with-neighborhood-tail"):
         raise InvalidParams(f"unknown ordering rule {rule!r}")
@@ -930,10 +925,6 @@ def verify_k_cut_order(
 
     cx = enumerate_facets(g, k)
     eta = cx.n_facets
-    if eta * (eta - 1) // 2 > pair_guard and not force:
-        raise ResourceGuard(
-            f"{eta} facets imply {eta * (eta - 1) // 2} pairs > guard {pair_guard}"
-        )
     seq = sorted(cx.facets)
     relocated: list[tuple[int, ...]] = []
     if rule == "revlex-with-neighborhood-tail":

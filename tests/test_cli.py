@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from hexcut import build_hex_graph, wedge_check
 from hexcut.cli import main
+
+from conftest import oracle_full_facets, oracle_row_violation
 
 
 def run(capsys, *argv):
@@ -51,7 +54,9 @@ def test_facets_and_guard(capsys, tmp_path):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", [["facets"], ["order"], ["explore", "--k", "3"]])
+@pytest.mark.parametrize(
+    "command", [["facets"], ["order"], ["explore", "--k", "3"], ["verify"], ["spanning"]]
+)
 def test_subset_guard_without_force(capsys, command):
     assert main([*command, "--m", "4", "--n", "6"]) == 3
     err = capsys.readouterr().err
@@ -97,6 +102,22 @@ def test_verify_no_relocate_fails_at_tail_position(capsys):
 def test_verify_guard_without_force(capsys):
     assert main(["verify", "--m", "4", "--n", "6"]) == 3
     capsys.readouterr()
+
+
+def test_inputs_under_the_subset_guard_run_without_force(capsys):
+    # C(48, 3) = 17296 and C(18, 12) = 18564 candidate subsets pass the
+    # guard, although their 17188 and 17768 facets make over 1e8 pairs
+    code, out = run(capsys, "verify", "--m", "4", "--n", "4")
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, out = run(capsys, "explore", "--m", "1", "--n", "4", "--k", "12")
+    assert code == 0 and json.loads(out)["counterexample"] == [367, 374]
+    sets = oracle_full_facets(build_hex_graph(1, 4), 12)  # revlex order
+    assert oracle_row_violation(sets, 374) == 367
+    shelling = wedge_check(4, 4).checks["shelling"]
+    assert shelling["ran"] and shelling["pass"]
+    shelling = wedge_check(4, 6).checks["shelling"]  # C(68, 3) = 50116
+    assert not shelling["ran"]
+    assert shelling["detail"] == "50116 candidate subsets exceed guard 20000; use --force"
 
 
 def test_spanning_report(capsys):

@@ -487,18 +487,32 @@ def test_k3_past_130_vertices_is_refuted_without_python_rows(monkeypatch):
 @pytest.mark.parametrize("m,n,k,expected", [(2, 2, 7, (164, 166)), (1, 3, 8, (172, 173))],
                          ids=["2-2-7", "1-3-8"])
 def test_explore_past_the_table_limit(m, n, k, expected):
-    # (N + 1)^(k - 1) exceeds the dense table, so faces are looked up among
-    # the sorted colex keys; every row up to the verdict matches the oracle
+    # with the limit one cell below the C(N, k - 1) colex ranks, faces are
+    # looked up among the sorted ranks; every row up to the verdict matches
+    # the oracle
     g = build_hex_graph(m, n)
-    assert (g.n_vertices + 1) ** (k - 1) > shelling.POSITION_TABLE_LIMIT
-    verdict = verify_k_cut_order(g, k)
+    with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", comb(g.n_vertices, k - 1) - 1):
+        assert not shelling._Positions(g.n_vertices, k).dense
+        verdict = verify_k_cut_order(g, k)
+        assert main(["explore", "--m", str(m), "--n", str(n), "--k", str(k)]) == 0
     sets = oracle_full_facets(g, k)  # revlex: complements in lex order
     assert verdict.n_facets == len(sets)
     assert (verdict.ok, verdict.counterexample) == (False, expected)
     i, j = expected
     assert all(oracle_row_violation(sets, r) is None for r in range(2, j))
     assert oracle_row_violation(sets, j) == i
-    assert main(["explore", "--m", str(m), "--n", str(n), "--k", str(k)]) == 0
+
+
+@pytest.mark.parametrize("limit", [1, shelling.POSITION_TABLE_LIMIT])
+def test_explore_with_k_near_n(limit):
+    # at k = N - 2 the colex weights of (k-1)-subsets no input reaches, such
+    # as C(67, 33), pass int64; both lookups must still answer like the oracle
+    g = build_hex_graph(4, 6)
+    with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", limit):
+        verdict = verify_k_cut_order(g, 66)
+    sets = oracle_full_facets(g, 66)  # revlex: complements in lex order
+    assert verdict.n_facets == len(sets) == 30
+    assert (verdict.ok, verdict.counterexample) == oracle_is_shelling(sets) == (False, (1, 2))
 
 
 def test_sorted_keys_match_the_dense_table(capsys):
