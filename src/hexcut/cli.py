@@ -32,7 +32,6 @@ from .hexgraph import (
     validate_structure,
 )
 from .homology import (
-    HOMOLOGY_VERTEX_LIMIT,
     betti_numbers,
     reduced_euler_closed,
     wedge_check,
@@ -258,11 +257,8 @@ def cmd_homology(args) -> int:
         )
         _emit_json(args, wedge_verdict_to_json_dict(verdict))
         return EXIT_OK if verdict.all_ran_pass else EXIT_CHECK_FAILED
+    _check_subsets(args, 3)
     g = build_hex_graph(args.m, args.n)
-    if g.n_vertices > HOMOLOGY_VERTEX_LIMIT and not args.force:
-        raise ResourceGuard(
-            f"N={g.n_vertices} exceeds homology limit {HOMOLOGY_VERTEX_LIMIT}; use --force"
-        )
     cx = enumerate_facets(g, 3)
     bv = betti_numbers(cx, force=args.force)
     payload = {

@@ -2,14 +2,15 @@
 
 The k-cut complex of a graph G has one facet per k-subset of V(G) whose
 induced subgraph is disconnected; the facet is the complement of that
-subset.  Facets are stored and indexed only by their complement tuples,
-sorted ascending; all set algebra downstream happens in complement
-arithmetic.
+subset.  Facets are stored only as their complement tuples, sorted
+ascending, with no index of their own: an order on the facets carries the
+one complement -> position map.  All set algebra downstream happens in
+complement arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -98,12 +99,13 @@ def _subset_disconnected(g: Graph, subset: tuple[int, ...]) -> bool:
 
 @dataclass
 class CutComplex:
-    """A k-cut complex: graph, k, and the sorted facet complement list."""
+    """A k-cut complex: graph, k, and the facet complements as one tuple
+    sorted ascending.  It keeps no complement index; lookups go through the
+    ``position`` map of an order on the facets."""
 
     graph: Graph
     k: int
     facets: tuple[tuple[int, ...], ...]
-    facet_index: dict[tuple[int, ...], int] = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -130,8 +132,7 @@ def enumerate_facets(g: Graph, k: int) -> CutComplex:
         for t in combinations(range(1, N + 1), k)
         if _subset_disconnected(g, t)
     )
-    index = {t: i for i, t in enumerate(facets)}
-    return CutComplex(graph=g, k=k, facets=facets, facet_index=index)
+    return CutComplex(graph=g, k=k, facets=facets)
 
 
 def is_face(cx: CutComplex, sigma) -> bool:
@@ -195,7 +196,6 @@ class FVector:
 def f_vector(
     cx: CutComplex,
     mode: str = "auto",
-    limit: int = EXHAUSTIVE_VERTEX_LIMIT,
     force: bool = False,
 ) -> FVector:
     """Face counts of the complex.
@@ -203,13 +203,13 @@ def f_vector(
     ``exhaustive`` derives the facets from the graph, testing all C(N, k)
     subsets for disconnectedness without reading ``cx.facets``, so that it
     cross-checks the enumeration.  It closes them downward on one 2^N
-    bitmap (guarded by ``limit`` unless ``force``) and counts the set
-    entries by popcount in fixed-size chunks; a subset is counted iff
-    :func:`is_face` holds for it.  ``closed`` applies to the hexagonal
-    family with k = 3 only: girth 6 rules out 4-cycles, so every 4-subset
-    of V contains a disconnected triple, hence every subset of size at
-    most N-4 is a face and f_{j-1} = C(N, j) for j <= N-4, with the top
-    count equal to the number of facets.  ``auto`` picks closed when it
+    bitmap (guarded by ``EXHAUSTIVE_VERTEX_LIMIT`` unless ``force``) and
+    counts the set entries by popcount in fixed-size chunks; a subset is
+    counted iff :func:`is_face` holds for it.  ``closed`` applies to the
+    hexagonal family with k = 3 only: girth 6 rules out 4-cycles, so every
+    4-subset of V contains a disconnected triple, hence every subset of
+    size at most N-4 is a face and f_{j-1} = C(N, j) for j <= N-4, with the
+    top count equal to the number of facets.  ``auto`` picks closed when it
     applies, else exhaustive.
     """
     if mode not in ("auto", "exhaustive", "closed"):
@@ -226,9 +226,9 @@ def f_vector(
         counts[N - 3] = cx.n_facets
         return FVector(tuple(counts))
 
-    if N > limit and not force:
+    if N > EXHAUSTIVE_VERTEX_LIMIT and not force:
         raise SizeLimitExceeded(
-            f"exhaustive f-vector over 2^{N} subsets exceeds limit {limit}"
+            f"exhaustive f-vector over 2^{N} subsets exceeds limit {EXHAUSTIVE_VERTEX_LIMIT}"
         )
     full = (1 << N) - 1
     facet_masks = [

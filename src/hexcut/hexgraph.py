@@ -118,9 +118,6 @@ class HexGraph(Graph):
         """Largest label of the lower color class V1."""
         return self.m + self.n + self.m * self.n
 
-    def in_lower_half(self, v: int) -> bool:
-        return v <= self.v1_boundary
-
 
 def _check_params(m: int, n: int) -> None:
     if not (isinstance(m, int) and isinstance(n, int)):

@@ -29,7 +29,6 @@ from math import comb
 import numpy as np
 
 from .cutcomplex import (
-    EXHAUSTIVE_VERTEX_LIMIT,
     CutComplex,
     FVector,
     check_subset_count,
@@ -169,13 +168,15 @@ class BettiVector:
 def betti_numbers_from_facets(
     facets,
     n_vertices: int,
-    limit: int = HOMOLOGY_VERTEX_LIMIT,
     force: bool = False,
 ) -> BettiVector:
-    """Reduced GF(2) Betti numbers of the complex generated by ``facets``."""
+    """Reduced GF(2) Betti numbers of the complex generated by ``facets``;
+    past ``HOMOLOGY_VERTEX_LIMIT`` vertices only with ``force``."""
     N = n_vertices
-    if N > limit and not force:
-        raise SizeLimitExceeded(f"homology over 2^{N} faces exceeds limit {limit}")
+    if N > HOMOLOGY_VERTEX_LIMIT and not force:
+        raise SizeLimitExceeded(
+            f"homology over 2^{N} faces exceeds limit {HOMOLOGY_VERTEX_LIMIT}"
+        )
     masks = [sum(1 << (v - 1) for v in f) for f in facets]
     if not masks:
         return BettiVector(())
@@ -200,17 +201,13 @@ def betti_numbers_from_facets(
     return BettiVector(values)
 
 
-def betti_numbers(
-    cx: CutComplex,
-    limit: int = HOMOLOGY_VERTEX_LIMIT,
-    force: bool = False,
-) -> BettiVector:
+def betti_numbers(cx: CutComplex, force: bool = False) -> BettiVector:
     """Reduced GF(2) Betti numbers of a cut complex (facets = complements
     of the stored tuples)."""
     N = cx.n_vertices
     verts = set(range(1, N + 1))
     facets = [tuple(sorted(verts - set(c))) for c in cx.facets]
-    return betti_numbers_from_facets(facets, N, limit=limit, force=force)
+    return betti_numbers_from_facets(facets, N, force=force)
 
 
 def boundary_composition_is_zero(
@@ -267,10 +264,8 @@ def reduced_euler_closed(m: int, n: int) -> int:
     return total
 
 
-def reduced_euler_exhaustive(
-    cx: CutComplex, limit: int = EXHAUSTIVE_VERTEX_LIMIT, force: bool = False
-) -> int:
-    return reduced_euler_from_fvector(f_vector(cx, mode="exhaustive", limit=limit, force=force))
+def reduced_euler_exhaustive(cx: CutComplex, force: bool = False) -> int:
+    return reduced_euler_from_fvector(f_vector(cx, mode="exhaustive", force=force))
 
 
 # ---------------------------------------------------------------------------

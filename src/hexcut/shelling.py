@@ -40,8 +40,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
+from operator import eq
 
 import numpy as np
 
@@ -151,8 +152,11 @@ class ShellingOrder:
     """A linear order on the facets of a cut complex.
 
     ``facets`` lists complement tuples in order; ``position`` maps each
-    complement to its 1-based ordinal.  The tail schedule, when relocated,
-    occupies the last ``len(tail)`` positions in tail-index order.
+    complement to its 1-based ordinal, and is the one complement -> position
+    map: every facet and swap lookup reads it.  Verification and the
+    spanning report first check it against ``facets`` and the complex.  The
+    tail schedule, when relocated, occupies the last ``len(tail)`` positions
+    in tail-index order.
     """
 
     cx: CutComplex
@@ -200,14 +204,15 @@ def shelling_order(cx: CutComplex, relocate_tail: bool = True) -> ShellingOrder:
     g = _require_hex3(cx)
     base = sorted(cx.facets)
     tail = tail_facets(g.m, g.n, g)
+    tset = {t.complement for t in tail}
+    missing = tset.difference(base)
     for t in tail:
-        if t.complement not in cx.facet_index:
+        if t.complement in missing:
             raise TailFacetNotFound(
                 f"tail facet {t.index} complement {t.complement} not among facets"
             )
     if not relocate_tail:
         return _make_order(cx, base, (), len(base))
-    tset = {t.complement for t in tail}
     seq = [f for f in base if f not in tset]
     base_count = len(seq)
     seq.extend(t.complement for t in tail)
@@ -241,8 +246,21 @@ def order_with_tail_reinserted(cx: CutComplex, tail_index: int) -> tuple[Shellin
 # ---------------------------------------------------------------------------
 
 def _check_cover(order: ShellingOrder) -> None:
-    if len(order.facets) != order.cx.n_facets or set(order.facets) != set(order.cx.facets):
+    """Check that ``position`` sends the complement at ordinal i to i, and
+    that the order lists each facet of its complex once, without building a
+    set: equal sizes, one position per ordinal, a position per facet."""
+    facets, position = order.facets, order.position
+    if not (
+        len(facets) == len(position) == order.cx.n_facets
+        and all(map(eq, map(position.get, facets), count(1)))
+        and all(map(position.__contains__, order.cx.facets))
+    ):
         raise IncompleteOrder("order does not cover the facets exactly once")
+
+
+def _swapped(c: tuple[int, ...], a: int, lam: int) -> tuple[int, ...]:
+    """The complement c with its entry a swapped for lam, sorted."""
+    return tuple(sorted((set(c) - {a}) | {lam}))
 
 
 def swap_set(order: ShellingOrder, j: int) -> frozenset[int]:
@@ -251,15 +269,13 @@ def swap_set(order: ShellingOrder, j: int) -> frozenset[int]:
     if not 1 <= j <= order.n_facets:
         raise OrdinalOutOfRange(f"position {j} outside [1,{order.n_facets}]")
     compl = order.facets[j - 1]
-    cset = set(compl)
     pos = order.position
     out = set()
     for lam in range(1, order.n_vertices + 1):
-        if lam in cset:
+        if lam in compl:
             continue
         for a in compl:
-            cand = tuple(sorted((cset - {a}) | {lam}))
-            p = pos.get(cand)
+            p = pos.get(_swapped(compl, a, lam))
             if p is not None and p < j:
                 out.add(lam)
                 break
@@ -828,7 +844,7 @@ def non_spanning_witnesses(order: ShellingOrder, strict: bool = False) -> Witnes
         trace = []
         refuted = False
         for alpha in triple:
-            cand = tuple(sorted((set(triple) - {alpha}) | {lam}))
+            cand = _swapped(triple, alpha, lam)
             p = index.get(cand)
             if p is None:
                 trace.append(f"swap {alpha}: {cand} not a facet")
@@ -866,8 +882,7 @@ def verify_tail_obstruction(cx: CutComplex) -> bool:
     if not tail:
         raise NoTailFacets(f"H({g.m},{g.n}) has no tail facets")
     N = cx.n_vertices
-    base = sorted(cx.facets)
-    pos = {t: i + 1 for i, t in enumerate(base)}
+    pos = shelling_order(cx, relocate_tail=False).position
     for t in tail:
         j_i = pos[t.complement]
         blocker_comp = tuple(sorted((t.center, N - 1, N)))
@@ -879,8 +894,7 @@ def verify_tail_obstruction(cx: CutComplex) -> bool:
             return False
         for lam in swap_candidates:
             for alpha in t.complement:
-                cand = tuple(sorted((set(t.complement) - {alpha}) | {lam}))
-                p = pos.get(cand)
+                p = pos.get(_swapped(t.complement, alpha, lam))
                 if lam == t.center:
                     if p is not None:  # center swap must close up a connected triple
                         return False
@@ -931,9 +945,9 @@ def verify_k_cut_order(
         hoods = set()
         for v in g.vertices():
             nb = g.neighbors(v)
-            if len(nb) == k and nb in cx.facet_index:
+            if len(nb) == k:
                 hoods.add(nb)
-        relocated = sorted(hoods)
+        relocated = sorted(hoods.intersection(seq))
         rset = set(relocated)
         seq = [f for f in seq if f not in rset] + relocated
     order = _make_order(cx, seq, (), len(seq) - len(relocated))

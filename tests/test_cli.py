@@ -99,11 +99,6 @@ def test_verify_no_relocate_fails_at_tail_position(capsys):
     assert doc["counterexample"][1] == order.index((6, 8, 9)) + 1
 
 
-def test_verify_guard_without_force(capsys):
-    assert main(["verify", "--m", "4", "--n", "6"]) == 3
-    capsys.readouterr()
-
-
 def test_inputs_under_the_subset_guard_run_without_force(capsys):
     # C(48, 3) = 17296 and C(18, 12) = 18564 candidate subsets pass the
     # guard, although their 17188 and 17768 facets make over 1e8 pairs

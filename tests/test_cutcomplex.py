@@ -20,6 +20,7 @@ from hexcut import (
     hex_facet_count,
     induced_p3_count,
     is_face,
+    shelling_order,
 )
 from hexcut import cutcomplex
 from hexcut.cutcomplex import CutComplex, facets_to_csv, facets_to_json_dict
@@ -60,8 +61,9 @@ def test_enumeration_matches_oracle(m, n):
 def test_facets_sorted_unique_with_exact_index():
     cx = enumerate_facets(build_hex_graph(2, 2), 3)
     assert list(cx.facets) == sorted(set(cx.facets))
+    position = shelling_order(cx, relocate_tail=False).position
     for i, t in enumerate(cx.facets):
-        assert cx.facet_index[t] == i
+        assert position[t] == i + 1
 
 
 def test_complement_soundness():
@@ -150,8 +152,7 @@ def test_exhaustive_f_vector_matches_oracle_on_random_graphs(data):
 def test_exhaustive_f_vector_ignores_the_facet_list():
     cx = enumerate_facets(build_hex_graph(1, 2), 3)
     facets = cx.facets[1:]
-    tampered = CutComplex(graph=cx.graph, k=3, facets=facets,
-                          facet_index={t: i for i, t in enumerate(facets)})
+    tampered = CutComplex(graph=cx.graph, k=3, facets=facets)
     # the exhaustive count derives the facets from the graph ...
     assert f_vector(tampered, mode="exhaustive").f(6) == hex_facet_count(1, 2)
     # ... while the closed form takes the stored facet count

@@ -529,16 +529,23 @@ def test_sorted_keys_match_the_dense_table(capsys):
     assert not dense[1].ok and report.witness_map
 
 
-def test_incomplete_order_rejected():
+@pytest.mark.parametrize("defect", ["missing", "duplicate", "swapped-position"])
+def test_incomplete_order_rejected(defect):
     cx = enumerate_facets(build_hex_graph(1, 1), 3)
-    order = shelling_order(cx)
-    broken = ShellingOrder(
-        cx=cx,
-        facets=order.facets[:-1],
-        position={t: i + 1 for i, t in enumerate(order.facets[:-1])},
-    )
+    facets = shelling_order(cx).facets
+    if defect == "missing":
+        facets = facets[:-1]
+    elif defect == "duplicate":  # the first facet again in place of the last
+        facets = facets[:-1] + facets[:1]
+    position = {t: i + 1 for i, t in enumerate(facets)}
+    if defect == "swapped-position":  # facets intact, two ordinals exchanged
+        a, b = facets[0], facets[-1]
+        position[a], position[b] = position[b], position[a]
+    broken = ShellingOrder(cx=cx, facets=facets, position=position)
     with pytest.raises(IncompleteOrder):
         verify_shelling(broken)
+    with pytest.raises(IncompleteOrder):
+        spanning_facets(broken, allow_unverified=True)
 
 
 def test_tail_obstruction_confirmed():
@@ -558,14 +565,11 @@ def test_missing_tail_facet_detected():
 
     cx = enumerate_facets(build_hex_graph(1, 2), 3)
     pruned = [f for f in cx.facets if f != (6, 8, 9)]
-    doctored = CutComplex(
-        graph=cx.graph,
-        k=3,
-        facets=tuple(pruned),
-        facet_index={t: i for i, t in enumerate(pruned)},
-    )
+    doctored = CutComplex(graph=cx.graph, k=3, facets=tuple(pruned))
     with pytest.raises(TailFacetNotFound):
         shelling_order(doctored)
+    with pytest.raises(TailFacetNotFound):
+        verify_tail_obstruction(doctored)
 
 
 def test_reinsertion_index_bounds():
