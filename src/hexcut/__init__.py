@@ -17,11 +17,9 @@ from .errors import (
     HexCutError,
     IncompleteOrder,
     InvalidParams,
-    KOutOfRange,
     NoTailFacets,
     OrdinalOutOfRange,
     ResourceGuard,
-    SizeLimitExceeded,
     TailFacetInvariantViolated,
     TailFacetNotFound,
     UnverifiedOrder,

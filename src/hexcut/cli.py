@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 
@@ -23,12 +22,13 @@ from .cutcomplex import (
     hex_facet_count,
     induced_p3_count,
 )
-from .errors import HexCutError, InvalidParams, ResourceGuard, SizeLimitExceeded
+from .errors import HexCutError, InvalidParams, ResourceGuard
 from .hexgraph import (
     build_hex_graph,
     graph_to_dot,
     graph_to_edge_text,
     graph_to_json_dict,
+    hex_vertex_count,
     validate_structure,
 )
 from .homology import (
@@ -54,14 +54,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("HEXCUT_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _envelope(args, payload: dict) -> dict:
@@ -97,15 +89,10 @@ def _emit_json(args, payload: dict) -> None:
         fh.write("\n")
 
 
-def _check_mn(args) -> None:
-    if args.m < 1 or args.n < 1:
-        raise InvalidParams(f"need m >= 1 and n >= 1, got m={args.m}, n={args.n}")
-
-
 def _check_subsets(args, k: int) -> None:
     """The subset guard of every command that walks k-subsets of H(m, n),
     checked before the graph is built."""
-    check_subset_count(2 * args.m + 2 * args.n + 2 * args.m * args.n, k, args.force)
+    check_subset_count(hex_vertex_count(args.m, args.n), k, args.force)
 
 
 def _add_common(p, with_k=False) -> None:
@@ -118,13 +105,11 @@ def _add_common(p, with_k=False) -> None:
 
 
 def _add_jobs(p) -> None:
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="accepted for compatibility (default from HEXCUT_JOBS); "
-                        "has no effect")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
 
 
 def cmd_graph(args) -> int:
-    _check_mn(args)
     g = build_hex_graph(args.m, args.n, validate=False)
     report = validate_structure(g)
     if args.format == "edges":
@@ -137,7 +122,6 @@ def cmd_graph(args) -> int:
 
 
 def cmd_facets(args) -> int:
-    _check_mn(args)
     _check_subsets(args, args.k)
     g = build_hex_graph(args.m, args.n)
     cx = enumerate_facets(g, args.k)
@@ -149,10 +133,9 @@ def cmd_facets(args) -> int:
 
 
 def _build_order(args):
-    _check_mn(args)
     _check_subsets(args, 3)
     cx = enumerate_facets(build_hex_graph(args.m, args.n), 3)
-    return shelling_order(cx, relocate_tail=not args.no_relocate_t)
+    return shelling_order(cx, relocate_tail=not getattr(args, "no_relocate_t", False))
 
 
 def cmd_order(args) -> int:
@@ -206,9 +189,8 @@ def cmd_spanning(args) -> int:
 
 
 def cmd_formulas(args) -> int:
-    _check_mn(args)
     m, n = args.m, args.n
-    N = 2 * m + 2 * n + 2 * m * n
+    N = hex_vertex_count(m, n)
     payload = {
         "vertices": N,
         "top_dimension": N - 4,
@@ -238,7 +220,6 @@ def cmd_formulas(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    _check_mn(args)
     value = reduced_euler_closed(args.m, args.n)
     expected = spanning_count_formula(args.m, args.n)
     if args.format == "text":
@@ -250,11 +231,8 @@ def cmd_euler(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    _check_mn(args)
     if args.wedge:
-        verdict = wedge_check(
-            args.m, args.n, force=args.force, jobs=args.jobs,
-        )
+        verdict = wedge_check(args.m, args.n, force=args.force)
         _emit_json(args, wedge_verdict_to_json_dict(verdict))
         return EXIT_OK if verdict.all_ran_pass else EXIT_CHECK_FAILED
     _check_subsets(args, 3)
@@ -271,7 +249,6 @@ def cmd_homology(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    _check_mn(args)
     _check_subsets(args, args.k)
     g = build_hex_graph(args.m, args.n)
     verdict = verify_k_cut_order(g, args.k, rule=args.rule, jobs=args.jobs)
@@ -321,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_jobs(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--no-relocate-t", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_spanning)
 
     p = sub.add_parser("formulas", help="closed-form counts")
@@ -359,7 +335,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ResourceGuard, SizeLimitExceeded) as exc:
+    except ResourceGuard as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except InvalidParams as exc:

@@ -16,31 +16,33 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidParams, KOutOfRange, ResourceGuard, SizeLimitExceeded, VertexOutOfRange
-from .hexgraph import Graph, HexGraph
+from .errors import InvalidParams, ResourceGuard, VertexOutOfRange
+from .hexgraph import Graph, HexGraph, hex_vertex_count
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
 FACET_SUBSET_GUARD = 20_000  # k-subsets walked without force, see check_subset_count
+# int64 face masks on a bitmap of 2^N entries: no force reaches past this
+BITMAP_VERTEX_CEILING = 62
 _COUNT_CHUNK = 1 << 16  # bitmap entries popcounted per numpy step
 
 
 def induced_p3_count(m: int, n: int) -> int:
     """Number of connected 3-subsets of H(m, n): 6mn + 2m + 2n - 4."""
-    _check_params(m, n)
+    hex_vertex_count(m, n)
     return 6 * m * n + 2 * m + 2 * n - 4
 
 
 def hex_facet_count(m: int, n: int) -> int:
     """Number of facets of the 3-cut complex of H(m, n): C(N, 3) minus the
     connected triples."""
-    _check_params(m, n)
-    N = 2 * m + 2 * n + 2 * m * n
-    return comb(N, 3) - induced_p3_count(m, n)
+    return comb(hex_vertex_count(m, n), 3) - induced_p3_count(m, n)
 
 
-def _check_params(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise InvalidParams(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+def check_size(count: int, what: str, limit: int, force: bool) -> None:
+    """The one size refusal: unless ``force``, raise ResourceGuard when
+    ``count`` exceeds ``limit``."""
+    if count > limit and not force:
+        raise ResourceGuard(f"{count} {what} exceed guard {limit}; use --force")
 
 
 def check_subset_count(n_vertices: int, k: int, force: bool = False) -> None:
@@ -52,11 +54,7 @@ def check_subset_count(n_vertices: int, k: int, force: bool = False) -> None:
     """
     if not 1 <= k <= n_vertices - 1:
         raise InvalidParams(f"k={k} outside [1,{n_vertices - 1}]")
-    n_subsets = comb(n_vertices, k)
-    if n_subsets > FACET_SUBSET_GUARD and not force:
-        raise ResourceGuard(
-            f"{n_subsets} candidate subsets exceed guard {FACET_SUBSET_GUARD}; use --force"
-        )
+    check_size(comb(n_vertices, k), "candidate subsets", FACET_SUBSET_GUARD, force)
 
 
 def _subset_disconnected(g: Graph, subset: tuple[int, ...]) -> bool:
@@ -123,10 +121,11 @@ class CutComplex:
 
 def enumerate_facets(g: Graph, k: int) -> CutComplex:
     """Test every k-subset for induced disconnectedness; the disconnected
-    ones become facet complements, listed in ascending lexicographic order."""
+    ones become facet complements, listed in ascending lexicographic order.
+    Only the k range of :func:`check_subset_count` is checked here, not its
+    size guard."""
     N = g.n_vertices
-    if not 1 <= k <= N - 1:
-        raise KOutOfRange(f"k={k} outside [1,{N - 1}]")
+    check_subset_count(N, k, force=True)
     facets = tuple(
         t
         for t in combinations(range(1, N + 1), k)
@@ -162,8 +161,14 @@ def downward_closure(masks, n_vertices: int) -> np.ndarray:
 
     One in-place pass per vertex: viewing the bitmap as blocks of 2^(b+1)
     entries, the upper half of each block (bit b set) is ORed into the lower
-    half (bit b clear).
+    half (bit b clear).  Refuses N past ``BITMAP_VERTEX_CEILING`` whatever
+    the caller's guards allow.
     """
+    if n_vertices > BITMAP_VERTEX_CEILING:
+        raise ResourceGuard(
+            f"{n_vertices} vertices exceed the {BITMAP_VERTEX_CEILING}-vertex "
+            "ceiling of the 2^N face bitmap; --force cannot lift it"
+        )
     masks = np.fromiter(masks, dtype=np.int64)
     if masks.size and (masks.min() < 0 or int(masks.max()) >> n_vertices):
         raise VertexOutOfRange(f"a face mask has a vertex outside [1,{n_vertices}]")
@@ -226,10 +231,7 @@ def f_vector(
         counts[N - 3] = cx.n_facets
         return FVector(tuple(counts))
 
-    if N > EXHAUSTIVE_VERTEX_LIMIT and not force:
-        raise SizeLimitExceeded(
-            f"exhaustive f-vector over 2^{N} subsets exceeds limit {EXHAUSTIVE_VERTEX_LIMIT}"
-        )
+    check_size(N, "vertices of the exhaustive f-vector", EXHAUSTIVE_VERTEX_LIMIT, force)
     full = (1 << N) - 1
     facet_masks = [
         full ^ sum(1 << (v - 1) for v in t)

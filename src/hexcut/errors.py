@@ -17,10 +17,6 @@ class EmptySubset(HexCutError, ValueError):
     """A nonempty vertex subset was required."""
 
 
-class KOutOfRange(HexCutError, ValueError):
-    """Cut size k outside [1, N-1]."""
-
-
 class ConstructionInvariantViolated(HexCutError):
     """A freshly built graph failed one of its structural invariants."""
 
@@ -53,9 +49,5 @@ class UnverifiedOrder(HexCutError):
     """Spanning analysis was requested on an order not verified as a shelling."""
 
 
-class SizeLimitExceeded(HexCutError):
-    """An exhaustive computation exceeds its size guard."""
-
-
 class ResourceGuard(HexCutError):
-    """A work estimate exceeds the configured guard; pass force to override."""
+    """A size exceeds a guard.  The message says whether force lifts it."""

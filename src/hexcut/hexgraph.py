@@ -108,8 +108,7 @@ class HexGraph(Graph):
     """The hexagonal grid graph H(m, n) with its canonical labeling."""
 
     def __init__(self, m: int, n: int, edges) -> None:
-        n_vertices = 2 * m + 2 * n + 2 * m * n
-        super().__init__(n_vertices, edges)
+        super().__init__(hex_vertex_count(m, n), edges)
         self.m = m
         self.n = n
 
@@ -119,16 +118,23 @@ class HexGraph(Graph):
         return self.m + self.n + self.m * self.n
 
 
-def _check_params(m: int, n: int) -> None:
+def hex_vertex_count(m: int, n: int) -> int:
+    """N = 2m + 2n + 2mn, the vertex count of H(m, n).
+
+    The one admission check for grid parameters: the graph, the CLI and
+    every closed form call it, so each raises InvalidParams unless m and n
+    are integers with m, n >= 1.
+    """
     if not (isinstance(m, int) and isinstance(n, int)):
         raise InvalidParams(f"m and n must be integers, got {m!r}, {n!r}")
     if m < 1 or n < 1:
         raise InvalidParams(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    return 2 * m + 2 * n + 2 * m * n
 
 
 def hex_edges(m: int, n: int) -> list[tuple[int, int]]:
     """Edge list of H(m, n) from the four arithmetic families."""
-    _check_params(m, n)
+    hex_vertex_count(m, n)
     h = m + n + m * n
     s = n + n * m
     out: list[tuple[int, int]] = []

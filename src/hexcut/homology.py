@@ -31,12 +31,14 @@ import numpy as np
 from .cutcomplex import (
     CutComplex,
     FVector,
+    check_size,
     check_subset_count,
     downward_closure,
     f_vector,
     hex_facet_count,
 )
-from .errors import HexCutError, InvalidParams, ResourceGuard, SizeLimitExceeded
+from .errors import HexCutError, ResourceGuard
+from .hexgraph import hex_vertex_count
 
 HOMOLOGY_VERTEX_LIMIT = 16
 DENSE_ENTRY_LIMIT = 4_000_000
@@ -76,17 +78,10 @@ def gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class BoundaryMatrixGF2:
-    """Boundary from size-s faces (columns) to size-(s-1) faces (rows),
-    with columns stored as integer bitmasks over the row ordinals."""
-
-    size_pair: tuple[int, int]  # (s-1, s) as face sizes
-    n_rows: int
-    columns: tuple[int, ...]
-
-
-def boundary_matrix(levels: list[list[int]], s: int) -> BoundaryMatrixGF2:
+def boundary_matrix(levels: list[list[int]], s: int) -> list[int]:
+    """Boundary from size-s faces to size-(s-1) faces over GF(2): one column
+    per face of ``levels[s]``, as an integer bitmask over the ordinals of
+    ``levels[s - 1]``."""
     row_index = {f: i for i, f in enumerate(levels[s - 1])}
     cols = []
     for f in levels[s]:
@@ -97,7 +92,7 @@ def boundary_matrix(levels: list[list[int]], s: int) -> BoundaryMatrixGF2:
             col |= 1 << row_index[f ^ b]
             x ^= b
         cols.append(col)
-    return BoundaryMatrixGF2((s - 1, s), len(levels[s - 1]), tuple(cols))
+    return cols
 
 
 def _boundary(faces: np.ndarray, size: int) -> np.ndarray:
@@ -173,10 +168,7 @@ def betti_numbers_from_facets(
     """Reduced GF(2) Betti numbers of the complex generated by ``facets``;
     past ``HOMOLOGY_VERTEX_LIMIT`` vertices only with ``force``."""
     N = n_vertices
-    if N > HOMOLOGY_VERTEX_LIMIT and not force:
-        raise SizeLimitExceeded(
-            f"homology over 2^{N} faces exceeds limit {HOMOLOGY_VERTEX_LIMIT}"
-        )
+    check_size(N, "vertices of the homology bitmap", HOMOLOGY_VERTEX_LIMIT, force)
     masks = [sum(1 << (v - 1) for v in f) for f in facets]
     if not masks:
         return BettiVector(())
@@ -190,11 +182,10 @@ def betti_numbers_from_facets(
         if dom_full and cod_full:
             ranks[s] = _rank_complete_skeleton(levels, s, N)
         else:
-            if f_counts[s] * f_counts[s - 1] > DENSE_ENTRY_LIMIT and not force:
-                raise SizeLimitExceeded(
-                    f"dense elimination at {f_counts[s]}x{f_counts[s - 1]} exceeds guard"
-                )
-            ranks[s] = gf2_rank(list(boundary_matrix(levels, s).columns))
+            check_size(f_counts[s] * f_counts[s - 1],
+                       f"dense elimination entries ({f_counts[s]}x{f_counts[s - 1]})",
+                       DENSE_ENTRY_LIMIT, force)
+            ranks[s] = gf2_rank(boundary_matrix(levels, s))
     values = tuple(
         f_counts[s] - ranks[s] - ranks[s + 1] for s in range(top + 1)
     )
@@ -250,9 +241,7 @@ def reduced_euler_closed(m: int, n: int) -> int:
     (girth 6 leaves no 4-subset without a disconnected triple) and the top
     dimension holds one face per facet.  Evaluated as the exact alternating
     binomial sum; no spanning-count input."""
-    if m < 1 or n < 1:
-        raise InvalidParams(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    N = 2 * m + 2 * n + 2 * m * n
+    N = hex_vertex_count(m, n)
     total = 0
     for size in range(0, N - 3):  # sizes 0..N-4, dimensions -1..N-5
         dim = size - 1
@@ -288,7 +277,7 @@ class WedgeVerdict:
         return all(c["pass"] for c in self.checks.values() if c["ran"])
 
 
-def wedge_check(m: int, n: int, force: bool = False, jobs: int = 1) -> WedgeVerdict:
+def wedge_check(m: int, n: int, force: bool = False) -> WedgeVerdict:
     """Aggregate: (a) the candidate order verifies as a shelling, (b) the
     spanning count matches the closed form, (c) the reduced Euler
     characteristic matches it too, (d) GF(2) homology is concentrated in
@@ -318,7 +307,7 @@ def wedge_check(m: int, n: int, force: bool = False, jobs: int = 1) -> WedgeVerd
     else:
         cx = enumerate_facets(g, 3)
         order = shelling_order(cx)
-        res = verify_shelling(order, jobs=jobs)
+        res = verify_shelling(order)
         checks["shelling"] = {"ran": True, "pass": res.ok,
                               "counterexample": res.counterexample}
 
@@ -362,7 +351,6 @@ def wedge_verdict_to_json_dict(v: WedgeVerdict) -> dict:
 
 __all__ = [
     "BettiVector",
-    "BoundaryMatrixGF2",
     "HOMOLOGY_VERTEX_LIMIT",
     "betti_numbers",
     "betti_numbers_from_facets",

@@ -57,7 +57,7 @@ from .errors import (
     UnverifiedOrder,
     WitnessFailure,
 )
-from .hexgraph import Graph, HexGraph
+from .hexgraph import Graph, HexGraph, hex_vertex_count
 
 # Cells of the dense face -> index table, one int32 entry per colex rank of a
 # (k-1)-subset, C(N, k - 1) in all; H(10, 10) at k = 3 needs C(240, 2) =
@@ -88,8 +88,7 @@ class TailFacet:
 
 def tail_facet_count(m: int, n: int) -> int:
     """Number of relocated tail facets: mn - 2 for m >= 2, n - 1 for m = 1."""
-    if m < 1 or n < 1:
-        raise InvalidParams(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    hex_vertex_count(m, n)
     return m * n - 2 if m >= 2 else n - 1
 
 
@@ -101,8 +100,7 @@ def tail_facets(m: int, n: int, graph: HexGraph | None = None) -> list[TailFacet
     with (n-1)m < i <= nm-2.  When a graph is supplied, every complement
     is checked to equal the open neighborhood of its center.
     """
-    if m < 1 or n < 1:
-        raise InvalidParams(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    hex_vertex_count(m, n)
     h = m + n + m * n
     out: list[TailFacet] = []
     for k in range(1, n):
@@ -607,9 +605,7 @@ def spanning_count_formula(m: int, n: int) -> int:
     """Closed form for the number of spanning facets:
     C(N-1, 2) - [(6m+2)n + (2m-4)], the subtracted term being the induced
     path count 6mn + 2m + 2n - 4."""
-    if m < 1 or n < 1:
-        raise InvalidParams(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    N = 2 * m + 2 * n + 2 * m * n
+    N = hex_vertex_count(m, n)
     return comb(N - 1, 2) - ((6 * m + 2) * n + (2 * m - 4))
 
 
@@ -695,9 +691,7 @@ def non_spanning_pair_table(m: int, n: int) -> list[tuple[int, int, int]]:
     Pairs are validated to satisfy x < y <= N-1; entries whose second
     coordinate would reach N are dropped.  Empty ranges emit nothing.
     """
-    if m < 1 or n < 1:
-        raise InvalidParams(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    z = 2 * m + 2 * n + 2 * m * n
+    z = hex_vertex_count(m, n)
     h = m + n + m * n
     table: dict[tuple[int, int], int] = {}
 
@@ -765,7 +759,7 @@ class WitnessReport:
 def _typed_witnesses(m: int, n: int) -> list[tuple[tuple[int, int], int, str]]:
     """The tabulated blocking vertex per typed pair, following the printed
     per-type formulas (pairs outside [1, N-1] are skipped)."""
-    z = 2 * m + 2 * n + 2 * m * n
+    z = hex_vertex_count(m, n)
     h = m + n + m * n
     out: dict[tuple[int, int], tuple[int, str]] = {}
 

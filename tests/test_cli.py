@@ -41,6 +41,7 @@ def test_usage_errors(capsys):
     assert main(["graph", "--m", "0", "--n", "1"]) == 2
     assert main(["graph", "--m", "1"]) == 2
     assert main(["no-such-command"]) == 2
+    assert main(["spanning", "--m", "1", "--n", "2", "--no-relocate-t"]) == 2
     capsys.readouterr()
 
 
@@ -61,6 +62,19 @@ def test_subset_guard_without_force(capsys, command):
     assert main([*command, "--m", "4", "--n", "6"]) == 3
     err = capsys.readouterr().err
     assert "50116 candidate subsets exceed guard 20000; use --force" in err
+
+
+@pytest.mark.parametrize("argv, forceable", [
+    (["verify", "--m", "4", "--n", "6"], True),  # the subset guard
+    (["homology", "--m", "2", "--n", "3"], True),  # 22 homology vertices
+    (["homology", "--m", "4", "--n", "6", "--force"], False),  # no 2^68 bitmap
+])
+def test_every_refusal_is_one_resource_guard_line(capsys, argv, forceable):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert err.endswith("; use --force\n") == forceable
 
 
 @pytest.mark.parametrize("command", ["facets", "explore"])

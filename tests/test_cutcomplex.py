@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from hexcut import (
     Graph,
     InvalidParams,
-    KOutOfRange,
-    SizeLimitExceeded,
+    ResourceGuard,
     build_hex_graph,
     cycle_graph,
     enumerate_facets,
@@ -81,9 +80,9 @@ def test_five_cuts_of_six_cycle_are_empty():
 
 def test_k_out_of_range():
     g = cycle_graph(6)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(InvalidParams):
         enumerate_facets(g, 0)
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(InvalidParams):
         enumerate_facets(g, 6)
 
 
@@ -167,10 +166,13 @@ def test_f_vector_1_2_values():
     assert fv.f(6) == 106
 
 
-def test_f_vector_guards():
+def test_f_vector_guards(instance):
     cx = enumerate_facets(build_hex_graph(2, 3), 3)  # 22 vertices
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(ResourceGuard, match="use --force$"):
         f_vector(cx, mode="exhaustive")
+    # 68 vertices: no 2^N bitmap, so force does not lift the guard
+    with pytest.raises(ResourceGuard, match="--force cannot lift it$"):
+        f_vector(instance(4, 6, verify=False).cx, mode="exhaustive", force=True)
     with pytest.raises(InvalidParams):
         f_vector(enumerate_facets(cycle_graph(6), 3), mode="closed")
 

@@ -18,6 +18,16 @@ from hexcut.hexgraph import (
     graph_to_edge_text,
     graph_to_json_dict,
     hex_edges,
+    hex_vertex_count,
+)
+from hexcut.cutcomplex import hex_facet_count, induced_p3_count
+from hexcut.homology import reduced_euler_closed
+from hexcut.shelling import (
+    _typed_witnesses,
+    non_spanning_pair_table,
+    spanning_count_formula,
+    tail_facet_count,
+    tail_facets,
 )
 
 from conftest import oracle_adjacency, oracle_connected
@@ -38,6 +48,17 @@ def test_bad_params_rejected():
         build_hex_graph(1, 0)
     with pytest.raises(InvalidParams):
         build_hex_graph(-3, 2)
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (1.5, 2)])
+@pytest.mark.parametrize("build", [
+    build_hex_graph, hex_vertex_count, induced_p3_count, hex_facet_count,
+    spanning_count_formula, reduced_euler_closed, tail_facet_count, tail_facets,
+    non_spanning_pair_table, _typed_witnesses,
+], ids=lambda f: f.__name__)
+def test_every_grid_entry_point_admits_only_positive_integers(build, m, n):
+    with pytest.raises(InvalidParams):
+        build(m, n)
 
 
 def test_worked_adjacencies_4_6():

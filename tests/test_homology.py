@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hexcut import (
     HexCutError,
-    SizeLimitExceeded,
+    ResourceGuard,
     VertexOutOfRange,
     betti_numbers,
     betti_numbers_from_facets,
@@ -212,10 +212,17 @@ def test_facet_vertex_outside_the_vertex_set_is_rejected():
         betti_numbers_from_facets([(1, 2), (3, 7)], 6)
 
 
-def test_betti_guard():
+def test_betti_guard(instance):
     for graph in (build_hex_graph(2, 3), cycle_graph(17)):  # N = 22 and 17 > 16
-        with pytest.raises(SizeLimitExceeded):
+        with pytest.raises(ResourceGuard, match="use --force$"):
             betti_numbers(enumerate_facets(graph, 3))
+    # all 8-subsets of 16 vertices but one: the size-8 boundary is eliminated
+    # densely, 12 869 x 11 440 entries
+    with pytest.raises(ResourceGuard, match="use --force$"):
+        betti_numbers_from_facets(list(combinations(range(1, 17), 8))[1:], 16)
+    # 68 vertices: no 2^N bitmap, so force does not lift the guard
+    with pytest.raises(ResourceGuard, match="--force cannot lift it$"):
+        betti_numbers(instance(4, 6, verify=False).cx, force=True)
 
 
 def test_face_closure_counts():
@@ -233,9 +240,9 @@ def test_boundary_matrix_columns_have_face_size_entries():
     ]
     levels = faces_by_size(masks, 6)
     for s in range(1, len(levels)):
-        bm = boundary_matrix(levels, s)
-        assert bm.size_pair == (s - 1, s)
-        for col in bm.columns:
+        columns = boundary_matrix(levels, s)
+        assert len(columns) == len(levels[s])
+        for col in columns:
             assert bin(col).count("1") == s
 
 
