@@ -16,9 +16,9 @@ from contextlib import contextmanager
 from . import __version__
 from .cutcomplex import (
     check_subset_count,
-    enumerate_facets,
     facets_to_csv,
     facets_to_json_dict,
+    hex_cut_complex,
     hex_facet_count,
     induced_p3_count,
 )
@@ -89,12 +89,6 @@ def _emit_json(args, payload: dict) -> None:
         fh.write("\n")
 
 
-def _check_subsets(args, k: int) -> None:
-    """The subset guard of every command that walks k-subsets of H(m, n),
-    checked before the graph is built."""
-    check_subset_count(hex_vertex_count(args.m, args.n), k, args.force)
-
-
 def _add_common(p, with_k=False) -> None:
     p.add_argument("--m", type=int, required=True, help="hexagon columns")
     p.add_argument("--n", type=int, required=True, help="hexagon rows")
@@ -122,9 +116,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_facets(args) -> int:
-    _check_subsets(args, args.k)
-    g = build_hex_graph(args.m, args.n)
-    cx = enumerate_facets(g, args.k)
+    cx = hex_cut_complex(args.m, args.n, args.k, args.force)
     if args.format == "csv":
         _emit(args, facets_to_csv(cx))
     else:
@@ -133,8 +125,7 @@ def cmd_facets(args) -> int:
 
 
 def _build_order(args):
-    _check_subsets(args, 3)
-    cx = enumerate_facets(build_hex_graph(args.m, args.n), 3)
+    cx = hex_cut_complex(args.m, args.n, 3, args.force)
     return shelling_order(cx, relocate_tail=not getattr(args, "no_relocate_t", False))
 
 
@@ -235,13 +226,11 @@ def cmd_homology(args) -> int:
         verdict = wedge_check(args.m, args.n, force=args.force)
         _emit_json(args, wedge_verdict_to_json_dict(verdict))
         return EXIT_OK if verdict.all_ran_pass else EXIT_CHECK_FAILED
-    _check_subsets(args, 3)
-    g = build_hex_graph(args.m, args.n)
-    cx = enumerate_facets(g, 3)
+    cx = hex_cut_complex(args.m, args.n, 3, args.force)
     bv = betti_numbers(cx, force=args.force)
     payload = {
         "betti": {str(dim): bv.b(dim) for dim in range(-1, bv.dim + 1)},
-        "top_dimension": g.n_vertices - 4,
+        "top_dimension": cx.n_vertices - 4,
         "psi_formula": spanning_count_formula(args.m, args.n),
     }
     _emit_json(args, payload)
@@ -249,7 +238,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    _check_subsets(args, args.k)
+    check_subset_count(hex_vertex_count(args.m, args.n), args.k, args.force)
     g = build_hex_graph(args.m, args.n)
     verdict = verify_k_cut_order(g, args.k, rule=args.rule, jobs=args.jobs)
     payload = {

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidParams, ResourceGuard, VertexOutOfRange
-from .hexgraph import Graph, HexGraph, hex_vertex_count
+from .hexgraph import Graph, HexGraph, build_hex_graph, hex_vertex_count
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
 FACET_SUBSET_GUARD = 20_000  # k-subsets walked without force, see check_subset_count
@@ -55,6 +55,16 @@ def check_subset_count(n_vertices: int, k: int, force: bool = False) -> None:
     if not 1 <= k <= n_vertices - 1:
         raise InvalidParams(f"k={k} outside [1,{n_vertices - 1}]")
     check_size(comb(n_vertices, k), "candidate subsets", FACET_SUBSET_GUARD, force)
+
+
+def check_bitmap_ceiling(n_vertices: int) -> None:
+    """Refuse N past ``BITMAP_VERTEX_CEILING``, whatever ``force`` says: the
+    2^N face bitmap is indexed by int64 masks."""
+    if n_vertices > BITMAP_VERTEX_CEILING:
+        raise ResourceGuard(
+            f"{n_vertices} vertices exceed the {BITMAP_VERTEX_CEILING}-vertex "
+            "ceiling of the 2^N face bitmap; --force cannot lift it"
+        )
 
 
 def _subset_disconnected(g: Graph, subset: tuple[int, ...]) -> bool:
@@ -134,6 +144,13 @@ def enumerate_facets(g: Graph, k: int) -> CutComplex:
     return CutComplex(graph=g, k=k, facets=facets)
 
 
+def hex_cut_complex(m: int, n: int, k: int, force: bool = False) -> CutComplex:
+    """The k-cut complex of H(m, n), refused by :func:`check_subset_count`
+    before the graph is built."""
+    check_subset_count(hex_vertex_count(m, n), k, force)
+    return enumerate_facets(build_hex_graph(m, n), k)
+
+
 def is_face(cx: CutComplex, sigma) -> bool:
     """True iff sigma is contained in some facet, i.e. the complement of
     sigma contains a k-subset inducing a disconnected subgraph.
@@ -164,11 +181,7 @@ def downward_closure(masks, n_vertices: int) -> np.ndarray:
     half (bit b clear).  Refuses N past ``BITMAP_VERTEX_CEILING`` whatever
     the caller's guards allow.
     """
-    if n_vertices > BITMAP_VERTEX_CEILING:
-        raise ResourceGuard(
-            f"{n_vertices} vertices exceed the {BITMAP_VERTEX_CEILING}-vertex "
-            "ceiling of the 2^N face bitmap; --force cannot lift it"
-        )
+    check_bitmap_ceiling(n_vertices)
     masks = np.fromiter(masks, dtype=np.int64)
     if masks.size and (masks.min() < 0 or int(masks.max()) >> n_vertices):
         raise VertexOutOfRange(f"a face mask has a vertex outside [1,{n_vertices}]")
@@ -208,7 +221,8 @@ def f_vector(
     ``exhaustive`` derives the facets from the graph, testing all C(N, k)
     subsets for disconnectedness without reading ``cx.facets``, so that it
     cross-checks the enumeration.  It closes them downward on one 2^N
-    bitmap (guarded by ``EXHAUSTIVE_VERTEX_LIMIT`` unless ``force``) and
+    bitmap (guarded by ``EXHAUSTIVE_VERTEX_LIMIT`` unless ``force``, and by
+    the bitmap ceiling before any subset is tested) and
     counts the set entries by popcount in fixed-size chunks; a subset is
     counted iff :func:`is_face` holds for it.  ``closed`` applies to the
     hexagonal family with k = 3 only: girth 6 rules out 4-cycles, so every
@@ -232,6 +246,7 @@ def f_vector(
         return FVector(tuple(counts))
 
     check_size(N, "vertices of the exhaustive f-vector", EXHAUSTIVE_VERTEX_LIMIT, force)
+    check_bitmap_ceiling(N)
     full = (1 << N) - 1
     facet_masks = [
         full ^ sum(1 << (v - 1) for v in t)

@@ -31,14 +31,21 @@ import numpy as np
 from .cutcomplex import (
     CutComplex,
     FVector,
+    check_bitmap_ceiling,
     check_size,
-    check_subset_count,
     downward_closure,
     f_vector,
+    hex_cut_complex,
     hex_facet_count,
 )
 from .errors import HexCutError, ResourceGuard
 from .hexgraph import hex_vertex_count
+from .shelling import (
+    shelling_order,
+    spanning_count_formula,
+    spanning_facets,
+    verify_shelling,
+)
 
 HOMOLOGY_VERTEX_LIMIT = 16
 DENSE_ENTRY_LIMIT = 4_000_000
@@ -166,9 +173,11 @@ def betti_numbers_from_facets(
     force: bool = False,
 ) -> BettiVector:
     """Reduced GF(2) Betti numbers of the complex generated by ``facets``;
-    past ``HOMOLOGY_VERTEX_LIMIT`` vertices only with ``force``."""
+    past ``HOMOLOGY_VERTEX_LIMIT`` vertices only with ``force``, and never
+    past the bitmap ceiling.  Both are checked before any facet is read."""
     N = n_vertices
     check_size(N, "vertices of the homology bitmap", HOMOLOGY_VERTEX_LIMIT, force)
+    check_bitmap_ceiling(N)
     masks = [sum(1 << (v - 1) for v in f) for f in facets]
     if not masks:
         return BettiVector(())
@@ -194,11 +203,10 @@ def betti_numbers_from_facets(
 
 def betti_numbers(cx: CutComplex, force: bool = False) -> BettiVector:
     """Reduced GF(2) Betti numbers of a cut complex (facets = complements
-    of the stored tuples)."""
+    of the stored tuples), read lazily so that the guards come first."""
     N = cx.n_vertices
     verts = set(range(1, N + 1))
-    facets = [tuple(sorted(verts - set(c))) for c in cx.facets]
-    return betti_numbers_from_facets(facets, N, force=force)
+    return betti_numbers_from_facets((verts.difference(c) for c in cx.facets), N, force=force)
 
 
 def boundary_composition_is_zero(
@@ -283,29 +291,18 @@ def wedge_check(m: int, n: int, force: bool = False) -> WedgeVerdict:
     characteristic matches it too, (d) GF(2) homology is concentrated in
     the top dimension with that value.  Skipped checks are reported, not
     failed: without ``force``, (a) and (b) past the subset guard of
-    :func:`hexcut.cutcomplex.check_subset_count`, the one the CLI applies,
+    :func:`hexcut.cutcomplex.hex_cut_complex`, the builder the CLI uses,
     and (d) past ``HOMOLOGY_VERTEX_LIMIT`` vertices."""
-    from .cutcomplex import enumerate_facets
-    from .hexgraph import build_hex_graph
-    from .shelling import (
-        shelling_order,
-        spanning_count_formula,
-        spanning_facets,
-        verify_shelling,
-    )
-
-    g = build_hex_graph(m, n)
-    N = g.n_vertices
+    N = hex_vertex_count(m, n)
     psi = spanning_count_formula(m, n)
     checks: dict[str, dict] = {}
 
     cx = order = None
     try:
-        check_subset_count(N, 3, force)
+        cx = hex_cut_complex(m, n, 3, force)
     except ResourceGuard as exc:
         checks["shelling"] = {"ran": False, "pass": None, "detail": str(exc)}
     else:
-        cx = enumerate_facets(g, 3)
         order = shelling_order(cx)
         res = verify_shelling(order)
         checks["shelling"] = {"ran": True, "pass": res.ok,

@@ -38,7 +38,6 @@ order.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations, count
 from math import comb
@@ -46,7 +45,7 @@ from operator import eq
 
 import numpy as np
 
-from .cutcomplex import CutComplex
+from .cutcomplex import CutComplex, enumerate_facets
 from .errors import (
     IncompleteOrder,
     InvalidParams,
@@ -175,12 +174,22 @@ class ShellingOrder:
         return self.cx.n_vertices
 
 
-def _make_order(cx: CutComplex, seq: list[tuple[int, ...]], tail, base_count) -> ShellingOrder:
-    position = {t: i + 1 for i, t in enumerate(seq)}
+def _order(cx: CutComplex, moved=(), tail=()) -> ShellingOrder:
+    """The one order rule: the facet complements in lex order without
+    ``moved``, then the ``moved`` complements in the order given.  Raises
+    TailFacetNotFound when a moved complement is not a facet."""
+    drop = set(moved)
+    missing = drop.difference(cx.facets)
+    if missing:
+        first = next(c for c in moved if c in missing)
+        raise TailFacetNotFound(f"complement {first} to relocate not among facets")
+    seq = [f for f in sorted(cx.facets) if f not in drop]
+    base_count = len(seq)
+    seq.extend(moved)
     return ShellingOrder(
         cx=cx,
         facets=tuple(seq),
-        position=position,
+        position={t: i + 1 for i, t in enumerate(seq)},
         tail=tuple(tail),
         base_count=base_count,
     )
@@ -200,21 +209,10 @@ def shelling_order(cx: CutComplex, relocate_tail: bool = True) -> ShellingOrder:
     in schedule order; without it the plain sorted order is returned.
     """
     g = _require_hex3(cx)
-    base = sorted(cx.facets)
-    tail = tail_facets(g.m, g.n, g)
-    tset = {t.complement for t in tail}
-    missing = tset.difference(base)
-    for t in tail:
-        if t.complement in missing:
-            raise TailFacetNotFound(
-                f"tail facet {t.index} complement {t.complement} not among facets"
-            )
     if not relocate_tail:
-        return _make_order(cx, base, (), len(base))
-    seq = [f for f in base if f not in tset]
-    base_count = len(seq)
-    seq.extend(t.complement for t in tail)
-    return _make_order(cx, seq, tail, base_count)
+        return _order(cx)
+    tail = tail_facets(g.m, g.n, g)
+    return _order(cx, [t.complement for t in tail], tail)
 
 
 def order_with_tail_reinserted(cx: CutComplex, tail_index: int) -> tuple[ShellingOrder, int]:
@@ -222,21 +220,23 @@ def order_with_tail_reinserted(cx: CutComplex, tail_index: int) -> tuple[Shellin
     to its sorted position among the base facets.
 
     Returns the order and the 1-based position where the facet was
-    reinserted (the position at which verification must fail).
+    reinserted (the position at which verification must fail).  Raises
+    TailFacetNotFound when a tail facet is not a facet of ``cx``.
     """
     g = _require_hex3(cx)
     tail = tail_facets(g.m, g.n, g)
     if not 1 <= tail_index <= len(tail):
         raise OrdinalOutOfRange(f"tail index {tail_index} outside [1,{len(tail)}]")
-    chosen = tail[tail_index - 1]
-    tset = {t.complement for t in tail}
-    seq = [f for f in sorted(cx.facets) if f not in tset]
-    spot = bisect_left(seq, chosen.complement)
-    seq.insert(spot, chosen.complement)
     rest = [t for t in tail if t.index != tail_index]
-    seq.extend(t.complement for t in rest)
-    order = _make_order(cx, seq, rest, len(seq) - len(rest))
-    return order, spot + 1
+    order = _order(cx, [t.complement for t in rest], rest)
+    return order, _tail_position(order.position, tail[tail_index - 1])
+
+
+def _tail_position(position: dict[tuple[int, ...], int], t: TailFacet) -> int:
+    p = position.get(t.complement)
+    if p is None:
+        raise TailFacetNotFound(f"tail facet {t.index} complement {t.complement} not among facets")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +877,8 @@ def verify_tail_obstruction(cx: CutComplex) -> bool:
         raise NoTailFacets(f"H({g.m},{g.n}) has no tail facets")
     N = cx.n_vertices
     pos = shelling_order(cx, relocate_tail=False).position
-    for t in tail:
-        j_i = pos[t.complement]
+    positions = [_tail_position(pos, t) for t in tail]
+    for t, j_i in zip(tail, positions):
         blocker_comp = tuple(sorted((t.center, N - 1, N)))
         p_blocker = pos.get(blocker_comp)
         if p_blocker is None or p_blocker >= j_i:
@@ -929,27 +929,16 @@ def verify_k_cut_order(
     """
     if rule not in ("revlex", "revlex-with-neighborhood-tail"):
         raise InvalidParams(f"unknown ordering rule {rule!r}")
-    from .cutcomplex import enumerate_facets
-
     cx = enumerate_facets(g, k)
-    eta = cx.n_facets
-    seq = sorted(cx.facets)
     relocated: list[tuple[int, ...]] = []
     if rule == "revlex-with-neighborhood-tail":
-        hoods = set()
-        for v in g.vertices():
-            nb = g.neighbors(v)
-            if len(nb) == k:
-                hoods.add(nb)
-        relocated = sorted(hoods.intersection(seq))
-        rset = set(relocated)
-        seq = [f for f in seq if f not in rset] + relocated
-    order = _make_order(cx, seq, (), len(seq) - len(relocated))
-    res = verify_shelling(order, jobs=jobs)
+        hoods = {nb for nb in map(g.neighbors, g.vertices()) if len(nb) == k}
+        relocated = sorted(hoods.intersection(cx.facets))
+    res = verify_shelling(_order(cx, relocated), jobs=jobs)
     return ExploreVerdict(
         k=k,
         rule=rule,
-        n_facets=eta,
+        n_facets=cx.n_facets,
         ok=res.ok,
         counterexample=res.counterexample,
         relocated=tuple(relocated),

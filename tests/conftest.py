@@ -112,6 +112,38 @@ def oracle_spanning_flags(facet_sets: list[frozenset[int]]) -> list[bool]:
     return [set(swap[j]) == set(facet_sets[j]) for j in range(len(facet_sets))]
 
 
+def oracle_mcs_order(adj: dict[int, set[int]]) -> list[int]:
+    """Maximum cardinality search: visit next the unvisited vertex with the
+    most visited neighbours, the smallest label on a tie."""
+    weight = {v: 0 for v in adj}
+    visited = []
+    while weight:
+        v = max(weight, key=lambda u: (weight[u], -u))
+        visited.append(v)
+        del weight[v]
+        for w in adj[v]:
+            if w in weight:
+                weight[w] += 1
+    return visited
+
+
+def oracle_perfect_elimination_order(adj: dict[int, set[int]]) -> list[int] | None:
+    """The reversed MCS order when it is a perfect elimination order (the
+    later neighbours of every vertex form a clique), else None.  By Tarjan
+    and Yannakakis (1984) it is one exactly when the graph is chordal."""
+    order = oracle_mcs_order(adj)[::-1]
+    rank = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [w for w in adj[v] if rank[w] > rank[v]]
+        if any(b not in adj[a] for a, b in combinations(later, 2)):
+            return None
+    return order
+
+
+def oracle_is_chordal(adj: dict[int, set[int]]) -> bool:
+    return oracle_perfect_elimination_order(adj) is not None
+
+
 def oracle_face_counts(facet_sets: list[frozenset[int]], n_vertices: int) -> list[int]:
     """Exhaustive face counts by size, testing containment in some facet."""
     masks = [sum(1 << (v - 1) for v in f) for f in facet_sets]

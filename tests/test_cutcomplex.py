@@ -177,6 +177,16 @@ def test_f_vector_guards(instance):
         f_vector(enumerate_facets(cycle_graph(6), 3), mode="closed")
 
 
+def test_bitmap_ceiling_checked_before_any_subset_is_tested(instance):
+    def untested(g, subset):
+        raise AssertionError("a subset was tested before the bitmap ceiling was checked")
+
+    cx = instance(4, 6, verify=False).cx
+    with mock.patch.object(cutcomplex, "_subset_disconnected", untested):
+        with pytest.raises(ResourceGuard, match="--force cannot lift it$"):
+            f_vector(cx, mode="exhaustive", force=True)
+
+
 def test_exports_deterministic():
     cx = enumerate_facets(build_hex_graph(1, 1), 3)
     doc = facets_to_json_dict(cx)

@@ -23,6 +23,7 @@ from hexcut import (
     wedge_check,
 )
 from hexcut import homology
+from hexcut.cutcomplex import CutComplex
 from hexcut.homology import (
     _rank_complete_skeleton,
     boundary_composition_is_zero,
@@ -223,6 +224,24 @@ def test_betti_guard(instance):
     # 68 vertices: no 2^N bitmap, so force does not lift the guard
     with pytest.raises(ResourceGuard, match="--force cannot lift it$"):
         betti_numbers(instance(4, 6, verify=False).cx, force=True)
+
+
+def _unread_facets():
+    """An iterator over facets that fails when advanced: the ceiling must
+    refuse before any facet is read."""
+    raise AssertionError("a facet was read before the bitmap ceiling was checked")
+    yield
+
+
+def test_betti_ceiling_checked_before_any_facet_is_read():
+    cx = CutComplex(graph=build_hex_graph(4, 6), k=3, facets=_unread_facets())
+    with pytest.raises(ResourceGuard, match="--force cannot lift it$"):
+        betti_numbers(cx, force=True)
+
+
+def test_betti_from_facets_ceiling_checked_before_any_facet_is_read():
+    with pytest.raises(ResourceGuard, match="--force cannot lift it$"):
+        betti_numbers_from_facets(_unread_facets(), 68, force=True)
 
 
 def test_face_closure_counts():

@@ -1,6 +1,7 @@
 """Order construction and shelling verification."""
 
 import dataclasses
+import random
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -12,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexcut import (
+    CutComplex,
     Graph,
     IncompleteOrder,
     InvalidParams,
     NoTailFacets,
     OrdinalOutOfRange,
     TailFacetInvariantViolated,
+    TailFacetNotFound,
     build_hex_graph,
     cycle_graph,
     enumerate_facets,
@@ -37,9 +40,13 @@ from hexcut.hexgraph import HexGraph, hex_edges
 from hexcut.shelling import ShellingOrder, order_to_json_dict
 
 from conftest import (
+    oracle_adjacency,
+    oracle_connected,
     oracle_facet_complements,
     oracle_full_facets,
+    oracle_is_chordal,
     oracle_is_shelling,
+    oracle_perfect_elimination_order,
     oracle_row_violation,
     oracle_spanning_flags,
 )
@@ -48,8 +55,8 @@ SMALL_INSTANCES = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]  # N <= 16
 
 
 @cache
-def _complex(m, n):
-    return enumerate_facets(build_hex_graph(m, n), 3)
+def _complex(m, n, k=3):
+    return enumerate_facets(build_hex_graph(m, n), k)
 
 
 def _order_of(cx, seq):
@@ -561,8 +568,6 @@ def test_tail_obstruction_requires_tails():
 
 
 def test_missing_tail_facet_detected():
-    from hexcut import CutComplex, TailFacetNotFound
-
     cx = enumerate_facets(build_hex_graph(1, 2), 3)
     pruned = [f for f in cx.facets if f != (6, 8, 9)]
     doctored = CutComplex(graph=cx.graph, k=3, facets=tuple(pruned))
@@ -570,6 +575,55 @@ def test_missing_tail_facet_detected():
         shelling_order(doctored)
     with pytest.raises(TailFacetNotFound):
         verify_tail_obstruction(doctored)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_reinsertion_without_a_tail_facet_refused(t):
+    # H(2, 2) without tail facet 2: moving it to the end, or reinserting it,
+    # must not yield an order that holds a non-facet
+    cx = _complex(2, 2)
+    gone = tail_facets(2, 2)[1].complement
+    doctored = CutComplex(graph=cx.graph, k=3, facets=tuple(f for f in cx.facets if f != gone))
+    with pytest.raises(TailFacetNotFound):
+        order_with_tail_reinserted(doctored, t)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)] + [(3, 4)])
+def test_every_single_reinsertion_follows_the_order_rule(m, n):
+    # the sorted complements without the other tails, then those tails in
+    # schedule order; the reinserted facet keeps its sorted place
+    cx = _complex(m, n)
+    tail = tail_facets(m, n)
+    for t in range(1, len(tail) + 1):
+        others = [x for x in tail if x.index != t]
+        moved = [x.complement for x in others]
+        seq = tuple(sorted(c for c in cx.facets if c not in moved) + moved)
+        order, spot = order_with_tail_reinserted(cx, t)
+        assert (order.facets, order.tail, order.base_count) == (
+            seq, tuple(others), len(seq) - len(others))
+        assert spot == seq.index(tail[t - 1].complement) + 1
+
+
+def _seeded_graph(seed, n_vertices, p):
+    rng = random.Random(seed)
+    return Graph(n_vertices, [e for e in combinations(range(1, n_vertices + 1), 2)
+                              if rng.random() < p])
+
+
+@pytest.mark.parametrize("g,k", [(build_hex_graph(1, 2), 3), (build_hex_graph(1, 2), 4),
+                                 (_seeded_graph(5, 9, 0.4), 3)],
+                         ids=["hex-1-2-k3", "hex-1-2-k4", "random9-k3"])
+def test_neighborhood_rule_moves_the_neighborhoods_that_are_facets(g, k):
+    facets = oracle_facet_complements(g, k)  # lex order
+    adj = oracle_adjacency(g)
+    hoods = sorted({tuple(sorted(a)) for a in adj.values() if len(a) == k}.intersection(facets))
+    verdict = verify_k_cut_order(g, k, "revlex-with-neighborhood-tail")
+    assert verdict.relocated == tuple(hoods)
+    assert bool(hoods) == (k == 3)  # no vertex has degree 4
+    seq = [c for c in facets if c not in hoods] + hoods
+    verts = set(range(1, g.n_vertices + 1))
+    sets = [frozenset(verts - set(c)) for c in seq]
+    assert (verdict.ok, verdict.counterexample) == oracle_is_shelling(sets)
 
 
 def test_reinsertion_index_bounds():
@@ -608,3 +662,72 @@ def test_order_export():
     assert doc["t_tail_start"] == 106
     assert doc["order"][-1] == [6, 8, 9]
     assert len(doc["order"]) == 106
+
+
+# ---------------------------------------------------------------------------
+# k = 2: Delta_2(G) is shellable iff G is chordal (Froberg 1990)
+# ---------------------------------------------------------------------------
+
+def _seeded_connected_graphs():
+    """The connected graphs among 60 seeded draws, N from 5 to 12 and edge
+    probability from 0.2 to 0.7, each with its random source."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        N = rng.randint(5, 12)
+        p = rng.uniform(0.2, 0.7)
+        g = Graph(N, [e for e in combinations(range(1, N + 1), 2) if rng.random() < p])
+        adj = oracle_adjacency(g)
+        if oracle_connected(adj, range(1, N + 1)):
+            yield g, adj, rng
+
+
+@pytest.mark.parametrize("limit", [1, shelling.POSITION_TABLE_LIMIT])
+def test_k2_refutes_a_drawn_order_of_every_non_chordal_graph(limit):
+    graphs = [(g, rng) for g, adj, rng in _seeded_connected_graphs() if not oracle_is_chordal(adj)]
+    assert len(graphs) >= 20
+    for g, rng in graphs:
+        cx = enumerate_facets(g, 2)
+        seq = list(cx.facets)
+        rng.shuffle(seq)
+        with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", limit):
+            res = verify_shelling(_order_of(cx, seq))
+        assert not res.ok
+        i, j = res.counterexample
+        sets = _facet_sets(cx, seq)
+        assert oracle_row_violation(sets, j) == i
+        assert all(oracle_row_violation(sets, r) is None for r in range(2, j))
+
+
+@pytest.mark.parametrize("limit", [1, shelling.POSITION_TABLE_LIMIT])
+@pytest.mark.parametrize("shuffle", [None, 1, 2, 3], ids=["revlex", "seed1", "seed2", "seed3"])
+def test_k2_refutes_h46(limit, shuffle):
+    # girth 6, so H(4, 6) is not chordal and no order of its 2-cut facets
+    # shells; past the reach of the full oracle, the row oracle checks the
+    # failing row and the 50 rows before it
+    cx = _complex(4, 6, 2)
+    assert cx.n_facets == 2187
+    seq = sorted(cx.facets)
+    if shuffle is not None:
+        random.Random(shuffle).shuffle(seq)
+    with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", limit):
+        res = verify_shelling(_order_of(cx, seq))
+    assert not res.ok
+    i, j = res.counterexample
+    sets = _facet_sets(cx, seq)
+    assert oracle_row_violation(sets, j) == i
+    assert all(oracle_row_violation(sets, r) is None for r in range(max(2, j - 50), j))
+
+
+def test_k2_revlex_shells_chordal_graphs_labelled_by_elimination_order():
+    # relabelled so that the perfect elimination order reads 1, 2, ..., N;
+    # that revlex then shells is observed, not a theorem, so the oracle
+    # decides and the fixed seeds must pass
+    graphs = [(g, adj) for g, adj, _ in _seeded_connected_graphs() if oracle_is_chordal(adj)]
+    assert len(graphs) >= 10
+    for g, adj in graphs:
+        label = {v: i for i, v in enumerate(oracle_perfect_elimination_order(adj), start=1)}
+        cx = enumerate_facets(Graph(g.n_vertices, [(label[u], label[v]) for u, v in g.edges()]), 2)
+        seq = sorted(cx.facets)
+        res = verify_shelling(_order_of(cx, seq))
+        assert (res.ok, res.counterexample) == oracle_is_shelling(_facet_sets(cx, seq))
+        assert res.ok

@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Mutation check for the shelling verifier, standard library only.
+
+Copies ``src/`` to a temporary directory, applies one small change to the
+copy of ``shelling.py`` at a time by exact string replacement, and runs
+``tests/test_shelling.py`` and ``tests/test_spanning.py`` against the copy.
+Each mutant must make the tests fail.
+
+    python tools/mutation_check.py
+
+Exit status: 0 when every mutant is killed, 1 when one survives, 2 when the
+unmutated copy fails its tests or a mutant's target text does not occur
+exactly once in ``shelling.py`` (the verifier changed; update the list).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ["tests/test_shelling.py", "tests/test_spanning.py"]
+
+# name -> (text in shelling.py, replacement)
+MUTANTS = {
+    "no vertex counts as live (L = 0)": (
+        "    L = np.bitwise_count(inside & _through_last(live)).sum(axis=1, dtype=np.int64)\n",
+        "    L = np.zeros(len(rows), dtype=np.int64)\n",
+    ),
+    "mask snapshot one sub-block late": (
+        "    snap = (sel // _SUB_ROWS * (faces.zero + 1)).astype(np.int32)\n",
+        "    snap = (np.minimum(sel // _SUB_ROWS + 1, (len(inside) - 1) // _SUB_ROWS)"
+        " * (faces.zero + 1)).astype(np.int32)\n",
+    ),
+    "within-sub-block check deleted": (
+        "        if len(r):\n"
+        "            bad = ~_pairwise_ok(rows[r], faces.sets[lo + b:], r - b).all(axis=1)\n",
+        "        if False:\n"
+        "            bad = ~_pairwise_ok(rows[r], faces.sets[lo + b:], r - b).all(axis=1)\n",
+    ),
+    "_through_last drops the highest bit": (
+        "        out[:, w] = np.where(higher, ~np.uint64(0), x)\n",
+        "        out[:, w] = np.where(higher, ~np.uint64(0), x >> np.uint64(1))\n",
+    ),
+    "_pairwise_ok: >= becomes >": (
+        "    return (meet != 0) | (np.arange(upto) >= ords[:, None])\n",
+        "    return (meet != 0) | (np.arange(upto) > ords[:, None])\n",
+    ),
+}
+
+
+def run_tests(src: Path) -> int:
+    """Exit status of the tests run against the package under ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    probe = subprocess.run([sys.executable, "-c", "import hexcut; print(hexcut.__file__)"],
+                           env=env, capture_output=True, text=True, check=True)
+    if not Path(probe.stdout.strip()).is_relative_to(src):
+        sys.exit(f"hexcut imports from {probe.stdout.strip()}, not from {src}")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    original = (ROOT / "src/hexcut/shelling.py").read_text()
+    for name, (target, _) in MUTANTS.items():
+        if original.count(target) != 1:
+            print(f"{name}: target text occurs {original.count(target)} times, expected 1")
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        shelling = src / "hexcut/shelling.py"
+        if run_tests(src) != 0:
+            print("the unmutated copy fails its tests")
+            return 2
+        survivors = []
+        for name, (target, replacement) in MUTANTS.items():
+            shelling.write_text(original.replace(target, replacement))
+            code = run_tests(src)
+            print(f"{'killed' if code else 'SURVIVED'}: {name}", flush=True)
+            if code == 0:
+                survivors.append(name)
+        shelling.write_text(original)
+    if survivors:
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
