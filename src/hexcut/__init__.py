@@ -24,7 +24,6 @@ from .errors import (
     TailFacetNotFound,
     UnverifiedOrder,
     VertexOutOfRange,
-    WitnessFailure,
 )
 from .hexgraph import (
     Graph,

@@ -89,13 +89,14 @@ def _emit_json(args, payload: dict) -> None:
         fh.write("\n")
 
 
-def _add_common(p, with_k=False) -> None:
+def _add_common(p, with_k=False, guarded=True) -> None:
     p.add_argument("--m", type=int, required=True, help="hexagon columns")
     p.add_argument("--n", type=int, required=True, help="hexagon rows")
     if with_k:
         p.add_argument("--k", type=int, default=3, help="cut size (default 3)")
     p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--force", action="store_true", help="override resource guards")
+    if guarded:
+        p.add_argument("--force", action="store_true", help="override resource guards")
 
 
 def _add_jobs(p) -> None:
@@ -139,7 +140,7 @@ def cmd_verify(args) -> int:
     res = verify_shelling(order, jobs=args.jobs)
     payload = {
         "ok": res.ok,
-        "counterexample": list(res.counterexample) if res.counterexample else None,
+        "counterexample": res.counterexample,
         "n_facets": order.n_facets,
         "pairs_checked": res.pairs_checked,
         "relocated_tail": not args.no_relocate_t,
@@ -152,7 +153,7 @@ def cmd_spanning(args) -> int:
     order = _build_order(args)
     res = verify_shelling(order, jobs=args.jobs)
     if not res.ok:
-        _emit_json(args, {"ok": False, "counterexample": list(res.counterexample)})
+        _emit_json(args, {"ok": False, "counterexample": res.counterexample})
         return EXIT_CHECK_FAILED
     report = spanning_facets(order)
     expected = spanning_count_formula(args.m, args.n)
@@ -166,10 +167,7 @@ def cmd_spanning(args) -> int:
     payload["psi_formula"] = expected
     payload["psi_matches_formula"] = report.psi == expected
     payload["table_matches"] = not diff["only_computed"] and not diff["only_table"]
-    payload["table_diff"] = {
-        "only_computed": [list(p) for p in diff["only_computed"]],
-        "only_table": [list(p) for p in diff["only_table"]],
-    }
+    payload["table_diff"] = diff
     if args.format == "csv":
         _emit(args, spanning_report_to_csv(report))
     else:
@@ -196,15 +194,8 @@ def cmd_formulas(args) -> int:
         ),
     }
     if args.format == "text":
-        lines = [
-            f"vertices       {payload['vertices']}",
-            f"top_dimension  {payload['top_dimension']}",
-            f"induced_p3     {payload['induced_p3']}",
-            f"facets         {payload['facets']}",
-            f"tail_facets    {payload['tail_facets']}",
-            f"spanning       {payload['spanning']}",
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, "".join(f"{key:<15}{value}\n"
+                            for key, value in payload.items() if key != "note"))
     else:
         _emit_json(args, payload)
     return EXIT_OK
@@ -245,8 +236,8 @@ def cmd_explore(args) -> int:
         "rule": verdict.rule,
         "n_facets": verdict.n_facets,
         "ok": verdict.ok,
-        "counterexample": list(verdict.counterexample) if verdict.counterexample else None,
-        "relocated": [list(t) for t in verdict.relocated],
+        "counterexample": verdict.counterexample,
+        "relocated": verdict.relocated,
     }
     _emit_json(args, payload)
     return EXIT_OK
@@ -261,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graph", help="build and export the graph")
-    _add_common(p)
+    _add_common(p, guarded=False)
     p.add_argument("--format", choices=["edges", "dot", "json"], default="edges")
     p.set_defaults(func=cmd_graph)
 
@@ -290,12 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spanning)
 
     p = sub.add_parser("formulas", help="closed-form counts")
-    _add_common(p)
+    _add_common(p, guarded=False)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_formulas)
 
     p = sub.add_parser("euler", help="reduced Euler characteristic (closed form)")
-    _add_common(p)
+    _add_common(p, guarded=False)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_euler)
 

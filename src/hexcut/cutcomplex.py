@@ -267,7 +267,7 @@ def facets_to_json_dict(cx: CutComplex) -> dict:
     return {
         "k": cx.k,
         "n_vertices": cx.n_vertices,
-        "facet_complements": [list(t) for t in cx.facets],
+        "facet_complements": cx.facets,
     }
 
 

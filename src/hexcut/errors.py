@@ -41,10 +41,6 @@ class NoTailFacets(HexCutError):
     """The instance has no tail facets, so tail-specific checks are vacuous."""
 
 
-class WitnessFailure(HexCutError):
-    """A tabulated blocking vertex fails to obstruct (strict mode only)."""
-
-
 class UnverifiedOrder(HexCutError):
     """Spanning analysis was requested on an order not verified as a shelling."""
 

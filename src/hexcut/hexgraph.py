@@ -299,5 +299,5 @@ def graph_to_json_dict(g: HexGraph) -> dict:
         "m": g.m,
         "n": g.n,
         "vertices": g.n_vertices,
-        "edges": [[u, v] for u, v in g.edges()],
+        "edges": g.edges(),
     }

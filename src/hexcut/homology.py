@@ -337,10 +337,7 @@ def wedge_verdict_to_json_dict(v: WedgeVerdict) -> dict:
     return {
         "m": v.m,
         "n": v.n,
-        "checks": {
-            name: {k: val for k, val in c.items()}
-            for name, c in v.checks.items()
-        },
+        "checks": v.checks,
         "psi": v.psi,
         "dimension": v.dimension,
     }

@@ -54,7 +54,6 @@ from .errors import (
     TailFacetInvariantViolated,
     TailFacetNotFound,
     UnverifiedOrder,
-    WitnessFailure,
 )
 from .hexgraph import Graph, HexGraph, hex_vertex_count
 
@@ -91,13 +90,13 @@ def tail_facet_count(m: int, n: int) -> int:
     return m * n - 2 if m >= 2 else n - 1
 
 
-def tail_facets(m: int, n: int, graph: HexGraph | None = None) -> list[TailFacet]:
+def tail_facets(m: int, n: int, graph: HexGraph) -> list[TailFacet]:
     """The tail facet schedule, strictly increasing in complement-lex order.
 
     Two ranges of centers: for each row k = 1..n-1 the band of m centers
     i+m+(k-1) with (k-1)m < i <= km, then the m-2 top-row centers i+m+n
-    with (n-1)m < i <= nm-2.  When a graph is supplied, every complement
-    is checked to equal the open neighborhood of its center.
+    with (n-1)m < i <= nm-2.  Every complement is checked to equal the open
+    neighborhood of its center in ``graph``.
     """
     hex_vertex_count(m, n)
     h = m + n + m * n
@@ -121,22 +120,21 @@ def tail_facets(m: int, n: int, graph: HexGraph | None = None) -> list[TailFacet
     for prev, cur in zip(out, out[1:]):
         if not prev.complement < cur.complement:
             raise TailFacetInvariantViolated("tail schedule not complement-lex increasing")
-    if graph is not None:
-        for t in out:
-            x1, x2, x3 = t.complement
-            if graph.neighbors(t.center) != t.complement:
-                raise TailFacetInvariantViolated(
-                    f"tail facet {t.index}: complement {t.complement} is not the "
-                    f"neighborhood {graph.neighbors(t.center)} of center {t.center}"
-                )
-            if not (t.center <= graph.v1_boundary and x1 > graph.v1_boundary):
-                raise TailFacetInvariantViolated(
-                    f"tail facet {t.index}: center/complement on wrong sides of the split"
-                )
-            if x3 != x2 + 1:
-                raise TailFacetInvariantViolated(
-                    f"tail facet {t.index}: top two complement entries not consecutive"
-                )
+    for t in out:
+        x1, x2, x3 = t.complement
+        if graph.neighbors(t.center) != t.complement:
+            raise TailFacetInvariantViolated(
+                f"tail facet {t.index}: complement {t.complement} is not the "
+                f"neighborhood {graph.neighbors(t.center)} of center {t.center}"
+            )
+        if not (t.center <= graph.v1_boundary and x1 > graph.v1_boundary):
+            raise TailFacetInvariantViolated(
+                f"tail facet {t.index}: center/complement on wrong sides of the split"
+            )
+        if x3 != x2 + 1:
+            raise TailFacetInvariantViolated(
+                f"tail facet {t.index}: top two complement entries not consecutive"
+            )
     return out
 
 
@@ -153,7 +151,9 @@ class ShellingOrder:
     map: every facet and swap lookup reads it.  Verification and the
     spanning report first check it against ``facets`` and the complex.  The
     tail schedule, when relocated, occupies the last ``len(tail)`` positions
-    in tail-index order.
+    in tail-index order.  A passing :func:`verify_shelling` stores the
+    packed swap table in ``_swaps``; the order is ``verified`` exactly when
+    it holds one.
     """
 
     cx: CutComplex
@@ -161,9 +161,11 @@ class ShellingOrder:
     position: dict[tuple[int, ...], int] = field(repr=False)
     tail: tuple[TailFacet, ...] = ()
     base_count: int = 0
-    verified: bool = False
-    # packed swap table kept by a passing verification, read by spanning_facets
     _swaps: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def verified(self) -> bool:
+        return self._swaps is not None
 
     @property
     def n_facets(self) -> int:
@@ -341,9 +343,11 @@ class VerifyResult:
 
 def _colex_subsets(s: int, k: int) -> np.ndarray:
     """The k-subsets of range(s) in colex order as k rows of int32 indices,
-    so that the first C(t, k) columns are exactly the k-subsets of range(t)."""
-    t = np.array(list(combinations(range(s), k)), dtype=np.int32).reshape(-1, k)
-    return t[np.lexsort(t.T)].T
+    so that the first C(t, k) columns are exactly the k-subsets of range(t).
+    Colex order is the lex order of the mirrored subsets, x -> s - 1 - x,
+    read backwards, so no sort is needed."""
+    t = np.array(list(combinations(range(s), k)), dtype=np.int32).reshape(comb(s, k), k)
+    return (s - 1 - t[::-1, ::-1]).T
 
 
 class _Faces:
@@ -540,27 +544,25 @@ def _first_failure(rows, snaps, lo, faces, choose, subsets) -> tuple[int, int] |
     return i, lo + j
 
 
-def _swap_table(order: ShellingOrder, verify: bool) -> tuple[np.ndarray, tuple[int, int] | None]:
+def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | None]:
     """The packed swap table, bit v of row j set iff v lies in
-    Lambda_{j+1}, in W uint64 words per row, built in blocks of rows.  With
-    ``verify`` each block is checked as it is built, and the build stops at
-    the first block holding a failing row; the failing 0-based (i, j),
-    minimal in (j, i), comes back with the table."""
+    Lambda_{j+1}, in W uint64 words per row, built in blocks of rows.  Each
+    block is checked as it is built, and the build stops at the first block
+    holding a failing row; the failing 0-based (i, j), minimal in (j, i),
+    comes back with the table, whose rows past that block stay zero."""
     N, k = order.n_vertices, order.cx.k
     comp = np.asarray(order.facets, dtype=np.int32).reshape(-1, k)
     faces = _Faces(comp, N)
     eta = len(comp)
-    if verify:
-        choose = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
-        subsets = _colex_subsets(int(np.flatnonzero(choose < eta).max()), k - 1)
+    choose = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
+    subsets = _colex_subsets(int(np.flatnonzero(choose < eta).max(initial=0)), k - 1)
     table = np.zeros((eta, faces.masks.shape[0]), dtype="<u8")
     for lo in range(0, eta, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, eta)
         table[lo:hi], snaps = faces.swap_rows(lo, hi)
-        if verify:
-            failure = _first_failure(table[lo:hi], snaps, lo, faces, choose, subsets)
-            if failure is not None:
-                return table, failure
+        failure = _first_failure(table[lo:hi], snaps, lo, faces, choose, subsets)
+        if failure is not None:
+            return table, failure
     return table, None
 
 
@@ -568,15 +570,16 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     """Check the single-swap shelling condition over every pair i < j.
 
     Returns ok, or the failing pair (i, j) minimal in (j, i) order.  A
-    successful run marks the order as verified.  Row j fails iff an earlier
-    complement lies inside S_j = V - Lambda_j, tested for any k along the
-    cheaper of two paths: a scan of the j earlier complements, or a test of
-    (k-1)-subsets of S_j against bitmasks of the earlier complements that
-    contain them.  The test reads only the subsets that start at or below
-    the last vertex of S_j that starts an earlier complement; with
-    s = |S_j| and L the vertices of S_j up to that one, a row costs
-    min(j, C(s, k - 1) - C(s - L, k - 1)).  Faces are looked up by colex
-    rank in a dense table of C(N, k - 1) cells, or past
+    passing run stores the packed swap table on the order, which marks it
+    verified; a failing one drops any table it held.  Row j fails iff an
+    earlier complement lies inside S_j = V - Lambda_j, tested for any k
+    along the cheaper of two paths: a scan of the j earlier complements, or
+    a test of (k-1)-subsets of S_j against bitmasks of the earlier
+    complements that contain them.  The test reads only the subsets that
+    start at or below the last vertex of S_j that starts an earlier
+    complement; with s = |S_j| and L the vertices of S_j up to that one, a
+    row costs min(j, C(s, k - 1) - C(s - L, k - 1)).  Faces are looked up
+    by colex rank in a dense table of C(N, k - 1) cells, or past
     ``POSITION_TABLE_LIMIT`` by binary search among the sorted ranks.
     ``jobs`` is validated and echoed, and changes nothing.  ``pairs_checked``
     counts the pairs of the O(eta^2) definition, not the work done.
@@ -584,16 +587,12 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     if jobs < 1:
         raise InvalidParams(f"jobs must be >= 1, got {jobs}")
     _check_cover(order)
-    eta = order.n_facets
-    if eta <= 1:
-        order.verified = True
-        return VerifyResult(True, None, 0, jobs)
-    table, failure = _swap_table(order, verify=True)
+    table, failure = _swap_table(order)
+    order._swaps = table if failure is None else None
     if failure is not None:
         i, j = failure
         return VerifyResult(False, (i + 1, j + 1), j * (j + 1) // 2, jobs)
-    order._swaps = table
-    order.verified = True
+    eta = order.n_facets
     return VerifyResult(True, None, eta * (eta - 1) // 2, jobs)
 
 
@@ -620,8 +619,10 @@ class SpanningReport:
     witness_map: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
 
-def spanning_facets(order: ShellingOrder, allow_unverified: bool = False) -> SpanningReport:
-    """Flag each facet as spanning iff its swap set covers the whole facet.
+def spanning_facets(order: ShellingOrder) -> SpanningReport:
+    """Flag each facet as spanning iff its swap set covers the whole facet,
+    read from the swap table that the order's verification stored; raises
+    UnverifiedOrder for an order that holds none.
 
     ``non_spanning_pairs`` lists every pair (x, y) with x < y < N for which
     the triple {x, y, N} is NOT the complement of a spanning facet, whether
@@ -629,11 +630,11 @@ def spanning_facets(order: ShellingOrder, allow_unverified: bool = False) -> Spa
     and no such facet exists.  Spanning facets always put the last vertex
     in their complement, so these pairs determine the spanning count.
     """
-    if not (order.verified or allow_unverified):
-        raise UnverifiedOrder("verify the order first or pass allow_unverified=True")
+    if not order.verified:
+        raise UnverifiedOrder("verify the order first: only a shelling has a spanning report")
     _check_cover(order)
     N = order.n_vertices
-    swaps = order._swaps if order._swaps is not None else _swap_table(order, verify=False)[0]
+    swaps = order._swaps
     flags = tuple(bool(b) for b in (np.bitwise_count(swaps).sum(axis=1) == N - order.cx.k))
 
     spanning_comps = tuple(
@@ -810,12 +811,12 @@ def _typed_witnesses(m: int, n: int) -> list[tuple[tuple[int, int], int, str]]:
     return sorted(((x, y), lam, tag) for (x, y), (lam, tag) in out.items())
 
 
-def non_spanning_witnesses(order: ShellingOrder, strict: bool = False) -> WitnessReport:
+def non_spanning_witnesses(order: ShellingOrder) -> WitnessReport:
     """Check, pair by pair, that the tabulated blocking vertex obstructs the
     spanning condition: every single-entry swap of {x, y, N} toward the
     blocker must be a later facet or no facet at all.
 
-    Refutations are reported, never patched; ``strict`` raises instead.
+    Refutations are reported in ``failures``, never patched or raised.
     """
     g = _require_hex3(order.cx)
     N = order.n_vertices
@@ -851,11 +852,7 @@ def non_spanning_witnesses(order: ShellingOrder, strict: bool = False) -> Witnes
             WitnessEntry((x, y), lam, tag, "refuted" if refuted else "confirmed",
                          tuple(trace))
         )
-    report = WitnessReport(entries)
-    if strict and report.failures:
-        bad = ", ".join(f"{e.pair}->{e.blocker}" for e in report.failures)
-        raise WitnessFailure(f"blocking vertices fail to obstruct: {bad}")
-    return report
+    return WitnessReport(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -956,7 +953,7 @@ def order_to_json_dict(order: ShellingOrder) -> dict:
         out["m"] = g.m
         out["n"] = g.n
     out["k"] = order.cx.k
-    out["order"] = [list(t) for t in order.facets]
+    out["order"] = order.facets
     out["t_tail_start"] = order.base_count + 1
     return out
 
@@ -964,8 +961,8 @@ def order_to_json_dict(order: ShellingOrder) -> dict:
 def spanning_report_to_json_dict(report: SpanningReport) -> dict:
     return {
         "psi": report.psi,
-        "spanning_complements": [list(c) for c in report.spanning_complements],
-        "non_spanning_pairs": [list(p) for p in report.non_spanning_pairs],
+        "spanning_complements": report.spanning_complements,
+        "non_spanning_pairs": report.non_spanning_pairs,
     }
 
 

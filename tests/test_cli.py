@@ -45,6 +45,41 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["graph", "formulas", "euler"])
+def test_force_only_on_guarded_commands(capsys, command):
+    # these commands walk no subsets and build no bitmap, so no guard runs
+    assert main([command, "--m", "1", "--n", "1"]) == 0
+    assert main([command, "--m", "1", "--n", "1", "--force"]) == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
+def test_jobs_below_one_is_a_usage_error(capsys):
+    assert main(["verify", "--m", "1", "--n", "1", "--jobs", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: jobs must be >= 1, got 0\n"
+
+
+def test_facets_csv_equals_the_json_complements(capsys):
+    code, out = run(capsys, "facets", "--m", "1", "--n", "2")
+    assert code == 0
+    expected = "".join(",".join(map(str, c)) + "\n"
+                       for c in json.loads(out)["facet_complements"])
+    code, csv = run(capsys, "facets", "--m", "1", "--n", "2", "--format", "csv")
+    assert code == 0 and csv == expected and csv.count("\n") == 106
+
+
+def test_spanning_csv_equals_the_json_report(capsys):
+    code, out = run(capsys, "spanning", "--m", "2", "--n", "2")
+    assert code == 0
+    doc = json.loads(out)
+    expected = "kind,x,y\n" + "".join(
+        [f"spanning,{c[0]},{c[1]}\n" for c in doc["spanning_complements"]]
+        + [f"non_spanning,{x},{y}\n" for x, y in doc["non_spanning_pairs"]])
+    code, csv = run(capsys, "spanning", "--m", "2", "--n", "2", "--format", "csv")
+    assert code == 0 and csv == expected
+    assert sum(line.startswith("spanning,") for line in csv.splitlines()) == doc["psi"] == 77
+
+
 def test_facets_and_guard(capsys, tmp_path):
     code, out = run(capsys, "facets", "--m", "1", "--n", "1")
     assert code == 0
@@ -165,6 +200,17 @@ def test_formulas(capsys):
     code, out = run(capsys, "formulas", "--m", "1", "--n", "1", "--format", "text")
     assert code == 0
     assert "spanning       4" in out
+
+
+def test_formulas_text_lines(capsys):
+    code, out = run(capsys, "formulas", "--m", "4", "--n", "6", "--format", "text")
+    assert code == 0
+    assert out == ("vertices       68\n"
+                   "top_dimension  64\n"
+                   "induced_p3     160\n"
+                   "facets         49956\n"
+                   "tail_facets    22\n"
+                   "spanning       2051\n")
 
 
 def test_euler(capsys):

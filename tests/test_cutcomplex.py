@@ -192,7 +192,7 @@ def test_exports_deterministic():
     doc = facets_to_json_dict(cx)
     assert doc["k"] == 3 and doc["n_vertices"] == 6
     assert len(doc["facet_complements"]) == 14
-    assert doc["facet_complements"] == sorted(doc["facet_complements"])
+    assert list(doc["facet_complements"]) == sorted(doc["facet_complements"])
     csv = facets_to_csv(cx)
     assert len(csv.splitlines()) == 14
     assert facets_to_csv(cx) == csv

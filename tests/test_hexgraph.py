@@ -57,8 +57,10 @@ def test_bad_params_rejected():
     non_spanning_pair_table, _typed_witnesses,
 ], ids=lambda f: f.__name__)
 def test_every_grid_entry_point_admits_only_positive_integers(build, m, n):
+    # tail_facets also takes the graph that its schedule is checked against
+    graph = (build_hex_graph(1, 1),) if build is tail_facets else ()
     with pytest.raises(InvalidParams):
-        build(m, n)
+        build(m, n, *graph)
 
 
 def test_worked_adjacencies_4_6():

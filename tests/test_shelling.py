@@ -21,6 +21,7 @@ from hexcut import (
     OrdinalOutOfRange,
     TailFacetInvariantViolated,
     TailFacetNotFound,
+    UnverifiedOrder,
     build_hex_graph,
     cycle_graph,
     enumerate_facets,
@@ -88,8 +89,8 @@ def test_tail_facets_1_2():
 
 
 def test_tail_facets_empty_cases():
-    assert tail_facets(1, 1) == []
-    assert tail_facets(2, 1) == []
+    assert tail_facets(1, 1, build_hex_graph(1, 1)) == []
+    assert tail_facets(2, 1, build_hex_graph(2, 1)) == []
 
 
 def test_tail_facets_4_6_are_neighborhoods():
@@ -114,6 +115,11 @@ def test_tail_facets_validation_catches_wrong_graph():
     broken = HexGraph(1, 2, [e for e in hex_edges(1, 2) if e != (2, 8)])
     with pytest.raises(TailFacetInvariantViolated):
         tail_facets(1, 2, broken)
+
+
+def test_tail_facets_require_a_graph():
+    with pytest.raises(TypeError):
+        tail_facets(1, 2)
 
 
 def test_order_1_1_plain_sorted():
@@ -259,24 +265,38 @@ def test_any_k_verifier_and_report_match_oracles(case):
     full = dict(zip(oracle_facet_complements(g, k), oracle_full_facets(g, k)))
     assert set(full) == set(seq)
     facet_sets = [full[c] for c in seq]
+    order = _order_of(cx, seq)
     with mock.patch.multiple(shelling, **patches):
-        res = verify_shelling(_order_of(cx, seq))
-        report = spanning_facets(_order_of(cx, seq), allow_unverified=True)
+        res = verify_shelling(order)
     assert (res.ok, res.counterexample) == oracle_is_shelling(facet_sets)
-    assert list(report.spanning_flags) == oracle_spanning_flags(facet_sets)
+    # only a passing order carries a swap table, and so a spanning report
+    assert order.verified == res.ok == (order._swaps is not None)
+    if res.ok:
+        report = spanning_facets(order)
+        assert list(report.spanning_flags) == oracle_spanning_flags(facet_sets)
+    else:
+        with pytest.raises(UnverifiedOrder):
+            spanning_facets(order)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_k_orders())
 def test_packed_swap_rows_equal_swap_set(case):
-    # every row of the packed table, unpacked, is the one-row reference
+    # every row of the packed table up to the end of the block holding the
+    # failure, unpacked, is the one-row reference; the rows after it are
+    # never built
     cx, seq, patches = case
     order = _order_of(cx, seq)
     with mock.patch.multiple(shelling, **patches):
-        table = shelling._swap_table(order, verify=False)[0]
+        table, failure = shelling._swap_table(order)
+    built = len(table)
+    if failure is not None:
+        block = patches["_BLOCK_ROWS"]
+        built = min(built, (failure[1] // block + 1) * block)
     bits = np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")
-    for j in range(1, order.n_facets + 1):
+    for j in range(1, built + 1):
         assert set(np.flatnonzero(bits[j - 1]).tolist()) == swap_set(order, j)
+    assert not bits[built:].any()
 
 
 def test_offender_live_only_inside_its_sub_block():
@@ -386,7 +406,7 @@ def test_verifier_matches_oracle_on_perturbed_orders(case):
 def _h33_failing_orders():
     cx = _complex(3, 3)
     plain = shelling_order(cx, relocate_tail=False)
-    first_tail = min(plain.position[t.complement] for t in tail_facets(3, 3))
+    first_tail = min(plain.position[t.complement] for t in tail_facets(3, 3, cx.graph))
     yield "plain", plain, first_tail
     for idx in range(1, tail_facet_count(3, 3) + 1):
         order, spot = order_with_tail_reinserted(cx, idx)
@@ -402,7 +422,7 @@ def test_h33_failing_orders_match_row_brute_force(jobs):
         assert (res.ok, res.counterexample) == (False, (i, j)), label
         # rows before the failure take both paths: C(|S_j|, k - 1) prefix
         # bitmask tests and pair scans
-        rows = shelling._swap_table(order, verify=False)[0][: j - 1]
+        rows = shelling._swap_table(order)[0][: j - 1]
         size = order.n_vertices - np.bitwise_count(rows).sum(axis=1)
         by_prefixes = size * (size - 1) // 2 < range(j - 1)
         assert by_prefixes.any() and not by_prefixes.all(), label
@@ -460,18 +480,18 @@ def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
     assert order._swaps is not None
     assert twin == order and repr(twin) == repr(order)
 
-    # a failing order stops at the block holding the failure, keeps no
-    # table, and an unverified spanning report builds a whole one
+    # a failing order stops at the block holding the failure and keeps no
+    # table, so its spanning report is refused without building a row
     plain = shelling_order(cx, relocate_tail=False)
     built.clear()
     res = verify_shelling(plain)
     j0 = res.counterexample[1] - 1
-    assert not res.ok and plain._swaps is None
+    assert not res.ok and plain._swaps is None and not plain.verified
     assert sorted(built) == list(range(min(plain.n_facets, (j0 // 64 + 1) * 64)))
     built.clear()
-    report = spanning_facets(plain, allow_unverified=True)
-    assert sorted(built) == list(range(plain.n_facets))
-    assert list(report.spanning_flags) == oracle_spanning_flags(_facet_sets(cx, plain.facets))
+    with pytest.raises(UnverifiedOrder):
+        spanning_facets(plain)
+    assert built == []
 
 
 def test_k3_past_130_vertices_is_refuted_without_python_rows(monkeypatch):
@@ -524,13 +544,19 @@ def test_explore_with_k_near_n(limit):
 
 def test_sorted_keys_match_the_dense_table(capsys):
     cx = _complex(1, 2)
+
+    def verified_report():
+        order = shelling_order(cx)
+        assert verify_shelling(order).ok
+        return spanning_facets(order)
+
     dense = [verify_shelling(shelling_order(cx, rel)) for rel in (True, False)]
-    report = spanning_facets(shelling_order(cx, False), allow_unverified=True)
+    report = verified_report()
     main(["explore", "--m", "1", "--n", "2", "--k", "4"])
     out = capsys.readouterr().out
     with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", 1):
         assert [verify_shelling(shelling_order(cx, rel)) for rel in (True, False)] == dense
-        assert spanning_facets(shelling_order(cx, False), allow_unverified=True) == report
+        assert verified_report() == report
         assert main(["explore", "--m", "1", "--n", "2", "--k", "4"]) == 0
     assert capsys.readouterr().out == out
     assert not dense[1].ok and report.witness_map
@@ -538,8 +564,12 @@ def test_sorted_keys_match_the_dense_table(capsys):
 
 @pytest.mark.parametrize("defect", ["missing", "duplicate", "swapped-position"])
 def test_incomplete_order_rejected(defect):
+    # a verified order whose fields change afterwards keeps its swap table;
+    # both the verifier and the spanning report check the order again
     cx = enumerate_facets(build_hex_graph(1, 1), 3)
-    facets = shelling_order(cx).facets
+    order = shelling_order(cx)
+    assert verify_shelling(order).ok
+    facets = order.facets
     if defect == "missing":
         facets = facets[:-1]
     elif defect == "duplicate":  # the first facet again in place of the last
@@ -548,11 +578,12 @@ def test_incomplete_order_rejected(defect):
     if defect == "swapped-position":  # facets intact, two ordinals exchanged
         a, b = facets[0], facets[-1]
         position[a], position[b] = position[b], position[a]
-    broken = ShellingOrder(cx=cx, facets=facets, position=position)
+    broken = dataclasses.replace(order, facets=facets, position=position)
+    assert broken.verified
     with pytest.raises(IncompleteOrder):
         verify_shelling(broken)
     with pytest.raises(IncompleteOrder):
-        spanning_facets(broken, allow_unverified=True)
+        spanning_facets(broken)
 
 
 def test_tail_obstruction_confirmed():
@@ -582,7 +613,7 @@ def test_reinsertion_without_a_tail_facet_refused(t):
     # H(2, 2) without tail facet 2: moving it to the end, or reinserting it,
     # must not yield an order that holds a non-facet
     cx = _complex(2, 2)
-    gone = tail_facets(2, 2)[1].complement
+    gone = tail_facets(2, 2, cx.graph)[1].complement
     doctored = CutComplex(graph=cx.graph, k=3, facets=tuple(f for f in cx.facets if f != gone))
     with pytest.raises(TailFacetNotFound):
         order_with_tail_reinserted(doctored, t)
@@ -593,7 +624,7 @@ def test_every_single_reinsertion_follows_the_order_rule(m, n):
     # the sorted complements without the other tails, then those tails in
     # schedule order; the reinserted facet keeps its sorted place
     cx = _complex(m, n)
-    tail = tail_facets(m, n)
+    tail = tail_facets(m, n, cx.graph)
     for t in range(1, len(tail) + 1):
         others = [x for x in tail if x.index != t]
         moved = [x.complement for x in others]
@@ -660,7 +691,7 @@ def test_order_export():
     doc = order_to_json_dict(order)
     assert doc["m"] == 1 and doc["n"] == 2 and doc["k"] == 3
     assert doc["t_tail_start"] == 106
-    assert doc["order"][-1] == [6, 8, 9]
+    assert doc["order"][-1] == (6, 8, 9)
     assert len(doc["order"]) == 106
 
 

@@ -1,14 +1,17 @@
 """Spanning facets, the tabulated pair families, and blocking vertices."""
 
+import dataclasses
 from unittest import mock
 
 import pytest
 
 from hexcut import (
+    Graph,
     InvalidParams,
     UnverifiedOrder,
     build_hex_graph,
     check_spanning_structure,
+    cycle_graph,
     enumerate_facets,
     non_spanning_pair_table,
     non_spanning_witnesses,
@@ -17,6 +20,7 @@ from hexcut import (
     spanning_count_formula,
     spanning_facets,
     swap_set,
+    verify_shelling,
 )
 from hexcut.shelling import (
     ShellingOrder,
@@ -63,35 +67,76 @@ def test_psi_values(instance, m, n, psi):
 def test_requires_verified_order():
     cx = enumerate_facets(build_hex_graph(1, 1), 3)
     order = shelling_order(cx)
+    assert not order.verified
     with pytest.raises(UnverifiedOrder):
         spanning_facets(order)
-    report = spanning_facets(order, allow_unverified=True)
-    assert report.psi == 4
+    assert verify_shelling(order).ok and order.verified
+    assert spanning_facets(order).psi == 4
 
 
-@pytest.mark.parametrize("m,n,k", [(1, 2, 3), (2, 2, 3), (1, 2, 4)])
-def test_unverified_report_matches_swap_set_rows(m, n, k):
-    # an unverified order keeps no swap table, so the report builds one, from
-    # the dense table or the sorted keys; it must agree with the one-row
-    # reference swap_set on every row
-    cx = enumerate_facets(build_hex_graph(m, n), k)
+def test_verified_is_exactly_a_stored_table():
+    # verified is read from the swap table, never set on its own
+    assert "verified" not in {f.name for f in dataclasses.fields(ShellingOrder)}
+    cx = enumerate_facets(build_hex_graph(1, 2), 3)
+    order = shelling_order(cx)
+    with pytest.raises(AttributeError):
+        order.verified = True
+    assert verify_shelling(order).ok and order.verified
+    # the same table on a failing order: verifying it again drops the table
+    sorted_order = shelling_order(cx, relocate_tail=False)
+    plain = dataclasses.replace(order, facets=sorted_order.facets,
+                                position=sorted_order.position)
+    assert plain.verified
+    assert not verify_shelling(plain).ok
+    assert not plain.verified and plain._swaps is None
+    with pytest.raises(UnverifiedOrder):
+        spanning_facets(plain)
+
+
+def _revlex_order(cx):
     seq = sorted(cx.facets)
-    order = ShellingOrder(cx=cx, facets=tuple(seq),
-                          position={f: i + 1 for i, f in enumerate(seq)})
-    report = spanning_facets(order, allow_unverified=True)
+    return ShellingOrder(cx=cx, facets=tuple(seq),
+                         position={f: i + 1 for i, f in enumerate(seq)})
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("N", [8, 9, 10])
+def test_report_matches_swap_set_rows(N, k):
+    # revlex shells the k-cut complex of the N-cycle; the report read from
+    # the table that verification kept, built through the dense table or the
+    # sorted keys, must agree with the one-row reference swap_set on every row
+    cx = enumerate_facets(cycle_graph(N), k)
+    order = _revlex_order(cx)
+    assert verify_shelling(order).ok
+    report = spanning_facets(order)
     with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", 1):
-        assert spanning_facets(order, allow_unverified=True) == report
-    N = cx.n_vertices
+        twin = _revlex_order(cx)
+        assert verify_shelling(twin).ok
+    assert spanning_facets(twin) == report
     rows = [swap_set(order, j) for j in range(1, order.n_facets + 1)]
     flags = tuple(len(r) == N - k for r in rows)
     witness = {}
-    for c, r, flag in zip(seq, rows, flags):
+    for c, r, flag in zip(order.facets, rows, flags):
         outside = [v for v in range(1, N + 1) if v not in r and v not in c]
         if not flag and len(c) == 3 and c[2] == N and outside:
             witness[(c[0], c[1])] = min(outside)
     assert report.spanning_flags == flags
     assert report.witness_map == witness
     assert bool(witness) == (k == 3)
+
+
+def test_one_facet_complex_has_no_spanning_facet():
+    # the path 1-2-3 at k = 2 has the single facet {2}; its swap set is
+    # empty, so it does not span, and the report reads the stored table
+    cx = enumerate_facets(Graph(3, [(1, 2), (2, 3)]), 2)
+    order = _revlex_order(cx)
+    assert cx.facets == ((1, 3),)
+    res = verify_shelling(order)
+    assert (res.ok, res.pairs_checked) == (True, 0)
+    assert order._swaps is not None and not order._swaps.any()
+    report = spanning_facets(order)
+    assert (report.spanning_flags, report.psi) == ((False,), 0)
+    assert report.non_spanning_pairs == ((1, 2),)
 
 
 def test_non_spanning_pair_count_is_triple_count(instance):
@@ -112,6 +157,21 @@ def test_spanning_structure_rule(instance):
         assert check_spanning_structure(bundle.order, bundle.report)
         N = bundle.g.n_vertices
         assert all(c[2] == N for c in bundle.report.spanning_complements)
+
+
+def test_spanning_structure_rule_rejects_each_break(instance):
+    bundle = instance(1, 2)
+    order, report = bundle.order, bundle.report
+    # a spanning complement without the last vertex
+    moved = dataclasses.replace(
+        report, spanning_complements=report.spanning_complements + ((1, 2, 3),))
+    assert not check_spanning_structure(order, moved)
+    # the tail facet flagged as spanning
+    (t,) = order.tail
+    flags = list(report.spanning_flags)
+    flags[order.position[t.complement] - 1] = True
+    assert not check_spanning_structure(
+        order, dataclasses.replace(report, spanning_flags=tuple(flags)))
 
 
 def test_table_smallest_case_exact(instance):
@@ -186,10 +246,16 @@ def test_witness_refutations_are_reported_not_raised(instance):
     report = non_spanning_witnesses(bundle.order)
     refuted = {e.pair for e in report.failures}
     assert (1, 2) in refuted  # its tabulated blocker admits an earlier swap
-    from hexcut import WitnessFailure
 
-    with pytest.raises(WitnessFailure):
-        non_spanning_witnesses(bundle.order, strict=True)
+
+def test_witness_blocker_inside_the_triple_is_invalid(instance):
+    # H(3, 3) tabulates blocker N = 30 for the pair (25, 29), whose triple
+    # {25, 29, 30} is a facet that already holds it
+    report = non_spanning_witnesses(instance(3, 3, verify=False).order)
+    invalid = [e for e in report.entries if e.status == "invalid_witness"]
+    assert [(e.pair, e.blocker, e.type_tag, e.trace) for e in invalid] == [
+        ((25, 29), 30, "3c", ("blocker 30 not available for (25, 29, 30)",))]
+    assert invalid[0] not in report.failures
 
 
 def test_witness_traces_cover_all_three_swaps(instance):
@@ -205,7 +271,7 @@ def test_report_exports(instance):
     doc = spanning_report_to_json_dict(bundle.report)
     assert doc["psi"] == 4
     assert len(doc["non_spanning_pairs"]) == 6
-    assert doc["non_spanning_pairs"] == sorted(doc["non_spanning_pairs"])
+    assert list(doc["non_spanning_pairs"]) == sorted(doc["non_spanning_pairs"])
     csv = spanning_report_to_csv(bundle.report)
     assert csv.splitlines()[0] == "kind,x,y"
     assert csv.count("non_spanning") == 6

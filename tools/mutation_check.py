@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check for the shelling verifier, standard library only.
+"""Mutation check for the shelling verifier and the spanning report,
+standard library only.
 
 Copies ``src/`` to a temporary directory, applies one small change to the
 copy of ``shelling.py`` at a time by exact string replacement, and runs
@@ -49,6 +50,14 @@ MUTANTS = {
     "_pairwise_ok: >= becomes >": (
         "    return (meet != 0) | (np.arange(upto) >= ords[:, None])\n",
         "    return (meet != 0) | (np.arange(upto) > ords[:, None])\n",
+    ),
+    "verified without a swap table": (
+        "        return self._swaps is not None\n",
+        "        return True\n",
+    ),
+    "spanning flag: == N - k becomes >= N - k - 1": (
+        "(np.bitwise_count(swaps).sum(axis=1) == N - order.cx.k)",
+        "(np.bitwise_count(swaps).sum(axis=1) >= N - order.cx.k - 1)",
     ),
 }
 
