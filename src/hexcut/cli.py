@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from itertools import chain
 
 from . import __version__
 from .cutcomplex import (
@@ -82,10 +83,54 @@ def _emit(args, text: str) -> None:
         fh.write(text)
 
 
+_ROW_BLOCK = 4096  # rows of an int-tuple list formatted per write
+
+
+def _int_rows(value) -> bool:
+    """True iff ``value`` is a non-empty list or tuple of equal-length,
+    non-empty tuples whose items are exactly ``int`` (not bool, not numpy)."""
+    return (
+        isinstance(value, (list, tuple))
+        and bool(value)
+        and set(map(type, value)) == {tuple}
+        and len(set(map(len, value))) == 1
+        and set(map(type, chain.from_iterable(value))) == {int}
+    )
+
+
+def _write_rows(fh, rows) -> None:
+    """``rows`` as ``json.dumps(rows, indent=2)`` writes it one level deep,
+    from one ``%d`` row template, a block of rows per write."""
+    template = "    [\n" + ",\n".join(["      %d"] * len(rows[0])) + "\n    ]"
+    fh.write("[\n")
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        fh.write(",\n" if lo else "")
+        fh.write(",\n".join(map(template.__mod__, rows[lo:lo + _ROW_BLOCK])))
+    fh.write("\n  ]")
+
+
+def _write_json(fh, obj) -> None:
+    """The bytes of ``json.dump(obj, fh, indent=2)``.  A dict with string
+    keys is written key by key: lists of int tuples through
+    :func:`_write_rows`, any other value through ``json.dumps`` re-indented
+    one level; so a large document is streamed, never held as one string,
+    and the pure-Python encoder never walks its rows."""
+    if not (isinstance(obj, dict) and obj and set(map(type, obj)) == {str}):
+        json.dump(obj, fh, indent=2)
+        return
+    fh.write("{")
+    for i, (key, value) in enumerate(obj.items()):
+        fh.write(f"{',' if i else ''}\n  {json.dumps(key)}: ")
+        if _int_rows(value):
+            _write_rows(fh, value)
+        else:
+            fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+    fh.write("\n}")
+
+
 def _emit_json(args, payload: dict) -> None:
-    # streamed, so a large document is never held as one string
     with _output(args) as fh:
-        json.dump(_envelope(args, payload), fh, indent=2)
+        _write_json(fh, _envelope(args, payload))
         fh.write("\n")
 
 

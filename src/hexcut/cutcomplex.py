@@ -10,8 +10,9 @@ complement arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
 
 import numpy as np
@@ -49,8 +50,8 @@ def check_subset_count(n_vertices: int, k: int, force: bool = False) -> None:
     """Reject a cut size outside [1, N-1], then refuse, unless ``force``, to
     walk more than ``FACET_SUBSET_GUARD`` k-subsets of the N vertices.
 
-    C(N, k) is the number of Python calls :func:`enumerate_facets` makes,
-    and it bounds the facets, so the swap-table rows and the faces too.
+    C(N, k) is the number of subsets :func:`enumerate_facets` tests, and it
+    bounds the facets, so the swap-table rows and the faces too.
     """
     if not 1 <= k <= n_vertices - 1:
         raise InvalidParams(f"k={k} outside [1,{n_vertices - 1}]")
@@ -129,18 +130,51 @@ class CutComplex:
         return self.n_vertices - self.k - 1
 
 
+def _sparse_slabs(g: Graph, k: int) -> Iterator[Iterator[tuple[int, ...]]]:
+    """The k-subsets, k <= 3, that induce fewer than k - 1 edges: one
+    iterator of tuples per first vertex a, so that, chained, they list the
+    subsets in ascending lex order without an intermediate list.  For these
+    k that is exactly induced disconnectedness (Bayer et al., "Topology of
+    cut complexes of graphs", 2024): a connected graph on k vertices has at
+    least k - 1 edges, and two distinct edges among three vertices share a
+    vertex, so they span all three.
+
+    One int8 adjacency matrix; for each a, the (k-1)-subsets above a are one
+    contiguous slab of a lex-ordered table, and their edge counts come from
+    numpy sums over that slab.
+    """
+    N = g.n_vertices
+    if k == 1:
+        return
+    adj = np.zeros((N + 1, N + 1), dtype=np.int8)
+    u, v = np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
+    adj[u, v] = adj[v, u] = 1
+    # the (k-1)-subsets of [1, N] in lex order, one array per place
+    rest = [c + 1 for c in np.triu_indices(N, 1)] if k == 3 else [np.arange(1, N + 1)]
+    inner = adj[rest[0], rest[1]] if k == 3 else np.zeros(N, dtype=np.int8)
+    for a in range(1, N + 1):
+        lo = int(np.searchsorted(rest[0], a, side="right"))
+        cols = [c[lo:] for c in rest]
+        keep = sum(adj[a, c] for c in cols) + inner[lo:] < k - 1
+        yield zip(repeat(a), *(c[keep].tolist() for c in cols))
+
+
 def enumerate_facets(g: Graph, k: int) -> CutComplex:
-    """Test every k-subset for induced disconnectedness; the disconnected
-    ones become facet complements, listed in ascending lexicographic order.
-    Only the k range of :func:`check_subset_count` is checked here, not its
-    size guard."""
+    """The disconnected k-subsets as facet complements, listed in ascending
+    lexicographic order.  For k <= 3 they are selected by induced edge
+    counts in numpy (:func:`_sparse_slabs`); for larger k each k-subset is
+    tested with one Python call.  Only the k range of
+    :func:`check_subset_count` is checked here, not its size guard."""
     N = g.n_vertices
     check_subset_count(N, k, force=True)
-    facets = tuple(
-        t
-        for t in combinations(range(1, N + 1), k)
-        if _subset_disconnected(g, t)
-    )
+    if k <= 3:
+        facets = tuple(chain.from_iterable(_sparse_slabs(g, k)))
+    else:
+        facets = tuple(
+            t
+            for t in combinations(range(1, N + 1), k)
+            if _subset_disconnected(g, t)
+        )
     return CutComplex(graph=g, k=k, facets=facets)
 
 

@@ -39,9 +39,9 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, count
+from itertools import combinations, compress, count
 from math import comb
-from operator import eq
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -633,16 +633,19 @@ def spanning_facets(order: ShellingOrder) -> SpanningReport:
     if not order.verified:
         raise UnverifiedOrder("verify the order first: only a shelling has a spanning report")
     _check_cover(order)
-    N = order.n_vertices
-    swaps = order._swaps
-    flags = tuple(bool(b) for b in (np.bitwise_count(swaps).sum(axis=1) == N - order.cx.k))
+    N, k = order.n_vertices, order.cx.k
+    swaps, facets = order._swaps, order.facets
+    span = np.bitwise_count(swaps).sum(axis=1) == N - k
+    flags = tuple(map(bool, span))
+    spanning_comps = tuple(compress(facets, flags))
 
-    spanning_comps = tuple(
-        order.facets[j] for j in range(order.n_facets) if flags[j]
-    )
-    span_pairs = {
-        (c[0], c[1]) for c in spanning_comps if len(c) == 3 and c[2] == N
-    }
+    # the rows whose complement is {x, y, N}, selected by mask; only the
+    # non-spanning ones are unpacked, for the witness map
+    ends = np.zeros(len(facets), dtype=bool)
+    if k == 3:
+        ends = np.fromiter(map(N.__eq__, map(itemgetter(2), facets)), dtype=bool,
+                           count=len(facets))
+    span_pairs = {facets[j][:2] for j in np.flatnonzero(span & ends).tolist()}
     non_spanning = tuple(
         (x, y)
         for x in range(1, N)
@@ -650,15 +653,17 @@ def spanning_facets(order: ShellingOrder) -> SpanningReport:
         if (x, y) not in span_pairs
     )
 
-    witness: dict[tuple[int, int], int] = {}
-    for j in range(order.n_facets):
-        c = order.facets[j]
-        if flags[j] or len(c) != 3 or c[2] != N:
-            continue
-        row = np.unpackbits(swaps[j].view(np.uint8), bitorder="little")
-        outside = [v for v in range(1, N + 1) if not row[v] and v not in c]
-        if outside:
-            witness[(c[0], c[1])] = min(outside)
+    rows = np.flatnonzero(ends & ~span).tolist()
+    # bit v of a row: v is in the swap set, in the complement, or v = 0
+    inside = np.unpackbits(swaps[rows].view(np.uint8), axis=1, bitorder="little")[:, :N + 1]
+    inside[:, 0] = 1
+    comp = np.array([facets[j] for j in rows], dtype=np.intp).reshape(len(rows), k)
+    inside[np.arange(len(rows))[:, None], comp] = 1
+    witness = {
+        facets[j][:2]: v
+        for j, v, full in zip(rows, inside.argmin(axis=1).tolist(), inside.all(axis=1).tolist())
+        if not full
+    }
     return SpanningReport(
         spanning_flags=flags,
         psi=sum(flags),

@@ -1,10 +1,15 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexcut import build_hex_graph, wedge_check
+from hexcut import cli
 from hexcut.cli import main
 
 from conftest import oracle_full_facets, oracle_row_violation
@@ -292,3 +297,102 @@ def test_out_file_equals_stdout(capsysbinary, tmp_path, argv):
     assert main(argv + ["--out", str(path)]) == 0
     assert capsysbinary.readouterr().out == b""
     assert path.read_bytes() == out and out.endswith(b"}\n")
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer gives the bytes of json.dump(..., indent=2) + "\n"
+# ---------------------------------------------------------------------------
+
+def _written(write, obj):
+    """The text ``write`` puts in a buffer for ``obj``, or, if it raises,
+    the exception type and message (partial output is not compared)."""
+    fh = io.StringIO()
+    try:
+        write(fh, obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return fh.getvalue()
+
+
+def _json_dump(fh, obj):
+    json.dump(obj, fh, indent=2)
+
+
+_ITEMS = st.one_of(st.integers(-(10 ** 20), 10 ** 20), st.integers(-3, 3), st.booleans(),
+                   st.integers(-3, 3).map(np.int64))
+_ROWS = st.one_of(
+    st.integers(0, 4).flatmap(lambda w: st.lists(st.tuples(*[_ITEMS] * w), max_size=6)),
+    st.lists(st.lists(_ITEMS, max_size=4).map(tuple), max_size=6),  # ragged
+    st.lists(st.lists(st.integers(0, 99), min_size=2, max_size=2), max_size=4),  # list rows
+)
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+              _ROWS, _ROWS.map(tuple)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12,
+)
+_DOCS = st.one_of(st.dictionaries(st.text(max_size=8), _VALUES, max_size=6),
+                  st.dictionaries(st.integers(), _VALUES, max_size=3), _VALUES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOCS)
+def test_writer_equals_json_dump(doc):
+    assert _written(cli._write_json, doc) == _written(_json_dump, doc)
+
+
+def test_writer_row_edge_cases():
+    rows = ((1, 2, 3), (-4, 10 ** 30, 6))
+    for doc in ({"rows": rows}, {"rows": list(rows)}, {"e": [], "t": (), "u": ((),)},
+                {"b": ((1, True),)}, {"r": ((1, 2), (3,))},
+                {"x": ((np.int64(1), 2),)}, {"é\u2028": ((1,), (2, 3))},
+                {"none": None, "nested": {"rows": rows}}, {}, {"a": 1}):
+        assert _written(cli._write_json, doc) == _written(_json_dump, doc)
+    assert _written(cli._write_json, {"x": ((np.int64(1), 2),)})[0] is TypeError
+    # more rows than one block
+    doc = {"rows": tuple((i, i + 1, -i) for i in range(2 * cli._ROW_BLOCK + 5)), "z": 0}
+    assert _written(cli._write_json, doc) == _written(_json_dump, doc)
+
+
+def _emitted(monkeypatch, tmp_path, argv):
+    """The bytes a command writes with --out, and json.dump of its envelope."""
+    envelopes = []
+    envelope = cli._envelope
+    monkeypatch.setattr(cli, "_envelope",
+                        lambda args, payload: envelopes.append(envelope(args, payload))
+                        or envelopes[-1])
+    path = tmp_path / "doc.json"
+    main(argv + ["--out", str(path)])
+    (doc,) = envelopes
+    return path.read_text(encoding="utf-8"), _written(_json_dump, doc) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--m", "2", "--n", "2", "--format", "json"],
+        ["facets", "--m", "1", "--n", "2"],
+        ["facets", "--m", "1", "--n", "2", "--k", "1"],
+        ["facets", "--m", "1", "--n", "2", "--k", "4"],
+        ["order", "--m", "2", "--n", "2"],
+        ["order", "--m", "2", "--n", "2", "--no-relocate-t"],
+        ["verify", "--m", "2", "--n", "2"],
+        ["verify", "--m", "2", "--n", "2", "--no-relocate-t"],
+        ["spanning", "--m", "2", "--n", "2"],
+        ["formulas", "--m", "3", "--n", "3"],
+        ["euler", "--m", "3", "--n", "4", "--format", "json"],
+        ["homology", "--m", "1", "--n", "2"],
+        ["homology", "--m", "1", "--n", "1", "--wedge"],
+        ["explore", "--m", "1", "--n", "1", "--k", "2"],
+        ["explore", "--m", "1", "--n", "2", "--k", "4", "--rule", "revlex-with-neighborhood-tail"],
+    ],
+)
+def test_every_json_command_writes_json_dump_bytes(monkeypatch, tmp_path, argv):
+    written, expected = _emitted(monkeypatch, tmp_path, argv)
+    assert written == expected
+
+
+def test_order_4_6_writes_json_dump_bytes(monkeypatch, tmp_path):
+    written, expected = _emitted(monkeypatch, tmp_path, ["order", "--m", "4", "--n", "6", "--force"])
+    assert written == expected and len(written) == 2_078_411

@@ -1,6 +1,7 @@
 """Facet enumeration, face queries, f-vectors."""
 
 import random
+from itertools import combinations
 from math import comb
 from unittest import mock
 
@@ -86,11 +87,45 @@ def test_k_out_of_range():
         enumerate_facets(g, 6)
 
 
+
+
+def _filtered(g, k):
+    """The k-subsets that the one-call-per-subset test calls disconnected."""
+    return tuple(t for t in combinations(range(1, g.n_vertices + 1), k)
+                 if cutcomplex._subset_disconnected(g, t))
+
+
+def _assert_same_facets(cx, expected):
+    assert cx.facets == expected
+    assert all(type(t) is tuple and type(v) is int for t in cx.facets for v in t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_edge_count_enumeration_equals_the_subset_test(data):
+    # k <= 3 is read from induced edge counts in numpy; it must give the
+    # same tuple, in the same order, as the per-subset test
+    n = data.draw(st.integers(2, 12), label="n")
+    k = data.draw(st.integers(1, min(3, n - 1)), label="k")
+    edges = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                               .filter(lambda e: e[0] != e[1]), max_size=3 * n),
+                      label="edges")
+    g = Graph(n, edges)
+    _assert_same_facets(enumerate_facets(g, k), _filtered(g, k))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (4, 6)])
+def test_hex_enumeration_equals_the_subset_test(m, n):
+    g = build_hex_graph(m, n)
+    for k in (1, 2, 3):
+        _assert_same_facets(enumerate_facets(g, k), _filtered(g, k))
+
+
 def test_general_k_matches_oracle():
-    g = build_hex_graph(1, 2)
-    for k in (2, 4, 5):
-        cx = enumerate_facets(g, k)
-        assert list(cx.facets) == oracle_facet_complements(g, k)
+    # k = 2 is read from edge counts, k = 4, 5 from one test per subset
+    for g in (build_hex_graph(1, 2), build_hex_graph(2, 1), cycle_graph(9)):
+        for k in (2, 4, 5):
+            _assert_same_facets(enumerate_facets(g, k), tuple(oracle_facet_complements(g, k)))
 
 
 def test_is_face_standard_six_cycle():

@@ -125,6 +125,31 @@ def test_report_matches_swap_set_rows(N, k):
     assert bool(witness) == (k == 3)
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (2, 3)])
+def test_hex_report_equals_the_row_by_row_reference(instance, m, n):
+    # every field of the report, selected by masks over the stored table,
+    # equals one built row by row from swap_set, Python types included
+    order, report = instance(m, n).order, instance(m, n).report
+    N = order.n_vertices
+    rows = [swap_set(order, j) for j in range(1, order.n_facets + 1)]
+    flags = tuple(len(r) == N - 3 for r in rows)
+    spanning = tuple(c for c, flag in zip(order.facets, flags) if flag)
+    witness = {}
+    for c, r, flag in zip(order.facets, rows, flags):
+        outside = [v for v in range(1, N + 1) if v not in r and v not in c]
+        if not flag and c[2] == N and outside:
+            witness[(c[0], c[1])] = min(outside)
+    pairs = {c[:2] for c in spanning if c[2] == N}
+    assert report.spanning_flags == flags
+    assert report.psi == sum(flags) and type(report.psi) is int
+    assert report.spanning_complements == spanning
+    assert report.non_spanning_pairs == tuple(
+        (x, y) for x in range(1, N) for y in range(x + 1, N) if (x, y) not in pairs)
+    assert report.witness_map == witness
+    assert all(type(f) is bool for f in report.spanning_flags)
+    assert all(type(v) is int for key in witness for v in (*key, witness[key]))
+
+
 def test_one_facet_complex_has_no_spanning_facet():
     # the path 1-2-3 at k = 2 has the single facet {2}; its swap set is
     # empty, so it does not span, and the report reads the stored table

@@ -56,8 +56,8 @@ MUTANTS = {
         "        return True\n",
     ),
     "spanning flag: == N - k becomes >= N - k - 1": (
-        "(np.bitwise_count(swaps).sum(axis=1) == N - order.cx.k)",
-        "(np.bitwise_count(swaps).sum(axis=1) >= N - order.cx.k - 1)",
+        "np.bitwise_count(swaps).sum(axis=1) == N - k\n",
+        "np.bitwise_count(swaps).sum(axis=1) >= N - k - 1\n",
     ),
 }
 
