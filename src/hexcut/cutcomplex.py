@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from math import comb
 
 import numpy as np
@@ -25,6 +25,7 @@ FACET_SUBSET_GUARD = 20_000  # k-subsets walked without force, see check_subset_
 # int64 face masks on a bitmap of 2^N entries: no force reaches past this
 BITMAP_VERTEX_CEILING = 62
 _COUNT_CHUNK = 1 << 16  # bitmap entries popcounted per numpy step
+_SUBSET_CHUNK = 1 << 12  # k-subsets per reach-mask chunk, k >= 4
 
 
 def induced_p3_count(m: int, n: int) -> int:
@@ -159,23 +160,66 @@ def _sparse_slabs(g: Graph, k: int) -> Iterator[Iterator[tuple[int, ...]]]:
         yield zip(repeat(a), *(c[keep].tolist() for c in cols))
 
 
+def _reach_slabs(g: Graph, k: int) -> Iterator[Iterator[tuple[int, ...]]]:
+    """The disconnected k-subsets, k >= 4: one iterator of tuples per chunk
+    of ``_SUBSET_CHUNK`` k-subsets read from ``combinations``, so that,
+    chained, they list the subsets in ascending lex order.
+
+    The subsets of a chunk are rows of W = ceil((N + 1) / 64) words, bit v
+    set iff v is in the subset.  A reach mask grows from each subset's first
+    vertex: a step ORs in the neighbours of the reached vertices and cuts
+    back to the subset, and a row whose reach stops changing has settled and
+    leaves the chunk.  The subset is disconnected iff its settled reach is
+    not all of it.  Neighbours come from a byte table: ``table[q, x]`` is
+    the OR of the neighbour masks of the vertices 8q + b for the set bits b
+    of x, so a step is one gather per byte of the row, whatever k is.
+    """
+    N = g.n_vertices
+    words, width = (N + 64) // 64, (N + 8) // 8
+    v = np.arange(N + 1)
+    own = np.zeros((8 * width, words), dtype="<u8")  # vertex -> its own bit
+    own[v, v >> 6] = np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
+    near = np.zeros_like(own)  # vertex -> its neighbours
+    a, b = np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
+    np.bitwise_or.at(near, a, own[b])
+    np.bitwise_or.at(near, b, own[a])
+    in_byte = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
+    table = np.bitwise_or.reduce(
+        np.where(in_byte[:, :, None], near.reshape(width, 1, 8, words), np.uint64(0)), axis=2)
+    subsets = combinations(range(1, N + 1), k)
+    while True:
+        chunk = np.fromiter(chain.from_iterable(islice(subsets, _SUBSET_CHUNK)),
+                            dtype=np.intp).reshape(-1, k)
+        if not len(chunk):
+            return
+        reach, live = own[chunk[:, 0]], np.arange(len(chunk))
+        rows = reach.copy()
+        for c in chunk.T[1:]:
+            rows |= own[c]
+        split = np.zeros(len(chunk), dtype=bool)
+        while len(live):
+            grown = reach.copy()
+            for q, x in enumerate(reach.view(np.uint8)[:, :width].T):
+                grown |= table[q, x]
+            grown &= rows[live]
+            moved = (grown != reach).any(axis=1)
+            settled = live[~moved]
+            split[settled] = (reach[~moved] != rows[settled]).any(axis=1)
+            live, reach = live[moved], grown[moved]
+        yield map(tuple, chunk[split].tolist())
+
+
 def enumerate_facets(g: Graph, k: int) -> CutComplex:
     """The disconnected k-subsets as facet complements, listed in ascending
     lexicographic order.  For k <= 3 they are selected by induced edge
-    counts in numpy (:func:`_sparse_slabs`); for larger k each k-subset is
-    tested with one Python call.  Only the k range of
-    :func:`check_subset_count` is checked here, not its size guard."""
+    counts (:func:`_sparse_slabs`), for larger k by reach masks grown over
+    chunks of subsets (:func:`_reach_slabs`), both in numpy.  Only the k
+    range of :func:`check_subset_count` is checked here, not its size
+    guard."""
     N = g.n_vertices
     check_subset_count(N, k, force=True)
-    if k <= 3:
-        facets = tuple(chain.from_iterable(_sparse_slabs(g, k)))
-    else:
-        facets = tuple(
-            t
-            for t in combinations(range(1, N + 1), k)
-            if _subset_disconnected(g, t)
-        )
-    return CutComplex(graph=g, k=k, facets=facets)
+    slabs = _sparse_slabs(g, k) if k <= 3 else _reach_slabs(g, k)
+    return CutComplex(graph=g, k=k, facets=tuple(chain.from_iterable(slabs)))
 
 
 def hex_cut_complex(m: int, n: int, k: int, force: bool = False) -> CutComplex:

@@ -25,21 +25,25 @@ passed so far.  Faces are numbered by colex rank, through a dense table of
 C(N, k - 1) cells while that fits ``POSITION_TABLE_LIMIT``, and through the
 sorted ranks past it.  Lambda_j is the OR of the masks of the k faces of
 F_j^c, built in row blocks with prefix sums and packed into
-ceil((N + 1) / 64) words per row.  Each row is then checked along the
-cheaper exact path: scan the j earlier complements, or test S_j against
-the masks of its (k-1)-subsets P, since S_j holds an earlier complement iff
-masks[P] & S_j is nonzero for some P.  Reading the P that start at or
-below the last vertex of S_j that starts a passed complement is enough,
-so a row costs min(j, C(s, k - 1) - C(s - L, k - 1)) operations, with
-s = |S_j| and L the vertices of S_j up to that one.  A passing order keeps
-its packed swap table for the spanning report, so Lambda is built once per
-order.
+ceil((N + 1) / 64) words per row.  Each row is then checked along one of
+two exact paths: test S_j against the masks of its (k-1)-subsets P, since
+S_j holds an earlier complement iff masks[P] & S_j is nonzero for some P,
+or scan the j earlier complements.  Reading the P that start at or below
+the last vertex of S_j that starts a passed complement is enough, so with
+s = |S_j| and L the vertices of S_j up to that one, the subset test reads
+C(s, k - 1) - C(s - L, k - 1) masks, and a row takes it when that is below
+j.  The scans, and the check of every row against the complements earlier
+in its own sub-block, test containment bit-sliced: each vertex gets one
+mask over a group of rows, and a complement lies inside S_j exactly for
+the rows in the AND of its k masks, k words per 64 rows.  A passing order
+keeps its packed swap table for the spanning report, so Lambda is built
+once per order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, compress, count
+from itertools import chain, combinations, compress, count
 from math import comb
 from operator import eq, itemgetter
 
@@ -61,14 +65,17 @@ from .hexgraph import Graph, HexGraph, hex_vertex_count
 # (k-1)-subset, C(N, k - 1) in all; H(10, 10) at k = 3 needs C(240, 2) =
 # 28 680.  Past it the face ranks are searched in sorted order instead.
 POSITION_TABLE_LIMIT = 1 << 24
-# Rows of the swap table built and checked together, and the mask words of
-# candidate subsets or pairwise cells handled per numpy step; both bound
-# memory only.
+# Rows of the swap table built and checked together, and the mask words
+# read per numpy step by the subset test (one per candidate subset and row
+# word) and by the containment kernel (one per complement and sliced row
+# word, see _contained); both bound memory only.
 _BLOCK_ROWS = 4096
 _STEP_CELLS = 1 << 20
 # Rows per sub-block, whose first row snapshots the face masks and the live
 # vertices for the rest of it; bounds memory only.
 _SUB_ROWS = 256
+# The word with bits n..63 set, for n = 0..64.
+_FROM_BIT = np.array([(1 << 64) - (1 << n) for n in range(65)], dtype=np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +364,13 @@ class _Faces:
     u + {z} is a complement already passed.  The faces are numbered by
     ``_Positions``; a (k-1)-subset that is no face reads the last mask,
     which stays zero.  Masks are stored word by word, so that a gather reads
-    one contiguous array per word.  ``face[i, s]`` numbers the face of
-    complement i without its entry s, ``sets`` holds each complement as a
-    bitmask of W words, ``first[v]`` is the first position whose complement
-    starts with v (eta if none), and ``vertices`` packs V = {1..N}."""
+    one contiguous array per word.  ``comp`` holds the complements as rows
+    of k vertices, ``face[i, s]`` numbers the face of complement i without
+    its entry s, ``first[v]`` is the first position whose complement starts
+    with v (eta if none), and ``vertices`` packs V = {1..N}."""
 
     def __init__(self, comp: np.ndarray, N: int):
+        self.comp = comp
         eta, k = comp.shape
         self.pos = _Positions(N, k)
         keys = np.zeros((eta, k), dtype=self.pos.weight.dtype)
@@ -374,9 +382,6 @@ class _Faces:
         self.masks = np.zeros((words, self.zero + 1), dtype="<u8")
         self.word = (comp >> 6).astype(np.intp)
         self.bit = np.left_shift(np.uint64(1), (comp & 63).astype(np.uint64))
-        self.sets = np.zeros((eta, words), dtype="<u8")
-        for s in range(k):
-            self.sets[np.arange(eta), self.word[:, s]] |= self.bit[:, s]
         self.first = np.full(N + 1, eta)
         np.minimum.at(self.first, comp[:, 0], np.arange(eta))
         v = np.arange(N + 1)
@@ -423,14 +428,52 @@ class _Faces:
         return rows, snaps.reshape(words, -1)
 
 
-def _pairwise_ok(rows: np.ndarray, sets: np.ndarray, ords: np.ndarray) -> np.ndarray:
-    """ok[r, i] true iff complement i (a bitmask in ``sets``) meets the
-    packed swap set rows[r], or i is not before that row's position ords[r]."""
-    upto = int(ords[-1])
-    meet = sets[:upto, 0] & rows[:, 0, None]
-    for w in range(1, sets.shape[1]):
-        meet |= sets[:upto, w] & rows[:, w, None]
-    return (meet != 0) | (np.arange(upto) >= ords[:, None])
+def _sliced(inside: np.ndarray, vertices: int, group: int) -> np.ndarray:
+    """The packed rows ``inside`` sliced by vertex: ``out[v, g]`` holds
+    ceil(group / 64) words, bit b of word w set iff vertex v lies in row
+    g * group + 64 w + b.  Each group of ``group`` rows starts a fresh word,
+    so that one vertex of one group is a contiguous run of words."""
+    rows, groups = len(inside), -(-len(inside) // group)
+    bits = np.zeros((groups * group, vertices), dtype=np.uint8)
+    bits[:rows] = np.unpackbits(inside.view(np.uint8), axis=1, count=vertices, bitorder="little")
+    # a contiguous transpose, so that packbits runs along the last axis
+    out = np.zeros((vertices, groups, -(-group // 64) * 64), dtype=np.uint8)
+    out[:, :, :group] = bits.reshape(groups, group, vertices).transpose(2, 0, 1)
+    return np.packbits(out, axis=-1, bitorder="little").view("<u8")
+
+
+def _rows_of(words: np.ndarray, group: int) -> np.ndarray:
+    """The rows whose bits are set in ``words``, shaped like one vertex of
+    :func:`_sliced` with groups of ``group`` rows, in ascending order."""
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+    return np.flatnonzero(bits[:, :group])
+
+
+def _contained(sliced, cols, p, ords, group, start) -> np.ndarray:
+    """For each complement p, given by its k vertices ``cols``, the words of
+    the rows of its group ``group`` that hold it and come after it: the AND
+    of its k vertex masks in ``sliced``, cut to the rows whose position in
+    ``ords`` exceeds p.  ``start`` is the index in ``ords`` of the first row
+    of the group.  A test of one complement against R rows reads k words
+    per 64 rows."""
+    hit = sliced[cols[:, 0], group]
+    for c in range(1, cols.shape[1]):
+        hit &= sliced[cols[:, c], group]
+    # rows before ``after`` in the group lie at or before p
+    after = np.searchsorted(ords, p, side="right") - start
+    return hit & _FROM_BIT[(after[:, None] - 64 * np.arange(hit.shape[1])).clip(0, 64)]
+
+
+def _scan(inside, ords, faces):
+    """The rows ``inside`` at positions ``ords``, ascending, as one group
+    against every complement before them, in steps of at most
+    ``_STEP_CELLS`` words of :func:`_contained`: yields the first
+    complement of each step and the words of the step."""
+    sliced = _sliced(inside, len(faces.first), len(ords))
+    step, end = max(1, _STEP_CELLS // sliced.shape[2]), int(ords[-1])
+    for a in range(0, end, step):
+        b = min(a + step, end)
+        yield a, _contained(sliced, faces.comp[a:b], np.arange(a, b), ords, 0, 0)
 
 
 def _through_last(live: np.ndarray) -> np.ndarray:
@@ -492,10 +535,10 @@ def _first_failure(rows, snaps, lo, faces, choose, subsets) -> tuple[int, int] |
     swap rows lo.. whose S_j contains an earlier complement, and i the first
     such complement.
 
-    Each row is checked along the cheaper exact path: scan the j earlier
-    complements, or test (k-1)-subsets P of S_j against the face masks as
-    they stood at the start of the row's sub-block of ``_SUB_ROWS`` rows.
-    Row j fails there iff some masks[P] & S_j is nonzero, or a complement
+    Each row is checked along one of two exact paths: test (k-1)-subsets
+    P of S_j against the face masks as they stood at the start of the row's
+    sub-block of ``_SUB_ROWS`` rows, or scan the j earlier complements.
+    Row j fails the test iff some masks[P] & S_j is nonzero, or a complement
     earlier in the sub-block lies inside S_j.  A complement passed at the
     snapshot starts with a vertex that was live there, first in some passed
     complement, and the face that drops its last entry starts there too.
@@ -503,11 +546,20 @@ def _first_failure(rows, snaps, lo, faces, choose, subsets) -> tuple[int, int] |
     vertex of S_j are read: listed in colex order over the s vertices of
     S_j in descending order, they are the columns
     [C(s - L, k - 1), C(s, k - 1)) of ``subsets``, where L counts the
-    vertices of S_j up to its last live one.  A row costs
-    min(j, C(s, k - 1) - C(s - L, k - 1)).  ``choose[s]`` is C(s, k - 1)
-    capped at eta; a row whose S_j has eta or more (k-1)-subsets is
-    scanned."""
-    eta = len(faces.sets)
+    vertices of S_j up to its last live one.  ``choose[s]`` is C(s, k - 1)
+    capped at eta; a row whose S_j has eta or more (k-1)-subsets, or whose
+    span reaches j, is scanned.
+
+    Containment is tested bit-sliced (:func:`_contained`): every vertex
+    gets one mask over a group of rows, and a complement lies inside S_j
+    for the rows in the AND of its k masks.  All rows of the block are
+    checked in one call against the complements earlier in their own
+    sub-block, one group per sub-block, and the scanned rows, as one group,
+    against every complement before them.  A subset row costs
+    C(s, k - 1) - C(s - L, k - 1) lookups, and every row k words per 64
+    rows for each complement of its sub-block; a scanned row j costs k/64
+    words per earlier complement."""
+    eta, vertices = len(faces.comp), len(faces.first)
     ords = np.arange(lo, lo + len(rows))
     inside = ~rows & faces.vertices  # S_j
     size = np.bitwise_count(inside).sum(axis=1, dtype=np.int64)  # |S_j|
@@ -518,30 +570,27 @@ def _first_failure(rows, snaps, lo, faces, choose, subsets) -> tuple[int, int] |
     span = choose[size] - skip
     by_subsets = (choose[size] < eta) & (span < ords)
     failing = []
-    for b in range(0, len(rows), _SUB_ROWS):
-        r = np.flatnonzero(by_subsets[b:b + _SUB_ROWS]) + b
-        if len(r):
-            bad = ~_pairwise_ok(rows[r], faces.sets[lo + b:], r - b).all(axis=1)
-            if bad.any():
-                failing.append(int(r[bad][0]))
-                break
+    # every row against the complements earlier in its own sub-block
+    group = (ords - lo) // _SUB_ROWS
+    hit = _contained(_sliced(inside, vertices, _SUB_ROWS), faces.comp[lo:lo + len(rows)],
+                     ords, ords, group, group * _SUB_ROWS)
+    bad = np.bitwise_or.reduceat(hit, np.arange(0, len(rows), _SUB_ROWS), axis=0)
+    failing.extend(_rows_of(bad, _SUB_ROWS)[:1].tolist())
     sel = np.flatnonzero(by_subsets & (span > 0))
     j = _subset_failure(inside, sel, size, skip, span, snaps, faces, subsets)
     if j is not None:
         failing.append(j)
     sel = np.flatnonzero(~by_subsets)
-    step = max(1, _STEP_CELLS // ((lo + len(rows)) * rows.shape[1]))
-    for a in range(0, len(sel), step):
-        r = sel[a:a + step]
-        bad = ~_pairwise_ok(rows[r], faces.sets, ords[r]).all(axis=1)
-        if bad.any():
-            failing.append(int(r[bad][0]))
-            break
+    if len(sel):
+        bad = np.zeros((1, -(-len(sel) // 64)), dtype="<u8")
+        for _, hit in _scan(inside[sel], ords[sel], faces):
+            bad |= np.bitwise_or.reduce(hit, axis=0)
+        failing.extend(sel[_rows_of(bad, len(sel))[:1]].tolist())
     if not failing:
         return None
     j = min(failing)
-    i = int(np.argmin(_pairwise_ok(rows[j:j + 1], faces.sets, ords[j:j + 1])[0]))
-    return i, lo + j
+    hits = _scan(inside[j:j + 1], ords[j:j + 1], faces)
+    return next(a + int(np.flatnonzero(hit)[0]) for a, hit in hits if hit.any()), lo + j
 
 
 def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | None]:
@@ -551,9 +600,11 @@ def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | Non
     holding a failing row; the failing 0-based (i, j), minimal in (j, i),
     comes back with the table, whose rows past that block stay zero."""
     N, k = order.n_vertices, order.cx.k
-    comp = np.asarray(order.facets, dtype=np.int32).reshape(-1, k)
+    # every entry a k-tuple: the caller has run _check_cover, which matches
+    # the order to the facets of its complex one for one
+    eta = order.n_facets
+    comp = np.fromiter(chain.from_iterable(order.facets), np.int32, count=eta * k).reshape(eta, k)
     faces = _Faces(comp, N)
-    eta = len(comp)
     choose = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
     subsets = _colex_subsets(int(np.flatnonzero(choose < eta).max(initial=0)), k - 1)
     table = np.zeros((eta, faces.masks.shape[0]), dtype="<u8")
@@ -573,14 +624,17 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     passing run stores the packed swap table on the order, which marks it
     verified; a failing one drops any table it held.  Row j fails iff an
     earlier complement lies inside S_j = V - Lambda_j, tested for any k
-    along the cheaper of two paths: a scan of the j earlier complements, or
-    a test of (k-1)-subsets of S_j against bitmasks of the earlier
-    complements that contain them.  The test reads only the subsets that
-    start at or below the last vertex of S_j that starts an earlier
-    complement; with s = |S_j| and L the vertices of S_j up to that one, a
-    row costs min(j, C(s, k - 1) - C(s - L, k - 1)).  Faces are looked up
-    by colex rank in a dense table of C(N, k - 1) cells, or past
-    ``POSITION_TABLE_LIMIT`` by binary search among the sorted ranks.
+    along one of two paths: a test of (k-1)-subsets of S_j against bitmasks
+    of the earlier complements that contain them, or a scan of the j
+    earlier complements.  The test reads only the subsets that start at or
+    below the last vertex of S_j that starts an earlier complement; with
+    s = |S_j| and L the vertices of S_j up to that one, it reads
+    C(s, k - 1) - C(s - L, k - 1) masks, and a row takes it when that is
+    below j.  Scans, and the check of each row against the complements
+    earlier in its sub-block, are bit-sliced: one complement against R rows
+    costs k ceil(R / 64) words.  Faces are looked up by colex rank in a
+    dense table of C(N, k - 1) cells, or past ``POSITION_TABLE_LIMIT`` by
+    binary search among the sorted ranks.
     ``jobs`` is validated and echoed, and changes nothing.  ``pairs_checked``
     counts the pairs of the O(eta^2) definition, not the work done.
     """

@@ -121,8 +121,40 @@ def test_hex_enumeration_equals_the_subset_test(m, n):
         _assert_same_facets(enumerate_facets(g, k), _filtered(g, k))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reach_enumeration_equals_the_subset_test(data):
+    # k >= 4 is read from reach masks over chunks of subsets; it must give
+    # the same tuple, in the same order, as the per-subset test
+    n = data.draw(st.integers(5, 20), label="n")
+    k = data.draw(st.sampled_from([k for k in range(4, n) if comb(n, k) <= 5000]), label="k")
+    edges = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                               .filter(lambda e: e[0] != e[1]), max_size=3 * n),
+                      label="edges")
+    g = Graph(n, edges)
+    _assert_same_facets(enumerate_facets(g, k), _filtered(g, k))
+
+
+@pytest.mark.parametrize("g,k", [(cycle_graph(70), 68), (cycle_graph(70), 69),
+                                 (build_hex_graph(4, 6), 66)],
+                         ids=["cycle70-k68", "cycle70-k69", "hex-4-6-k66"])
+def test_reach_masks_across_the_word_boundary(g, k):
+    # N + 1 > 64, so a subset row and its reach take two words
+    _assert_same_facets(enumerate_facets(g, k), _filtered(g, k))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_reach_enumeration_chunk_sizes(chunk):
+    # chunks of 1 and 7 subsets, so that the last chunk of each k is ragged
+    graphs = [build_hex_graph(1, 2), cycle_graph(9), Graph(8, [(1, 2), (3, 4), (2, 3), (5, 8)])]
+    with mock.patch.object(cutcomplex, "_SUBSET_CHUNK", chunk):
+        for g in graphs:
+            for k in range(4, g.n_vertices):
+                _assert_same_facets(enumerate_facets(g, k), _filtered(g, k))
+
+
 def test_general_k_matches_oracle():
-    # k = 2 is read from edge counts, k = 4, 5 from one test per subset
+    # k = 2 is read from edge counts, k = 4, 5 from reach masks
     for g in (build_hex_graph(1, 2), build_hex_graph(2, 1), cycle_graph(9)):
         for k in (2, 4, 5):
             _assert_same_facets(enumerate_facets(g, k), tuple(oracle_facet_complements(g, k)))

@@ -226,7 +226,7 @@ def _verifier_sizes(draw):
     return dict(
         _BLOCK_ROWS=draw(st.sampled_from([1, 7, shelling._BLOCK_ROWS])),
         _STEP_CELLS=draw(st.sampled_from([1, 50, shelling._STEP_CELLS])),
-        _SUB_ROWS=draw(st.sampled_from([1, 3, shelling._SUB_ROWS])),
+        _SUB_ROWS=draw(st.sampled_from([1, 3, 64, 65, shelling._SUB_ROWS])),
         POSITION_TABLE_LIMIT=draw(st.sampled_from([1, shelling.POSITION_TABLE_LIMIT])),
     )
 
@@ -333,6 +333,56 @@ def test_last_live_vertex_in_the_second_mask_word():
     assert all(oracle_row_violation(sets, j) is None for j in range(1990, 2017))
     res = verify_shelling(_order_of(cx, seq))
     assert (res.ok, res.counterexample) == (False, (1, 2017))
+
+
+def _moved(seq, a, b):
+    """``seq`` with its entry at 0-based a moved to b."""
+    seq = list(seq)
+    seq.insert(b, seq.pop(a))
+    return seq
+
+
+def _kernel_cases():
+    """Failing orders at N = 66, so that a packed row takes two words, each
+    with its first failing (i, j) and the rows before j that must pass."""
+    path = enumerate_facets(Graph(66, [(v, v + 1) for v in range(1, 66)]), 2)
+    # (7, 9) moved to 310: row 312, on the subset path, fails against it,
+    # and both lie in one sub-block for every size tried
+    yield "sub-block", path, _moved(path.facets, 369, 309), (310, 312), range(260, 312)
+    # (64, 66) moved to 2070: the single block has 2080 = 32 * 65 rows, not
+    # a multiple of 64, and row 2072 lies in its last, partial word
+    yield "last-word", path, _moved(path.facets, 2079, 2069), (2070, 2072), range(2020, 2072)
+    # the non-edges (1, 3..20), (2, 3), (2, 4), (2, 66): S_21 misses only
+    # Lambda_21 = {3, 4}, so it holds (1, 5); its 64 vertices are as many
+    # 1-subsets, more than the 21 facets, so row 21 is scanned
+    non = [(1, x) for x in range(3, 21)] + [(2, 3), (2, 4), (2, 66)]
+    dense = enumerate_facets(Graph(66, sorted(set(combinations(range(1, 67), 2)) - set(non))), 2)
+    assert dense.facets == tuple(non)
+    yield "scan", dense, non, (3, 21), range(2, 21)
+
+
+_KERNEL_CASES = list(_kernel_cases())
+
+
+@pytest.mark.parametrize("label,cx,seq,expected,before", _KERNEL_CASES,
+                         ids=[case[0] for case in _KERNEL_CASES])
+def test_containment_kernel_matches_the_row_oracle(label, cx, seq, expected, before):
+    sets = _facet_sets(cx, seq)
+    i, j = expected
+    assert oracle_row_violation(sets, j) == i
+    assert all(oracle_row_violation(sets, r) is None for r in before)
+    order = _order_of(cx, seq)
+    s = cx.n_vertices - len(swap_set(order, j))  # |S_j|
+    if label == "scan":  # at least eta (k-1)-subsets: scanned
+        assert comb(s, cx.k - 1) >= cx.n_facets
+    if label == "sub-block":  # fewer (k-1)-subsets than earlier rows
+        assert comb(s, cx.k - 1) < j - 1
+    for sub in (1, 3, 64, 65, 256):
+        if label == "sub-block":
+            assert (i - 1) // sub == (j - 1) // sub or sub == 1
+        with mock.patch.object(shelling, "_SUB_ROWS", sub):
+            res = verify_shelling(order)
+        assert (res.ok, res.counterexample) == (False, expected), sub
 
 
 @pytest.mark.parametrize("limit", [1, shelling.POSITION_TABLE_LIMIT])

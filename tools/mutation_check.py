@@ -38,18 +38,20 @@ MUTANTS = {
         " * (faces.zero + 1)).astype(np.int32)\n",
     ),
     "within-sub-block check deleted": (
-        "        if len(r):\n"
-        "            bad = ~_pairwise_ok(rows[r], faces.sets[lo + b:], r - b).all(axis=1)\n",
-        "        if False:\n"
-        "            bad = ~_pairwise_ok(rows[r], faces.sets[lo + b:], r - b).all(axis=1)\n",
+        "    failing.extend(_rows_of(bad, _SUB_ROWS)[:1].tolist())\n",
+        "    pass\n",
     ),
     "_through_last drops the highest bit": (
         "        out[:, w] = np.where(higher, ~np.uint64(0), x)\n",
         "        out[:, w] = np.where(higher, ~np.uint64(0), x >> np.uint64(1))\n",
     ),
-    "_pairwise_ok: >= becomes >": (
-        "    return (meet != 0) | (np.arange(upto) >= ords[:, None])\n",
-        "    return (meet != 0) | (np.arange(upto) > ords[:, None])\n",
+    "containment: p < r becomes p <= r": (
+        '    after = np.searchsorted(ords, p, side="right") - start\n',
+        '    after = np.searchsorted(ords, p, side="left") - start\n',
+    ),
+    "containment ANDs k - 1 vertex masks": (
+        "    for c in range(1, cols.shape[1]):\n",
+        "    for c in range(2, cols.shape[1]):\n",
     ),
     "verified without a swap table": (
         "        return self._swaps is not None\n",
