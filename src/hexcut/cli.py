@@ -359,6 +359,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        # --jobs changes no result, but every command that takes it refuses
+        # a count below one before doing any work
+        if getattr(args, "jobs", 1) < 1:
+            raise InvalidParams(f"jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except ResourceGuard as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

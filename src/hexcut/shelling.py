@@ -23,19 +23,22 @@ S_j = V - Lambda_j.  The verifier keeps one bitmask per face, a
 (k-1)-subset u of a complement, with bit z set iff u + {z} is a complement
 passed so far.  Faces are numbered by colex rank, through a dense table of
 C(N, k - 1) cells while that fits ``POSITION_TABLE_LIMIT``, and through the
-sorted ranks past it.  Lambda_j is the OR of the masks of the k faces of
-F_j^c, built in row blocks with prefix sums and packed into
-ceil((N + 1) / 64) words per row.  Each row is then checked along one of
-two exact paths: test S_j against the masks of its (k-1)-subsets P, since
-S_j holds an earlier complement iff masks[P] & S_j is nonzero for some P,
-or scan the j earlier complements.  Reading the P that start at or below
-the last vertex of S_j that starts a passed complement is enough, so with
-s = |S_j| and L the vertices of S_j up to that one, the subset test reads
+sorted ranks past it.  Rows are built and checked in blocks of 4096, and
+the masks change only between blocks: a block's complements are passed
+once its check succeeds.  Lambda_j is the OR of the masks of the k faces
+of F_j^c, built with prefix sums over the block and packed into
+ceil((N + 1) / 64) words per row.  Every row of a block is scanned against
+the complements of the block before it.  Against the complements before
+the block, each row is checked along one of two exact paths: test S_j
+against the masks of its (k-1)-subsets P, since S_j holds such a
+complement iff masks[P] & S_j is nonzero for some P, or scan the j earlier
+complements.  Reading the P that start at or below the last vertex of S_j
+that starts a passed complement is enough, so with s = |S_j| and L the
+vertices of S_j up to that one, the subset test reads
 C(s, k - 1) - C(s - L, k - 1) masks, and a row takes it when that is below
-j.  The scans, and the check of every row against the complements earlier
-in its own sub-block, test containment bit-sliced: each vertex gets one
-mask over a group of rows, and a complement lies inside S_j exactly for
-the rows in the AND of its k masks, k words per 64 rows.  A passing order
+j.  Every scan tests containment bit-sliced: each vertex gets one mask
+over the scanned rows, and a complement lies inside S_j exactly for the
+rows in the AND of its k masks, k words per 64 rows.  A passing order
 keeps its packed swap table for the spanning report, so Lambda is built
 once per order.
 """
@@ -68,12 +71,10 @@ POSITION_TABLE_LIMIT = 1 << 24
 # Rows of the swap table built and checked together, and the mask words
 # read per numpy step by the subset test (one per candidate subset and row
 # word) and by the containment kernel (one per complement and sliced row
-# word, see _contained); both bound memory only.
+# word, see _scan).  Both bound memory; steps of 2^15 words also ran the
+# H(4,6) verify in 0.09 s against 0.14 s with 2^20 on one Xeon core.
 _BLOCK_ROWS = 4096
-_STEP_CELLS = 1 << 20
-# Rows per sub-block, whose first row snapshots the face masks and the live
-# vertices for the rest of it; bounds memory only.
-_SUB_ROWS = 256
+_STEP_CELLS = 1 << 15
 # The word with bits n..63 set, for n = 0..64.
 _FROM_BIT = np.array([(1 << 64) - (1 << n) for n in range(65)], dtype=np.uint64)
 
@@ -364,10 +365,11 @@ class _Faces:
     u + {z} is a complement already passed.  The faces are numbered by
     ``_Positions``; a (k-1)-subset that is no face reads the last mask,
     which stays zero.  Masks are stored word by word, so that a gather reads
-    one contiguous array per word.  ``comp`` holds the complements as rows
-    of k vertices, ``face[i, s]`` numbers the face of complement i without
-    its entry s, ``first[v]`` is the first position whose complement starts
-    with v (eta if none), and ``vertices`` packs V = {1..N}."""
+    one contiguous array per word, and change only between row blocks.
+    ``comp`` holds the complements as rows of k vertices, ``face[i, s]``
+    numbers the face of complement i without its entry s, ``first[v]`` is
+    the first position whose complement starts with v (eta if none), and
+    ``vertices`` packs V = {1..N}."""
 
     def __init__(self, comp: np.ndarray, N: int):
         self.comp = comp
@@ -378,10 +380,7 @@ class _Faces:
             keys[:, s] = self.pos.key(np.delete(comp, s, axis=1).T)
         self.face = self.pos.number(keys.reshape(-1)).reshape(eta, k)
         self.zero = self.pos.count
-        words = (N + 64) // 64
-        self.masks = np.zeros((words, self.zero + 1), dtype="<u8")
-        self.word = (comp >> 6).astype(np.intp)
-        self.bit = np.left_shift(np.uint64(1), (comp & 63).astype(np.uint64))
+        self.masks = np.zeros(((N + 64) // 64, self.zero + 1), dtype="<u8")
         self.first = np.full(N + 1, eta)
         np.minimum.at(self.first, comp[:, 0], np.arange(eta))
         v = np.arange(N + 1)
@@ -393,11 +392,10 @@ class _Faces:
         bits = np.where(flags, self.vertex_bit, np.uint64(0))
         return np.bitwise_or.reduceat(bits, np.arange(0, len(self.vertex_bit), 64), axis=-1)
 
-    def swap_rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def swap_rows(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi-1 (0-based) of the packed swap table, bit v of row r
-        set iff v lies in Lambda_{lo+r+1}, and the masks as they stood at
-        lo, lo + _SUB_ROWS, ... below hi, as [word, t * (zero + 1) + face].
-        Afterwards every complement before hi has been passed.
+        set iff v lies in Lambda_{lo+r+1}.  The masks must stand at lo,
+        every complement before lo passed and none after.
 
         Lambda_j is the OR of the masks of the k faces of F_j^c as they
         stand at j: the mask at lo, plus the extra vertices of the rows of
@@ -406,74 +404,83 @@ class _Faces:
         entries sorted stably by face, exact modulo 2^64.  A face of F_j^c
         plus z is F_j^c itself only for the z it left out, which comes at j,
         not before, so no entry of F_j^c is set."""
-        words, width = self.masks.shape
+        words = self.masks.shape[0]
         face = self.face[lo:hi].reshape(-1)
         order = np.argsort(face, kind="stable")
         face = face[order]
         head = np.flatnonzero(np.diff(face, prepend=-1))
         head = np.repeat(head, np.diff(head, append=len(face)))
-        word, bit = self.word[lo:hi].reshape(-1)[order], self.bit[lo:hi].reshape(-1)[order]
+        comp = self.comp[lo:hi].reshape(-1)[order]
+        word, bit = comp >> 6, self.vertex_bit[comp]
         entries = np.empty((len(face), words), dtype="<u8")
         for w in range(words):
             own = np.where(word == w, bit, 0)
             sums = np.cumsum(own, dtype="<u8")
             sums -= own  # exclusive
             entries[order, w] = (sums - sums[head]) | self.masks[w, face]
-        rows = np.bitwise_or.reduce(entries.reshape(hi - lo, -1, words), axis=1)
-        snaps = np.empty((words, -(-(hi - lo) // _SUB_ROWS), width), dtype="<u8")
-        for t, b in enumerate(range(lo, hi, _SUB_ROWS)):
-            snaps[:, t] = self.masks
-            e = min(b + _SUB_ROWS, hi)
-            np.bitwise_or.at(self.masks, (self.word[b:e], self.face[b:e]), self.bit[b:e])
-        return rows, snaps.reshape(words, -1)
+        return np.bitwise_or.reduce(entries.reshape(hi - lo, -1, words), axis=1)
+
+    def pass_rows(self, lo: int, hi: int) -> None:
+        """Pass the complements lo..hi-1: set each one's bits in the masks
+        of its faces."""
+        comp = self.comp[lo:hi]
+        np.bitwise_or.at(self.masks, (comp >> 6, self.face[lo:hi]), self.vertex_bit[comp])
 
 
-def _sliced(inside: np.ndarray, vertices: int, group: int) -> np.ndarray:
-    """The packed rows ``inside`` sliced by vertex: ``out[v, g]`` holds
-    ceil(group / 64) words, bit b of word w set iff vertex v lies in row
-    g * group + 64 w + b.  Each group of ``group`` rows starts a fresh word,
-    so that one vertex of one group is a contiguous run of words."""
-    rows, groups = len(inside), -(-len(inside) // group)
-    bits = np.zeros((groups * group, vertices), dtype=np.uint8)
-    bits[:rows] = np.unpackbits(inside.view(np.uint8), axis=1, count=vertices, bitorder="little")
+def _sliced(inside: np.ndarray, vertices: int) -> np.ndarray:
+    """The packed rows ``inside`` sliced by vertex: ``out[v]`` holds
+    ceil(R / 64) words for R rows, bit b of word w set iff vertex v lies in
+    row 64 w + b."""
+    rows = len(inside)
     # a contiguous transpose, so that packbits runs along the last axis
-    out = np.zeros((vertices, groups, -(-group // 64) * 64), dtype=np.uint8)
-    out[:, :, :group] = bits.reshape(groups, group, vertices).transpose(2, 0, 1)
-    return np.packbits(out, axis=-1, bitorder="little").view("<u8")
+    bits = np.zeros((vertices, -(-rows // 64) * 64), dtype=np.uint8)
+    bits[:, :rows] = np.unpackbits(inside.view(np.uint8), axis=1, count=vertices,
+                                   bitorder="little").T
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
 
 
-def _rows_of(words: np.ndarray, group: int) -> np.ndarray:
+def _rows_of(words: np.ndarray) -> np.ndarray:
     """The rows whose bits are set in ``words``, shaped like one vertex of
-    :func:`_sliced` with groups of ``group`` rows, in ascending order."""
-    bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
-    return np.flatnonzero(bits[:, :group])
+    :func:`_sliced`, in ascending order."""
+    return np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))
 
 
-def _contained(sliced, cols, p, ords, group, start) -> np.ndarray:
+def _contained(sliced, cols, p, ords) -> np.ndarray:
     """For each complement p, given by its k vertices ``cols``, the words of
-    the rows of its group ``group`` that hold it and come after it: the AND
-    of its k vertex masks in ``sliced``, cut to the rows whose position in
-    ``ords`` exceeds p.  ``start`` is the index in ``ords`` of the first row
-    of the group.  A test of one complement against R rows reads k words
-    per 64 rows."""
-    hit = sliced[cols[:, 0], group]
+    the rows that hold it and come after it: the AND of its k vertex masks
+    in ``sliced``, cut to the rows whose position in ``ords`` exceeds p.  A
+    test of one complement against R rows reads k words per 64 rows."""
+    hit = sliced[cols[:, 0]]
     for c in range(1, cols.shape[1]):
-        hit &= sliced[cols[:, c], group]
-    # rows before ``after`` in the group lie at or before p
-    after = np.searchsorted(ords, p, side="right") - start
+        hit &= sliced[cols[:, c]]
+    # rows before ``after`` lie at or before p
+    after = np.searchsorted(ords, p, side="right")
     return hit & _FROM_BIT[(after[:, None] - 64 * np.arange(hit.shape[1])).clip(0, 64)]
 
 
-def _scan(inside, ords, faces):
-    """The rows ``inside`` at positions ``ords``, ascending, as one group
-    against every complement before them, in steps of at most
-    ``_STEP_CELLS`` words of :func:`_contained`: yields the first
-    complement of each step and the words of the step."""
-    sliced = _sliced(inside, len(faces.first), len(ords))
-    step, end = max(1, _STEP_CELLS // sliced.shape[2]), int(ords[-1])
-    for a in range(0, end, step):
-        b = min(a + step, end)
-        yield a, _contained(sliced, faces.comp[a:b], np.arange(a, b), ords, 0, 0)
+def _scan(inside, ords, faces, start):
+    """The rows ``inside`` at positions ``ords``, ascending, against the
+    complements from ``start`` up to each row, in steps of at most
+    ``_STEP_CELLS`` words of :func:`_contained`.  A step over the
+    complements [a, b) reads only the words from w, the word that holds
+    the first row after a, so a block's scan of its own complements walks
+    a triangle; yields a, w and the words of the step."""
+    sliced = _sliced(inside, len(faces.first))
+    a, end, width = start, int(ords[-1]), sliced.shape[1]
+    while a < end:
+        w = int(np.searchsorted(ords, a, side="right")) // 64
+        b = min(a + max(1, _STEP_CELLS // (width - w)), end)
+        yield a, w, _contained(sliced[:, w:], faces.comp[a:b], np.arange(a, b), ords[64 * w:])
+        a = b
+
+
+def _first_row(inside, ords, faces, start) -> list[int]:
+    """The first of the rows ``inside`` at positions ``ords`` that holds a
+    complement from ``start`` before it, as a list of at most one index."""
+    bad = np.zeros(-(-len(ords) // 64), dtype="<u8")
+    for _, w, hit in _scan(inside, ords, faces, start):
+        bad[w:] |= np.bitwise_or.reduce(hit, axis=0)
+    return _rows_of(bad)[:1].tolist()
 
 
 def _through_last(live: np.ndarray) -> np.ndarray:
@@ -490,7 +497,7 @@ def _through_last(live: np.ndarray) -> np.ndarray:
     return out
 
 
-def _subset_failure(inside, sel, size, skip, span, snaps, faces, subsets) -> int | None:
+def _subset_failure(inside, sel, size, skip, span, faces, subsets) -> int | None:
     """The first of the rows ``sel`` for which masks[P] & S_j is nonzero,
     with P running over the columns [skip, skip + span) of ``subsets`` over
     the vertices of S_j in descending order, or None.  ``inside`` holds the
@@ -503,7 +510,6 @@ def _subset_failure(inside, sel, size, skip, span, snaps, faces, subsets) -> int
     support = (64 * words - 1 - np.flatnonzero(bits) % (64 * words)).astype(np.int32)
     del bits
     offset = (np.cumsum(size[sel]) - size[sel]).astype(np.int32)
-    snap = (sel // _SUB_ROWS * (faces.zero + 1)).astype(np.int32)
     skip, span, inside = skip[sel].astype(np.int32), span[sel], inside[sel].T.copy()
     ends = np.cumsum(span)
     budget = max(1, _STEP_CELLS // words)
@@ -520,77 +526,63 @@ def _subset_failure(inside, sel, size, skip, span, snaps, faces, subsets) -> int
         del column, base
         at = faces.pos[key]
         del key  # freed before the wider uint64 gathers, which set the peak
-        at += snap[cell_row]
-        hit = np.take(snaps[0], at) & np.take(inside[0], cell_row)
+        hit = np.take(faces.masks[0], at) & np.take(inside[0], cell_row)
         for w in range(1, words):
-            hit |= np.take(snaps[w], at) & np.take(inside[w], cell_row)
+            hit |= np.take(faces.masks[w], at) & np.take(inside[w], cell_row)
         if hit.any():
             return int(sel[cell_row[np.flatnonzero(hit)[0]]])
         a = e
     return None
 
 
-def _first_failure(rows, snaps, lo, faces, choose, subsets) -> tuple[int, int] | None:
+def _first_failure(rows, lo, faces, choose, subsets) -> tuple[int, int] | None:
     """The 0-based (i, j) with j the smallest position among the packed
     swap rows lo.. whose S_j contains an earlier complement, and i the first
     such complement.
 
-    Each row is checked along one of two exact paths: test (k-1)-subsets
-    P of S_j against the face masks as they stood at the start of the row's
-    sub-block of ``_SUB_ROWS`` rows, or scan the j earlier complements.
-    Row j fails the test iff some masks[P] & S_j is nonzero, or a complement
-    earlier in the sub-block lies inside S_j.  A complement passed at the
-    snapshot starts with a vertex that was live there, first in some passed
-    complement, and the face that drops its last entry starts there too.
-    So only the P whose smallest vertex lies at or below the last live
-    vertex of S_j are read: listed in colex order over the s vertices of
-    S_j in descending order, they are the columns
+    Every row of the block is scanned against the complements of the block
+    before it.  Against the complements before lo, each row is checked
+    along one of two exact paths: test (k-1)-subsets P of S_j against the
+    face masks as they stand at lo, or scan the j earlier complements.
+    Row j fails the test iff some masks[P] & S_j is nonzero.  A complement
+    passed before lo starts with a vertex that was live there, first in
+    some passed complement, and the face that drops its last entry starts
+    there too.  So only the P whose smallest vertex lies at or below the
+    last live vertex of S_j are read: listed in colex order over the s
+    vertices of S_j in descending order, they are the columns
     [C(s - L, k - 1), C(s, k - 1)) of ``subsets``, where L counts the
     vertices of S_j up to its last live one.  ``choose[s]`` is C(s, k - 1)
     capped at eta; a row whose S_j has eta or more (k-1)-subsets, or whose
     span reaches j, is scanned.
 
-    Containment is tested bit-sliced (:func:`_contained`): every vertex
-    gets one mask over a group of rows, and a complement lies inside S_j
-    for the rows in the AND of its k masks.  All rows of the block are
-    checked in one call against the complements earlier in their own
-    sub-block, one group per sub-block, and the scanned rows, as one group,
-    against every complement before them.  A subset row costs
-    C(s, k - 1) - C(s - L, k - 1) lookups, and every row k words per 64
-    rows for each complement of its sub-block; a scanned row j costs k/64
-    words per earlier complement."""
-    eta, vertices = len(faces.comp), len(faces.first)
+    Scans are bit-sliced (:func:`_scan`): every vertex gets one mask over
+    the rows, and a complement lies inside S_j for the rows in the AND of
+    its k masks.  A subset row costs C(s, k - 1) - C(s - L, k - 1) lookups;
+    the block's scan costs k/64 words per pair of a row and an earlier
+    complement of the block, and a scanned row k/64 words per earlier
+    complement."""
+    eta = len(faces.comp)
     ords = np.arange(lo, lo + len(rows))
     inside = ~rows & faces.vertices  # S_j
     size = np.bitwise_count(inside).sum(axis=1, dtype=np.int64)  # |S_j|
-    starts = np.arange(lo, lo + len(rows), _SUB_ROWS)
-    live = inside & faces.packed(faces.first < starts[:, None])[(ords - lo) // _SUB_ROWS]
+    live = inside & faces.packed(faces.first < lo)
     L = np.bitwise_count(inside & _through_last(live)).sum(axis=1, dtype=np.int64)
     skip = choose[size - L]
     span = choose[size] - skip
     by_subsets = (choose[size] < eta) & (span < ords)
-    failing = []
-    # every row against the complements earlier in its own sub-block
-    group = (ords - lo) // _SUB_ROWS
-    hit = _contained(_sliced(inside, vertices, _SUB_ROWS), faces.comp[lo:lo + len(rows)],
-                     ords, ords, group, group * _SUB_ROWS)
-    bad = np.bitwise_or.reduceat(hit, np.arange(0, len(rows), _SUB_ROWS), axis=0)
-    failing.extend(_rows_of(bad, _SUB_ROWS)[:1].tolist())
+    failing = _first_row(inside, ords, faces, lo)
     sel = np.flatnonzero(by_subsets & (span > 0))
-    j = _subset_failure(inside, sel, size, skip, span, snaps, faces, subsets)
+    j = _subset_failure(inside, sel, size, skip, span, faces, subsets)
     if j is not None:
         failing.append(j)
     sel = np.flatnonzero(~by_subsets)
     if len(sel):
-        bad = np.zeros((1, -(-len(sel) // 64)), dtype="<u8")
-        for _, hit in _scan(inside[sel], ords[sel], faces):
-            bad |= np.bitwise_or.reduce(hit, axis=0)
-        failing.extend(sel[_rows_of(bad, len(sel))[:1]].tolist())
+        failing.extend(sel[_first_row(inside[sel], ords[sel], faces, 0)].tolist())
     if not failing:
         return None
     j = min(failing)
-    hits = _scan(inside[j:j + 1], ords[j:j + 1], faces)
-    return next(a + int(np.flatnonzero(hit)[0]) for a, hit in hits if hit.any()), lo + j
+    hits = _scan(inside[j:j + 1], ords[j:j + 1], faces, 0)
+    return next(a + int(np.flatnonzero(hit)[0]) for a, _, hit in hits if hit.any()), lo + j
 
 
 def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | None]:
@@ -610,10 +602,11 @@ def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | Non
     table = np.zeros((eta, faces.masks.shape[0]), dtype="<u8")
     for lo in range(0, eta, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, eta)
-        table[lo:hi], snaps = faces.swap_rows(lo, hi)
-        failure = _first_failure(table[lo:hi], snaps, lo, faces, choose, subsets)
+        table[lo:hi] = faces.swap_rows(lo, hi)
+        failure = _first_failure(table[lo:hi], lo, faces, choose, subsets)
         if failure is not None:
             return table, failure
+        faces.pass_rows(lo, hi)
     return table, None
 
 
@@ -626,15 +619,16 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     earlier complement lies inside S_j = V - Lambda_j, tested for any k
     along one of two paths: a test of (k-1)-subsets of S_j against bitmasks
     of the earlier complements that contain them, or a scan of the j
-    earlier complements.  The test reads only the subsets that start at or
-    below the last vertex of S_j that starts an earlier complement; with
-    s = |S_j| and L the vertices of S_j up to that one, it reads
-    C(s, k - 1) - C(s - L, k - 1) masks, and a row takes it when that is
-    below j.  Scans, and the check of each row against the complements
-    earlier in its sub-block, are bit-sliced: one complement against R rows
-    costs k ceil(R / 64) words.  Faces are looked up by colex rank in a
-    dense table of C(N, k - 1) cells, or past ``POSITION_TABLE_LIMIT`` by
-    binary search among the sorted ranks.
+    earlier complements.  Rows are checked in blocks of ``_BLOCK_ROWS``:
+    each row is scanned against the complements of its block before it,
+    and tested against the earlier ones along the cheaper path.  The test
+    reads only the subsets that start at or below the last vertex of S_j
+    that starts a complement before the block; with s = |S_j| and L the
+    vertices of S_j up to that one, it reads C(s, k - 1) - C(s - L, k - 1)
+    masks, and a row takes it when that is below j.  Scans are bit-sliced:
+    one complement against R rows costs k ceil(R / 64) words.  Faces are
+    looked up by colex rank in a dense table of C(N, k - 1) cells, or past
+    ``POSITION_TABLE_LIMIT`` by binary search among the sorted ranks.
     ``jobs`` is validated and echoed, and changes nothing.  ``pairs_checked``
     counts the pairs of the O(eta^2) definition, not the work done.
     """

@@ -58,10 +58,15 @@ def test_force_only_on_guarded_commands(capsys, command):
     assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
-def test_jobs_below_one_is_a_usage_error(capsys):
-    assert main(["verify", "--m", "1", "--n", "1", "--jobs", "0"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == "usage error: jobs must be >= 1, got 0\n"
+@pytest.mark.parametrize("command", [["verify"], ["spanning"], ["explore"], ["homology"],
+                                     ["homology", "--wedge"]],
+                         ids=["verify", "spanning", "explore", "homology", "homology-wedge"])
+def test_jobs_below_one_is_a_usage_error(capsys, command):
+    # refused before any work: H(4, 6) would trip the subset guard (exit 3)
+    for m, n in ((1, 1), (4, 6)):
+        assert main([*command, "--m", str(m), "--n", str(n), "--jobs", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "usage error: jobs must be >= 1, got 0\n"
 
 
 def test_facets_csv_equals_the_json_complements(capsys):

@@ -219,14 +219,13 @@ def test_reinserting_each_tail_facet_breaks_order(m, n):
 
 
 def _verifier_sizes(draw):
-    """Row block, step and sub-block sizes, and a table limit that picks the
-    dense table or the sorted keys.  A sub-block of one row finds every
-    earlier complement through a bitmask snapshot; longer ones find some
-    inside the row's own sub-block."""
+    """Row block and step sizes, and a table limit that picks the dense
+    table or the sorted keys.  A block of one row finds every earlier
+    complement through the face masks; longer ones find some with the
+    block's own scan, whose 64-row words the sizes 64 and 65 straddle."""
     return dict(
-        _BLOCK_ROWS=draw(st.sampled_from([1, 7, shelling._BLOCK_ROWS])),
+        _BLOCK_ROWS=draw(st.sampled_from([1, 3, 7, 64, 65, shelling._BLOCK_ROWS])),
         _STEP_CELLS=draw(st.sampled_from([1, 50, shelling._STEP_CELLS])),
-        _SUB_ROWS=draw(st.sampled_from([1, 3, 64, 65, shelling._SUB_ROWS])),
         POSITION_TABLE_LIMIT=draw(st.sampled_from([1, shelling.POSITION_TABLE_LIMIT])),
     )
 
@@ -299,19 +298,20 @@ def test_packed_swap_rows_equal_swap_set(case):
     assert not bits[built:].any()
 
 
-def test_offender_live_only_inside_its_sub_block():
+def test_offender_live_only_inside_its_block():
     # H(2, 3) revlex with its last facet moved to 898: row 898 fails against
-    # 840, the first complement that starts with its vertex.  Both lie in
-    # the sub-block from 769, so the snapshot taken there does not count
-    # that vertex as live, and the pruned subset test reads no mask for it.
+    # 840, the first complement that starts with its vertex.  In blocks of
+    # 256 rows both lie in the block from 769, so the vertex does not count
+    # as live there, and the pruned subset test reads no mask for it.
     cx = _complex(2, 3)
     seq = sorted(cx.facets)
     seq.insert(897, seq.pop())
     order = _order_of(cx, seq)
-    res = verify_shelling(order)
+    with mock.patch.object(shelling, "_BLOCK_ROWS", 256):
+        res = verify_shelling(order)
     assert oracle_row_violation(_facet_sets(cx, seq), 898) == 840
     assert (res.ok, res.counterexample) == (False, (840, 898))
-    start = 897 // shelling._SUB_ROWS * shelling._SUB_ROWS
+    start = 897 // 256 * 256
     assert start <= 839 and all(c[0] != seq[839][0] for c in seq[:start])
     # row 898 takes the subset path: fewer live-first pairs than rows before it
     inside = set(range(1, cx.n_vertices + 1)) - swap_set(order, 898)
@@ -347,8 +347,8 @@ def _kernel_cases():
     with its first failing (i, j) and the rows before j that must pass."""
     path = enumerate_facets(Graph(66, [(v, v + 1) for v in range(1, 66)]), 2)
     # (7, 9) moved to 310: row 312, on the subset path, fails against it,
-    # and both lie in one sub-block for every size tried
-    yield "sub-block", path, _moved(path.facets, 369, 309), (310, 312), range(260, 312)
+    # and both lie in one block for every size tried but 1
+    yield "same-block", path, _moved(path.facets, 369, 309), (310, 312), range(260, 312)
     # (64, 66) moved to 2070: the single block has 2080 = 32 * 65 rows, not
     # a multiple of 64, and row 2072 lies in its last, partial word
     yield "last-word", path, _moved(path.facets, 2079, 2069), (2070, 2072), range(2020, 2072)
@@ -359,6 +359,13 @@ def _kernel_cases():
     dense = enumerate_facets(Graph(66, sorted(set(combinations(range(1, 67), 2)) - set(non))), 2)
     assert dense.facets == tuple(non)
     yield "scan", dense, non, (3, 21), range(2, 21)
+    # the 66-cycle in descending lex order with its first complement,
+    # (64, 66), moved to 1701: row 2017, S_2017 = {1, 64, 65, 66}, fails
+    # against it 316 rows later.  Blocks of 4096 rows hold both, so only
+    # the block's scan sees it; shorter ones find it in the face masks
+    cycle = enumerate_facets(cycle_graph(66), 2)
+    seq = _moved(sorted(cycle.facets, reverse=True), 0, 1700)
+    yield "far", cycle, seq, (1701, 2017), range(1960, 2017)
 
 
 _KERNEL_CASES = list(_kernel_cases())
@@ -375,14 +382,18 @@ def test_containment_kernel_matches_the_row_oracle(label, cx, seq, expected, bef
     s = cx.n_vertices - len(swap_set(order, j))  # |S_j|
     if label == "scan":  # at least eta (k-1)-subsets: scanned
         assert comb(s, cx.k - 1) >= cx.n_facets
-    if label == "sub-block":  # fewer (k-1)-subsets than earlier rows
+    if label in ("same-block", "far"):  # fewer (k-1)-subsets than earlier rows
         assert comb(s, cx.k - 1) < j - 1
-    for sub in (1, 3, 64, 65, 256):
-        if label == "sub-block":
-            assert (i - 1) // sub == (j - 1) // sub or sub == 1
-        with mock.patch.object(shelling, "_SUB_ROWS", sub):
-            res = verify_shelling(order)
-        assert (res.ok, res.counterexample) == (False, expected), sub
+    if label == "far":  # more than 256 rows apart in one default block
+        assert j - i > 256 and (i - 1) // shelling._BLOCK_ROWS == (j - 1) // shelling._BLOCK_ROWS
+    for block in (1, 3, 64, 65, 256, 4096):
+        if label == "same-block":
+            assert (i - 1) // block == (j - 1) // block or block == 1
+        for step in (1, 50, shelling._STEP_CELLS):
+            sizes = {"_BLOCK_ROWS": block, "_STEP_CELLS": step}
+            with mock.patch.multiple(shelling, **sizes):
+                res = verify_shelling(order)
+            assert (res.ok, res.counterexample) == (False, expected), sizes
 
 
 @pytest.mark.parametrize("limit", [1, shelling.POSITION_TABLE_LIMIT])

@@ -32,22 +32,31 @@ MUTANTS = {
         "    L = np.bitwise_count(inside & _through_last(live)).sum(axis=1, dtype=np.int64)\n",
         "    L = np.zeros(len(rows), dtype=np.int64)\n",
     ),
-    "mask snapshot one sub-block late": (
-        "    snap = (sel // _SUB_ROWS * (faces.zero + 1)).astype(np.int32)\n",
-        "    snap = (np.minimum(sel // _SUB_ROWS + 1, (len(inside) - 1) // _SUB_ROWS)"
-        " * (faces.zero + 1)).astype(np.int32)\n",
+    "block passed into the masks before its check": (
+        "        failure = _first_failure(table[lo:hi], lo, faces, choose, subsets)\n"
+        "        if failure is not None:\n"
+        "            return table, failure\n"
+        "        faces.pass_rows(lo, hi)\n",
+        "        faces.pass_rows(lo, hi)\n"
+        "        failure = _first_failure(table[lo:hi], lo, faces, choose, subsets)\n"
+        "        if failure is not None:\n"
+        "            return table, failure\n",
     ),
-    "within-sub-block check deleted": (
-        "    failing.extend(_rows_of(bad, _SUB_ROWS)[:1].tolist())\n",
-        "    pass\n",
+    "within-block check deleted": (
+        "    failing = _first_row(inside, ords, faces, lo)\n",
+        "    failing = []\n",
+    ),
+    "within-block scan starts at lo + 1": (
+        "    failing = _first_row(inside, ords, faces, lo)\n",
+        "    failing = _first_row(inside, ords, faces, lo + 1)\n",
     ),
     "_through_last drops the highest bit": (
         "        out[:, w] = np.where(higher, ~np.uint64(0), x)\n",
         "        out[:, w] = np.where(higher, ~np.uint64(0), x >> np.uint64(1))\n",
     ),
     "containment: p < r becomes p <= r": (
-        '    after = np.searchsorted(ords, p, side="right") - start\n',
-        '    after = np.searchsorted(ords, p, side="left") - start\n',
+        '    after = np.searchsorted(ords, p, side="right")\n',
+        '    after = np.searchsorted(ords, p, side="left")\n',
     ),
     "containment ANDs k - 1 vertex masks": (
         "    for c in range(1, cols.shape[1]):\n",
