@@ -69,49 +69,11 @@ def check_bitmap_ceiling(n_vertices: int) -> None:
         )
 
 
-def _subset_disconnected(g: Graph, subset: tuple[int, ...]) -> bool:
-    """Direct connectivity test on a small vertex tuple.
-
-    Sizes up to 4 are decided by adjacency checks alone; larger sets fall
-    back to search.
-    """
-    k = len(subset)
-    if k == 1:
-        return False
-    if k == 2:
-        return not g.is_edge(subset[0], subset[1])
-    if k == 3:
-        a, b, c = subset
-        e = int(g.is_edge(a, b)) + int(g.is_edge(a, c)) + int(g.is_edge(b, c))
-        return e < 2
-    if k == 4:
-        # grow a component from the first vertex via adjacency bits
-        reach = 1
-        frontier = 1
-        adj = [
-            sum(
-                1 << j
-                for j in range(4)
-                if j != i and g.is_edge(subset[i], subset[j])
-            )
-            for i in range(4)
-        ]
-        while frontier:
-            nxt = 0
-            for i in range(4):
-                if frontier >> i & 1:
-                    nxt |= adj[i]
-            frontier = nxt & ~reach
-            reach |= nxt
-        return reach != 0b1111
-    return not g.is_connected_subset(subset)
-
-
-@dataclass
+@dataclass(frozen=True)
 class CutComplex:
-    """A k-cut complex: graph, k, and the facet complements as one tuple
-    sorted ascending.  It keeps no complement index; lookups go through the
-    ``position`` map of an order on the facets."""
+    """A k-cut complex, frozen: graph, k, and the facet complements as one
+    tuple sorted ascending.  It keeps no complement index; lookups go
+    through the ``position`` map of an order on the facets."""
 
     graph: Graph
     k: int
@@ -168,11 +130,12 @@ def _reach_slabs(g: Graph, k: int) -> Iterator[Iterator[tuple[int, ...]]]:
     The subsets of a chunk are rows of W = ceil((N + 1) / 64) words, bit v
     set iff v is in the subset.  A reach mask grows from each subset's first
     vertex: a step ORs in the neighbours of the reached vertices and cuts
-    back to the subset, and a row whose reach stops changing has settled and
-    leaves the chunk.  The subset is disconnected iff its settled reach is
-    not all of it.  Neighbours come from a byte table: ``table[q, x]`` is
-    the OR of the neighbour masks of the vertices 8q + b for the set bits b
-    of x, so a step is one gather per byte of the row, whatever k is.
+    back to the subset.  A row settles and leaves the chunk when its reach
+    is all of the subset, which is then connected, or when its reach stops
+    changing short of that, which makes it disconnected.  Neighbours come
+    from a byte table: ``table[q, x]`` is the OR of the neighbour masks of
+    the vertices 8q + b for the set bits b of x, so a step is one gather
+    per byte of the row, whatever k is.
     """
     N = g.n_vertices
     words, width = (N + 64) // 64, (N + 8) // 8
@@ -201,11 +164,13 @@ def _reach_slabs(g: Graph, k: int) -> Iterator[Iterator[tuple[int, ...]]]:
             grown = reach.copy()
             for q, x in enumerate(reach.view(np.uint8)[:, :width].T):
                 grown |= table[q, x]
-            grown &= rows[live]
-            moved = (grown != reach).any(axis=1)
-            settled = live[~moved]
-            split[settled] = (reach[~moved] != rows[settled]).any(axis=1)
-            live, reach = live[moved], grown[moved]
+            mine = rows[live]
+            grown &= mine
+            full = (grown == mine).all(axis=1)
+            stuck = (grown == reach).all(axis=1) & ~full
+            split[live[stuck]] = True
+            keep = ~(full | stuck)
+            live, reach = live[keep], grown[keep]
         yield map(tuple, chunk[split].tolist())
 
 
@@ -245,9 +210,7 @@ def is_face(cx: CutComplex, sigma) -> bool:
     rest = [v for v in range(1, N + 1) if v not in s]
     if len(rest) < cx.k:
         return False
-    return any(
-        _subset_disconnected(g, t) for t in combinations(rest, cx.k)
-    )
+    return any(not g.is_connected_subset(t) for t in combinations(rest, cx.k))
 
 
 def downward_closure(masks, n_vertices: int) -> np.ndarray:
@@ -329,7 +292,7 @@ def f_vector(
     facet_masks = [
         full ^ sum(1 << (v - 1) for v in t)
         for t in combinations(range(1, N + 1), cx.k)
-        if _subset_disconnected(cx.graph, t)
+        if not cx.graph.is_connected_subset(t)
     ]
     if not facet_masks:
         return FVector((0,))

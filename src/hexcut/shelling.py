@@ -150,18 +150,21 @@ def tail_facets(m: int, n: int, graph: HexGraph) -> list[TailFacet]:
 # orders
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ShellingOrder:
-    """A linear order on the facets of a cut complex.
+    """A linear order on the facets of a cut complex, frozen.
 
     ``facets`` lists complement tuples in order; ``position`` maps each
     complement to its 1-based ordinal, and is the one complement -> position
-    map: every facet and swap lookup reads it.  Verification and the
-    spanning report first check it against ``facets`` and the complex.  The
-    tail schedule, when relocated, occupies the last ``len(tail)`` positions
-    in tail-index order.  A passing :func:`verify_shelling` stores the
-    packed swap table in ``_swaps``; the order is ``verified`` exactly when
-    it holds one.
+    map: every facet and swap lookup reads it.  Verification first checks
+    it against ``facets`` and the complex.  The tail schedule, when
+    relocated, occupies the last ``len(tail)`` positions in tail-index
+    order.  A passing :func:`verify_shelling` is the one writer of
+    ``_swaps``, the packed swap table of this order; the order is
+    ``verified`` exactly when it holds one.  The constructor and
+    ``dataclasses.replace`` take no table, so every order they build is
+    unverified, and the spanning report trusts ``verified`` without
+    checking the order again.
     """
 
     cx: CutComplex
@@ -169,7 +172,7 @@ class ShellingOrder:
     position: dict[tuple[int, ...], int] = field(repr=False)
     tail: tuple[TailFacet, ...] = ()
     base_count: int = 0
-    _swaps: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _swaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def verified(self) -> bool:
@@ -252,19 +255,6 @@ def _tail_position(position: dict[tuple[int, ...], int], t: TailFacet) -> int:
 # ---------------------------------------------------------------------------
 # swap sets (Lambda_j)
 # ---------------------------------------------------------------------------
-
-def _check_cover(order: ShellingOrder) -> None:
-    """Check that ``position`` sends the complement at ordinal i to i, and
-    that the order lists each facet of its complex once, without building a
-    set: equal sizes, one position per ordinal, a position per facet."""
-    facets, position = order.facets, order.position
-    if not (
-        len(facets) == len(position) == order.cx.n_facets
-        and all(map(eq, map(position.get, facets), count(1)))
-        and all(map(position.__contains__, order.cx.facets))
-    ):
-        raise IncompleteOrder("order does not cover the facets exactly once")
-
 
 def _swapped(c: tuple[int, ...], a: int, lam: int) -> tuple[int, ...]:
     """The complement c with its entry a swapped for lam, sorted."""
@@ -592,8 +582,8 @@ def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | Non
     holding a failing row; the failing 0-based (i, j), minimal in (j, i),
     comes back with the table, whose rows past that block stay zero."""
     N, k = order.n_vertices, order.cx.k
-    # every entry a k-tuple: the caller has run _check_cover, which matches
-    # the order to the facets of its complex one for one
+    # every entry a k-tuple: the caller has matched the order to the facets
+    # of its complex one for one
     eta = order.n_facets
     comp = np.fromiter(chain.from_iterable(order.facets), np.int32, count=eta * k).reshape(eta, k)
     faces = _Faces(comp, N)
@@ -613,9 +603,11 @@ def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | Non
 def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     """Check the single-swap shelling condition over every pair i < j.
 
-    Returns ok, or the failing pair (i, j) minimal in (j, i) order.  A
-    passing run stores the packed swap table on the order, which marks it
-    verified; a failing one drops any table it held.  Row j fails iff an
+    Returns ok, or the failing pair (i, j) minimal in (j, i) order.  The
+    order must list each facet of its complex once, with ``position``
+    sending the complement at ordinal i to i, or IncompleteOrder is raised.
+    A passing run attaches the packed swap table to the order, which marks
+    it verified; a failing run attaches nothing.  Row j fails iff an
     earlier complement lies inside S_j = V - Lambda_j, tested for any k
     along one of two paths: a test of (k-1)-subsets of S_j against bitmasks
     of the earlier complements that contain them, or a scan of the j
@@ -634,12 +626,20 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     """
     if jobs < 1:
         raise InvalidParams(f"jobs must be >= 1, got {jobs}")
-    _check_cover(order)
+    # equal sizes, one position per ordinal, a position per facet: each
+    # facet listed once, checked without building a set
+    facets, position = order.facets, order.position
+    if not (
+        len(facets) == len(position) == order.cx.n_facets
+        and all(map(eq, map(position.get, facets), count(1)))
+        and all(map(position.__contains__, order.cx.facets))
+    ):
+        raise IncompleteOrder("order does not cover the facets exactly once")
     table, failure = _swap_table(order)
-    order._swaps = table if failure is None else None
     if failure is not None:
         i, j = failure
         return VerifyResult(False, (i + 1, j + 1), j * (j + 1) // 2, jobs)
+    object.__setattr__(order, "_swaps", table)  # the one write to a frozen order
     eta = order.n_facets
     return VerifyResult(True, None, eta * (eta - 1) // 2, jobs)
 
@@ -669,8 +669,9 @@ class SpanningReport:
 
 def spanning_facets(order: ShellingOrder) -> SpanningReport:
     """Flag each facet as spanning iff its swap set covers the whole facet,
-    read from the swap table that the order's verification stored; raises
-    UnverifiedOrder for an order that holds none.
+    read from the swap table that the order's verification attached; raises
+    UnverifiedOrder for an order that holds none.  A frozen order holds only
+    the table of its own facets, so ``verified`` is trusted as it stands.
 
     ``non_spanning_pairs`` lists every pair (x, y) with x < y < N for which
     the triple {x, y, N} is NOT the complement of a spanning facet, whether
@@ -680,7 +681,6 @@ def spanning_facets(order: ShellingOrder) -> SpanningReport:
     """
     if not order.verified:
         raise UnverifiedOrder("verify the order first: only a shelling has a spanning report")
-    _check_cover(order)
     N, k = order.n_vertices, order.cx.k
     swaps, facets = order._swaps, order.facets
     span = np.bitwise_count(swaps).sum(axis=1) == N - k

@@ -90,9 +90,10 @@ def test_k_out_of_range():
 
 
 def _filtered(g, k):
-    """The k-subsets that the one-call-per-subset test calls disconnected."""
+    """The k-subsets that ``Graph.is_connected_subset``, called once per
+    subset, calls disconnected."""
     return tuple(t for t in combinations(range(1, g.n_vertices + 1), k)
-                 if cutcomplex._subset_disconnected(g, t))
+                 if not g.is_connected_subset(t))
 
 
 def _assert_same_facets(cx, expected):
@@ -249,7 +250,7 @@ def test_bitmap_ceiling_checked_before_any_subset_is_tested(instance):
         raise AssertionError("a subset was tested before the bitmap ceiling was checked")
 
     cx = instance(4, 6, verify=False).cx
-    with mock.patch.object(cutcomplex, "_subset_disconnected", untested):
+    with mock.patch.object(Graph, "is_connected_subset", untested):
         with pytest.raises(ResourceGuard, match="--force cannot lift it$"):
             f_vector(cx, mode="exhaustive", force=True)
 

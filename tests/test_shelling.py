@@ -47,6 +47,7 @@ from conftest import (
     oracle_full_facets,
     oracle_is_chordal,
     oracle_is_shelling,
+    oracle_mcs_order,
     oracle_perfect_elimination_order,
     oracle_row_violation,
     oracle_spanning_flags,
@@ -424,7 +425,8 @@ def test_live_pruning_reads_under_a_tenth_of_the_pairs(instance, monkeypatch):
         return real(pos, key)
 
     monkeypatch.setattr(shelling._Positions, "__getitem__", counting)
-    assert verify_shelling(dataclasses.replace(order, _swaps=None)).ok
+    # a replaced order holds no table, so it is verified again from scratch
+    assert verify_shelling(dataclasses.replace(order)).ok
     assert 0 < sum(looked_up) < unpruned / 10
 
 
@@ -537,8 +539,10 @@ def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
     report = spanning_facets(order)
     assert sorted(built) == list(range(order.n_facets))
     assert list(report.spanning_flags) == oracle_spanning_flags(_facet_sets(cx, order.facets))
-    twin = dataclasses.replace(order, _swaps=None)
-    assert order._swaps is not None
+    # the table is no field of the constructor: a copy is unverified, and
+    # compares and prints like the order it copies
+    twin = dataclasses.replace(order)
+    assert order.verified and not twin.verified
     assert twin == order and repr(twin) == repr(order)
 
     # a failing order stops at the block holding the failure and keeps no
@@ -625,8 +629,9 @@ def test_sorted_keys_match_the_dense_table(capsys):
 
 @pytest.mark.parametrize("defect", ["missing", "duplicate", "swapped-position"])
 def test_incomplete_order_rejected(defect):
-    # a verified order whose fields change afterwards keeps its swap table;
-    # both the verifier and the spanning report check the order again
+    # an order rebuilt from a verified one with other fields holds no swap
+    # table: the verifier refuses it and the spanning report asks for a
+    # verification first
     cx = enumerate_facets(build_hex_graph(1, 1), 3)
     order = shelling_order(cx)
     assert verify_shelling(order).ok
@@ -640,10 +645,11 @@ def test_incomplete_order_rejected(defect):
         a, b = facets[0], facets[-1]
         position[a], position[b] = position[b], position[a]
     broken = dataclasses.replace(order, facets=facets, position=position)
-    assert broken.verified
+    assert order.verified and not broken.verified
     with pytest.raises(IncompleteOrder):
         verify_shelling(broken)
-    with pytest.raises(IncompleteOrder):
+    assert not broken.verified
+    with pytest.raises(UnverifiedOrder):
         spanning_facets(broken)
 
 
@@ -808,6 +814,56 @@ def test_k2_refutes_h46(limit, shuffle):
     sets = _facet_sets(cx, seq)
     assert oracle_row_violation(sets, j) == i
     assert all(oracle_row_violation(sets, r) is None for r in range(max(2, j - 50), j))
+
+
+def _seeded_large_graphs():
+    """Six seeded connected graphs, N from 30 to 60: a random tree plus N/4
+    to N random chords, each with its random source."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        N = rng.randint(30, 60)
+        edges = {(rng.randint(1, v - 1), v) for v in range(2, N + 1)}
+        chords = rng.randint(N // 4, N)
+        while len(edges) < N - 1 + chords:
+            edges.add(tuple(sorted(rng.sample(range(1, N + 1), 2))))
+        yield Graph(N, sorted(edges)), rng
+
+
+def test_k2_refutes_non_chordal_graphs_at_scale():
+    # Froberg at N = 30..60: both explore rules and two shuffles must be
+    # refuted, the rules on the drawn labels and on labels that follow the
+    # reversed MCS order, under which revlex shells a long prefix and fails
+    # past row 100.  Each order is verified in blocks of 64 rows too, so
+    # those failures lie past the first block; the row oracle checks the
+    # failing row and every row before it
+    for g, rng in _seeded_large_graphs():
+        N = g.n_vertices
+        adj = oracle_adjacency(g)
+        assert oracle_connected(adj, range(1, N + 1)) and not oracle_is_chordal(adj)
+        label = {v: i for i, v in enumerate(oracle_mcs_order(adj)[::-1], start=1)}
+        relabelled = Graph(N, [(label[u], label[v]) for u, v in g.edges()])
+        cases = []
+        for h in (g, relabelled):
+            cx = enumerate_facets(h, 2)
+            for rule in ("revlex", "revlex-with-neighborhood-tail"):
+                v = verify_k_cut_order(h, 2, rule)
+                seq = [f for f in cx.facets if f not in v.relocated] + list(v.relocated)
+                cases.append((cx, seq, (v.ok, v.counterexample)))
+        cx = enumerate_facets(g, 2)
+        for _ in range(2):
+            seq = list(cx.facets)
+            rng.shuffle(seq)
+            cases.append((cx, seq, None))
+        for cx, seq, explored in cases:
+            for block in (64, shelling._BLOCK_ROWS):
+                with mock.patch.object(shelling, "_BLOCK_ROWS", block):
+                    res = verify_shelling(_order_of(cx, seq))
+                assert not res.ok
+                assert explored in (None, (res.ok, res.counterexample))
+            i, j = res.counterexample
+            sets = _facet_sets(cx, seq)
+            assert oracle_row_violation(sets, j) == i
+            assert all(oracle_row_violation(sets, r) is None for r in range(2, j))
 
 
 def test_k2_revlex_shells_chordal_graphs_labelled_by_elimination_order():

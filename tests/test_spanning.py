@@ -75,22 +75,43 @@ def test_requires_verified_order():
 
 
 def test_verified_is_exactly_a_stored_table():
-    # verified is read from the swap table, never set on its own
+    # verified is read from the swap table, never set on its own, and only
+    # a passing verification attaches a table
     assert "verified" not in {f.name for f in dataclasses.fields(ShellingOrder)}
     cx = enumerate_facets(build_hex_graph(1, 2), 3)
     order = shelling_order(cx)
     with pytest.raises(AttributeError):
         order.verified = True
     assert verify_shelling(order).ok and order.verified
-    # the same table on a failing order: verifying it again drops the table
+    # no table comes in through the constructor, replace() or assignment
+    with pytest.raises(TypeError):
+        ShellingOrder(cx=cx, facets=order.facets, position=order.position, _swaps=order._swaps)
+    with pytest.raises(ValueError):
+        dataclasses.replace(order, _swaps=order._swaps)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        order._swaps = None
+    # the failing plain order, built from the verified one, holds no table
+    # and gains none from its verification
     sorted_order = shelling_order(cx, relocate_tail=False)
     plain = dataclasses.replace(order, facets=sorted_order.facets,
                                 position=sorted_order.position)
-    assert plain.verified
+    assert not plain.verified
     assert not verify_shelling(plain).ok
     assert not plain.verified and plain._swaps is None
     with pytest.raises(UnverifiedOrder):
         spanning_facets(plain)
+
+
+def test_a_verified_order_lends_its_table_to_no_other_order(instance):
+    # H(2, 2): the plain sorted order is no shelling.  Given the facets of
+    # the plain order, a copy of the verified order must not read the
+    # verified table, which would report psi = 77 for a non-shelling
+    verified = instance(2, 2).order
+    plain = shelling_order(verified.cx, relocate_tail=False)
+    spoof = dataclasses.replace(verified, facets=plain.facets, position=plain.position)
+    assert verified.verified and not spoof.verified
+    with pytest.raises(UnverifiedOrder):
+        spanning_facets(spoof)
 
 
 def _revlex_order(cx):

@@ -62,6 +62,10 @@ MUTANTS = {
         "    for c in range(1, cols.shape[1]):\n",
         "    for c in range(2, cols.shape[1]):\n",
     ),
+    "swap table taken by the constructor and replace()": (
+        "    _swaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)\n",
+        "    _swaps: np.ndarray | None = field(default=None, repr=False, compare=False)\n",
+    ),
     "verified without a swap table": (
         "        return self._swaps is not None\n",
         "        return True\n",
