@@ -252,6 +252,12 @@ class FVector:
         return len(self.counts) - 2
 
 
+def _closed_fvector(n_vertices: int, n_facets: int) -> FVector:
+    """The face counts of ``f_vector`` mode ``closed``: C(N, j) for each
+    size j up to N-4, then the facets at size N-3."""
+    return FVector(tuple(comb(n_vertices, j) for j in range(n_vertices - 3)) + (n_facets,))
+
+
 def f_vector(
     cx: CutComplex,
     mode: str = "auto",
@@ -282,9 +288,7 @@ def f_vector(
 
     N = cx.n_vertices
     if mode == "closed":
-        counts = [comb(N, j) for j in range(N - 2)]  # face sizes 0..N-3
-        counts[N - 3] = cx.n_facets
-        return FVector(tuple(counts))
+        return _closed_fvector(N, cx.n_facets)
 
     check_size(N, "vertices of the exhaustive f-vector", EXHAUSTIVE_VERTEX_LIMIT, force)
     check_bitmap_ceiling(N)

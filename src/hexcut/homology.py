@@ -31,6 +31,7 @@ import numpy as np
 from .cutcomplex import (
     CutComplex,
     FVector,
+    _closed_fvector,
     check_bitmap_ceiling,
     check_size,
     downward_closure,
@@ -249,16 +250,8 @@ def reduced_euler_closed(m: int, n: int) -> int:
     (girth 6 leaves no 4-subset without a disconnected triple) and the top
     dimension holds one face per facet.  Evaluated as the exact alternating
     binomial sum; no spanning-count input."""
-    N = hex_vertex_count(m, n)
-    total = 0
-    for size in range(0, N - 3):  # sizes 0..N-4, dimensions -1..N-5
-        dim = size - 1
-        term = comb(N, size)
-        total += term if dim % 2 == 0 else -term
-    top_dim = N - 4
-    eta = hex_facet_count(m, n)
-    total += eta if top_dim % 2 == 0 else -eta
-    return total
+    return reduced_euler_from_fvector(
+        _closed_fvector(hex_vertex_count(m, n), hex_facet_count(m, n)))
 
 
 def reduced_euler_exhaustive(cx: CutComplex, force: bool = False) -> int:

@@ -32,9 +32,9 @@ the complements of the block before it.  Against the complements before
 the block, each row is checked along one of two exact paths: test S_j
 against the masks of its (k-1)-subsets P, since S_j holds such a
 complement iff masks[P] & S_j is nonzero for some P, or scan the j earlier
-complements.  Reading the P that start at or below the last vertex of S_j
-that starts a passed complement is enough, so with s = |S_j| and L the
-vertices of S_j up to that one, the subset test reads
+complements.  Reading the subsets starting at or below the last vertex
+that starts a passed complement is enough, one vertex per block, so with
+s = |S_j| and L the vertices of S_j up to that one, the subset test reads
 C(s, k - 1) - C(s - L, k - 1) masks, and a row takes it when that is below
 j.  Every scan tests containment bit-sliced: each vertex gets one mask
 over the scanned rows, and a complement lies inside S_j exactly for the
@@ -150,15 +150,29 @@ def tail_facets(m: int, n: int, graph: HexGraph) -> list[TailFacet]:
 # orders
 # ---------------------------------------------------------------------------
 
+class _ReadOnlyPositions(dict):
+    """A complement -> position dict that refuses every change.  Reads stay
+    plain dict lookups, the refute loop's hot path; copies and pickles
+    rebuild it whole."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the position map of an order is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class ShellingOrder:
     """A linear order on the facets of a cut complex, frozen.
 
     ``facets`` lists complement tuples in order; ``position`` maps each
     complement to its 1-based ordinal, and is the one complement -> position
-    map: every facet and swap lookup reads it.  Verification first checks
-    it against ``facets`` and the complex.  The tail schedule, when
-    relocated, occupies the last ``len(tail)`` positions in tail-index
+    map, read-only: every facet and swap lookup reads it.  Verification
+    first checks it against ``facets`` and the complex.  The tail schedule,
+    when relocated, occupies the last ``len(tail)`` positions in tail-index
     order.  A passing :func:`verify_shelling` is the one writer of
     ``_swaps``, the packed swap table of this order; the order is
     ``verified`` exactly when it holds one.  The constructor and
@@ -173,6 +187,9 @@ class ShellingOrder:
     tail: tuple[TailFacet, ...] = ()
     base_count: int = 0
     _swaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "position", _ReadOnlyPositions(self.position))
 
     @property
     def verified(self) -> bool:
@@ -357,9 +374,9 @@ class _Faces:
     which stays zero.  Masks are stored word by word, so that a gather reads
     one contiguous array per word, and change only between row blocks.
     ``comp`` holds the complements as rows of k vertices, ``face[i, s]``
-    numbers the face of complement i without its entry s, ``first[v]`` is
-    the first position whose complement starts with v (eta if none), and
-    ``vertices`` packs V = {1..N}."""
+    numbers the face of complement i without its entry s, ``vertices``
+    packs V = {1..N}, and ``packed(vertex <= last)`` bounds the subsets
+    starting at or below the last vertex that starts a passed complement."""
 
     def __init__(self, comp: np.ndarray, N: int):
         self.comp = comp
@@ -371,11 +388,9 @@ class _Faces:
         self.face = self.pos.number(keys.reshape(-1)).reshape(eta, k)
         self.zero = self.pos.count
         self.masks = np.zeros(((N + 64) // 64, self.zero + 1), dtype="<u8")
-        self.first = np.full(N + 1, eta)
-        np.minimum.at(self.first, comp[:, 0], np.arange(eta))
-        v = np.arange(N + 1)
-        self.vertex_bit = np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
-        self.vertices = self.packed(v > 0)
+        self.vertex = np.arange(N + 1)
+        self.vertex_bit = np.left_shift(np.uint64(1), (self.vertex & 63).astype(np.uint64))
+        self.vertices = self.packed(self.vertex > 0)
 
     def packed(self, flags: np.ndarray) -> np.ndarray:
         """Rows of per-vertex flags, vertices 0..N, as rows of W words."""
@@ -455,7 +470,7 @@ def _scan(inside, ords, faces, start):
     complements [a, b) reads only the words from w, the word that holds
     the first row after a, so a block's scan of its own complements walks
     a triangle; yields a, w and the words of the step."""
-    sliced = _sliced(inside, len(faces.first))
+    sliced = _sliced(inside, len(faces.vertex))
     a, end, width = start, int(ords[-1]), sliced.shape[1]
     while a < end:
         w = int(np.searchsorted(ords, a, side="right")) // 64
@@ -471,20 +486,6 @@ def _first_row(inside, ords, faces, start) -> list[int]:
     for _, w, hit in _scan(inside, ords, faces, start):
         bad[w:] |= np.bitwise_or.reduce(hit, axis=0)
     return _rows_of(bad)[:1].tolist()
-
-
-def _through_last(live: np.ndarray) -> np.ndarray:
-    """Packed rows holding every bit at or below the highest bit set in the
-    same row of ``live``, none for an empty row."""
-    out = np.empty_like(live)
-    higher = np.zeros(len(live), dtype=bool)
-    for w in reversed(range(live.shape[1])):
-        x = live[:, w].copy()
-        for shift in (1, 2, 4, 8, 16, 32):
-            x |= x >> np.uint64(shift)
-        out[:, w] = np.where(higher, ~np.uint64(0), x)
-        higher |= live[:, w] != 0
-    return out
 
 
 def _subset_failure(inside, sel, size, skip, span, faces, subsets) -> int | None:
@@ -525,7 +526,7 @@ def _subset_failure(inside, sel, size, skip, span, faces, subsets) -> int | None
     return None
 
 
-def _first_failure(rows, lo, faces, choose, subsets) -> tuple[int, int] | None:
+def _first_failure(rows, lo, last, faces, choose, subsets) -> tuple[int, int] | None:
     """The 0-based (i, j) with j the smallest position among the packed
     swap rows lo.. whose S_j contains an earlier complement, and i the first
     such complement.
@@ -534,14 +535,14 @@ def _first_failure(rows, lo, faces, choose, subsets) -> tuple[int, int] | None:
     before it.  Against the complements before lo, each row is checked
     along one of two exact paths: test (k-1)-subsets P of S_j against the
     face masks as they stand at lo, or scan the j earlier complements.
-    Row j fails the test iff some masks[P] & S_j is nonzero.  A complement
-    passed before lo starts with a vertex that was live there, first in
-    some passed complement, and the face that drops its last entry starts
-    there too.  So only the P whose smallest vertex lies at or below the
-    last live vertex of S_j are read: listed in colex order over the s
-    vertices of S_j in descending order, they are the columns
+    Row j fails the test iff some masks[P] & S_j is nonzero.  ``last`` is
+    the largest first vertex of a complement before lo (0 for none), and
+    the face of such a complement that drops its last entry starts at or
+    below it.  So only the subsets starting at or below the last vertex
+    that starts a passed complement are read: listed in colex order over
+    the s vertices of S_j in descending order, they are the columns
     [C(s - L, k - 1), C(s, k - 1)) of ``subsets``, where L counts the
-    vertices of S_j up to its last live one.  ``choose[s]`` is C(s, k - 1)
+    vertices of S_j at or below ``last``.  ``choose[s]`` is C(s, k - 1)
     capped at eta; a row whose S_j has eta or more (k-1)-subsets, or whose
     span reaches j, is scanned.
 
@@ -555,8 +556,7 @@ def _first_failure(rows, lo, faces, choose, subsets) -> tuple[int, int] | None:
     ords = np.arange(lo, lo + len(rows))
     inside = ~rows & faces.vertices  # S_j
     size = np.bitwise_count(inside).sum(axis=1, dtype=np.int64)  # |S_j|
-    live = inside & faces.packed(faces.first < lo)
-    L = np.bitwise_count(inside & _through_last(live)).sum(axis=1, dtype=np.int64)
+    L = np.bitwise_count(inside & faces.packed(faces.vertex <= last)).sum(axis=1, dtype=np.int64)
     skip = choose[size - L]
     span = choose[size] - skip
     by_subsets = (choose[size] < eta) & (span < ords)
@@ -590,13 +590,15 @@ def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | Non
     choose = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
     subsets = _colex_subsets(int(np.flatnonzero(choose < eta).max(initial=0)), k - 1)
     table = np.zeros((eta, faces.masks.shape[0]), dtype="<u8")
+    last = 0  # the largest first vertex of a passed complement, 0 for none
     for lo in range(0, eta, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, eta)
         table[lo:hi] = faces.swap_rows(lo, hi)
-        failure = _first_failure(table[lo:hi], lo, faces, choose, subsets)
+        failure = _first_failure(table[lo:hi], lo, last, faces, choose, subsets)
         if failure is not None:
             return table, failure
         faces.pass_rows(lo, hi)
+        last = max(last, int(comp[lo:hi, 0].max()))
     return table, None
 
 
@@ -614,13 +616,13 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     earlier complements.  Rows are checked in blocks of ``_BLOCK_ROWS``:
     each row is scanned against the complements of its block before it,
     and tested against the earlier ones along the cheaper path.  The test
-    reads only the subsets that start at or below the last vertex of S_j
-    that starts a complement before the block; with s = |S_j| and L the
-    vertices of S_j up to that one, it reads C(s, k - 1) - C(s - L, k - 1)
-    masks, and a row takes it when that is below j.  Scans are bit-sliced:
-    one complement against R rows costs k ceil(R / 64) words.  Faces are
-    looked up by colex rank in a dense table of C(N, k - 1) cells, or past
-    ``POSITION_TABLE_LIMIT`` by binary search among the sorted ranks.
+    reads only the subsets starting at or below the last vertex that starts
+    a passed complement; with s = |S_j| and L the vertices of S_j up to
+    that one, it reads C(s, k - 1) - C(s - L, k - 1) masks, and a row takes
+    it when that is below j.  Scans are bit-sliced: one complement against
+    R rows costs k ceil(R / 64) words.  Faces are looked up by colex rank
+    in a dense table of C(N, k - 1) cells, or past ``POSITION_TABLE_LIMIT``
+    by binary search among the sorted ranks.
     ``jobs`` is validated and echoed, and changes nothing.  ``pairs_checked``
     counts the pairs of the O(eta^2) definition, not the work done.
     """
@@ -639,7 +641,7 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     if failure is not None:
         i, j = failure
         return VerifyResult(False, (i + 1, j + 1), j * (j + 1) // 2, jobs)
-    object.__setattr__(order, "_swaps", table)  # the one write to a frozen order
+    object.__setattr__(order, "_swaps", table)  # the one write to a built order
     eta = order.n_facets
     return VerifyResult(True, None, eta * (eta - 1) // 2, jobs)
 

@@ -313,11 +313,11 @@ def test_offender_live_only_inside_its_block():
     assert oracle_row_violation(_facet_sets(cx, seq), 898) == 840
     assert (res.ok, res.counterexample) == (False, (840, 898))
     start = 897 // 256 * 256
-    assert start <= 839 and all(c[0] != seq[839][0] for c in seq[:start])
+    last = max(c[0] for c in seq[:start])  # the live bound of the block
+    assert start <= 839 and last < seq[839][0]
     # row 898 takes the subset path: fewer live-first pairs than rows before it
     inside = set(range(1, cx.n_vertices + 1)) - swap_set(order, 898)
-    live = {c[0] for c in seq[:start]} & inside
-    s, L = len(inside), sum(v <= max(live, default=0) for v in inside)
+    s, L = len(inside), sum(v <= last for v in inside)
     assert comb(s, 2) - comb(s - L, 2) < 897
 
 
@@ -334,6 +334,29 @@ def test_last_live_vertex_in_the_second_mask_word():
     assert all(oracle_row_violation(sets, j) is None for j in range(1990, 2017))
     res = verify_shelling(_order_of(cx, seq))
     assert (res.ok, res.counterexample) == (False, (1, 2017))
+
+
+def test_live_vertices_that_are_no_prefix_across_blocks_and_words():
+    # the 130-cycle at k = 2 in descending lex order: the first vertices of
+    # the passed complements run down from 128, so they form no prefix, and
+    # from the first block on the live bound, 128, reaches subsets of S_j
+    # that start at vertices no passed complement starts at.  A row packs
+    # into three words, and row 8129, (1, 129), fails against the first
+    # complement, (128, 130), 31 blocks of 256 rows later or in the last
+    # block of 4096; both block sizes must give the same verdict
+    cx = enumerate_facets(cycle_graph(130), 2)
+    seq = sorted(cx.facets, reverse=True)
+    order = _order_of(cx, seq)
+    verdicts = set()
+    for block in (256, shelling._BLOCK_ROWS):
+        with mock.patch.object(shelling, "_BLOCK_ROWS", block):
+            res = verify_shelling(order)
+        verdicts.add((res.ok, res.counterexample))
+    assert verdicts == {(False, (1, 8129))}
+    assert (seq[0], seq[8128]) == ((128, 130), (1, 129))
+    sets = _facet_sets(cx, seq)
+    assert oracle_row_violation(sets, 8129) == 1
+    assert all(oracle_row_violation(sets, j) is None for j in range(8079, 8129))
 
 
 def _moved(seq, a, b):

@@ -1,6 +1,9 @@
 """Spanning facets, the tabulated pair families, and blocking vertices."""
 
+import copy
 import dataclasses
+import operator
+import pickle
 from unittest import mock
 
 import pytest
@@ -112,6 +115,36 @@ def test_a_verified_order_lends_its_table_to_no_other_order(instance):
     assert verified.verified and not spoof.verified
     with pytest.raises(UnverifiedOrder):
         spanning_facets(spoof)
+
+
+def test_the_position_map_of_an_order_is_read_only():
+    # H(1, 2): exchanging the ordinals of the tail facet and of a spanning
+    # facet in place would leave the order verified while its map reads
+    # the tail facet as spanning; every change to the map is refused
+    order = shelling_order(enumerate_facets(build_hex_graph(1, 2), 3))
+    assert verify_shelling(order).ok
+    report = spanning_facets(order)
+    swaps = [swap_set(order, j) for j in range(1, order.n_facets + 1)]
+    assert check_spanning_structure(order, report)
+    pos = order.position
+    tail, spanning = order.tail[0].complement, report.spanning_complements[0]
+    with pytest.raises(TypeError):
+        pos[tail], pos[spanning] = pos[spanning], pos[tail]
+    for change in (
+        lambda: operator.delitem(pos, tail), lambda: operator.ior(pos, {tail: 1}),
+        pos.clear, lambda: pos.pop(tail), pos.popitem,
+        lambda: pos.setdefault((0, 0, 0), 1), lambda: pos.update({tail: 1}),
+    ):
+        with pytest.raises(TypeError):
+            change()
+    assert [swap_set(order, j) for j in range(1, order.n_facets + 1)] == swaps
+    assert check_spanning_structure(order, report)
+    assert verify_shelling(order).ok
+    # copies and pickles rebuild the map whole, and it stays read-only
+    for twin in (copy.deepcopy(order), pickle.loads(pickle.dumps(order))):
+        assert twin.position == pos and type(twin.position) is type(pos)
+        with pytest.raises(TypeError):
+            twin.position[tail] = 1
 
 
 def _revlex_order(cx):

@@ -29,16 +29,17 @@ TESTS = ["tests/test_shelling.py", "tests/test_spanning.py"]
 # name -> (text in shelling.py, replacement)
 MUTANTS = {
     "no vertex counts as live (L = 0)": (
-        "    L = np.bitwise_count(inside & _through_last(live)).sum(axis=1, dtype=np.int64)\n",
+        "    L = np.bitwise_count(inside & faces.packed(faces.vertex <= last))"
+        ".sum(axis=1, dtype=np.int64)\n",
         "    L = np.zeros(len(rows), dtype=np.int64)\n",
     ),
     "block passed into the masks before its check": (
-        "        failure = _first_failure(table[lo:hi], lo, faces, choose, subsets)\n"
+        "        failure = _first_failure(table[lo:hi], lo, last, faces, choose, subsets)\n"
         "        if failure is not None:\n"
         "            return table, failure\n"
         "        faces.pass_rows(lo, hi)\n",
         "        faces.pass_rows(lo, hi)\n"
-        "        failure = _first_failure(table[lo:hi], lo, faces, choose, subsets)\n"
+        "        failure = _first_failure(table[lo:hi], lo, last, faces, choose, subsets)\n"
         "        if failure is not None:\n"
         "            return table, failure\n",
     ),
@@ -50,9 +51,9 @@ MUTANTS = {
         "    failing = _first_row(inside, ords, faces, lo)\n",
         "    failing = _first_row(inside, ords, faces, lo + 1)\n",
     ),
-    "_through_last drops the highest bit": (
-        "        out[:, w] = np.where(higher, ~np.uint64(0), x)\n",
-        "        out[:, w] = np.where(higher, ~np.uint64(0), x >> np.uint64(1))\n",
+    "live bound excludes its last vertex": (
+        "faces.packed(faces.vertex <= last)",
+        "faces.packed(faces.vertex < last)",
     ),
     "containment: p < r becomes p <= r": (
         '    after = np.searchsorted(ords, p, side="right")\n',
