@@ -100,6 +100,19 @@ class Graph:
         if not (1 <= v <= self.n_vertices):
             raise VertexOutOfRange(f"vertex {v} outside [1,{self.n_vertices}]")
 
+    def _key(self) -> tuple:
+        return type(self), self.n_vertices, self._edges
+
+    def __eq__(self, other) -> bool:
+        """Equal graphs have the same type, vertex count and edge set, so a
+        copy or a pickle round trip equals its original."""
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(n={self.n_vertices}, m={self.n_edges})"
 
@@ -111,6 +124,9 @@ class HexGraph(Graph):
         super().__init__(hex_vertex_count(m, n), edges)
         self.m = m
         self.n = n
+
+    def _key(self) -> tuple:
+        return super()._key() + (self.m, self.n)
 
     @property
     def v1_boundary(self) -> int:

@@ -7,17 +7,19 @@ Betti numbers are reduced.  Boundary ranks drive everything:
 
 The face poset comes from one boolean bitmap over all 2^N vertex subsets:
 the facet masks are set and closed downward in N in-place numpy passes, and
-the set entries are split into levels by popcount.
+the set entries are split by popcount into levels, one ascending int64
+array per face size, which every step below reads as it is.
 
 Rank method per dimension: small matrices are row-reduced directly over
 GF(2) with integer bitmask rows.  When a dimension pair is a complete
 skeleton (all C(N, s) faces present, verified by counting), elimination is
 run with cone pivots: columns containing the apex vertex pair bijectively
-with the rows lacking it, and every remaining column is explicitly reduced
-to zero against those pivots.  The reduction runs in numpy: each column's
-residual is written out as a multiset of row faces, sorted, and must pair
-up into equal neighbours.  That keeps the N = 16 run well under the time
-guard without trusting any closed form.
+with the rows lacking it, and every remaining column f is explicitly
+reduced to zero against those pivots.  Its residual is d(d(f | apex)),
+checked in numpy by the same d∘d kernel as
+:func:`boundary_composition_is_zero`: written out as a multiset of row
+faces, sorted, it must pair up into equal neighbours.  That keeps the
+N = 16 run well under the time guard without trusting any closed form.
 """
 
 from __future__ import annotations
@@ -57,17 +59,17 @@ _CHUNK_CELLS = 1 << 20  # int64 entries per numpy step of the cone reduction
 # face closure and boundary matrices
 # ---------------------------------------------------------------------------
 
-def faces_by_size(facet_masks, n_vertices: int) -> list[list[int]]:
+def faces_by_size(facet_masks, n_vertices: int) -> list[np.ndarray]:
     """Downward closure of the facet masks, grouped by face size.
 
-    Returns ``levels`` with ``levels[s]`` the ascending size-s face masks;
-    ``levels[0] == [0]`` is the empty face.
+    Returns ``levels`` with ``levels[s]`` the ascending int64 array of size-s
+    face masks; ``levels[0]`` holds only the empty face, 0.
     """
     if not facet_masks:
         return []
     faces = np.flatnonzero(downward_closure(facet_masks, n_vertices))
     sizes = np.bitwise_count(faces)
-    return [faces[sizes == s].tolist() for s in range(int(sizes.max()) + 1)]
+    return [faces[sizes == s] for s in range(int(sizes.max()) + 1)]
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -86,21 +88,16 @@ def gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def boundary_matrix(levels: list[list[int]], s: int) -> list[int]:
+def boundary_matrix(levels: list[np.ndarray], s: int) -> list[int]:
     """Boundary from size-s faces to size-(s-1) faces over GF(2): one column
     per face of ``levels[s]``, as an integer bitmask over the ordinals of
     ``levels[s - 1]``."""
-    row_index = {f: i for i, f in enumerate(levels[s - 1])}
-    cols = []
-    for f in levels[s]:
-        col = 0
-        x = f
-        while x:
-            b = x & -x
-            col |= 1 << row_index[f ^ b]
-            x ^= b
-        cols.append(col)
-    return cols
+    lower = levels[s - 1]
+    subfaces = _boundary(levels[s], s)
+    rows = np.searchsorted(lower, subfaces)
+    if not np.array_equal(lower.take(rows, mode="clip"), subfaces):
+        raise HexCutError(f"a size-{s} face has a subface missing from level {s - 1}")
+    return [sum(1 << r for r in col) for col in rows.tolist()]
 
 
 def _boundary(faces: np.ndarray, size: int) -> np.ndarray:
@@ -122,20 +119,28 @@ def _cancels(multisets: np.ndarray) -> bool:
     return bool(np.array_equal(ordered[:, 0::2], ordered[:, 1::2]))
 
 
-def _rank_complete_skeleton(levels: list[list[int]], s: int, n_vertices: int) -> int:
+def _boundary_twice_cancels(faces: np.ndarray, size: int) -> bool:
+    """True iff d(d(f)) = 0 over GF(2) for every face f of ``faces``, each of
+    exactly ``size`` vertices: its size * (size - 1) entries pair up."""
+    twice = _boundary(_boundary(faces, size).ravel(), size - 1)
+    return _cancels(twice.reshape(faces.size, size * (size - 1)))
+
+
+def _rank_complete_skeleton(levels: list[np.ndarray], s: int, n_vertices: int) -> int:
     """Boundary rank at a complete skeleton level, by cone-pivot elimination.
 
     Pivot columns are the size-s faces containing the apex (vertex 1): each
     holds the only nonzero entry in its row ``face ^ apex`` among apex-free
-    rows, so they are independent.  Every apex-free column f is then reduced
-    against those pivots: for each of its rows f^b the pivot column
-    (f^b) | apex is added, and the residual {f^b} + d((f^b) | apex), summed
-    over b, must cancel to zero.  The reduction is executed, not assumed: each
-    column's s + s^2 entries are sorted and must pair up, in chunks of at most
-    ``_CHUNK_CELLS`` entries.
+    rows, so they are independent.  Every apex-free column f of the int64
+    array ``levels[s]`` is then reduced against those pivots: for each of its
+    rows f^b the pivot column (f^b) | apex is added, and the residual
+    {f^b} + d((f^b) | apex), summed over b, is d(d(f | apex)) and must cancel.
+    The reduction is executed, not assumed, by the d∘d kernel shared with
+    :func:`boundary_composition_is_zero`: each column's s + s^2 entries are
+    sorted and must pair up, in chunks of at most ``_CHUNK_CELLS`` entries.
     """
     apex = 1  # bit of vertex 1
-    faces = np.asarray(levels[s], dtype=np.int64)
+    faces = levels[s]
     is_pivot = (faces & apex) != 0
     pivot_count = int(np.count_nonzero(is_pivot))
     if pivot_count != comb(n_vertices - 1, s - 1):
@@ -143,10 +148,7 @@ def _rank_complete_skeleton(levels: list[list[int]], s: int, n_vertices: int) ->
     residual = faces[~is_pivot]
     chunk = max(1, _CHUNK_CELLS // (s + s * s))
     for start in range(0, residual.size, chunk):
-        cols = residual[start:start + chunk]
-        rows = _boundary(cols, s)
-        pivot_cols = _boundary((rows | apex).ravel(), s).reshape(cols.size, s * s)
-        if not _cancels(np.concatenate([rows, pivot_cols], axis=1)):
+        if not _boundary_twice_cancels(residual[start:start + chunk] | apex, s + 1):
             raise HexCutError("cone reduction left a nonzero residual")
     return pivot_count
 
@@ -184,7 +186,7 @@ def betti_numbers_from_facets(
         return BettiVector(())
     levels = faces_by_size(masks, N)
     top = len(levels) - 1
-    f_counts = [len(level) for level in levels]
+    f_counts = [level.size for level in levels]
     ranks = [0] * (top + 2)
     for s in range(1, top + 1):
         dom_full = f_counts[s] == comb(N, s)
@@ -213,22 +215,18 @@ def betti_numbers(cx: CutComplex, force: bool = False) -> BettiVector:
 def boundary_composition_is_zero(
     facets, n_vertices: int, samples: int = 64, seed: int = 0
 ) -> bool:
-    """Spot-check that applying the boundary twice annihilates random faces."""
+    """Spot-check that applying the boundary twice annihilates random faces:
+    ``samples`` faces of at least two vertices, drawn by ``seed``."""
     masks = [sum(1 << (v - 1) for v in f) for f in facets]
-    if not masks:
+    levels = faces_by_size(masks, n_vertices)[2:]
+    if not levels:
         return True
-    levels = faces_by_size(masks, n_vertices)
-    pool = [f for level in levels[2:] for f in level]
-    rng = random.Random(seed)
-    take = np.array(pool if len(pool) <= samples else rng.sample(pool, samples),
-                    dtype=np.int64)
+    take = np.concatenate(levels)
+    if take.size > samples:
+        take = take[random.Random(seed).sample(range(take.size), samples)]
     sizes = np.bitwise_count(take)
-    for size in np.unique(sizes).tolist():
-        faces = take[sizes == size]
-        twice = _boundary(_boundary(faces, size).ravel(), size - 1)
-        if not _cancels(twice.reshape(faces.size, size * (size - 1))):
-            return False
-    return True
+    return all(_boundary_twice_cancels(take[sizes == size], size)
+               for size in np.unique(sizes).tolist())
 
 
 # ---------------------------------------------------------------------------

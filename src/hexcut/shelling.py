@@ -170,15 +170,16 @@ class ShellingOrder:
 
     ``facets`` lists complement tuples in order; ``position`` maps each
     complement to its 1-based ordinal, and is the one complement -> position
-    map, read-only: every facet and swap lookup reads it.  Verification
-    first checks it against ``facets`` and the complex.  The tail schedule,
-    when relocated, occupies the last ``len(tail)`` positions in tail-index
-    order.  A passing :func:`verify_shelling` is the one writer of
-    ``_swaps``, the packed swap table of this order; the order is
-    ``verified`` exactly when it holds one.  The constructor and
-    ``dataclasses.replace`` take no table, so every order they build is
-    unverified, and the spanning report trusts ``verified`` without
-    checking the order again.
+    map, read-only: every facet and swap lookup reads it.  A read-only map
+    is kept as given, so ``dataclasses.replace`` shares it; any other
+    mapping is copied into one.  Verification first checks it against
+    ``facets`` and the complex.  The tail schedule, when relocated, occupies
+    the last ``len(tail)`` positions in tail-index order.  A passing
+    :func:`verify_shelling` is the one writer of ``_swaps``, the packed swap
+    table of this order; the order is ``verified`` exactly when it holds
+    one.  The constructor and ``dataclasses.replace`` take no table, so
+    every order they build is unverified, and the spanning report trusts
+    ``verified`` without checking the order again.
     """
 
     cx: CutComplex
@@ -189,7 +190,8 @@ class ShellingOrder:
     _swaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _ReadOnlyPositions(self.position))
+        if type(self.position) is not _ReadOnlyPositions:
+            object.__setattr__(self, "position", _ReadOnlyPositions(self.position))
 
     @property
     def verified(self) -> bool:
@@ -219,7 +221,7 @@ def _order(cx: CutComplex, moved=(), tail=()) -> ShellingOrder:
     return ShellingOrder(
         cx=cx,
         facets=tuple(seq),
-        position={t: i + 1 for i, t in enumerate(seq)},
+        position=_ReadOnlyPositions(zip(seq, count(1))),
         tail=tuple(tail),
         base_count=base_count,
     )

@@ -4,6 +4,7 @@ import pytest
 
 from hexcut import (
     EmptySubset,
+    Graph,
     InvalidParams,
     VertexOutOfRange,
     build_hex_graph,
@@ -187,3 +188,16 @@ def test_exports():
     assert doc["m"] == 1 and doc["n"] == 1
     assert doc["edges"] == sorted(doc["edges"])
     assert len(doc["edges"]) == 6
+
+
+def test_graph_value_equality():
+    # equal type, vertex count and edge set; the grid also compares m, n
+    g = Graph(4, [(1, 2), (3, 2)])
+    assert g == Graph(4, [(2, 3), (2, 1), (1, 2)]) and hash(g) == hash(Graph(4, [(2, 1), (2, 3)]))
+    assert g != Graph(5, [(1, 2), (2, 3)]) and g != Graph(4, [(1, 2)])
+    h = build_hex_graph(1, 2)
+    assert h == build_hex_graph(1, 2) and hash(h) == hash(build_hex_graph(1, 2))
+    assert h != Graph(h.n_vertices, h.edges()) != h
+    assert HexGraph(1, 2, hex_edges(2, 1)) != build_hex_graph(2, 1)
+    assert h != build_hex_graph(2, 1)
+    assert g != (4, g.edges())

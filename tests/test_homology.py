@@ -1,8 +1,10 @@
 """GF(2) homology and Euler-characteristic oracles."""
 
+import random
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,22 @@ def reference_faces_by_size(facet_masks):
                 lower.add(f ^ b)
                 x ^= b
     return [sorted(level) for level in levels]
+
+
+def reference_boundary_matrix(levels, s):
+    """Column bitmasks of the size-s boundary, one vertex bit at a time,
+    with rows looked up in a dict over the ordinals of ``levels[s - 1]``."""
+    row_index = {f: i for i, f in enumerate(levels[s - 1])}
+    cols = []
+    for f in levels[s]:
+        col = 0
+        x = f
+        while x:
+            b = x & -x
+            col |= 1 << row_index[f ^ b]
+            x ^= b
+        cols.append(col)
+    return cols
 
 
 def corrupt_boundary(monkeypatch):
@@ -178,8 +196,8 @@ def test_bitmap_kernels_match_references(case):
     n, facets = case
     masks = [sum(1 << (v - 1) for v in f) for f in facets]
     levels = faces_by_size(masks, n)
-    assert levels == reference_faces_by_size(masks)
-    assert all(type(f) is int for level in levels for f in level)
+    assert [level.tolist() for level in levels] == reference_faces_by_size(masks)
+    assert all(level.dtype == np.int64 and level.ndim == 1 for level in levels)
     expected = oracle_betti(facets, n)
     assert list(betti_numbers_from_facets(facets, n).values) == expected
     with mock.patch.object(homology, "_CHUNK_CELLS", 50):  # many small chunks
@@ -190,8 +208,8 @@ def test_bitmap_kernels_match_references(case):
 def test_cone_elimination_guards(monkeypatch):
     levels = faces_by_size([(1 << 6) - 1], 6)  # every subset of six vertices
     assert _rank_complete_skeleton(levels, 3, 6) == 10
-    missing_pivot = [list(level) for level in levels]
-    missing_pivot[3].remove(0b000111)
+    missing_pivot = list(levels)
+    missing_pivot[3] = levels[3][levels[3] != 0b000111]
     with pytest.raises(HexCutError, match="incomplete skeleton"):
         _rank_complete_skeleton(missing_pivot, 3, 6)
     # every apex-free column is reduced, chunk by chunk, with its s + s^2 entries
@@ -263,6 +281,45 @@ def test_boundary_matrix_columns_have_face_size_entries():
         assert len(columns) == len(levels[s])
         for col in columns:
             assert bin(col).count("1") == s
+
+
+@settings(max_examples=60, deadline=None)
+@given(facet_sets())
+@example((10, [tuple(range(1, 11))]))  # row ordinals up to C(10, 4) - 1 = 209, past bit 63
+def test_boundary_matrix_matches_reference(case):
+    n, facets = case
+    masks = [sum(1 << (v - 1) for v in f) for f in facets]
+    levels = faces_by_size(masks, n)
+    reference_levels = reference_faces_by_size(masks)
+    for s in range(1, len(levels)):
+        assert boundary_matrix(levels, s) == reference_boundary_matrix(reference_levels, s)
+
+
+@pytest.mark.parametrize("drop", [0, 7, -1])
+def test_boundary_matrix_missing_subface_is_loud(drop):
+    levels = faces_by_size([(1 << 6) - 1], 6)
+    holed = list(levels)
+    holed[2] = np.delete(levels[2], drop)
+    with pytest.raises(HexCutError, match="subface missing from level 2"):
+        boundary_matrix(holed, 3)
+
+
+@pytest.mark.parametrize("samples,seed", [(5, 0), (39, 3), (40, 3)])  # the pool holds 40
+def test_boundary_composition_sample_is_the_seeded_list_sample(monkeypatch, samples, seed):
+    facets = [(1, 2, 3, 4), (2, 3, 5, 6, 7), (1, 6, 8)]
+    masks = [sum(1 << (v - 1) for v in f) for f in facets]
+    pool = [f for level in reference_faces_by_size(masks)[2:] for f in level]
+    expected = pool if len(pool) <= samples else random.Random(seed).sample(pool, samples)
+    seen = []
+    real = homology._boundary_twice_cancels
+
+    def record(faces, size):
+        seen.extend(faces.tolist())
+        return real(faces, size)
+
+    monkeypatch.setattr(homology, "_boundary_twice_cancels", record)
+    assert boundary_composition_is_zero(facets, 8, samples=samples, seed=seed)
+    assert seen == sorted(expected, key=int.bit_count)  # grouped by size, in draw order
 
 
 def test_boundary_composition_vanishes(monkeypatch):

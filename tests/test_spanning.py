@@ -10,6 +10,7 @@ import pytest
 
 from hexcut import (
     Graph,
+    IncompleteOrder,
     InvalidParams,
     UnverifiedOrder,
     build_hex_graph,
@@ -145,6 +146,37 @@ def test_the_position_map_of_an_order_is_read_only():
         assert twin.position == pos and type(twin.position) is type(pos)
         with pytest.raises(TypeError):
             twin.position[tail] = 1
+
+
+def test_the_position_map_is_built_once():
+    # the builder hands over a read-only map and replace() passes it on as
+    # it is; a plain dict is still copied read-only, and verification still
+    # ties the map to the facets it is given
+    cx = enumerate_facets(build_hex_graph(1, 2), 3)
+    order = shelling_order(cx)
+    assert dataclasses.replace(order).position is order.position
+    plain = dict(order.position)
+    rebuilt = ShellingOrder(cx=cx, facets=order.facets, position=plain,
+                            tail=order.tail, base_count=order.base_count)
+    assert rebuilt.position is not plain and type(rebuilt.position) is type(order.position)
+    with pytest.raises(TypeError):
+        rebuilt.position[order.facets[0]] = 2
+    assert rebuilt == order and verify_shelling(rebuilt).ok
+    sorted_order = shelling_order(cx, relocate_tail=False)
+    with pytest.raises(IncompleteOrder):
+        verify_shelling(dataclasses.replace(order, facets=sorted_order.facets))
+
+
+def test_an_order_equals_its_copies():
+    # graphs compare by type, vertex count and edge set (and m, n for the
+    # grid), so a copied or unpickled order equals the order it copies
+    order = shelling_order(enumerate_facets(build_hex_graph(1, 2), 3))
+    assert verify_shelling(order).ok
+    for twin in (copy.deepcopy(order), pickle.loads(pickle.dumps(order))):
+        assert twin.cx.graph is not order.cx.graph
+        assert twin == order and twin.cx == order.cx
+        assert hash(twin.cx.graph) == hash(order.cx.graph)
+    assert build_hex_graph(1, 2) != build_hex_graph(2, 1)
 
 
 def _revlex_order(cx):

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Mutation check for the shelling verifier and the spanning report,
-standard library only.
+"""Mutation check for the shelling verifier, the spanning report and the
+homology oracle, standard library only.
 
-Copies ``src/`` to a temporary directory, applies one small change to the
-copy of ``shelling.py`` at a time by exact string replacement, and runs
-``tests/test_shelling.py`` and ``tests/test_spanning.py`` against the copy.
-Each mutant must make the tests fail.
+Copies ``src/`` to a temporary directory, applies one small change at a
+time to the copy of the module a mutant names, by exact string replacement,
+and runs ``tests/test_homology.py``, ``tests/test_shelling.py`` and
+``tests/test_spanning.py`` against the copy.  Each mutant must make the
+tests fail.
 
     python tools/mutation_check.py
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when the
 unmutated copy fails its tests or a mutant's target text does not occur
-exactly once in ``shelling.py`` (the verifier changed; update the list).
+exactly once in its module (the code changed; update the list).
 """
 
 from __future__ import annotations
@@ -24,16 +25,18 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_shelling.py", "tests/test_spanning.py"]
+TESTS = ["tests/test_homology.py", "tests/test_shelling.py", "tests/test_spanning.py"]
 
-# name -> (text in shelling.py, replacement)
+# name -> (module under src/hexcut, text in it, replacement)
 MUTANTS = {
     "no vertex counts as live (L = 0)": (
+        "shelling.py",
         "    L = np.bitwise_count(inside & faces.packed(faces.vertex <= last))"
         ".sum(axis=1, dtype=np.int64)\n",
         "    L = np.zeros(len(rows), dtype=np.int64)\n",
     ),
     "block passed into the masks before its check": (
+        "shelling.py",
         "        failure = _first_failure(table[lo:hi], lo, last, faces, choose, subsets)\n"
         "        if failure is not None:\n"
         "            return table, failure\n"
@@ -44,36 +47,69 @@ MUTANTS = {
         "            return table, failure\n",
     ),
     "within-block check deleted": (
+        "shelling.py",
         "    failing = _first_row(inside, ords, faces, lo)\n",
         "    failing = []\n",
     ),
     "within-block scan starts at lo + 1": (
+        "shelling.py",
         "    failing = _first_row(inside, ords, faces, lo)\n",
         "    failing = _first_row(inside, ords, faces, lo + 1)\n",
     ),
     "live bound excludes its last vertex": (
+        "shelling.py",
         "faces.packed(faces.vertex <= last)",
         "faces.packed(faces.vertex < last)",
     ),
     "containment: p < r becomes p <= r": (
+        "shelling.py",
         '    after = np.searchsorted(ords, p, side="right")\n',
         '    after = np.searchsorted(ords, p, side="left")\n',
     ),
     "containment ANDs k - 1 vertex masks": (
+        "shelling.py",
         "    for c in range(1, cols.shape[1]):\n",
         "    for c in range(2, cols.shape[1]):\n",
     ),
     "swap table taken by the constructor and replace()": (
+        "shelling.py",
         "    _swaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)\n",
         "    _swaps: np.ndarray | None = field(default=None, repr=False, compare=False)\n",
     ),
     "verified without a swap table": (
+        "shelling.py",
         "        return self._swaps is not None\n",
         "        return True\n",
     ),
     "spanning flag: == N - k becomes >= N - k - 1": (
+        "shelling.py",
         "np.bitwise_count(swaps).sum(axis=1) == N - k\n",
         "np.bitwise_count(swaps).sum(axis=1) >= N - k - 1\n",
+    ),
+    "cone reduction never runs": (
+        "homology.py",
+        "    for start in range(0, residual.size, chunk):\n",
+        "    for start in range(0, 0, chunk):\n",
+    ),
+    "boundary_matrix drops one row from each column": (
+        "homology.py",
+        "    return [sum(1 << r for r in col) for col in rows.tolist()]\n",
+        "    return [sum(1 << r for r in col[1:]) for col in rows.tolist()]\n",
+    ),
+    "faces_by_size drops the empty face": (
+        "homology.py",
+        "    faces = np.flatnonzero(downward_closure(facet_masks, n_vertices))\n",
+        "    faces = np.flatnonzero(downward_closure(facet_masks, n_vertices))[1:]\n",
+    ),
+    "missing subface check deleted": (
+        "homology.py",
+        "    if not np.array_equal(lower.take(rows, mode=\"clip\"), subfaces):\n",
+        "    if False:\n",
+    ),
+    "boundary check takes the first faces, not a seeded sample": (
+        "homology.py",
+        "        take = take[random.Random(seed).sample(range(take.size), samples)]\n",
+        "        take = take[:samples]\n",
     ),
 }
 
@@ -91,32 +127,33 @@ def run_tests(src: Path) -> int:
 
 
 def main() -> int:
-    original = (ROOT / "src/hexcut/shelling.py").read_text()
-    for name, (target, _) in MUTANTS.items():
-        if original.count(target) != 1:
-            print(f"{name}: target text occurs {original.count(target)} times, expected 1")
+    modules = {module: (ROOT / "src/hexcut" / module).read_text()
+               for module, _, _ in MUTANTS.values()}
+    for name, (module, target, _) in MUTANTS.items():
+        if modules[module].count(target) != 1:
+            print(f"{name}: target text occurs {modules[module].count(target)} times "
+                  f"in {module}, expected 1")
             return 2
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        shelling = src / "hexcut/shelling.py"
         if run_tests(src) != 0:
             print("the unmutated copy fails its tests")
             return 2
         survivors = []
-        for name, (target, replacement) in MUTANTS.items():
-            shelling.write_text(original.replace(target, replacement))
+        for name, (module, target, replacement) in MUTANTS.items():
+            path = src / "hexcut" / module
+            path.write_text(modules[module].replace(target, replacement))
             code = run_tests(src)
+            path.write_text(modules[module])
             print(f"{'killed' if code else 'SURVIVED'}: {name}", flush=True)
             if code == 0:
                 survivors.append(name)
-        shelling.write_text(original)
     if survivors:
         print(f"{len(survivors)} of {len(MUTANTS)} mutants survived")
         return 1
     print(f"all {len(MUTANTS)} mutants killed")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
