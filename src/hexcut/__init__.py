@@ -13,6 +13,7 @@ from .cutcomplex import (
 )
 from .errors import (
     ConstructionInvariantViolated,
+    CountWithoutFailure,
     EmptySubset,
     HexCutError,
     IncompleteOrder,

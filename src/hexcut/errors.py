@@ -37,6 +37,11 @@ class IncompleteOrder(HexCutError):
     """An order does not cover every facet exactly once."""
 
 
+class CountWithoutFailure(HexCutError):
+    """The face count rejected an order, but the containment scan found no
+    failing row in it: the verifier contradicts itself."""
+
+
 class NoTailFacets(HexCutError):
     """The instance has no tail facets, so tail-specific checks are vacuous."""
 

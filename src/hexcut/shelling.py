@@ -18,17 +18,29 @@ decides everything: the order is a shelling iff every earlier complement
 meets Lambda_j, and the facet at j is spanning iff Lambda_j covers all of
 F_j (|Lambda_j| = N - k).
 
-Equivalently, row j fails iff some earlier complement lies inside
+Lambda_j is the restriction set of F_j, so the intervals [Lambda_j, F_j]
+cover the complex, and the sum of their sizes 2^(N - k - |Lambda_j|) equals
+its face count f(Delta) exactly when the order is a shelling (Bjorner and
+Wachs, "Shellable nonpure complexes and posets I", 1996, section 2).  When
+f(Delta) is known, for the 3-cut complex of a graph with no triangle and no
+4-cycle, checked in the same call, that sum alone decides the verdict, and
+the containment test below runs only to name the failure of an order the
+sum rejects.
+
+Row j fails iff some earlier complement lies inside
 S_j = V - Lambda_j.  The verifier keeps one bitmask per face, a
 (k-1)-subset u of a complement, with bit z set iff u + {z} is a complement
 passed so far.  Faces are numbered by colex rank, through a dense table of
 C(N, k - 1) cells while that fits ``POSITION_TABLE_LIMIT``, and through the
-sorted ranks past it.  Rows are built and checked in blocks of 4096, and
-the masks change only between blocks: a block's complements are passed
-once its check succeeds.  Lambda_j is the OR of the masks of the k faces
-of F_j^c, built with prefix sums over the block and packed into
-ceil((N + 1) / 64) words per row.  Every row of a block is scanned against
-the complements of the block before it.  Against the complements before
+sorted ranks past it.  Rows are built in blocks of 4096, and the masks
+change only between blocks.  Lambda_j is the OR of the masks of the k
+faces of F_j^c, built with prefix sums over the block and packed into
+ceil((N + 1) / 64) words per row.  Without f(Delta), each block is
+checked as it is built, and its complements are passed once its check
+succeeds.  With it, every block is passed as soon as it is built, and
+for a rejected order the stored rows are checked block by block again,
+on masks reset to zero.  Every row of a block is scanned against the
+complements of the block before it.  Against the complements before
 the block, each row is checked along one of two exact paths: test S_j
 against the masks of its (k-1)-subsets P, since S_j holds such a
 complement iff masks[P] & S_j is nonzero for some P, or scan the j earlier
@@ -52,8 +64,9 @@ from operator import eq, itemgetter
 
 import numpy as np
 
-from .cutcomplex import CutComplex, enumerate_facets
+from .cutcomplex import CutComplex, _closed_fvector, enumerate_facets
 from .errors import (
+    CountWithoutFailure,
     IncompleteOrder,
     InvalidParams,
     NoTailFacets,
@@ -413,7 +426,8 @@ class _Faces:
         not before, so no entry of F_j^c is set."""
         words = self.masks.shape[0]
         face = self.face[lo:hi].reshape(-1)
-        order = np.argsort(face, kind="stable")
+        # a stable argsort of int16 keys is a radix sort
+        order = np.argsort(face.astype(np.int16) if self.zero < 1 << 15 else face, kind="stable")
         face = face[order]
         head = np.flatnonzero(np.diff(face, prepend=-1))
         head = np.repeat(head, np.diff(head, append=len(face)))
@@ -462,7 +476,14 @@ def _contained(sliced, cols, p, ords) -> np.ndarray:
         hit &= sliced[cols[:, c]]
     # rows before ``after`` lie at or before p
     after = np.searchsorted(ords, p, side="right")
-    return hit & _FROM_BIT[(after[:, None] - 64 * np.arange(hit.shape[1])).clip(0, 64)]
+    # clear the words before the one that holds row ``after``, then cut that
+    # word; when every row lies at or before p, after & 63 is 0 and the
+    # last word, already cleared, is ANDed with all ones
+    cut = after >> 6
+    width = hit.shape[1]
+    hit[np.arange(width) < cut[:, None]] = 0
+    hit[np.arange(len(hit)), np.minimum(cut, width - 1)] &= _FROM_BIT[after & 63]
+    return hit
 
 
 def _scan(inside, ords, faces, start):
@@ -577,31 +598,129 @@ def _first_failure(rows, lo, last, faces, choose, subsets) -> tuple[int, int] | 
     return next(a + int(np.flatnonzero(hit)[0]) for a, _, hit in hits if hit.any()), lo + j
 
 
+def _closed_total(order: ShellingOrder, comp: np.ndarray) -> int | None:
+    """f(Delta), the number of faces of the complex that the order lists,
+    the empty face included, when this call shows that the order lists the
+    3-cut complex of a graph with no triangle and no 4-cycle; None for
+    every other order.
+
+    The facts are read from the neighbour pairs of the graph, a - v - c
+    with a < c both adjacent to v.  A pair that is an edge closes a
+    triangle, and a pair met at two middles closes a 4-cycle.  Without
+    either, the connected triples are exactly the paths a - v - c, one per
+    pair, and every 4-set holds a disconnected triple, so every set of at
+    most N - 4 vertices is a face and f(Delta) = 2^N - 1 - N - C(N, 2) - T
+    for T pairs.  The listed complements, distinct by the cover check, are
+    all the disconnected triples when they are increasing triples of
+    [1, N], no path among them, and C(N, 3) - T of them.  The first
+    triangle or 4-cycle ends the walk, so it reads at most C(N, 2) + 1
+    pairs."""
+    cx = order.cx
+    g, N = cx.graph, cx.n_vertices
+    if cx.k != 3:
+        return None
+    paths, ends = [], set()
+    for v in g.vertices():
+        for a, c in combinations(g.neighbors(v), 2):
+            if (a, c) in ends or g.is_edge(a, c):
+                return None
+            ends.add((a, c))
+            paths.append((a, v, c))
+    x, y, z = comp.T
+    if not (len(comp) == comb(N, 3) - len(paths)
+            and ((1 <= x) & (x < y) & (y < z) & (z <= N)).all()):
+        return None
+    if any(tuple(sorted(t)) in order.position for t in paths):
+        return None
+    return sum(_closed_fvector(N, len(comp)).counts)
+
+
+def _interval_sum(faces: _Faces, table: np.ndarray) -> int:
+    """Build every row of the packed swap ``table``, block by block, passing
+    each block into the masks of ``faces``, which must hold none; returns
+    the sum over j of 2^(N - k - |Lambda_j|), in Python ints.
+
+    The intervals [Lambda_j, F_j] cover Delta, so the sum is at least
+    f(Delta), and it equals f(Delta) exactly when the order is a shelling
+    (Bjorner and Wachs, "Shellable nonpure complexes and posets I", 1996,
+    section 2).  The sizes |Lambda_j| <= N - k are counted block by block."""
+    eta, k = faces.comp.shape
+    top = len(faces.vertex) - 1 - k  # N - k
+    sizes = np.zeros(top + 1, dtype=np.int64)
+    for lo in range(0, eta, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, eta)
+        table[lo:hi] = faces.swap_rows(lo, hi)
+        sizes += np.bincount(np.bitwise_count(table[lo:hi]).sum(axis=1, dtype=np.intp),
+                             minlength=top + 1)
+        faces.pass_rows(lo, hi)
+    return sum(count << (top - size) for size, count in enumerate(sizes.tolist()))
+
+
+def _sweep(faces: _Faces, table: np.ndarray, build: bool) -> tuple[int, int] | None:
+    """Check the rows of the packed swap ``table`` block by block, building
+    each block first when ``build``, with the masks of ``faces`` holding
+    none; returns the failing 0-based (i, j), minimal in (j, i), or None.
+    A block's complements are passed into the masks once its check
+    succeeds, and the sweep stops at the first block holding a failing
+    row."""
+    (eta, k), N = faces.comp.shape, len(faces.vertex) - 1
+    choose = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
+    subsets = _colex_subsets(int(np.flatnonzero(choose < eta).max(initial=0)), k - 1)
+    last = 0  # the largest first vertex of a passed complement, 0 for none
+    for lo in range(0, eta, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, eta)
+        if build:
+            table[lo:hi] = faces.swap_rows(lo, hi)
+        failure = _first_failure(table[lo:hi], lo, last, faces, choose, subsets)
+        if failure is not None:
+            return failure
+        faces.pass_rows(lo, hi)
+        last = max(last, int(faces.comp[lo:hi, 0].max()))
+    return None
+
+
 def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | None]:
     """The packed swap table, bit v of row j set iff v lies in
-    Lambda_{j+1}, in W uint64 words per row, built in blocks of rows.  Each
-    block is checked as it is built, and the build stops at the first block
-    holding a failing row; the failing 0-based (i, j), minimal in (j, i),
-    comes back with the table, whose rows past that block stay zero."""
+    Lambda_{j+1}, in W uint64 words per row, built in blocks of rows, and
+    the failing 0-based (i, j), minimal in (j, i), or None.
+
+    When :func:`_closed_total` knows f(Delta), every row is built with no
+    containment check, and the order passes iff the interval sum equals
+    f(Delta).  Otherwise the masks are reset and the stored rows are swept
+    again to name the failure; a sweep that finds none raises
+    CountWithoutFailure.  Any other order is checked block by block as it
+    is built, and the build stops at the first block holding a failing
+    row, so the rows past that block stay zero."""
     N, k = order.n_vertices, order.cx.k
     # every entry a k-tuple: the caller has matched the order to the facets
     # of its complex one for one
     eta = order.n_facets
     comp = np.fromiter(chain.from_iterable(order.facets), np.int32, count=eta * k).reshape(eta, k)
     faces = _Faces(comp, N)
-    choose = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
-    subsets = _colex_subsets(int(np.flatnonzero(choose < eta).max(initial=0)), k - 1)
     table = np.zeros((eta, faces.masks.shape[0]), dtype="<u8")
-    last = 0  # the largest first vertex of a passed complement, 0 for none
-    for lo in range(0, eta, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, eta)
-        table[lo:hi] = faces.swap_rows(lo, hi)
-        failure = _first_failure(table[lo:hi], lo, last, faces, choose, subsets)
-        if failure is not None:
-            return table, failure
-        faces.pass_rows(lo, hi)
-        last = max(last, int(comp[lo:hi, 0].max()))
-    return table, None
+    total = _closed_total(order, comp)
+    if total is None:
+        return table, _sweep(faces, table, build=True)
+    if _interval_sum(faces, table) == total:
+        return table, None
+    faces.masks[:] = 0
+    failure = _sweep(faces, table, build=False)
+    if failure is None:
+        raise CountWithoutFailure(
+            f"the interval sum differs from the {total} faces, but no row fails")
+    return table, failure
+
+
+def _ordinals_once(position: dict[tuple[int, ...], int], facets) -> bool:
+    """True iff every complement in ``facets`` has a position and no two
+    share one; a complex that repeats a facet leaves a position out."""
+    try:
+        ordinals = np.fromiter(map(position.__getitem__, facets), np.int32, count=len(facets))
+    except KeyError:
+        return False
+    seen = np.zeros(len(facets) + 1, dtype=bool)
+    seen[ordinals] = True
+    return int(np.count_nonzero(seen)) == len(facets)
 
 
 def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
@@ -611,7 +730,17 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     order must list each facet of its complex once, with ``position``
     sending the complement at ordinal i to i, or IncompleteOrder is raised.
     A passing run attaches the packed swap table to the order, which marks
-    it verified; a failing run attaches nothing.  Row j fails iff an
+    it verified; a failing run attaches nothing.
+
+    For the 3-cut complex of a graph with no triangle and no 4-cycle, shown
+    to be one from the graph's neighbour pairs and the listed complements
+    in this call, f(Delta) = 2^N - 1 - N - C(N, 2) - T for T connected
+    triples, and every row of the swap table is built with no containment
+    check: the order passes iff the sum of 2^(N - 3 - |Lambda_j|) equals
+    f(Delta).  A rejected order is swept again, from its stored rows, with
+    the containment test below to name its failure; a sweep that finds
+    none raises CountWithoutFailure.  Any other complex is checked by that
+    test block by block as the rows are built.  Row j fails iff an
     earlier complement lies inside S_j = V - Lambda_j, tested for any k
     along one of two paths: a test of (k-1)-subsets of S_j against bitmasks
     of the earlier complements that contain them, or a scan of the j
@@ -630,13 +759,13 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     """
     if jobs < 1:
         raise InvalidParams(f"jobs must be >= 1, got {jobs}")
-    # equal sizes, one position per ordinal, a position per facet: each
-    # facet listed once, checked without building a set
+    # equal sizes, one position per ordinal, one ordinal per facet of the
+    # complex: each facet listed once, checked without building a set
     facets, position = order.facets, order.position
     if not (
         len(facets) == len(position) == order.cx.n_facets
         and all(map(eq, map(position.get, facets), count(1)))
-        and all(map(position.__contains__, order.cx.facets))
+        and _ordinals_once(position, order.cx.facets)
     ):
         raise IncompleteOrder("order does not cover the facets exactly once")
     table, failure = _swap_table(order)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexcut import (
+    CountWithoutFailure,
     CutComplex,
     Graph,
     IncompleteOrder,
@@ -25,6 +26,7 @@ from hexcut import (
     build_hex_graph,
     cycle_graph,
     enumerate_facets,
+    f_vector,
     order_with_tail_reinserted,
     shelling,
     shelling_order,
@@ -279,18 +281,28 @@ def test_any_k_verifier_and_report_match_oracles(case):
             spanning_facets(order)
 
 
+def _complements(order):
+    return np.array(order.facets, dtype=np.int32).reshape(order.n_facets, order.cx.k)
+
+
+def _counted(order):
+    """True iff the verifier knows f(Delta) for the order, so that the face
+    count decides it."""
+    return shelling._closed_total(order, _complements(order)) is not None
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_k_orders())
 def test_packed_swap_rows_equal_swap_set(case):
-    # every row of the packed table up to the end of the block holding the
-    # failure, unpacked, is the one-row reference; the rows after it are
-    # never built
+    # every row of the packed table that is built, unpacked, is the one-row
+    # reference.  The face count builds them all; the block check stops at
+    # the end of the block holding the failure and builds no row after it
     cx, seq, patches = case
     order = _order_of(cx, seq)
     with mock.patch.multiple(shelling, **patches):
         table, failure = shelling._swap_table(order)
     built = len(table)
-    if failure is not None:
+    if failure is not None and not _counted(order):
         block = patches["_BLOCK_ROWS"]
         built = min(built, (failure[1] // block + 1) * block)
     bits = np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")
@@ -434,7 +446,8 @@ def test_subsets_that_are_no_face_read_the_zero_mask(limit):
 
 
 def test_live_pruning_reads_under_a_tenth_of_the_pairs(instance, monkeypatch):
-    # the rows of the H(4, 6) order that an unpruned test would check by
+    # the face count passes the H(4, 6) order without reading a mask.  Under
+    # the block check, the rows that an unpruned test would check by
     # subsets, C(|S_j|, 2) < j - 1, read under a tenth of those pairs
     order = instance(4, 6).order
     size = order.n_vertices - np.bitwise_count(order._swaps).sum(axis=1, dtype=np.int64)
@@ -449,6 +462,9 @@ def test_live_pruning_reads_under_a_tenth_of_the_pairs(instance, monkeypatch):
 
     monkeypatch.setattr(shelling._Positions, "__getitem__", counting)
     # a replaced order holds no table, so it is verified again from scratch
+    assert verify_shelling(dataclasses.replace(order)).ok
+    assert looked_up == []
+    monkeypatch.setattr(shelling, "_closed_total", lambda order, comp: None)
     assert verify_shelling(dataclasses.replace(order)).ok
     assert 0 < sum(looked_up) < unpruned / 10
 
@@ -568,18 +584,157 @@ def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
     assert order.verified and not twin.verified
     assert twin == order and repr(twin) == repr(order)
 
-    # a failing order stops at the block holding the failure and keeps no
-    # table, so its spanning report is refused without building a row
+    # a failing order builds every row once, for the face count, and names
+    # its failure from the stored rows.  It keeps no table, so its spanning
+    # report is refused without building a row
     plain = shelling_order(cx, relocate_tail=False)
     built.clear()
     res = verify_shelling(plain)
-    j0 = res.counterexample[1] - 1
     assert not res.ok and plain._swaps is None and not plain.verified
-    assert sorted(built) == list(range(min(plain.n_facets, (j0 // 64 + 1) * 64)))
+    assert sorted(built) == list(range(plain.n_facets))
     built.clear()
     with pytest.raises(UnverifiedOrder):
         spanning_facets(plain)
     assert built == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_k_orders())
+def test_interval_sum_is_the_face_count_exactly_for_shellings(case):
+    # the intervals [Lambda_j, F_j] cover Delta: the sum of their sizes is
+    # the exhaustive face count for a shelling and exceeds it otherwise.
+    # With that count as f(Delta), every complex is decided by the count,
+    # and the sweep that follows a rejection names the oracle's failure
+    cx, seq, patches = case
+    facet_sets = _facet_sets(cx, seq)
+    total = sum(f_vector(cx, mode="exhaustive").counts)
+    order = _order_of(cx, seq)
+    faces = shelling._Faces(_complements(order), cx.n_vertices)
+    table = np.zeros((len(seq), faces.masks.shape[0]), dtype="<u8")
+    with mock.patch.multiple(shelling, **patches):
+        counted = shelling._interval_sum(faces, table)
+    oracle = oracle_is_shelling(facet_sets)
+    assert (counted == total) == oracle[0] and counted >= total
+    assert all(isinstance(x, int) for x in (counted, total))
+    with mock.patch.multiple(shelling, _closed_total=lambda order, comp: total, **patches):
+        res = verify_shelling(order)
+    assert (res.ok, res.counterexample) == oracle
+
+
+# the counterexamples of every failing order below, as the verifier gave
+# them while the containment test still decided each verdict: per instance
+# the plain order, then each single tail reinsertion in schedule order
+_FAILURES = {
+    (1, 2): [(50, 100), (50, 100)],
+    (2, 2): [(239, 488), (239, 488), (306, 506)],
+    (3, 3): [(1345, 3580), (1345, 3580), (1653, 3667), (1936, 3741), (2435, 3855),
+             (2649, 3896), (2842, 3928), (3314, 3980)],
+    (3, 4): [(2271, 7434), (2271, 7434), (2811, 7583), (3318, 7715), (4241, 7933),
+             (4655, 8020), (5040, 8094), (5731, 8208), (6035, 8249), (6314, 8281),
+             (7020, 8333)],
+    (4, 6): [(9831, 44095), (9831, 44095), (11749, 44618), (13605, 45109), (15400, 45569),
+             (18815, 46401), (20433, 46774), (21994, 47120), (23499, 47440), (26349, 48007),
+             (27692, 48255), (28983, 48481), (30223, 48686), (32558, 49038), (33651, 49186),
+             (34697, 49317), (35697, 49432), (37567, 49619), (38435, 49692), (39261, 49753),
+             (40046, 49803), (42174, 49896), (42807, 49913)],
+}
+
+
+@pytest.mark.parametrize("m,n", list(_FAILURES))
+def test_failing_orders_keep_their_counterexamples(m, n):
+    # each order is rejected by the face count and swept again for its
+    # failure, which must be the one the block check named
+    cx = _complex(m, n)
+    orders = [shelling_order(cx, relocate_tail=False)]
+    orders += [order_with_tail_reinserted(cx, t)[0] for t in range(1, len(_FAILURES[m, n]))]
+    assert all(_counted(order) for order in orders)
+    got = []
+    for order in orders:
+        res = verify_shelling(order)
+        assert not res.ok and not order.verified
+        got.append(res.counterexample)
+    assert got == _FAILURES[m, n]
+
+
+@pytest.mark.parametrize("chosen,expected", [((1, 5), (2271, 7434)), ((2, 7, 9), (2811, 7583)),
+                                             ((4, 10), (4241, 7933)), ((3, 6, 8), (3318, 7715))])
+def test_several_reinserted_tail_facets_keep_their_counterexample(chosen, expected):
+    # H(3, 4) with several tail facets back at their sorted places fails
+    # where the first of them sits, as under the block check
+    cx = _complex(3, 4)
+    rest = [t for t in tail_facets(3, 4, cx.graph) if t.index not in chosen]
+    order = shelling._order(cx, [t.complement for t in rest], rest)
+    res = verify_shelling(order)
+    assert (res.ok, res.counterexample) == (False, expected)
+
+
+def test_h46_passes_by_the_face_count(instance, monkeypatch):
+    # N = 68: f(Delta) is about 2^68, past int64 and the 53-bit mantissa of
+    # a float, so only an exact integer sum can equal it.  The order passes
+    # without one containment check
+    order = dataclasses.replace(instance(4, 6, verify=False).order)
+    N, T = order.n_vertices, 6 * 4 * 6 + 2 * 4 + 2 * 6 - 4
+    total = shelling._closed_total(order, _complements(order))
+    assert total == 2**N - 1 - N - comb(N, 2) - T and total > 2**64
+
+    def no_check(*args):
+        raise AssertionError("containment checked")
+
+    monkeypatch.setattr(shelling, "_first_failure", no_check)
+    assert verify_shelling(order).ok and order.verified
+
+
+def _tampered_cases():
+    """Inputs the face count must not decide: H(1, 2) listing the connected
+    triple (1, 2, 6) in place of its last facet, facet count unchanged, and
+    H(1, 1) and H(1, 2) with an edge that closes a 4-cycle, whose 3-cut
+    complexes lose the faces that are the complements of the 4-cycles."""
+    cx = _complex(1, 2)
+    seq = list(shelling_order(cx).facets)
+    seq[-1] = (1, 2, 6)
+    yield "connected-triple", CutComplex(graph=cx.graph, k=3, facets=tuple(sorted(seq))), seq
+    for m, n, edge in [(1, 1, (1, 6)), (1, 2, (1, 8))]:
+        g = HexGraph(m, n, hex_edges(m, n) + [edge])
+        four = enumerate_facets(g, 3)
+        yield f"four-cycle-{m}-{n}", four, sorted(four.facets)
+
+
+_TAMPERED = list(_tampered_cases())
+
+
+@pytest.mark.parametrize("label,cx,seq", _TAMPERED, ids=[case[0] for case in _TAMPERED])
+def test_tampered_complexes_get_the_oracle_verdict(label, cx, seq):
+    order = _order_of(cx, seq)
+    assert not _counted(order)
+    res = verify_shelling(order)
+    assert (res.ok, res.counterexample) == oracle_is_shelling(_facet_sets(cx, seq))
+    if label != "four-cycle-1-2":  # passing orders, whose count is not f(Delta)
+        assert res.ok
+
+
+def test_count_without_failure_raises(monkeypatch):
+    # a face count that rejects an order in which no row fails is an
+    # internal contradiction: it raises and attaches no table
+    order = shelling_order(_complex(1, 2))
+    total = shelling._closed_total(order, _complements(order))
+    monkeypatch.setattr(shelling, "_closed_total", lambda order, comp: total + 1)
+    with pytest.raises(CountWithoutFailure):
+        verify_shelling(order)
+    assert not order.verified
+
+
+@pytest.mark.parametrize("listed", ["genuine", "connected-triple"])
+def test_complex_that_repeats_a_facet_is_refused(listed):
+    # the complex lists its first facet twice and its last one not at all;
+    # no order covers it exactly once, neither the genuine facets nor those
+    # with a connected triple in place of the one the complex lacks
+    cx = _complex(1, 2)
+    repeated = CutComplex(graph=cx.graph, k=3, facets=cx.facets[:-1] + cx.facets[:1])
+    seq = list(cx.facets)
+    if listed == "connected-triple":
+        seq[-1] = (1, 2, 6)
+    with pytest.raises(IncompleteOrder):
+        verify_shelling(_order_of(repeated, seq))
 
 
 def test_k3_past_130_vertices_is_refuted_without_python_rows(monkeypatch):

@@ -39,12 +39,33 @@ MUTANTS = {
         "shelling.py",
         "        failure = _first_failure(table[lo:hi], lo, last, faces, choose, subsets)\n"
         "        if failure is not None:\n"
-        "            return table, failure\n"
+        "            return failure\n"
         "        faces.pass_rows(lo, hi)\n",
         "        faces.pass_rows(lo, hi)\n"
         "        failure = _first_failure(table[lo:hi], lo, last, faces, choose, subsets)\n"
         "        if failure is not None:\n"
-        "            return table, failure\n",
+        "            return failure\n",
+    ),
+    "interval sum: exponent off by one": (
+        "shelling.py",
+        "count << (top - size)",
+        "count << (top + 1 - size)",
+    ),
+    "interval sum: first block left out of the histogram": (
+        "shelling.py",
+        "        sizes += np.bincount(",
+        "        sizes += (lo > 0) * np.bincount(",
+    ),
+    "interval sum: == f(Delta) becomes >=": (
+        "shelling.py",
+        "    if _interval_sum(faces, table) == total:\n",
+        "    if _interval_sum(faces, table) >= total:\n",
+    ),
+    "face count trusted without the triangle and 4-cycle check": (
+        "shelling.py",
+        "            if (a, c) in ends or g.is_edge(a, c):\n"
+        "                return None\n",
+        "",
     ),
     "within-block check deleted": (
         "shelling.py",
