@@ -2,17 +2,21 @@
 
 The k-cut complex of a graph G has one facet per k-subset of V(G) whose
 induced subgraph is disconnected; the facet is the complement of that
-subset.  Facets are stored only as their complement tuples, sorted
-ascending, with no index of their own: an order on the facets carries the
-one complement -> position map.  All set algebra downstream happens in
-complement arithmetic.
+subset.  Facets are stored as their complement tuples, sorted ascending,
+and, privately, as one (eta, k) int32 array of the same rows, which the
+enumerator fills from the columns it selects the facets by.  An order on
+the facets is an array of rows of the complex; the complex keeps no
+complement -> row map, and finds rows by binary search over the
+complements read as big-endian bytes, exact for any k and N.  All set
+algebra downstream happens in complement arithmetic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
+from dataclasses import dataclass, field
+from functools import wraps
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -72,12 +76,17 @@ def check_bitmap_ceiling(n_vertices: int) -> None:
 @dataclass(frozen=True)
 class CutComplex:
     """A k-cut complex, frozen: graph, k, and the facet complements as one
-    tuple sorted ascending.  It keeps no complement index; lookups go
-    through the ``position`` map of an order on the facets."""
+    tuple sorted ascending.  It keeps no complement index.  What depends
+    on the facets alone is computed once per instance and kept with it:
+    the complements as an (eta, k) int32 array, row i being ``facets[i]``
+    (given by the enumerator, read from ``facets`` for a complex built by
+    hand), the rows in lex order of their complements, and the verifier's
+    face numbering and face count.  ``dataclasses.replace`` starts afresh."""
 
     graph: Graph
     k: int
     facets: tuple[tuple[int, ...], ...]
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -93,14 +102,77 @@ class CutComplex:
         return self.n_vertices - self.k - 1
 
 
-def _sparse_slabs(g: Graph, k: int) -> Iterator[Iterator[tuple[int, ...]]]:
+def _per_complex(build):
+    """Decorate ``build(cx)`` so that it runs once per complex and its
+    result is kept in the complex."""
+    name = build.__name__
+
+    @wraps(build)
+    def once(cx: CutComplex):
+        kept = cx._kept
+        if name not in kept:
+            kept[name] = build(cx)
+        return kept[name]
+
+    return once
+
+
+@_per_complex
+def _complements(cx: CutComplex) -> np.ndarray:
+    """The facet complements as an (eta, k) int32 array, row i holding
+    ``cx.facets[i]``.  Raises InvalidParams when a complement is no
+    k-tuple."""
+    try:
+        return np.array(cx.facets, dtype=np.int32).reshape(cx.n_facets, cx.k)
+    except ValueError:
+        raise InvalidParams(f"a facet complement is no {cx.k}-tuple") from None
+
+
+def _keys(comp: np.ndarray) -> np.ndarray:
+    """One key per row of ``comp``: its k entries as big-endian int32 bytes.
+    Bytes compare like the rows do in lex order, for non-negative entries,
+    and exactly for any k and N: no integer rank is formed."""
+    return np.ascontiguousarray(comp, dtype=">i4").view(f"V{4 * comp.shape[1]}").ravel()
+
+
+@_per_complex
+def _lex_rows(cx: CutComplex) -> np.ndarray:
+    """The rows of the complex, int32, in ascending lex order of their
+    complements."""
+    return np.argsort(_keys(_complements(cx)), kind="stable").astype(np.int32)
+
+
+def _lex_keys(cx: CutComplex) -> np.ndarray:
+    """The keys of the rows of the complex in lex order."""
+    return _keys(np.take(_complements(cx), _lex_rows(cx), axis=0))
+
+
+@_per_complex
+def _distinct(cx: CutComplex) -> bool:
+    """True iff no complement is listed twice."""
+    keys = _lex_keys(cx)
+    return bool((keys[1:] != keys[:-1]).all())
+
+
+def _find_rows(cx: CutComplex, comp: np.ndarray) -> np.ndarray:
+    """The row of the complex holding each row of ``comp``, an (n, k)
+    array, or -1 where no facet has that complement: a binary search over
+    the keys of :func:`_keys` in lex order, exact for any k and N."""
+    keys, want = _lex_keys(cx), _keys(comp)
+    if not len(keys):
+        return np.full(len(want), -1, dtype=np.int32)
+    at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+    return np.where(keys[at] == want, _lex_rows(cx)[at], -1).astype(np.int32)
+
+
+def _sparse_slabs(g: Graph, k: int) -> Iterator[np.ndarray]:
     """The k-subsets, k <= 3, that induce fewer than k - 1 edges: one
-    iterator of tuples per first vertex a, so that, chained, they list the
-    subsets in ascending lex order without an intermediate list.  For these
-    k that is exactly induced disconnectedness (Bayer et al., "Topology of
-    cut complexes of graphs", 2024): a connected graph on k vertices has at
-    least k - 1 edges, and two distinct edges among three vertices share a
-    vertex, so they span all three.
+    (rows, k) array per first vertex a, so that, stacked, they list the
+    subsets in ascending lex order.  For these k that is exactly induced
+    disconnectedness (Bayer et al., "Topology of cut complexes of graphs",
+    2024): a connected graph on k vertices has at least k - 1 edges, and
+    two distinct edges among three vertices share a vertex, so they span
+    all three.
 
     One int8 adjacency matrix; for each a, the (k-1)-subsets above a are one
     contiguous slab of a lex-ordered table, and their edge counts come from
@@ -119,13 +191,16 @@ def _sparse_slabs(g: Graph, k: int) -> Iterator[Iterator[tuple[int, ...]]]:
         lo = int(np.searchsorted(rest[0], a, side="right"))
         cols = [c[lo:] for c in rest]
         keep = sum(adj[a, c] for c in cols) + inner[lo:] < k - 1
-        yield zip(repeat(a), *(c[keep].tolist() for c in cols))
+        slab = np.full((int(keep.sum()), k), a, dtype=np.int32)
+        for place, c in enumerate(cols, 1):
+            slab[:, place] = c[keep]
+        yield slab
 
 
-def _reach_slabs(g: Graph, k: int) -> Iterator[Iterator[tuple[int, ...]]]:
-    """The disconnected k-subsets, k >= 4: one iterator of tuples per chunk
-    of ``_SUBSET_CHUNK`` k-subsets read from ``combinations``, so that,
-    chained, they list the subsets in ascending lex order.
+def _reach_slabs(g: Graph, k: int) -> Iterator[np.ndarray]:
+    """The disconnected k-subsets, k >= 4: one (rows, k) array per chunk of
+    ``_SUBSET_CHUNK`` k-subsets read from ``combinations``, so that,
+    stacked, they list the subsets in ascending lex order.
 
     The subsets of a chunk are rows of W = ceil((N + 1) / 64) words, bit v
     set iff v is in the subset.  A reach mask grows from each subset's first
@@ -171,20 +246,25 @@ def _reach_slabs(g: Graph, k: int) -> Iterator[Iterator[tuple[int, ...]]]:
             split[live[stuck]] = True
             keep = ~(full | stuck)
             live, reach = live[keep], grown[keep]
-        yield map(tuple, chunk[split].tolist())
+        yield chunk[split].astype(np.int32)
 
 
 def enumerate_facets(g: Graph, k: int) -> CutComplex:
     """The disconnected k-subsets as facet complements, listed in ascending
     lexicographic order.  For k <= 3 they are selected by induced edge
     counts (:func:`_sparse_slabs`), for larger k by reach masks grown over
-    chunks of subsets (:func:`_reach_slabs`), both in numpy.  Only the k
-    range of :func:`check_subset_count` is checked here, not its size
-    guard."""
+    chunks of subsets (:func:`_reach_slabs`), both in numpy.  The selected
+    rows are stacked into the complex's complement array, in lex order and
+    each once, and the tuples are read from its columns.  Only the k range
+    of :func:`check_subset_count` is checked here, not its size guard."""
     N = g.n_vertices
     check_subset_count(N, k, force=True)
     slabs = _sparse_slabs(g, k) if k <= 3 else _reach_slabs(g, k)
-    return CutComplex(graph=g, k=k, facets=tuple(chain.from_iterable(slabs)))
+    comp = np.concatenate([np.empty((0, k), dtype=np.int32), *slabs])
+    cx = CutComplex(graph=g, k=k, facets=tuple(zip(*comp.T.tolist())))
+    cx._kept.update({_complements.__name__: comp, _distinct.__name__: True,
+                     _lex_rows.__name__: np.arange(len(comp), dtype=np.int32)})
+    return cx
 
 
 def hex_cut_complex(m: int, n: int, k: int, force: bool = False) -> CutComplex:
@@ -258,6 +338,25 @@ def _closed_fvector(n_vertices: int, n_facets: int) -> FVector:
     return FVector(tuple(comb(n_vertices, j) for j in range(n_vertices - 3)) + (n_facets,))
 
 
+def _neighbour_paths(g: Graph) -> list[tuple[int, int, int]] | None:
+    """The neighbour pairs of the graph as paths (a, v, c), a < c both
+    adjacent to v, or None when a pair closes a triangle (a ~ c) or a
+    4-cycle (a pair met at two middles v).  The first such pair ends the
+    walk, so it reads at most C(N, 2) + 1 pairs.  Without either, the
+    paths are exactly the connected triples, one per pair, and every
+    4-set of vertices holds a disconnected triple: a 4-set whose four
+    triples are all connected spans at least four of its six pairs, so a
+    triangle or a 4-cycle."""
+    paths, ends = [], set()
+    for v in g.vertices():
+        for a, c in combinations(g.neighbors(v), 2):
+            if (a, c) in ends or g.is_edge(a, c):
+                return None
+            ends.add((a, c))
+            paths.append((a, v, c))
+    return paths
+
+
 def f_vector(
     cx: CutComplex,
     mode: str = "auto",
@@ -272,17 +371,20 @@ def f_vector(
     the bitmap ceiling before any subset is tested) and
     counts the set entries by popcount in fixed-size chunks; a subset is
     counted iff :func:`is_face` holds for it.  ``closed`` applies to the
-    hexagonal family with k = 3 only: girth 6 rules out 4-cycles, so every
-    4-subset of V contains a disconnected triple, hence every subset of
-    size at most N-4 is a face and f_{j-1} = C(N, j) for j <= N-4, with the
-    top count equal to the number of facets.  ``auto`` picks closed when it
-    applies, else exhaustive.
+    hexagonal family with k = 3 whose graph the walk of
+    :func:`_neighbour_paths` shows to have no triangle and no 4-cycle, as
+    girth 6 promises: then every 4-subset of V contains a disconnected
+    triple, hence every subset of size at most N-4 is a face and
+    f_{j-1} = C(N, j) for j <= N-4, with the top count equal to the number
+    of facets.  ``auto`` picks closed when it applies, else exhaustive.
     """
     if mode not in ("auto", "exhaustive", "closed"):
         raise InvalidParams(f"unknown f-vector mode {mode!r}")
-    closed_applies = isinstance(cx.graph, HexGraph) and cx.k == 3
+    closed_applies = (isinstance(cx.graph, HexGraph) and cx.k == 3
+                      and _neighbour_paths(cx.graph) is not None)
     if mode == "closed" and not closed_applies:
-        raise InvalidParams("closed form requires the hexagonal family with k=3")
+        raise InvalidParams("closed form requires the hexagonal family with k=3, "
+                            "with no triangle and no 4-cycle")
     if mode == "auto":
         mode = "closed" if closed_applies else "exhaustive"
 

@@ -6,6 +6,17 @@ relocates the tail facets (facets whose complement is the open neighborhood
 of a degree-3 center in the lower color class, per the arithmetic schedule
 below) to the end.
 
+An order is held as rows of its complex: entry p of ``rows`` is the row of
+the complex's (eta, k) complement array that holds the facet at position
+p + 1.  The builder makes the rows in numpy from the lex order of the
+complex, finding the relocated complements by binary search over their
+big-endian bytes, exact for any k and N; an order made by the constructor
+finds its rows the same way on first use, and its ``position`` map must
+agree with them.  The verifier and the spanning report read complements
+only through ``rows``.  ``facets`` stays the public tuple of tuples, and
+``position`` a read-only map, built on its first read for a builder's
+order.
+
 Verification runs entirely in complement arithmetic, for any cut size k:
 with facet complements of size k, an earlier facet F_r meets F_j in all but
 one vertex exactly when F_r's complement is F_j's complement with one entry
@@ -58,13 +69,23 @@ once per order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, count
+from itertools import combinations, compress, count
 from math import comb
-from operator import eq, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
-from .cutcomplex import CutComplex, _closed_fvector, enumerate_facets
+from .cutcomplex import (
+    CutComplex,
+    _closed_fvector,
+    _complements,
+    _distinct,
+    _find_rows,
+    _lex_rows,
+    _neighbour_paths,
+    _per_complex,
+    enumerate_facets,
+)
 from .errors import (
     CountWithoutFailure,
     IncompleteOrder,
@@ -177,22 +198,27 @@ class _ReadOnlyPositions(dict):
         return type(self), (dict(self),)
 
 
+# what _order passes for ``position``: the map is built on its first read
+_ON_FIRST_READ = _ReadOnlyPositions()
+
+
 @dataclass(frozen=True)
 class ShellingOrder:
     """A linear order on the facets of a cut complex, frozen.
 
     ``facets`` lists complement tuples in order; ``position`` maps each
     complement to its 1-based ordinal, and is the one complement -> position
-    map, read-only: every facet and swap lookup reads it.  A read-only map
-    is kept as given, so ``dataclasses.replace`` shares it; any other
-    mapping is copied into one.  Verification first checks it against
-    ``facets`` and the complex.  The tail schedule, when relocated, occupies
-    the last ``len(tail)`` positions in tail-index order.  A passing
-    :func:`verify_shelling` is the one writer of ``_swaps``, the packed swap
-    table of this order; the order is ``verified`` exactly when it holds
-    one.  The constructor and ``dataclasses.replace`` take no table, so
-    every order they build is unverified, and the spanning report trusts
-    ``verified`` without checking the order again.
+    map, read-only.  A read-only map is kept as given, so
+    ``dataclasses.replace`` shares it; any other mapping is copied into
+    one.  ``rows`` is the same order as rows of the complex, the array the
+    verifier and the spanning report read.  The tail schedule, when
+    relocated, occupies the last ``len(tail)`` positions in tail-index
+    order.  A passing :func:`verify_shelling` is the one writer of
+    ``_swaps``, the packed swap table of this order; the order is
+    ``verified`` exactly when it holds one.  The constructor and
+    ``dataclasses.replace`` take no table and no rows, so every order they
+    build is unverified, and the spanning report trusts ``verified``
+    without checking the order again.
     """
 
     cx: CutComplex
@@ -200,11 +226,35 @@ class ShellingOrder:
     position: dict[tuple[int, ...], int] = field(repr=False)
     tail: tuple[TailFacet, ...] = ()
     base_count: int = 0
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _swaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.position) is not _ReadOnlyPositions:
+        if self.position is _ON_FIRST_READ:
+            object.__delattr__(self, "position")
+        elif type(self.position) is not _ReadOnlyPositions:
             object.__setattr__(self, "position", _ReadOnlyPositions(self.position))
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the position
+        # map of an order from _order, built on its first read and kept
+        if name != "position":
+            raise AttributeError(name)
+        position = _ReadOnlyPositions(zip(self.facets, count(1)))
+        object.__setattr__(self, "position", position)
+        return position
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Entry p is the row of the complex that holds the facet at
+        position p + 1, int32.  An order from :func:`_order` holds them
+        from the start; any other order finds them on first read, matching
+        ``facets`` and ``position`` against the complex, and keeps them.
+        Raises IncompleteOrder when a listed complement is no facet or
+        ``position`` disagrees with ``facets``."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _matched_rows(self))
+        return self._rows
 
     @property
     def verified(self) -> bool:
@@ -219,25 +269,65 @@ class ShellingOrder:
         return self.cx.n_vertices
 
 
+def _array(cx: CutComplex, complements) -> np.ndarray:
+    """Complement tuples as an (n, k) int32 array; raises ValueError when
+    one is no k-tuple."""
+    return np.array(complements, dtype=np.int32).reshape(len(complements), cx.k)
+
+
+def _matched_rows(order: ShellingOrder) -> np.ndarray:
+    """The rows of an order built by its constructor: each listed complement
+    found among the facets of the complex by :func:`_find_rows`, and every
+    (complement, ordinal) entry of ``position`` checked to name the row
+    at that ordinal, so that ``position`` sends the complement at ordinal
+    i to i and holds nothing else.  Raises IncompleteOrder otherwise."""
+    cx, facets, position = order.cx, order.facets, order.position
+    try:
+        rows = _find_rows(cx, _array(cx, facets))
+        named = _find_rows(cx, _array(cx, list(position)))
+    except ValueError:
+        raise IncompleteOrder(f"order lists a complement that is no {cx.k}-tuple") from None
+    ordinals = np.fromiter(position.values(), dtype=np.int64, count=len(position))
+    if not (len(ordinals) == len(rows) and (rows >= 0).all()
+            and ((1 <= ordinals) & (ordinals <= len(rows))).all()
+            and np.array_equal(rows[ordinals - 1], named)):
+        raise IncompleteOrder("order does not cover the facets exactly once")
+    return rows
+
+
+def _tuples(cx: CutComplex, rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The complement tuples of ``rows``, taken from ``cx.facets``.  One
+    itemgetter call gathers them fastest; it returns a bare item, not a
+    tuple, for fewer than two rows."""
+    listed = rows.tolist()
+    if len(listed) < 2:
+        return tuple(cx.facets[r] for r in listed)
+    return itemgetter(*listed)(cx.facets)
+
+
 def _order(cx: CutComplex, moved=(), tail=()) -> ShellingOrder:
     """The one order rule: the facet complements in lex order without
-    ``moved``, then the ``moved`` complements in the order given.  Raises
-    TailFacetNotFound when a moved complement is not a facet."""
-    drop = set(moved)
-    missing = drop.difference(cx.facets)
-    if missing:
-        first = next(c for c in moved if c in missing)
+    ``moved``, then the ``moved`` complements in the order given, built as
+    rows of the complex.  Raises TailFacetNotFound when a moved complement
+    is not a facet."""
+    at = _find_rows(cx, _array(cx, moved))
+    if (at < 0).any():
+        first = moved[int(np.flatnonzero(at < 0)[0])]
         raise TailFacetNotFound(f"complement {first} to relocate not among facets")
-    seq = [f for f in sorted(cx.facets) if f not in drop]
-    base_count = len(seq)
-    seq.extend(moved)
-    return ShellingOrder(
+    keep = np.ones(cx.n_facets, dtype=bool)
+    keep[at] = False
+    lex = _lex_rows(cx)
+    base = lex[keep[lex]]
+    rows = np.concatenate([base, at])
+    order = ShellingOrder(
         cx=cx,
-        facets=tuple(seq),
-        position=_ReadOnlyPositions(zip(seq, count(1))),
+        facets=_tuples(cx, rows),
+        position=_ON_FIRST_READ,
         tail=tuple(tail),
-        base_count=base_count,
+        base_count=len(base),
     )
+    object.__setattr__(order, "_rows", rows)
+    return order
 
 
 def _require_hex3(cx: CutComplex) -> HexGraph:
@@ -274,14 +364,16 @@ def order_with_tail_reinserted(cx: CutComplex, tail_index: int) -> tuple[Shellin
         raise OrdinalOutOfRange(f"tail index {tail_index} outside [1,{len(tail)}]")
     rest = [t for t in tail if t.index != tail_index]
     order = _order(cx, [t.complement for t in rest], rest)
-    return order, _tail_position(order.position, tail[tail_index - 1])
+    return order, _tail_position(order, tail[tail_index - 1])
 
 
-def _tail_position(position: dict[tuple[int, ...], int], t: TailFacet) -> int:
-    p = position.get(t.complement)
-    if p is None:
+def _tail_position(order: ShellingOrder, t: TailFacet) -> int:
+    """The 1-based position of the tail facet ``t`` in an order that lists
+    each of its rows once."""
+    (row,) = _find_rows(order.cx, _array(order.cx, [t.complement]))
+    if row < 0:
         raise TailFacetNotFound(f"tail facet {t.index} complement {t.complement} not among facets")
-    return p
+    return int(np.flatnonzero(order.rows == row)[0]) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +406,10 @@ def swap_set(order: ShellingOrder, j: int) -> frozenset[int]:
 
 class _Positions:
     """Key of a (k-1)-subset x_1 < ... < x_{k-1} of {1..N} -> index of that
-    face among the ``count`` distinct faces, or ``count`` for a subset that
-    is no face.  The key is the colex rank sum_t C(x_t - 1, t), t counted
-    from 1, read as sum_t weight[t, x_t]; the ranks run over [0, C(N, k - 1)).
+    face among the ``count`` distinct faces, given by their ascending
+    ``keys``, or ``count`` for a subset that is no face.  The key is the
+    colex rank sum_t C(x_t - 1, t), t counted from 1, read as
+    sum_t weight[t, x_t]; the ranks run over [0, C(N, k - 1)).
 
     While the C(N, k - 1) cells fit ``POSITION_TABLE_LIMIT`` the keys are
     int32 and index a dense table.  Past the limit they are int64 and
@@ -325,7 +418,7 @@ class _Positions:
     weight no subset reaches, C(x - 1, t) with x > N - k + 1 + t, is capped
     at C(N, k - 1), so the weights fit the key type."""
 
-    def __init__(self, N: int, k: int):
+    def __init__(self, N: int, k: int, keys: np.ndarray | None = None):
         self.cells = comb(N, k - 1)
         self.dense = self.cells <= POSITION_TABLE_LIMIT
         self.weight = np.array(
@@ -333,30 +426,44 @@ class _Positions:
              for t in range(1, k)],
             dtype=np.int32 if self.dense else np.int64,
         )
+        if keys is None:
+            return
+        self.count = len(keys)
+        if self.dense:
+            self.table = np.full(self.cells, self.count, dtype=np.int32)
+            self.table[keys] = np.arange(self.count, dtype=np.int32)
+        else:
+            self.sorted = keys
 
     def key(self, cols) -> np.ndarray:
         """Keys of (k-1)-subsets given column by column."""
         return sum(w[col] for w, col in zip(self.weight, cols))
-
-    def number(self, keys: np.ndarray) -> np.ndarray:
-        """Index the distinct ``keys`` in ascending order; returns the index
-        of each key, and sets ``count`` to the number of faces."""
-        if self.dense:
-            present = np.zeros(self.cells, dtype=bool)
-            present[keys] = True
-            self.count = int(present.sum())
-            self.table = np.full(self.cells, self.count, dtype=np.int32)
-            self.table[present] = np.arange(self.count, dtype=np.int32)
-            return self.table[keys]
-        self.sorted, index = np.unique(keys, return_inverse=True)
-        self.count = len(self.sorted)
-        return index.astype(np.int32)
 
     def __getitem__(self, key: np.ndarray) -> np.ndarray:
         if self.dense:
             return self.table[key]
         at = np.searchsorted(self.sorted, key).clip(max=len(self.sorted) - 1)
         return np.where(self.sorted[at] == key, at, self.count)
+
+
+@_per_complex
+def _face_numbers(cx: CutComplex) -> tuple[np.ndarray, np.ndarray]:
+    """The faces of the complex, the (k-1)-subsets of its complements: their
+    distinct keys ascending, and the index among them of the face of row i
+    without its entry s, at [i, s], int32.  Within the dense table's limit
+    they are numbered through a table of C(N, k - 1) flags, past it by a
+    sort."""
+    comp, (eta, k) = _complements(cx), (cx.n_facets, cx.k)
+    pos = _Positions(cx.n_vertices, k)
+    keys = np.empty((eta, k), dtype=pos.weight.dtype)
+    for s in range(k):
+        keys[:, s] = pos.key(np.delete(comp, s, axis=1).T)
+    if pos.dense:
+        present = np.zeros(pos.cells, dtype=bool)
+        present[keys] = True
+        return np.flatnonzero(present), (np.cumsum(present, dtype=np.int32) - 1)[keys]
+    faces, face = np.unique(keys, return_inverse=True)
+    return faces, face.reshape(eta, k).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -383,24 +490,24 @@ def _colex_subsets(s: int, k: int) -> np.ndarray:
 class _Faces:
     """The complements passed so far, one mask of W = ceil((N + 1) / 64)
     uint64 words per face.  A face is a (k-1)-subset u of a complement, so
-    each complement has k faces, and bit z of the mask of u is set iff
-    u + {z} is a complement already passed.  The faces are numbered by
+    each complement has k of them, and bit z of the mask of u is set iff
+    u + {z} is a complement already passed.  The faces are numbered once
+    per complex (:func:`_face_numbers`) and looked up through
     ``_Positions``; a (k-1)-subset that is no face reads the last mask,
     which stays zero.  Masks are stored word by word, so that a gather reads
     one contiguous array per word, and change only between row blocks.
-    ``comp`` holds the complements as rows of k vertices, ``face[i, s]``
-    numbers the face of complement i without its entry s, ``vertices``
-    packs V = {1..N}, and ``packed(vertex <= last)`` bounds the subsets
-    starting at or below the last vertex that starts a passed complement."""
+    ``comp`` holds the complements of the order's ``rows`` as rows of k
+    vertices, ``face[i, s]`` numbers the face of complement i without its
+    entry s, ``vertices`` packs V = {1..N}, and ``packed(vertex <= last)``
+    bounds the subsets starting at or below the last vertex that starts a
+    passed complement."""
 
-    def __init__(self, comp: np.ndarray, N: int):
-        self.comp = comp
-        eta, k = comp.shape
-        self.pos = _Positions(N, k)
-        keys = np.zeros((eta, k), dtype=self.pos.weight.dtype)
-        for s in range(k):
-            keys[:, s] = self.pos.key(np.delete(comp, s, axis=1).T)
-        self.face = self.pos.number(keys.reshape(-1)).reshape(eta, k)
+    def __init__(self, cx: CutComplex, rows: np.ndarray):
+        N = cx.n_vertices
+        keys, face = _face_numbers(cx)
+        self.pos = _Positions(N, cx.k, keys)
+        # np.take gathers rows faster than fancy indexing does
+        self.comp, self.face = np.take(_complements(cx), rows, axis=0), np.take(face, rows, axis=0)
         self.zero = self.pos.count
         self.masks = np.zeros(((N + 64) // 64, self.zero + 1), dtype="<u8")
         self.vertex = np.arange(N + 1)
@@ -598,39 +705,32 @@ def _first_failure(rows, lo, last, faces, choose, subsets) -> tuple[int, int] | 
     return next(a + int(np.flatnonzero(hit)[0]) for a, _, hit in hits if hit.any()), lo + j
 
 
-def _closed_total(order: ShellingOrder, comp: np.ndarray) -> int | None:
-    """f(Delta), the number of faces of the complex that the order lists,
-    the empty face included, when this call shows that the order lists the
-    3-cut complex of a graph with no triangle and no 4-cycle; None for
-    every other order.
+@_per_complex
+def _closed_total(cx: CutComplex) -> int | None:
+    """f(Delta), the number of faces of the complex, the empty face
+    included, when this call shows it to be the 3-cut complex of a graph
+    with no triangle and no 4-cycle; None for every other complex.  Once
+    an order has been shown to list each facet of the complex once, this
+    is the face count of the order, so it is computed once per complex.
 
-    The facts are read from the neighbour pairs of the graph, a - v - c
-    with a < c both adjacent to v.  A pair that is an edge closes a
-    triangle, and a pair met at two middles closes a 4-cycle.  Without
-    either, the connected triples are exactly the paths a - v - c, one per
-    pair, and every 4-set holds a disconnected triple, so every set of at
-    most N - 4 vertices is a face and f(Delta) = 2^N - 1 - N - C(N, 2) - T
-    for T pairs.  The listed complements, distinct by the cover check, are
-    all the disconnected triples when they are increasing triples of
-    [1, N], no path among them, and C(N, 3) - T of them.  The first
-    triangle or 4-cycle ends the walk, so it reads at most C(N, 2) + 1
-    pairs."""
-    cx = order.cx
-    g, N = cx.graph, cx.n_vertices
-    if cx.k != 3:
+    The graph is read by the neighbour-pair walk of
+    :func:`hexcut.cutcomplex._neighbour_paths`.  Without a triangle or a
+    4-cycle, the connected triples are exactly its paths a - v - c, one per
+    pair, and every set of at most N - 4 vertices is a face, so
+    f(Delta) = 2^N - 1 - N - C(N, 2) - T for T pairs.  The complements,
+    each listed once, are all the disconnected triples when they are
+    increasing triples of [1, N], no path among them, and C(N, 3) - T of
+    them."""
+    N = cx.n_vertices
+    paths = _neighbour_paths(cx.graph) if cx.k == 3 else None
+    if paths is None:
         return None
-    paths, ends = [], set()
-    for v in g.vertices():
-        for a, c in combinations(g.neighbors(v), 2):
-            if (a, c) in ends or g.is_edge(a, c):
-                return None
-            ends.add((a, c))
-            paths.append((a, v, c))
+    comp = _complements(cx)
     x, y, z = comp.T
-    if not (len(comp) == comb(N, 3) - len(paths)
+    if not (len(comp) == comb(N, 3) - len(paths) and _distinct(cx)
             and ((1 <= x) & (x < y) & (y < z) & (z <= N)).all()):
         return None
-    if any(tuple(sorted(t)) in order.position for t in paths):
+    if (_find_rows(cx, np.sort(_array(cx, paths), axis=1)) >= 0).any():
         return None
     return sum(_closed_fvector(N, len(comp)).counts)
 
@@ -691,14 +791,9 @@ def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | Non
     CountWithoutFailure.  Any other order is checked block by block as it
     is built, and the build stops at the first block holding a failing
     row, so the rows past that block stay zero."""
-    N, k = order.n_vertices, order.cx.k
-    # every entry a k-tuple: the caller has matched the order to the facets
-    # of its complex one for one
-    eta = order.n_facets
-    comp = np.fromiter(chain.from_iterable(order.facets), np.int32, count=eta * k).reshape(eta, k)
-    faces = _Faces(comp, N)
-    table = np.zeros((eta, faces.masks.shape[0]), dtype="<u8")
-    total = _closed_total(order, comp)
+    faces = _Faces(order.cx, order.rows)
+    table = np.zeros((order.n_facets, faces.masks.shape[0]), dtype="<u8")
+    total = _closed_total(order.cx)
     if total is None:
         return table, _sweep(faces, table, build=True)
     if _interval_sum(faces, table) == total:
@@ -711,16 +806,15 @@ def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | Non
     return table, failure
 
 
-def _ordinals_once(position: dict[tuple[int, ...], int], facets) -> bool:
-    """True iff every complement in ``facets`` has a position and no two
-    share one; a complex that repeats a facet leaves a position out."""
-    try:
-        ordinals = np.fromiter(map(position.__getitem__, facets), np.int32, count=len(facets))
-    except KeyError:
-        return False
-    seen = np.zeros(len(facets) + 1, dtype=bool)
-    seen[ordinals] = True
-    return int(np.count_nonzero(seen)) == len(facets)
+def _cover(order: ShellingOrder) -> np.ndarray:
+    """The one cover check: the order's rows, when they list each facet of
+    the complex exactly once, each row counted by bincount; the complex
+    must list no complement twice.  Raises IncompleteOrder otherwise."""
+    cx, rows = order.cx, order.rows
+    if not (len(rows) == cx.n_facets and _distinct(cx)
+            and (np.bincount(rows, minlength=cx.n_facets) == 1).all()):
+        raise IncompleteOrder("order does not cover the facets exactly once")
+    return rows
 
 
 def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
@@ -728,13 +822,17 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
 
     Returns ok, or the failing pair (i, j) minimal in (j, i) order.  The
     order must list each facet of its complex once, with ``position``
-    sending the complement at ordinal i to i, or IncompleteOrder is raised.
+    sending the complement at ordinal i to i, or IncompleteOrder is raised:
+    an order from the builder holds its rows of the complex, any other
+    finds them by an exact match of ``facets`` and ``position`` against the
+    complex, and the rows must name each row of the complex once.
     A passing run attaches the packed swap table to the order, which marks
     it verified; a failing run attaches nothing.
 
     For the 3-cut complex of a graph with no triangle and no 4-cycle, shown
-    to be one from the graph's neighbour pairs and the listed complements
-    in this call, f(Delta) = 2^N - 1 - N - C(N, 2) - T for T connected
+    to be one from the graph's neighbour pairs and the complements of the
+    complex, once per complex,
+    f(Delta) = 2^N - 1 - N - C(N, 2) - T for T connected
     triples, and every row of the swap table is built with no containment
     check: the order passes iff the sum of 2^(N - 3 - |Lambda_j|) equals
     f(Delta).  A rejected order is swept again, from its stored rows, with
@@ -751,28 +849,21 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     a passed complement; with s = |S_j| and L the vertices of S_j up to
     that one, it reads C(s, k - 1) - C(s - L, k - 1) masks, and a row takes
     it when that is below j.  Scans are bit-sliced: one complement against
-    R rows costs k ceil(R / 64) words.  Faces are looked up by colex rank
-    in a dense table of C(N, k - 1) cells, or past ``POSITION_TABLE_LIMIT``
-    by binary search among the sorted ranks.
+    R rows costs k ceil(R / 64) words.  Faces are numbered once per
+    complex and looked up by colex rank in a dense table of C(N, k - 1)
+    cells, or past ``POSITION_TABLE_LIMIT`` by binary search among the
+    sorted ranks.
     ``jobs`` is validated and echoed, and changes nothing.  ``pairs_checked``
     counts the pairs of the O(eta^2) definition, not the work done.
     """
     if jobs < 1:
         raise InvalidParams(f"jobs must be >= 1, got {jobs}")
-    # equal sizes, one position per ordinal, one ordinal per facet of the
-    # complex: each facet listed once, checked without building a set
-    facets, position = order.facets, order.position
-    if not (
-        len(facets) == len(position) == order.cx.n_facets
-        and all(map(eq, map(position.get, facets), count(1)))
-        and _ordinals_once(position, order.cx.facets)
-    ):
-        raise IncompleteOrder("order does not cover the facets exactly once")
+    _cover(order)
     table, failure = _swap_table(order)
     if failure is not None:
         i, j = failure
         return VerifyResult(False, (i + 1, j + 1), j * (j + 1) // 2, jobs)
-    object.__setattr__(order, "_swaps", table)  # the one write to a built order
+    object.__setattr__(order, "_swaps", table)  # the one write of a table to an order
     eta = order.n_facets
     return VerifyResult(True, None, eta * (eta - 1) // 2, jobs)
 
@@ -815,18 +906,16 @@ def spanning_facets(order: ShellingOrder) -> SpanningReport:
     if not order.verified:
         raise UnverifiedOrder("verify the order first: only a shelling has a spanning report")
     N, k = order.n_vertices, order.cx.k
-    swaps, facets = order._swaps, order.facets
+    swaps = order._swaps
     span = np.bitwise_count(swaps).sum(axis=1) == N - k
     flags = tuple(map(bool, span))
-    spanning_comps = tuple(compress(facets, flags))
+    spanning_comps = tuple(compress(order.facets, flags))
 
     # the rows whose complement is {x, y, N}, selected by mask; only the
     # non-spanning ones are unpacked, for the witness map
-    ends = np.zeros(len(facets), dtype=bool)
-    if k == 3:
-        ends = np.fromiter(map(N.__eq__, map(itemgetter(2), facets)), dtype=bool,
-                           count=len(facets))
-    span_pairs = {facets[j][:2] for j in np.flatnonzero(span & ends).tolist()}
+    comp = np.take(_complements(order.cx), order.rows, axis=0)
+    ends = comp[:, -1] == N if k == 3 else np.zeros(len(comp), dtype=bool)
+    span_pairs = set(map(tuple, comp[span & ends, :2].tolist()))
     non_spanning = tuple(
         (x, y)
         for x in range(1, N)
@@ -834,15 +923,15 @@ def spanning_facets(order: ShellingOrder) -> SpanningReport:
         if (x, y) not in span_pairs
     )
 
-    rows = np.flatnonzero(ends & ~span).tolist()
+    rows = np.flatnonzero(ends & ~span)
     # bit v of a row: v is in the swap set, in the complement, or v = 0
     inside = np.unpackbits(swaps[rows].view(np.uint8), axis=1, bitorder="little")[:, :N + 1]
     inside[:, 0] = 1
-    comp = np.array([facets[j] for j in rows], dtype=np.intp).reshape(len(rows), k)
-    inside[np.arange(len(rows))[:, None], comp] = 1
+    inside[np.arange(len(rows))[:, None], comp[rows]] = 1
     witness = {
-        facets[j][:2]: v
-        for j, v, full in zip(rows, inside.argmin(axis=1).tolist(), inside.all(axis=1).tolist())
+        (x, y): v
+        for (x, y, _), v, full in zip(comp[rows].tolist(), inside.argmin(axis=1).tolist(),
+                                      inside.all(axis=1).tolist())
         if not full
     }
     return SpanningReport(
@@ -1059,8 +1148,9 @@ def verify_tail_obstruction(cx: CutComplex) -> bool:
     if not tail:
         raise NoTailFacets(f"H({g.m},{g.n}) has no tail facets")
     N = cx.n_vertices
-    pos = shelling_order(cx, relocate_tail=False).position
-    positions = [_tail_position(pos, t) for t in tail]
+    plain = shelling_order(cx, relocate_tail=False)
+    positions = [_tail_position(plain, t) for t in tail]
+    pos = plain.position
     for t, j_i in zip(tail, positions):
         blocker_comp = tuple(sorted((t.center, N - 1, N)))
         p_blocker = pos.get(blocker_comp)
@@ -1115,8 +1205,8 @@ def verify_k_cut_order(
     cx = enumerate_facets(g, k)
     relocated: list[tuple[int, ...]] = []
     if rule == "revlex-with-neighborhood-tail":
-        hoods = {nb for nb in map(g.neighbors, g.vertices()) if len(nb) == k}
-        relocated = sorted(hoods.intersection(cx.facets))
+        hoods = sorted({nb for nb in map(g.neighbors, g.vertices()) if len(nb) == k})
+        relocated = list(compress(hoods, _find_rows(cx, _array(cx, hoods)) >= 0))
     res = verify_shelling(_order(cx, relocated), jobs=jobs)
     return ExploreVerdict(
         k=k,

@@ -24,6 +24,7 @@ from hexcut import (
 )
 from hexcut import cutcomplex
 from hexcut.cutcomplex import CutComplex, facets_to_csv, facets_to_json_dict
+from hexcut.hexgraph import HexGraph, hex_edges
 
 from conftest import oracle_face_counts, oracle_facet_complements, oracle_full_facets
 
@@ -224,6 +225,19 @@ def test_exhaustive_f_vector_ignores_the_facet_list():
     assert f_vector(tampered, mode="exhaustive").f(6) == hex_facet_count(1, 2)
     # ... while the closed form takes the stored facet count
     assert f_vector(tampered, mode="closed").f(6) == hex_facet_count(1, 2) - 1
+
+
+def test_closed_f_vector_gated_on_the_graph_not_its_type():
+    # H(1, 1) with the edge 1 - 6, which closes two 4-cycles: still a
+    # HexGraph, but some 4-sets hold no disconnected triple, so fewer
+    # pairs are faces than C(6, 2).  The closed form must not apply
+    g = HexGraph(1, 1, hex_edges(1, 1) + [(1, 6)])
+    cx = enumerate_facets(g, 3)
+    exhaustive = f_vector(cx, mode="exhaustive")
+    assert exhaustive.counts == (1, 6, 13, 10)
+    assert f_vector(cx).counts == exhaustive.counts
+    with pytest.raises(InvalidParams):
+        f_vector(cx, mode="closed")
 
 
 def test_f_vector_1_2_values():

@@ -281,14 +281,10 @@ def test_any_k_verifier_and_report_match_oracles(case):
             spanning_facets(order)
 
 
-def _complements(order):
-    return np.array(order.facets, dtype=np.int32).reshape(order.n_facets, order.cx.k)
-
-
 def _counted(order):
     """True iff the verifier knows f(Delta) for the order, so that the face
     count decides it."""
-    return shelling._closed_total(order, _complements(order)) is not None
+    return shelling._closed_total(order.cx) is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,7 +460,7 @@ def test_live_pruning_reads_under_a_tenth_of_the_pairs(instance, monkeypatch):
     # a replaced order holds no table, so it is verified again from scratch
     assert verify_shelling(dataclasses.replace(order)).ok
     assert looked_up == []
-    monkeypatch.setattr(shelling, "_closed_total", lambda order, comp: None)
+    monkeypatch.setattr(shelling, "_closed_total", lambda cx: None)
     assert verify_shelling(dataclasses.replace(order)).ok
     assert 0 < sum(looked_up) < unpruned / 10
 
@@ -609,14 +605,14 @@ def test_interval_sum_is_the_face_count_exactly_for_shellings(case):
     facet_sets = _facet_sets(cx, seq)
     total = sum(f_vector(cx, mode="exhaustive").counts)
     order = _order_of(cx, seq)
-    faces = shelling._Faces(_complements(order), cx.n_vertices)
+    faces = shelling._Faces(cx, order.rows)
     table = np.zeros((len(seq), faces.masks.shape[0]), dtype="<u8")
     with mock.patch.multiple(shelling, **patches):
         counted = shelling._interval_sum(faces, table)
     oracle = oracle_is_shelling(facet_sets)
     assert (counted == total) == oracle[0] and counted >= total
     assert all(isinstance(x, int) for x in (counted, total))
-    with mock.patch.multiple(shelling, _closed_total=lambda order, comp: total, **patches):
+    with mock.patch.multiple(shelling, _closed_total=lambda cx: total, **patches):
         res = verify_shelling(order)
     assert (res.ok, res.counterexample) == oracle
 
@@ -674,7 +670,7 @@ def test_h46_passes_by_the_face_count(instance, monkeypatch):
     # without one containment check
     order = dataclasses.replace(instance(4, 6, verify=False).order)
     N, T = order.n_vertices, 6 * 4 * 6 + 2 * 4 + 2 * 6 - 4
-    total = shelling._closed_total(order, _complements(order))
+    total = shelling._closed_total(order.cx)
     assert total == 2**N - 1 - N - comb(N, 2) - T and total > 2**64
 
     def no_check(*args):
@@ -716,8 +712,8 @@ def test_count_without_failure_raises(monkeypatch):
     # a face count that rejects an order in which no row fails is an
     # internal contradiction: it raises and attaches no table
     order = shelling_order(_complex(1, 2))
-    total = shelling._closed_total(order, _complements(order))
-    monkeypatch.setattr(shelling, "_closed_total", lambda order, comp: total + 1)
+    total = shelling._closed_total(order.cx)
+    monkeypatch.setattr(shelling, "_closed_total", lambda cx: total + 1)
     with pytest.raises(CountWithoutFailure):
         verify_shelling(order)
     assert not order.verified
@@ -829,6 +825,135 @@ def test_incomplete_order_rejected(defect):
     assert not broken.verified
     with pytest.raises(UnverifiedOrder):
         spanning_facets(broken)
+
+
+def _constructed(order):
+    """The same order through the public constructor, as the benchmark
+    builds it: tuple facets and a plain dict position."""
+    return ShellingOrder(cx=order.cx, facets=tuple(order.facets),
+                         position={f: i + 1 for i, f in enumerate(order.facets)},
+                         tail=order.tail, base_count=order.base_count)
+
+
+def _assert_built_alike(order, patches=None):
+    # the builder's rows and the rows the constructor's order matches give
+    # the same verdict and, row for row, the same packed table
+    twin = _constructed(order)
+    assert np.array_equal(order.rows, twin.rows) and twin.rows.dtype == np.int32
+    with mock.patch.multiple(shelling, **(patches or {"_BLOCK_ROWS": shelling._BLOCK_ROWS})):
+        tables = [shelling._swap_table(o) for o in (order, twin)]
+        results = [verify_shelling(o) for o in (order, twin)]
+    assert np.array_equal(tables[0][0], tables[1][0]) and tables[0][1] == tables[1][1]
+    assert results[0] == results[1]
+    assert order.verified == twin.verified == results[0].ok
+    if results[0].ok:
+        assert np.array_equal(order._swaps, twin._swaps)
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 3), (3, 4)])
+def test_single_reinsertions_built_alike_both_ways(m, n):
+    cx = _complex(m, n)
+    for t in range(1, tail_facet_count(m, n) + 1):
+        _assert_built_alike(order_with_tail_reinserted(cx, t)[0])
+
+
+@pytest.mark.parametrize("chosen", [(1, 5), (2, 7, 9), (4, 10), (3, 6, 8)])
+def test_multi_reinsertions_built_alike_both_ways(chosen):
+    cx = _complex(3, 4)
+    rest = [t for t in tail_facets(3, 4, cx.graph) if t.index not in chosen]
+    _assert_built_alike(shelling._order(cx, [t.complement for t in rest], rest))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_k_orders())
+def test_random_orders_built_alike_both_ways(case):
+    # moving every facet lists them in the order given
+    cx, seq, patches = case
+    order = shelling._order(cx, seq)
+    assert order.facets == tuple(seq) and order.base_count == 0
+    _assert_built_alike(order, patches)
+
+
+@pytest.mark.parametrize("path", ["builder", "constructor"])
+def test_repeated_facet_refused_on_both_paths(path):
+    # the complex lists its first facet again in place of its last one
+    cx = _complex(1, 2)
+    repeated = CutComplex(graph=cx.graph, k=3, facets=cx.facets[:-1] + cx.facets[:1])
+    order = shelling._order(repeated)
+    assert order.facets == tuple(sorted(repeated.facets))
+    if path == "constructor":
+        order = _constructed(order)
+    with pytest.raises(IncompleteOrder):
+        verify_shelling(order)
+    assert not order.verified
+
+
+def test_replaced_facets_refused():
+    # two facets exchanged, the position map kept: the rows found from the
+    # facets disagree with the map, and the order is refused, not verified
+    # as the order the map describes
+    order = shelling_order(_complex(1, 2))
+    facets = list(order.facets)
+    facets[0], facets[-1] = facets[-1], facets[0]
+    swapped = dataclasses.replace(order, facets=tuple(facets))
+    assert swapped.position is order.position
+    with pytest.raises(IncompleteOrder):
+        verify_shelling(swapped)
+    assert not swapped.verified
+
+
+def test_position_is_built_on_first_read():
+    # the builder leaves the map to its first reader; after that it is a
+    # plain attribute, and equal to the one the constructor copies
+    order = shelling_order(_complex(1, 2))
+    assert "position" not in vars(order)
+    assert verify_shelling(order).ok and "position" not in vars(order)
+    position = order.position
+    assert vars(order)["position"] is position is order.position
+    assert position == _constructed(order).position
+    with pytest.raises(TypeError):
+        position[order.facets[0]] = 2
+
+
+def test_unsorted_hand_built_complex_orders_lex():
+    # the builder lists a complex given out of order in lex order
+    cx = _complex(2, 2)
+    shuffled = list(cx.facets)
+    random.Random(4).shuffle(shuffled)
+    hand = CutComplex(graph=cx.graph, k=3, facets=tuple(shuffled))
+    tail = tail_facets(2, 2, hand.graph)
+    order, sorted_order = shelling_order(hand), shelling_order(cx)
+    assert order.facets == sorted_order.facets
+    assert [shuffled[r] for r in order.rows.tolist()] == list(order.facets)
+    assert order_with_tail_reinserted(hand, 1)[1] == order_with_tail_reinserted(cx, 1)[1]
+    assert verify_shelling(order) == verify_shelling(sorted_order)
+    assert np.array_equal(order._swaps, sorted_order._swaps)
+    assert spanning_facets(order) == spanning_facets(sorted_order)
+    connected = tuple(sorted((1,) + hand.graph.neighbors(1)[:2]))
+    with pytest.raises(TailFacetNotFound):
+        shelling._order(hand, [tail[0].complement, connected])
+
+
+def test_rows_matched_exactly_past_int64_ranks():
+    # C(70, 35) > 2^63: an integer rank of a 35-subset of [1, 70] would
+    # overflow.  Complements that differ only in their last entry, or that
+    # share every entry but one with a facet, are told apart exactly
+    N, k = 70, 35
+    assert comb(N, k) >= 2**63
+    low = tuple(range(1, k + 1))
+    high = tuple(range(N - k + 1, N + 1))
+    facets = (low, low[:-1] + (N,), high[:1] + low[1:], high)
+    hand = CutComplex(graph=Graph(N, []), k=k, facets=facets[::-1])
+    order = shelling._order(hand, [low])
+    assert order.facets == tuple(sorted(facets)[1:]) + (low,)
+    assert np.array_equal(order.rows, [2, 1, 0, 3])
+    assert np.array_equal(_constructed(order).rows, order.rows)
+    with pytest.raises(TailFacetNotFound):
+        shelling._order(hand, [low[:-1] + (N - 1,)])
+    wrong = _constructed(order)
+    wrong = dataclasses.replace(wrong, facets=wrong.facets[:-1] + (low[:-1] + (N - 1,),))
+    with pytest.raises(IncompleteOrder):
+        wrong.rows
 
 
 def test_tail_obstruction_confirmed():

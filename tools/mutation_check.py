@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check for the shelling verifier, the spanning report and the
-homology oracle, standard library only.
+"""Mutation check for the shelling verifier, the order builder, the
+spanning report and the homology oracle, standard library only.
 
 Copies ``src/`` to a temporary directory, applies one small change at a
 time to the copy of the module a mutant names, by exact string replacement,
@@ -62,7 +62,7 @@ MUTANTS = {
         "    if _interval_sum(faces, table) >= total:\n",
     ),
     "face count trusted without the triangle and 4-cycle check": (
-        "shelling.py",
+        "cutcomplex.py",
         "            if (a, c) in ends or g.is_edge(a, c):\n"
         "                return None\n",
         "",
@@ -91,6 +91,21 @@ MUTANTS = {
         "shelling.py",
         "    for c in range(1, cols.shape[1]):\n",
         "    for c in range(2, cols.shape[1]):\n",
+    ),
+    "a moved row also left in the base segment": (
+        "shelling.py",
+        "    keep[at] = False\n",
+        "",
+    ),
+    "position agreement check skipped": (
+        "shelling.py",
+        "            and np.array_equal(rows[ordinals - 1], named)):\n",
+        "            ):\n",
+    ),
+    "builder's rows off by one position": (
+        "shelling.py",
+        '    object.__setattr__(order, "_rows", rows)\n',
+        '    object.__setattr__(order, "_rows", np.roll(rows, 1))\n',
     ),
     "swap table taken by the constructor and replace()": (
         "shelling.py",
