@@ -154,15 +154,21 @@ def _distinct(cx: CutComplex) -> bool:
     return bool((keys[1:] != keys[:-1]).all())
 
 
+def _search(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The index of each of the keys ``want`` among the ascending ``keys``,
+    or len(keys) where none equals it: one binary search, exact for the
+    byte keys of :func:`_keys`."""
+    if not len(keys):
+        return np.zeros(len(want), dtype=np.intp)
+    at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+    return np.where(keys[at] == want, at, len(keys))
+
+
 def _find_rows(cx: CutComplex, comp: np.ndarray) -> np.ndarray:
     """The row of the complex holding each row of ``comp``, an (n, k)
-    array, or -1 where no facet has that complement: a binary search over
-    the keys of :func:`_keys` in lex order, exact for any k and N."""
-    keys, want = _lex_keys(cx), _keys(comp)
-    if not len(keys):
-        return np.full(len(want), -1, dtype=np.int32)
-    at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
-    return np.where(keys[at] == want, _lex_rows(cx)[at], -1).astype(np.int32)
+    array, or -1 where no facet has that complement, int32: a
+    :func:`_search` over the keys of the rows in lex order."""
+    return np.append(_lex_rows(cx), np.int32(-1))[_search(_lex_keys(cx), _keys(comp))]
 
 
 def _sparse_slabs(g: Graph, k: int) -> Iterator[np.ndarray]:

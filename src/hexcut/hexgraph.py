@@ -190,7 +190,10 @@ def cycle_graph(n: int) -> Graph:
 
 
 def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle (math.inf for forests). BFS from every vertex."""
+    """Length of a shortest cycle (math.inf for forests). BFS from every
+    vertex; a non-tree edge v - w reports dist(v) + dist(w) + 1, at least
+    2 dist(v), so a search stops at the first v where that reaches the
+    best length found."""
     best: int | float = float("inf")
     for src in g.vertices():
         dist = {src: 0}
@@ -198,6 +201,8 @@ def girth(g: Graph) -> int | float:
         queue = deque([src])
         while queue:
             v = queue.popleft()
+            if 2 * dist[v] >= best:
+                break
             for w in g.neighbors(v):
                 if w not in dist:
                     dist[w] = dist[v] + 1

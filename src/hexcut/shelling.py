@@ -32,32 +32,32 @@ F_j (|Lambda_j| = N - k).
 Lambda_j is the restriction set of F_j, so the intervals [Lambda_j, F_j]
 cover the complex, and the sum of their sizes 2^(N - k - |Lambda_j|) equals
 its face count f(Delta) exactly when the order is a shelling (Bjorner and
-Wachs, "Shellable nonpure complexes and posets I", 1996, section 2).  When
-f(Delta) is known, for the 3-cut complex of a graph with no triangle and no
-4-cycle, checked in the same call, that sum alone decides the verdict, and
-the containment test below runs only to name the failure of an order the
-sum rejects.
+Wachs, "Shellable nonpure complexes and posets I", 1996, section 2).
 
-Row j fails iff some earlier complement lies inside
-S_j = V - Lambda_j.  The verifier keeps one bitmask per face, a
+One flow verifies every order.  The verifier keeps one bitmask per face, a
 (k-1)-subset u of a complement, with bit z set iff u + {z} is a complement
-passed so far.  Faces are numbered by colex rank, through a dense table of
-C(N, k - 1) cells while that fits ``POSITION_TABLE_LIMIT``, and through the
-sorted ranks past it.  Rows are built in blocks of 4096, and the masks
-change only between blocks.  Lambda_j is the OR of the masks of the k
-faces of F_j^c, built with prefix sums over the block and packed into
-ceil((N + 1) / 64) words per row.  Without f(Delta), each block is
-checked as it is built, and its complements are passed once its check
-succeeds.  With it, every block is passed as soon as it is built, and
-for a rejected order the stored rows are checked block by block again,
-on masks reset to zero.  Every row of a block is scanned against the
-complements of the block before it.  Against the complements before
-the block, each row is checked along one of two exact paths: test S_j
-against the masks of its (k-1)-subsets P, since S_j holds such a
-complement iff masks[P] & S_j is nonzero for some P, or scan the j earlier
-complements.  Reading the subsets starting at or below the last vertex
-that starts a passed complement is enough, one vertex per block, so with
-s = |S_j| and L the vertices of S_j up to that one, the subset test reads
+passed so far.  Faces are numbered once per complex, by colex rank through
+a dense table of C(N, k - 1) cells while that fits
+``POSITION_TABLE_LIMIT``, and by their big-endian bytes among the sorted
+face keys past it.  Every row of the table is built once, in blocks of
+4096 passed into the masks as soon as they are built: Lambda_j is the OR
+of the masks of the k faces of F_j^c, built with prefix sums over the
+block and packed into ceil((N + 1) / 64) words per row.  When f(Delta) is
+known, for the 3-cut complex of a graph with no triangle and no 4-cycle,
+checked in the same call, the sum alone passes the order.  Otherwise the
+masks are reset and the stored rows are checked block by block with the
+containment test below: it names the failure of an order the sum
+rejects, and decides an order whose f(Delta) is unknown.
+
+Row j fails iff some earlier complement lies inside S_j = V - Lambda_j.
+Every row of a block is scanned against the complements of the block
+before it.  Against the complements before the block, each row is checked
+along one of two exact paths: test S_j against the masks of its
+(k-1)-subsets P, since S_j holds such a complement iff masks[P] & S_j is
+nonzero for some P, or scan the j earlier complements.  Reading the
+subsets starting at or below the last vertex that starts a passed
+complement is enough, one vertex per block, so with s = |S_j| and L the
+vertices of S_j up to that one, the subset test reads
 C(s, k - 1) - C(s - L, k - 1) masks, and a row takes it when that is below
 j.  Every scan tests containment bit-sliced: each vertex gets one mask
 over the scanned rows, and a complement lies inside S_j exactly for the
@@ -81,9 +81,11 @@ from .cutcomplex import (
     _complements,
     _distinct,
     _find_rows,
+    _keys,
     _lex_rows,
     _neighbour_paths,
     _per_complex,
+    _search,
     enumerate_facets,
 )
 from .errors import (
@@ -100,7 +102,7 @@ from .hexgraph import Graph, HexGraph, hex_vertex_count
 
 # Cells of the dense face -> index table, one int32 entry per colex rank of a
 # (k-1)-subset, C(N, k - 1) in all; H(10, 10) at k = 3 needs C(240, 2) =
-# 28 680.  Past it the face ranks are searched in sorted order instead.
+# 28 680.  Past it the faces are searched by their big-endian bytes.
 POSITION_TABLE_LIMIT = 1 << 24
 # Rows of the swap table built and checked together, and the mask words
 # read per numpy step by the subset test (one per candidate subset and row
@@ -405,65 +407,61 @@ def swap_set(order: ShellingOrder, j: int) -> frozenset[int]:
 
 
 class _Positions:
-    """Key of a (k-1)-subset x_1 < ... < x_{k-1} of {1..N} -> index of that
-    face among the ``count`` distinct faces, given by their ascending
-    ``keys``, or ``count`` for a subset that is no face.  The key is the
-    colex rank sum_t C(x_t - 1, t), t counted from 1, read as
-    sum_t weight[t, x_t]; the ranks run over [0, C(N, k - 1)).
+    """The faces of a complex, the (k-1)-subsets of its complements ``comp``,
+    numbered: ``face[i, s]`` is the index of the face of row i without its
+    entry s, int32, among the ``count`` faces, and :meth:`index` finds a
+    (k-1)-subset among them.
 
-    While the C(N, k - 1) cells fit ``POSITION_TABLE_LIMIT`` the keys are
-    int32 and index a dense table.  Past the limit they are int64 and
-    searched among the sorted face keys, the one lookup that fits k near N:
-    H(10, 10) at k = 237 would need C(240, 236), about 1.3e8 cells.  A
-    weight no subset reaches, C(x - 1, t) with x > N - k + 1 + t, is capped
-    at C(N, k - 1), so the weights fit the key type."""
+    While the C(N, k - 1) subsets fit ``POSITION_TABLE_LIMIT`` a subset is
+    keyed by its colex rank sum_t C(x_t - 1, t), t counted from 1, read as
+    sum_t weight[t, x_t], and indexes a dense int32 table; a weight no
+    subset reaches, C(x - 1, t) with x > N - k + 1 + t, is capped at
+    C(N, k - 1), so the weights fit int32.  Past the limit a subset is
+    keyed by its entries as big-endian bytes (:func:`_keys`) and searched
+    among the sorted face keys, exact for any k and N: H(10, 10) at
+    k = 237 would need C(240, 236), about 1.3e8 cells."""
 
-    def __init__(self, N: int, k: int, keys: np.ndarray | None = None):
-        self.cells = comb(N, k - 1)
-        self.dense = self.cells <= POSITION_TABLE_LIMIT
-        self.weight = np.array(
-            [[min(comb(x - 1, t), self.cells) if x else 0 for x in range(N + 1)]
-             for t in range(1, k)],
-            dtype=np.int32 if self.dense else np.int64,
-        )
-        if keys is None:
+    def __init__(self, comp: np.ndarray, N: int):
+        eta, k = comp.shape
+        cells = comb(N, k - 1)
+        self.dense = cells <= POSITION_TABLE_LIMIT
+        if not self.dense:
+            keys = np.stack([_keys(np.delete(comp, s, axis=1)) for s in range(k)], axis=1)
+            self.sorted, face = np.unique(keys, return_inverse=True)
+            self.count, self.face = len(self.sorted), face.reshape(eta, k).astype(np.int32)
             return
-        self.count = len(keys)
-        if self.dense:
-            self.table = np.full(self.cells, self.count, dtype=np.int32)
-            self.table[keys] = np.arange(self.count, dtype=np.int32)
-        else:
-            self.sorted = keys
+        self.weight = np.array(
+            [[min(comb(x - 1, t), cells) if x else 0 for x in range(N + 1)] for t in range(1, k)],
+            dtype=np.int32,
+        )
+        keys = np.empty((eta, k), dtype=np.int32)
+        for s in range(k):
+            keys[:, s] = self.key(np.delete(comp, s, axis=1).T)
+        present = np.zeros(cells, dtype=bool)
+        present[keys] = True
+        index = np.cumsum(present, dtype=np.int32) - 1
+        self.count, self.face = int(index[-1]) + 1, index[keys]
+        self.table = np.where(present, index, self.count)
 
     def key(self, cols) -> np.ndarray:
-        """Keys of (k-1)-subsets given column by column."""
+        """Colex ranks of (k-1)-subsets given column by column."""
         return sum(w[col] for w, col in zip(self.weight, cols))
 
-    def __getitem__(self, key: np.ndarray) -> np.ndarray:
+    def index(self, cols) -> np.ndarray:
+        """The index of each (k-1)-subset, given column by column in
+        ascending order, among the faces, or ``count`` for one that is no
+        face."""
         if self.dense:
-            return self.table[key]
-        at = np.searchsorted(self.sorted, key).clip(max=len(self.sorted) - 1)
-        return np.where(self.sorted[at] == key, at, self.count)
+            return self.table[self.key(cols)]
+        return _search(self.sorted, _keys(np.stack(cols, axis=1)))
 
 
 @_per_complex
-def _face_numbers(cx: CutComplex) -> tuple[np.ndarray, np.ndarray]:
-    """The faces of the complex, the (k-1)-subsets of its complements: their
-    distinct keys ascending, and the index among them of the face of row i
-    without its entry s, at [i, s], int32.  Within the dense table's limit
-    they are numbered through a table of C(N, k - 1) flags, past it by a
-    sort."""
-    comp, (eta, k) = _complements(cx), (cx.n_facets, cx.k)
-    pos = _Positions(cx.n_vertices, k)
-    keys = np.empty((eta, k), dtype=pos.weight.dtype)
-    for s in range(k):
-        keys[:, s] = pos.key(np.delete(comp, s, axis=1).T)
-    if pos.dense:
-        present = np.zeros(pos.cells, dtype=bool)
-        present[keys] = True
-        return np.flatnonzero(present), (np.cumsum(present, dtype=np.int32) - 1)[keys]
-    faces, face = np.unique(keys, return_inverse=True)
-    return faces, face.reshape(eta, k).astype(np.int32)
+def _face_numbers(cx: CutComplex) -> _Positions:
+    """The faces of the complex numbered once, through the dense table or
+    the sorted byte keys as ``POSITION_TABLE_LIMIT`` stands at the first
+    call, and kept with their lookup."""
+    return _Positions(_complements(cx), cx.n_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +502,10 @@ class _Faces:
 
     def __init__(self, cx: CutComplex, rows: np.ndarray):
         N = cx.n_vertices
-        keys, face = _face_numbers(cx)
-        self.pos = _Positions(N, cx.k, keys)
+        self.pos = _face_numbers(cx)
         # np.take gathers rows faster than fancy indexing does
-        self.comp, self.face = np.take(_complements(cx), rows, axis=0), np.take(face, rows, axis=0)
+        self.comp = np.take(_complements(cx), rows, axis=0)
+        self.face = np.take(self.pos.face, rows, axis=0)
         self.zero = self.pos.count
         self.masks = np.zeros(((N + 64) // 64, self.zero + 1), dtype="<u8")
         self.vertex = np.arange(N + 1)
@@ -643,10 +641,8 @@ def _subset_failure(inside, sel, size, skip, span, faces, subsets) -> int | None
         column += np.repeat(skip[a:e] - (np.cumsum(n) - n).astype(np.int32), n)
         base = offset[cell_row]
         # places ascend in vertex order, so descend in support index
-        key = faces.pos.key([support[base + c] for c in subsets[::-1, column]])
-        del column, base
-        at = faces.pos[key]
-        del key  # freed before the wider uint64 gathers, which set the peak
+        at = faces.pos.index([support[base + c] for c in subsets[::-1, column]])
+        del column, base  # freed before the wider uint64 gathers, which set the peak
         hit = np.take(faces.masks[0], at) & np.take(inside[0], cell_row)
         for w in range(1, words):
             hit |= np.take(faces.masks[w], at) & np.take(inside[w], cell_row)
@@ -756,21 +752,18 @@ def _interval_sum(faces: _Faces, table: np.ndarray) -> int:
     return sum(count << (top - size) for size, count in enumerate(sizes.tolist()))
 
 
-def _sweep(faces: _Faces, table: np.ndarray, build: bool) -> tuple[int, int] | None:
-    """Check the rows of the packed swap ``table`` block by block, building
-    each block first when ``build``, with the masks of ``faces`` holding
-    none; returns the failing 0-based (i, j), minimal in (j, i), or None.
-    A block's complements are passed into the masks once its check
-    succeeds, and the sweep stops at the first block holding a failing
-    row."""
+def _sweep(faces: _Faces, table: np.ndarray) -> tuple[int, int] | None:
+    """Check the stored rows of the packed swap ``table`` block by block,
+    with the masks of ``faces`` holding none; returns the failing 0-based
+    (i, j), minimal in (j, i), or None.  A block's complements are passed
+    into the masks once its check succeeds, and the sweep stops at the
+    first block holding a failing row."""
     (eta, k), N = faces.comp.shape, len(faces.vertex) - 1
     choose = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
     subsets = _colex_subsets(int(np.flatnonzero(choose < eta).max(initial=0)), k - 1)
     last = 0  # the largest first vertex of a passed complement, 0 for none
     for lo in range(0, eta, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, eta)
-        if build:
-            table[lo:hi] = faces.swap_rows(lo, hi)
         failure = _first_failure(table[lo:hi], lo, last, faces, choose, subsets)
         if failure is not None:
             return failure
@@ -781,26 +774,23 @@ def _sweep(faces: _Faces, table: np.ndarray, build: bool) -> tuple[int, int] | N
 
 def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | None]:
     """The packed swap table, bit v of row j set iff v lies in
-    Lambda_{j+1}, in W uint64 words per row, built in blocks of rows, and
-    the failing 0-based (i, j), minimal in (j, i), or None.
+    Lambda_{j+1}, in W uint64 words per row, and the failing 0-based
+    (i, j), minimal in (j, i), or None.
 
-    When :func:`_closed_total` knows f(Delta), every row is built with no
-    containment check, and the order passes iff the interval sum equals
-    f(Delta).  Otherwise the masks are reset and the stored rows are swept
-    again to name the failure; a sweep that finds none raises
-    CountWithoutFailure.  Any other order is checked block by block as it
-    is built, and the build stops at the first block holding a failing
-    row, so the rows past that block stay zero."""
+    Every row is built once, by :func:`_interval_sum`, with no containment
+    check.  When :func:`_closed_total` knows f(Delta), the order passes iff
+    the interval sum equals it.  Otherwise the masks are reset and
+    :func:`_sweep` checks the stored rows: it names the failure of an order
+    the count rejects, and finding none there raises CountWithoutFailure;
+    without f(Delta) the sweep alone decides."""
     faces = _Faces(order.cx, order.rows)
-    table = np.zeros((order.n_facets, faces.masks.shape[0]), dtype="<u8")
+    table = np.empty((order.n_facets, faces.masks.shape[0]), dtype="<u8")
     total = _closed_total(order.cx)
-    if total is None:
-        return table, _sweep(faces, table, build=True)
     if _interval_sum(faces, table) == total:
         return table, None
     faces.masks[:] = 0
-    failure = _sweep(faces, table, build=False)
-    if failure is None:
+    failure = _sweep(faces, table)
+    if failure is None and total is not None:
         raise CountWithoutFailure(
             f"the interval sum differs from the {total} faces, but no row fails")
     return table, failure
@@ -829,18 +819,18 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     A passing run attaches the packed swap table to the order, which marks
     it verified; a failing run attaches nothing.
 
-    For the 3-cut complex of a graph with no triangle and no 4-cycle, shown
-    to be one from the graph's neighbour pairs and the complements of the
-    complex, once per complex,
-    f(Delta) = 2^N - 1 - N - C(N, 2) - T for T connected
-    triples, and every row of the swap table is built with no containment
-    check: the order passes iff the sum of 2^(N - 3 - |Lambda_j|) equals
-    f(Delta).  A rejected order is swept again, from its stored rows, with
-    the containment test below to name its failure; a sweep that finds
-    none raises CountWithoutFailure.  Any other complex is checked by that
-    test block by block as the rows are built.  Row j fails iff an
-    earlier complement lies inside S_j = V - Lambda_j, tested for any k
-    along one of two paths: a test of (k-1)-subsets of S_j against bitmasks
+    Every row of the swap table is built once, with no containment check,
+    and the sum of 2^(N - k - |Lambda_j|) is formed.  For the 3-cut complex
+    of a graph with no triangle and no 4-cycle, shown to be one from the
+    graph's neighbour pairs and the complements of the complex, once per
+    complex, f(Delta) = 2^N - 1 - N - C(N, 2) - T for T connected triples,
+    and the order passes iff the sum equals f(Delta).  Every other order
+    is swept from its stored rows with the containment test below, which
+    names the first failure or, where f(Delta) is unknown, passes the
+    order; a rejected sum whose sweep finds no failure raises
+    CountWithoutFailure.  Row j fails iff an earlier complement lies
+    inside S_j = V - Lambda_j, tested for any k along one of two paths:
+    a test of (k-1)-subsets of S_j against bitmasks
     of the earlier complements that contain them, or a scan of the j
     earlier complements.  Rows are checked in blocks of ``_BLOCK_ROWS``:
     each row is scanned against the complements of its block before it,
@@ -851,8 +841,8 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     it when that is below j.  Scans are bit-sliced: one complement against
     R rows costs k ceil(R / 64) words.  Faces are numbered once per
     complex and looked up by colex rank in a dense table of C(N, k - 1)
-    cells, or past ``POSITION_TABLE_LIMIT`` by binary search among the
-    sorted ranks.
+    cells, or past ``POSITION_TABLE_LIMIT`` by binary search among their
+    sorted big-endian bytes, exact for any k and N.
     ``jobs`` is validated and echoed, and changes nothing.  ``pairs_checked``
     counts the pairs of the O(eta^2) definition, not the work done.
     """

@@ -50,6 +50,26 @@ def oracle_connected(adj: dict[int, set[int]], subset) -> bool:
     return len(seen) == len(s)
 
 
+def oracle_girth(g) -> int | float:
+    """Length of a shortest cycle, math.inf for a forest: a full BFS from
+    every vertex, each non-tree edge v - w closing a walk of
+    dist(v) + dist(w) + 1 edges, with no early stop."""
+    adj = oracle_adjacency(g)
+    best: int | float = float("inf")
+    for src in adj:
+        dist, parent = {src: 0}, {src: 0}
+        queue = deque([src])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w], parent[w] = dist[v] + 1, v
+                    queue.append(w)
+                elif parent[v] != w:
+                    best = min(best, dist[v] + dist[w] + 1)
+    return best
+
+
 def oracle_facet_complements(g, k: int) -> list[tuple[int, ...]]:
     """Disconnected k-subsets by BFS, no adjacency special cases."""
     adj = oracle_adjacency(g)

@@ -1,5 +1,8 @@
 """Graph construction and structural queries."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from hexcut import (
@@ -31,7 +34,7 @@ from hexcut.shelling import (
     tail_facets,
 )
 
-from conftest import oracle_adjacency, oracle_connected
+from conftest import oracle_adjacency, oracle_connected, oracle_girth
 
 
 def test_smallest_case_is_six_cycle():
@@ -40,6 +43,20 @@ def test_smallest_case_is_six_cycle():
     assert g.n_edges == 6
     assert all(g.degree(v) == 2 for v in g.vertices())
     assert girth(g) == 6
+
+
+def test_girth_matches_the_full_bfs_oracle():
+    # the early stop changes no length: 400 seeded graphs on up to 12
+    # vertices, forests among them, plus grids and cycles
+    graphs = [build_hex_graph(m, n) for m, n in [(1, 1), (2, 2), (3, 4), (4, 6)]]
+    graphs += [cycle_graph(N) for N in (3, 4, 7)]
+    for seed in range(400):
+        rng = random.Random(seed)
+        N = rng.randint(1, 12)
+        p = rng.uniform(0.1, 0.6)
+        graphs.append(Graph(N, [e for e in combinations(range(1, N + 1), 2) if rng.random() < p]))
+    assert [girth(g) for g in graphs] == [oracle_girth(g) for g in graphs]
+    assert {oracle_girth(g) for g in graphs} >= {3, 4, 5, 6, 7, float("inf")}
 
 
 def test_bad_params_rejected():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from contextlib import contextmanager
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -59,13 +60,36 @@ SMALL_INSTANCES = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]  # N <= 16
 
 
 @cache
-def _complex(m, n, k=3):
-    return enumerate_facets(build_hex_graph(m, n), k)
+def _complex(m, n):
+    return enumerate_facets(build_hex_graph(m, n), 3)
 
 
 def _order_of(cx, seq):
     return ShellingOrder(cx=cx, facets=tuple(seq),
                          position={f: i + 1 for i, f in enumerate(seq)})
+
+
+@contextmanager
+def _face_lookups(**patches):
+    """Patch module constants of the verifier; yields a list that gets,
+    for each face numbering a verification reads meanwhile, True when it
+    is the dense table and False when it is the sorted byte keys.  The
+    numbering is kept per complex as the table limit stands at its first
+    read, so a test that patches the limit builds its complex inside."""
+    used = []
+    real = shelling._face_numbers
+
+    def recording(cx):
+        used.append(real(cx).dense)
+        return real(cx)
+
+    with mock.patch.multiple(shelling, _face_numbers=recording, **patches):
+        yield used
+
+
+def _dense(cx, limit):
+    """True iff the C(N, k - 1) colex ranks of ``cx`` fit the table limit."""
+    return comb(cx.n_vertices, cx.k - 1) <= limit
 
 
 def _facet_sets(cx, seq):
@@ -267,9 +291,11 @@ def test_any_k_verifier_and_report_match_oracles(case):
     full = dict(zip(oracle_facet_complements(g, k), oracle_full_facets(g, k)))
     assert set(full) == set(seq)
     facet_sets = [full[c] for c in seq]
-    order = _order_of(cx, seq)
-    with mock.patch.multiple(shelling, **patches):
+    with _face_lookups(**patches) as used:
+        cx = enumerate_facets(g, k)
+        order = _order_of(cx, seq)
         res = verify_shelling(order)
+    assert used == [_dense(cx, patches["POSITION_TABLE_LIMIT"])]
     assert (res.ok, res.counterexample) == oracle_is_shelling(facet_sets)
     # only a passing order carries a swap table, and so a spanning report
     assert order.verified == res.ok == (order._swaps is not None)
@@ -290,21 +316,18 @@ def _counted(order):
 @settings(max_examples=60, deadline=None)
 @given(random_k_orders())
 def test_packed_swap_rows_equal_swap_set(case):
-    # every row of the packed table that is built, unpacked, is the one-row
-    # reference.  The face count builds them all; the block check stops at
-    # the end of the block holding the failure and builds no row after it
+    # every order, passing or failing, builds every row of its packed table
+    # once, and each row, unpacked, is the one-row reference
     cx, seq, patches = case
-    order = _order_of(cx, seq)
-    with mock.patch.multiple(shelling, **patches):
-        table, failure = shelling._swap_table(order)
-    built = len(table)
-    if failure is not None and not _counted(order):
-        block = patches["_BLOCK_ROWS"]
-        built = min(built, (failure[1] // block + 1) * block)
+    with _face_lookups(**patches) as used:
+        cx = enumerate_facets(cx.graph, cx.k)
+        order = _order_of(cx, seq)
+        table, _ = shelling._swap_table(order)
+    assert used == [_dense(cx, patches["POSITION_TABLE_LIMIT"])]
+    assert len(table) == order.n_facets
     bits = np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")
-    for j in range(1, built + 1):
+    for j in range(1, order.n_facets + 1):
         assert set(np.flatnonzero(bits[j - 1]).tolist()) == swap_set(order, j)
-    assert not bits[built:].any()
 
 
 def test_offender_live_only_inside_its_block():
@@ -434,10 +457,11 @@ def test_subsets_that_are_no_face_read_the_zero_mask(limit):
     # no complement and in every S_j, and the (k-1)-subsets of S_j through
     # it are no face; under both lookups they must hit nothing
     g = Graph(12, [(1, v) for v in range(2, 13)] + [(v, v + 1) for v in range(2, 12)])
-    cx = enumerate_facets(g, 4)
-    seq = sorted(cx.facets)
-    with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", limit):
+    with _face_lookups(POSITION_TABLE_LIMIT=limit) as used:
+        cx = enumerate_facets(g, 4)
+        seq = sorted(cx.facets)
         res = verify_shelling(_order_of(cx, seq))
+    assert used == [_dense(cx, limit)]
     assert (res.ok, res.counterexample) == oracle_is_shelling(_facet_sets(cx, seq)) == (True, None)
 
 
@@ -450,13 +474,13 @@ def test_live_pruning_reads_under_a_tenth_of_the_pairs(instance, monkeypatch):
     pairs = size * (size - 1) // 2
     unpruned = int(pairs[pairs < np.arange(len(pairs))].sum())
     looked_up = []
-    real = shelling._Positions.__getitem__
+    real = shelling._Positions.index
 
-    def counting(pos, key):
-        looked_up.append(key.size)
-        return real(pos, key)
+    def counting(pos, cols):
+        looked_up.append(len(cols[0]))
+        return real(pos, cols)
 
-    monkeypatch.setattr(shelling._Positions, "__getitem__", counting)
+    monkeypatch.setattr(shelling._Positions, "index", counting)
     # a replaced order holds no table, so it is verified again from scratch
     assert verify_shelling(dataclasses.replace(order)).ok
     assert looked_up == []
@@ -495,9 +519,13 @@ def perturbed_orders(draw):
 @settings(max_examples=50, deadline=None)
 @given(perturbed_orders())
 def test_verifier_matches_oracle_on_perturbed_orders(case):
+    # the drawn complex is the cached one; the order is verified over a
+    # complex built under the drawn table limit
     cx, seq, patches = case
-    with mock.patch.multiple(shelling, **patches):
+    with _face_lookups(**patches) as used:
+        cx = enumerate_facets(cx.graph, 3)
         res = verify_shelling(_order_of(cx, seq))
+    assert used == [_dense(cx, patches["POSITION_TABLE_LIMIT"])]
     assert (res.ok, res.counterexample) == oracle_is_shelling(_facet_sets(cx, seq))
 
 
@@ -604,16 +632,18 @@ def test_interval_sum_is_the_face_count_exactly_for_shellings(case):
     cx, seq, patches = case
     facet_sets = _facet_sets(cx, seq)
     total = sum(f_vector(cx, mode="exhaustive").counts)
-    order = _order_of(cx, seq)
-    faces = shelling._Faces(cx, order.rows)
-    table = np.zeros((len(seq), faces.masks.shape[0]), dtype="<u8")
-    with mock.patch.multiple(shelling, **patches):
+    with _face_lookups(**patches) as used:
+        cx = enumerate_facets(cx.graph, cx.k)
+        order = _order_of(cx, seq)
+        faces = shelling._Faces(cx, order.rows)
+        table = np.zeros((len(seq), faces.masks.shape[0]), dtype="<u8")
         counted = shelling._interval_sum(faces, table)
+        with mock.patch.object(shelling, "_closed_total", lambda cx: total):
+            res = verify_shelling(order)
+    assert used == [_dense(cx, patches["POSITION_TABLE_LIMIT"])] * 2
     oracle = oracle_is_shelling(facet_sets)
     assert (counted == total) == oracle[0] and counted >= total
     assert all(isinstance(x, int) for x in (counted, total))
-    with mock.patch.multiple(shelling, _closed_total=lambda cx: total, **patches):
-        res = verify_shelling(order)
     assert (res.ok, res.counterexample) == oracle
 
 
@@ -649,6 +679,20 @@ def test_failing_orders_keep_their_counterexamples(m, n):
         res = verify_shelling(order)
         assert not res.ok and not order.verified
         got.append(res.counterexample)
+    assert got == _FAILURES[m, n]
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (3, 4)])
+def test_byte_keys_name_the_failures_of_the_dense_table(m, n):
+    # the same failing orders over a complex whose faces are numbered by
+    # their byte keys: the sweep's subset tests read the masks of faces
+    # found among the sorted keys, and must name the same failures
+    with _face_lookups(POSITION_TABLE_LIMIT=1) as used:
+        cx = enumerate_facets(build_hex_graph(m, n), 3)
+        orders = [shelling_order(cx, relocate_tail=False)]
+        orders += [order_with_tail_reinserted(cx, t)[0] for t in range(1, len(_FAILURES[m, n]))]
+        got = [verify_shelling(order).counterexample for order in orders]
+    assert used == [False] * len(orders)
     assert got == _FAILURES[m, n]
 
 
@@ -754,13 +798,13 @@ def test_k3_past_130_vertices_is_refuted_without_python_rows(monkeypatch):
                          ids=["2-2-7", "1-3-8"])
 def test_explore_past_the_table_limit(m, n, k, expected):
     # with the limit one cell below the C(N, k - 1) colex ranks, faces are
-    # looked up among the sorted ranks; every row up to the verdict matches
-    # the oracle
+    # looked up among their sorted byte keys, by the library and the CLI;
+    # every row up to the verdict matches the oracle
     g = build_hex_graph(m, n)
-    with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", comb(g.n_vertices, k - 1) - 1):
-        assert not shelling._Positions(g.n_vertices, k).dense
+    with _face_lookups(POSITION_TABLE_LIMIT=comb(g.n_vertices, k - 1) - 1) as used:
         verdict = verify_k_cut_order(g, k)
         assert main(["explore", "--m", str(m), "--n", str(n), "--k", str(k)]) == 0
+    assert used == [False, False]
     sets = oracle_full_facets(g, k)  # revlex: complements in lex order
     assert verdict.n_facets == len(sets)
     assert (verdict.ok, verdict.counterexample) == (False, expected)
@@ -772,33 +816,50 @@ def test_explore_past_the_table_limit(m, n, k, expected):
 @pytest.mark.parametrize("limit", [1, shelling.POSITION_TABLE_LIMIT])
 def test_explore_with_k_near_n(limit):
     # at k = N - 2 the colex weights of (k-1)-subsets no input reaches, such
-    # as C(67, 33), pass int64; both lookups must still answer like the oracle
+    # as C(67, 33), pass int32 and are capped; the dense table and the byte
+    # keys must both answer like the oracle
     g = build_hex_graph(4, 6)
-    with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", limit):
+    with _face_lookups(POSITION_TABLE_LIMIT=limit) as used:
         verdict = verify_k_cut_order(g, 66)
+    assert used == [limit >= comb(68, 65)]
     sets = oracle_full_facets(g, 66)  # revlex: complements in lex order
     assert verdict.n_facets == len(sets) == 30
     assert (verdict.ok, verdict.counterexample) == oracle_is_shelling(sets) == (False, (1, 2))
 
 
-def test_sorted_keys_match_the_dense_table(capsys):
-    cx = _complex(1, 2)
+def test_byte_keys_number_faces_past_int64_ranks():
+    # C(70, 34) is past 2^63, so no colex rank of a 34-subset fits an
+    # integer key; the byte keys number the 70 faces of the two complements
+    # exactly.  S_2 is all of V, which holds the first complement
+    cx = CutComplex(graph=Graph(70, []), k=35,
+                    facets=(tuple(range(1, 36)), tuple(range(36, 71))))
+    with _face_lookups() as used:
+        res = verify_shelling(shelling._order(cx))
+    assert comb(70, 34) >= 2**63 and used == [False]
+    assert shelling._face_numbers(cx).count == 70
+    assert (res.ok, res.counterexample) == oracle_is_shelling(_facet_sets(cx, cx.facets))
+    assert (res.ok, res.counterexample) == (False, (1, 2))
 
-    def verified_report():
+
+def test_sorted_keys_match_the_dense_table(capsys):
+    def verified_report(cx):
         order = shelling_order(cx)
         assert verify_shelling(order).ok
         return spanning_facets(order)
 
-    dense = [verify_shelling(shelling_order(cx, rel)) for rel in (True, False)]
-    report = verified_report()
-    main(["explore", "--m", "1", "--n", "2", "--k", "4"])
-    out = capsys.readouterr().out
-    with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", 1):
-        assert [verify_shelling(shelling_order(cx, rel)) for rel in (True, False)] == dense
-        assert verified_report() == report
+    def runs():
+        cx = enumerate_facets(build_hex_graph(1, 2), 3)
+        verdicts = [verify_shelling(shelling_order(cx, rel)) for rel in (True, False)]
         assert main(["explore", "--m", "1", "--n", "2", "--k", "4"]) == 0
-    assert capsys.readouterr().out == out
-    assert not dense[1].ok and report.witness_map
+        return verdicts, verified_report(cx), capsys.readouterr().out
+
+    with _face_lookups() as used:
+        dense = runs()
+    with _face_lookups(POSITION_TABLE_LIMIT=1) as byte_keys:
+        assert runs() == dense
+    assert set(used) == {True} and set(byte_keys) == {False} and len(used) == len(byte_keys) == 4
+    verdicts, report, _ = dense
+    assert not verdicts[1].ok and report.witness_map
 
 
 @pytest.mark.parametrize("defect", ["missing", "duplicate", "swapped-position"])
@@ -835,14 +896,13 @@ def _constructed(order):
                          tail=order.tail, base_count=order.base_count)
 
 
-def _assert_built_alike(order, patches=None):
+def _assert_built_alike(order):
     # the builder's rows and the rows the constructor's order matches give
     # the same verdict and, row for row, the same packed table
     twin = _constructed(order)
     assert np.array_equal(order.rows, twin.rows) and twin.rows.dtype == np.int32
-    with mock.patch.multiple(shelling, **(patches or {"_BLOCK_ROWS": shelling._BLOCK_ROWS})):
-        tables = [shelling._swap_table(o) for o in (order, twin)]
-        results = [verify_shelling(o) for o in (order, twin)]
+    tables = [shelling._swap_table(o) for o in (order, twin)]
+    results = [verify_shelling(o) for o in (order, twin)]
     assert np.array_equal(tables[0][0], tables[1][0]) and tables[0][1] == tables[1][1]
     assert results[0] == results[1]
     assert order.verified == twin.verified == results[0].ok
@@ -869,9 +929,11 @@ def test_multi_reinsertions_built_alike_both_ways(chosen):
 def test_random_orders_built_alike_both_ways(case):
     # moving every facet lists them in the order given
     cx, seq, patches = case
-    order = shelling._order(cx, seq)
-    assert order.facets == tuple(seq) and order.base_count == 0
-    _assert_built_alike(order, patches)
+    with _face_lookups(**patches) as used:
+        order = shelling._order(enumerate_facets(cx.graph, cx.k), seq)
+        assert order.facets == tuple(seq) and order.base_count == 0
+        _assert_built_alike(order)
+    assert used == [_dense(cx, patches["POSITION_TABLE_LIMIT"])] * 4
 
 
 @pytest.mark.parametrize("path", ["builder", "constructor"])
@@ -1087,11 +1149,12 @@ def test_k2_refutes_a_drawn_order_of_every_non_chordal_graph(limit):
     graphs = [(g, rng) for g, adj, rng in _seeded_connected_graphs() if not oracle_is_chordal(adj)]
     assert len(graphs) >= 20
     for g, rng in graphs:
-        cx = enumerate_facets(g, 2)
-        seq = list(cx.facets)
-        rng.shuffle(seq)
-        with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", limit):
+        with _face_lookups(POSITION_TABLE_LIMIT=limit) as used:
+            cx = enumerate_facets(g, 2)
+            seq = list(cx.facets)
+            rng.shuffle(seq)
             res = verify_shelling(_order_of(cx, seq))
+        assert used == [_dense(cx, limit)]
         assert not res.ok
         i, j = res.counterexample
         sets = _facet_sets(cx, seq)
@@ -1105,13 +1168,13 @@ def test_k2_refutes_h46(limit, shuffle):
     # girth 6, so H(4, 6) is not chordal and no order of its 2-cut facets
     # shells; past the reach of the full oracle, the row oracle checks the
     # failing row and the 50 rows before it
-    cx = _complex(4, 6, 2)
-    assert cx.n_facets == 2187
-    seq = sorted(cx.facets)
-    if shuffle is not None:
-        random.Random(shuffle).shuffle(seq)
-    with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", limit):
+    with _face_lookups(POSITION_TABLE_LIMIT=limit) as used:
+        cx = enumerate_facets(build_hex_graph(4, 6), 2)
+        seq = sorted(cx.facets)
+        if shuffle is not None:
+            random.Random(shuffle).shuffle(seq)
         res = verify_shelling(_order_of(cx, seq))
+    assert cx.n_facets == 2187 and used == [_dense(cx, limit)]
     assert not res.ok
     i, j = res.counterexample
     sets = _facet_sets(cx, seq)

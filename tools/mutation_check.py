@@ -61,6 +61,16 @@ MUTANTS = {
         "    if _interval_sum(faces, table) == total:\n",
         "    if _interval_sum(faces, table) >= total:\n",
     ),
+    "sweep skipped when f(Delta) is unknown": (
+        "shelling.py",
+        "    failure = _sweep(faces, table)\n",
+        "    failure = None if total is None else _sweep(faces, table)\n",
+    ),
+    "byte-key face lookup reads the columns in descending order": (
+        "shelling.py",
+        "        return _search(self.sorted, _keys(np.stack(cols, axis=1)))\n",
+        "        return _search(self.sorted, _keys(np.stack(cols[::-1], axis=1)))\n",
+    ),
     "face count trusted without the triangle and 4-cycle check": (
         "cutcomplex.py",
         "            if (a, c) in ends or g.is_edge(a, c):\n"
