@@ -11,11 +11,12 @@ the complex's (eta, k) complement array that holds the facet at position
 p + 1.  The builder makes the rows in numpy from the lex order of the
 complex, finding the relocated complements by binary search over their
 big-endian bytes, exact for any k and N; an order made by the constructor
-finds its rows the same way on first use, and its ``position`` map must
-agree with them.  The verifier and the spanning report read complements
-only through ``rows``.  ``facets`` stays the public tuple of tuples, and
-``position`` a read-only map, built on its first read for a builder's
-order.
+finds its rows the same way on first use.  The verifier and the spanning
+report read complements only through ``rows``, and a reader that needs
+the position of a complement finds its row the same way and reads it
+through the inverse of ``rows``.  ``facets`` stays the public tuple of
+tuples; a ``position`` map given to the constructor is checked against
+it and not kept.
 
 Verification runs entirely in complement arithmetic, for any cut size k:
 with facet complements of size k, an earlier facet F_r meets F_j in all but
@@ -68,8 +69,8 @@ once per order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, compress, count
+from dataclasses import InitVar, dataclass, field
+from itertools import combinations, compress
 from math import comb
 from operator import itemgetter
 
@@ -186,77 +187,59 @@ def tail_facets(m: int, n: int, graph: HexGraph) -> list[TailFacet]:
 # orders
 # ---------------------------------------------------------------------------
 
-class _ReadOnlyPositions(dict):
-    """A complement -> position dict that refuses every change.  Reads stay
-    plain dict lookups, the refute loop's hot path; copies and pickles
-    rebuild it whole."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("the position map of an order is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
-
-
-# what _order passes for ``position``: the map is built on its first read
-_ON_FIRST_READ = _ReadOnlyPositions()
-
-
 @dataclass(frozen=True)
 class ShellingOrder:
     """A linear order on the facets of a cut complex, frozen.
 
-    ``facets`` lists complement tuples in order; ``position`` maps each
-    complement to its 1-based ordinal, and is the one complement -> position
-    map, read-only.  A read-only map is kept as given, so
-    ``dataclasses.replace`` shares it; any other mapping is copied into
-    one.  ``rows`` is the same order as rows of the complex, the array the
-    verifier and the spanning report read.  The tail schedule, when
-    relocated, occupies the last ``len(tail)`` positions in tail-index
-    order.  A passing :func:`verify_shelling` is the one writer of
-    ``_swaps``, the packed swap table of this order; the order is
-    ``verified`` exactly when it holds one.  The constructor and
-    ``dataclasses.replace`` take no table and no rows, so every order they
-    build is unverified, and the spanning report trusts ``verified``
-    without checking the order again.
+    ``facets`` lists complement tuples in order, and ``rows`` is the same
+    order as rows of the complex, the array the verifier and the spanning
+    report read; the order is nothing more.  ``position``, a complement ->
+    1-based ordinal map, is only checked: the constructor raises
+    IncompleteOrder unless it sends the complement at ordinal i to i and
+    holds nothing else, and keeps no map, so ``dataclasses.replace``
+    carries none.  The tail schedule, when relocated, occupies the last
+    ``len(tail)`` positions in tail-index order.  A passing
+    :func:`verify_shelling` is the one writer of ``_swaps``, the packed
+    swap table of this order; the order is ``verified`` exactly when it
+    holds one.  The constructor and ``dataclasses.replace`` take no table
+    and no rows, so every order they build is unverified, and the spanning
+    report trusts ``verified`` without checking the order again.
     """
 
     cx: CutComplex
     facets: tuple[tuple[int, ...], ...]
-    position: dict[tuple[int, ...], int] = field(repr=False)
+    position: InitVar[dict[tuple[int, ...], int] | None] = None
     tail: tuple[TailFacet, ...] = ()
     base_count: int = 0
     _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _swaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.position is _ON_FIRST_READ:
-            object.__delattr__(self, "position")
-        elif type(self.position) is not _ReadOnlyPositions:
-            object.__setattr__(self, "position", _ReadOnlyPositions(self.position))
-
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the position
-        # map of an order from _order, built on its first read and kept
-        if name != "position":
-            raise AttributeError(name)
-        position = _ReadOnlyPositions(zip(self.facets, count(1)))
-        object.__setattr__(self, "position", position)
-        return position
+    def __post_init__(self, position):
+        if position is not None and not (
+                len(position) == len(self.facets)
+                and all(position.get(f) == i for i, f in enumerate(self.facets, 1))):
+            raise IncompleteOrder("position does not send each listed complement to its ordinal")
 
     @property
     def rows(self) -> np.ndarray:
         """Entry p is the row of the complex that holds the facet at
-        position p + 1, int32.  An order from :func:`_order` holds them
-        from the start; any other order finds them on first read, matching
-        ``facets`` and ``position`` against the complex, and keeps them.
-        Raises IncompleteOrder when a listed complement is no facet or
-        ``position`` disagrees with ``facets``."""
+        position p + 1, int32, as a read-only view.  An order from
+        :func:`_order` holds them from the start; any other order finds
+        them on first read, matching ``facets`` against the complex, and
+        keeps them.  Raises IncompleteOrder when a listed complement is no
+        k-tuple or no facet."""
         if self._rows is None:
-            object.__setattr__(self, "_rows", _matched_rows(self))
-        return self._rows
+            cx = self.cx
+            try:
+                rows = _find_rows(cx, _array(cx, self.facets))
+            except ValueError:
+                raise IncompleteOrder(f"order lists a complement that is no {cx.k}-tuple") from None
+            if (rows < 0).any():
+                raise IncompleteOrder("order lists a complement that is no facet")
+            object.__setattr__(self, "_rows", rows)
+        rows = self._rows.view()
+        rows.flags.writeable = False
+        return rows
 
     @property
     def verified(self) -> bool:
@@ -277,24 +260,13 @@ def _array(cx: CutComplex, complements) -> np.ndarray:
     return np.array(complements, dtype=np.int32).reshape(len(complements), cx.k)
 
 
-def _matched_rows(order: ShellingOrder) -> np.ndarray:
-    """The rows of an order built by its constructor: each listed complement
-    found among the facets of the complex by :func:`_find_rows`, and every
-    (complement, ordinal) entry of ``position`` checked to name the row
-    at that ordinal, so that ``position`` sends the complement at ordinal
-    i to i and holds nothing else.  Raises IncompleteOrder otherwise."""
-    cx, facets, position = order.cx, order.facets, order.position
-    try:
-        rows = _find_rows(cx, _array(cx, facets))
-        named = _find_rows(cx, _array(cx, list(position)))
-    except ValueError:
-        raise IncompleteOrder(f"order lists a complement that is no {cx.k}-tuple") from None
-    ordinals = np.fromiter(position.values(), dtype=np.int64, count=len(position))
-    if not (len(ordinals) == len(rows) and (rows >= 0).all()
-            and ((1 <= ordinals) & (ordinals <= len(rows))).all()
-            and np.array_equal(rows[ordinals - 1], named)):
-        raise IncompleteOrder("order does not cover the facets exactly once")
-    return rows
+def _ordinals(order: ShellingOrder, complements) -> np.ndarray:
+    """The 1-based position in ``order`` of each of ``complements``, or 0
+    for one that is no facet: the rows found by :func:`_find_rows`, read
+    through the inverse of ``order.rows``, scattered once."""
+    ordinal = np.zeros(order.cx.n_facets + 1, dtype=np.int32)
+    ordinal[order.rows] = np.arange(1, order.n_facets + 1, dtype=np.int32)
+    return ordinal[_find_rows(order.cx, _array(order.cx, complements))]
 
 
 def _tuples(cx: CutComplex, rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -324,7 +296,6 @@ def _order(cx: CutComplex, moved=(), tail=()) -> ShellingOrder:
     order = ShellingOrder(
         cx=cx,
         facets=_tuples(cx, rows),
-        position=_ON_FIRST_READ,
         tail=tuple(tail),
         base_count=len(base),
     )
@@ -366,16 +337,16 @@ def order_with_tail_reinserted(cx: CutComplex, tail_index: int) -> tuple[Shellin
         raise OrdinalOutOfRange(f"tail index {tail_index} outside [1,{len(tail)}]")
     rest = [t for t in tail if t.index != tail_index]
     order = _order(cx, [t.complement for t in rest], rest)
-    return order, _tail_position(order, tail[tail_index - 1])
+    t = tail[tail_index - 1]
+    return order, _tail_position(t, *_ordinals(order, [t.complement]).tolist())
 
 
-def _tail_position(order: ShellingOrder, t: TailFacet) -> int:
-    """The 1-based position of the tail facet ``t`` in an order that lists
-    each of its rows once."""
-    (row,) = _find_rows(order.cx, _array(order.cx, [t.complement]))
-    if row < 0:
+def _tail_position(t: TailFacet, p: int) -> int:
+    """``p``, the position of the tail facet ``t`` as :func:`_ordinals`
+    reads it; raises TailFacetNotFound when it is 0, no facet."""
+    if not p:
         raise TailFacetNotFound(f"tail facet {t.index} complement {t.complement} not among facets")
-    return int(np.flatnonzero(order.rows == row)[0]) + 1
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +359,17 @@ def _swapped(c: tuple[int, ...], a: int, lam: int) -> tuple[int, ...]:
 
 
 def swap_set(order: ShellingOrder, j: int) -> frozenset[int]:
-    """Lambda_j for the 1-based position j, via k(N-k) position lookups; the
-    one-row reference for the swap table."""
+    """Lambda_j for the 1-based position j, via k(N-k) lookups among the
+    j - 1 earlier complements of ``order.facets``; the one-row reference
+    for the swap table."""
     if not 1 <= j <= order.n_facets:
         raise OrdinalOutOfRange(f"position {j} outside [1,{order.n_facets}]")
     compl = order.facets[j - 1]
-    pos = order.position
-    out = set()
-    for lam in range(1, order.n_vertices + 1):
-        if lam in compl:
-            continue
-        for a in compl:
-            p = pos.get(_swapped(compl, a, lam))
-            if p is not None and p < j:
-                out.add(lam)
-                break
-    return frozenset(out)
+    earlier = set(order.facets[:j - 1])
+    return frozenset(
+        lam for lam in range(1, order.n_vertices + 1)
+        if lam not in compl and any(_swapped(compl, a, lam) in earlier for a in compl)
+    )
 
 
 class _Positions:
@@ -811,11 +777,10 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     """Check the single-swap shelling condition over every pair i < j.
 
     Returns ok, or the failing pair (i, j) minimal in (j, i) order.  The
-    order must list each facet of its complex once, with ``position``
-    sending the complement at ordinal i to i, or IncompleteOrder is raised:
-    an order from the builder holds its rows of the complex, any other
-    finds them by an exact match of ``facets`` and ``position`` against the
-    complex, and the rows must name each row of the complex once.
+    order must list each facet of its complex once, or IncompleteOrder is
+    raised: an order from the builder holds its rows of the complex, any
+    other finds them by an exact match of ``facets`` against the complex,
+    and the rows must name each row of the complex once.
     A passing run attaches the packed swap table to the order, which marks
     it verified; a failing run attaches nothing.
 
@@ -939,11 +904,10 @@ def check_spanning_structure(order: ShellingOrder, report: SpanningReport) -> bo
     N = order.n_vertices
     if any(c[-1] != N for c in report.spanning_complements):
         return False
-    for t in order.tail:
-        p = order.position[t.complement]
-        if report.spanning_flags[p - 1]:
-            return False
-    return True
+    tail = order.tail
+    ordinals = _ordinals(order, [t.complement for t in tail]).tolist()
+    return not any(report.spanning_flags[_tail_position(t, p) - 1]
+                   for t, p in zip(tail, ordinals))
 
 
 # ---------------------------------------------------------------------------
@@ -1085,12 +1049,16 @@ def non_spanning_witnesses(order: ShellingOrder) -> WitnessReport:
     """
     g = _require_hex3(order.cx)
     N = order.n_vertices
-    index = order.position
+    typed = [(pair, lam, tag, tuple(sorted((*pair, N))))
+             for pair, lam, tag in _typed_witnesses(g.m, g.n)]
+    swaps = [_swapped(triple, alpha, lam) for _, lam, _, triple in typed
+             if 1 <= lam <= N and lam not in triple for alpha in triple]
+    queries = [triple for *_, triple in typed] + swaps
+    index = dict(zip(queries, _ordinals(order, queries).tolist()))
     entries: list[WitnessEntry] = []
-    for (x, y), lam, tag in _typed_witnesses(g.m, g.n):
-        triple = tuple(sorted((x, y, N)))
-        j = index.get(triple)
-        if j is None:
+    for (x, y), lam, tag, triple in typed:
+        j = index[triple]
+        if not j:
             entries.append(
                 WitnessEntry((x, y), lam, tag, "no_facet", (f"{triple} is connected",))
             )
@@ -1105,8 +1073,8 @@ def non_spanning_witnesses(order: ShellingOrder) -> WitnessReport:
         refuted = False
         for alpha in triple:
             cand = _swapped(triple, alpha, lam)
-            p = index.get(cand)
-            if p is None:
+            p = index[cand]
+            if not p:
                 trace.append(f"swap {alpha}: {cand} not a facet")
             elif p >= j:
                 trace.append(f"swap {alpha}: {cand} at later position {p}")
@@ -1139,25 +1107,27 @@ def verify_tail_obstruction(cx: CutComplex) -> bool:
         raise NoTailFacets(f"H({g.m},{g.n}) has no tail facets")
     N = cx.n_vertices
     plain = shelling_order(cx, relocate_tail=False)
-    positions = [_tail_position(plain, t) for t in tail]
-    pos = plain.position
-    for t, j_i in zip(tail, positions):
-        blocker_comp = tuple(sorted((t.center, N - 1, N)))
-        p_blocker = pos.get(blocker_comp)
-        if p_blocker is None or p_blocker >= j_i:
+    # per tail facet: the blocker, and each swap toward it with its vertex
+    plan = []
+    for t in tail:
+        blocker = tuple(sorted((t.center, N - 1, N)))
+        plan.append((t, blocker, [(lam, _swapped(t.complement, alpha, lam))
+                                  for lam in set(blocker) - set(t.complement)
+                                  for alpha in t.complement]))
+    queries = [c for t, blocker, swaps in plan
+               for c in (t.complement, blocker, *(c for _, c in swaps))]
+    pos = dict(zip(queries, _ordinals(plain, queries).tolist()))
+    positions = [_tail_position(t, pos[t.complement]) for t in tail]
+    for (t, blocker, swaps), j_i in zip(plan, positions):
+        if not 0 < pos[blocker] < j_i or not swaps:
             return False
-        swap_candidates = set(blocker_comp) - set(t.complement)
-        if not swap_candidates:
-            return False
-        for lam in swap_candidates:
-            for alpha in t.complement:
-                p = pos.get(_swapped(t.complement, alpha, lam))
-                if lam == t.center:
-                    if p is not None:  # center swap must close up a connected triple
-                        return False
-                else:
-                    if p is None or p <= j_i:  # other swaps must sort after
-                        return False
+        for lam, swapped in swaps:
+            p = pos[swapped]
+            if lam == t.center:
+                if p:  # center swap must close up a connected triple
+                    return False
+            elif not p > j_i:  # other swaps must sort after
+                return False
     return True
 
 

@@ -62,9 +62,9 @@ def test_enumeration_matches_oracle(m, n):
 def test_facets_sorted_unique_with_exact_index():
     cx = enumerate_facets(build_hex_graph(2, 2), 3)
     assert list(cx.facets) == sorted(set(cx.facets))
-    position = shelling_order(cx, relocate_tail=False).position
+    order = shelling_order(cx, relocate_tail=False)
     for i, t in enumerate(cx.facets):
-        assert position[t] == i + 1
+        assert order.facets.index(t) + 1 == i + 1
 
 
 def test_complement_soundness():

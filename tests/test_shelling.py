@@ -157,7 +157,7 @@ def test_order_1_1_plain_sorted():
     assert order.base_count == 14
     assert list(order.facets) == sorted(order.facets)
     for i, t in enumerate(order.facets):
-        assert order.position[t] == i + 1
+        assert order.facets.index(t) + 1 == i + 1
 
 
 def test_order_1_2_tail_relocated():
@@ -181,7 +181,7 @@ def test_order_reindexing_relation():
         if f in tset:
             shift += 1
         else:
-            assert order.position[f] == j + 1 - shift
+            assert order.facets.index(f) + 1 == j + 1 - shift
 
 
 def test_swap_set_basics():
@@ -226,7 +226,7 @@ def test_plain_order_fails_at_first_tail_position():
     plain = shelling_order(cx, relocate_tail=False)
     res = verify_shelling(plain)
     assert not res.ok
-    expected_j = plain.position[(6, 8, 9)]
+    expected_j = plain.facets.index((6, 8, 9)) + 1
     assert res.counterexample[1] == expected_j
     # independent confirmation on full vertex sets
     verts = set(range(1, 11))
@@ -532,7 +532,7 @@ def test_verifier_matches_oracle_on_perturbed_orders(case):
 def _h33_failing_orders():
     cx = _complex(3, 3)
     plain = shelling_order(cx, relocate_tail=False)
-    first_tail = min(plain.position[t.complement] for t in tail_facets(3, 3, cx.graph))
+    first_tail = min(plain.facets.index(t.complement) + 1 for t in tail_facets(3, 3, cx.graph))
     yield "plain", plain, first_tail
     for idx in range(1, tail_facet_count(3, 3) + 1):
         order, spot = order_with_tail_reinserted(cx, idx)
@@ -865,8 +865,9 @@ def test_sorted_keys_match_the_dense_table(capsys):
 @pytest.mark.parametrize("defect", ["missing", "duplicate", "swapped-position"])
 def test_incomplete_order_rejected(defect):
     # an order rebuilt from a verified one with other fields holds no swap
-    # table: the verifier refuses it and the spanning report asks for a
-    # verification first
+    # table: a position map that disagrees with the facets is refused at
+    # construction, the verifier refuses facets that miss or repeat one,
+    # and the spanning report asks for a verification first
     cx = enumerate_facets(build_hex_graph(1, 1), 3)
     order = shelling_order(cx)
     assert verify_shelling(order).ok
@@ -879,6 +880,12 @@ def test_incomplete_order_rejected(defect):
     if defect == "swapped-position":  # facets intact, two ordinals exchanged
         a, b = facets[0], facets[-1]
         position[a], position[b] = position[b], position[a]
+    if defect != "missing":  # one entry short, or two ordinals exchanged
+        with pytest.raises(IncompleteOrder):
+            dataclasses.replace(order, facets=facets, position=position)
+        if defect == "swapped-position":
+            return
+        position = None
     broken = dataclasses.replace(order, facets=facets, position=position)
     assert order.verified and not broken.verified
     with pytest.raises(IncompleteOrder):
@@ -936,6 +943,24 @@ def test_random_orders_built_alike_both_ways(case):
     assert used == [_dense(cx, patches["POSITION_TABLE_LIMIT"])] * 4
 
 
+@settings(max_examples=40, deadline=None)
+@given(random_k_orders())
+def test_ordinals_equal_the_places_in_facets(case):
+    # every k-subset of [1, N], in descending order, and two k-tuples
+    # outside it: a facet reads its place in ``facets``, counted from 1,
+    # through the builder's rows and the rows the constructor finds, and
+    # anything else reads 0
+    cx, seq, _ = case
+    k, N = cx.k, cx.n_vertices
+    queries = list(combinations(range(1, N + 1), k))[::-1]
+    queries += [(0,) * k, tuple(range(N - k + 2, N + 2))]
+    places = {f: i for i, f in enumerate(seq, 1)}
+    expected = [places.get(q, 0) for q in queries]
+    for order in (shelling._order(cx, seq), _order_of(cx, seq)):
+        assert order.facets == tuple(seq)
+        assert shelling._ordinals(order, queries).tolist() == expected
+
+
 @pytest.mark.parametrize("path", ["builder", "constructor"])
 def test_repeated_facet_refused_on_both_paths(path):
     # the complex lists its first facet again in place of its last one
@@ -944,37 +969,48 @@ def test_repeated_facet_refused_on_both_paths(path):
     order = shelling._order(repeated)
     assert order.facets == tuple(sorted(repeated.facets))
     if path == "constructor":
-        order = _constructed(order)
+        # the map holds the repeated complement once, one entry short
+        with pytest.raises(IncompleteOrder):
+            _constructed(order)
+        order = dataclasses.replace(order)
     with pytest.raises(IncompleteOrder):
         verify_shelling(order)
     assert not order.verified
 
 
 def test_replaced_facets_refused():
-    # two facets exchanged, the position map kept: the rows found from the
-    # facets disagree with the map, and the order is refused, not verified
-    # as the order the map describes
+    # two facets exchanged: replace() carries no position map, so the
+    # swapped facets are an order of their own, refused as the oracle
+    # refuses it, not verified as the order they were taken from
     order = shelling_order(_complex(1, 2))
     facets = list(order.facets)
     facets[0], facets[-1] = facets[-1], facets[0]
     swapped = dataclasses.replace(order, facets=tuple(facets))
-    assert swapped.position is order.position
-    with pytest.raises(IncompleteOrder):
-        verify_shelling(swapped)
-    assert not swapped.verified
+    res = verify_shelling(swapped)
+    assert (res.ok, res.counterexample) == oracle_is_shelling(_facet_sets(swapped.cx, facets))
+    assert not res.ok and not swapped.verified
 
 
-def test_position_is_built_on_first_read():
-    # the builder leaves the map to its first reader; after that it is a
-    # plain attribute, and equal to the one the constructor copies
+def test_constructor_refuses_a_disagreeing_position_map():
+    # a map must send the complement at ordinal i to i and hold nothing
+    # else; one that agrees is checked and not kept
     order = shelling_order(_complex(1, 2))
-    assert "position" not in vars(order)
-    assert verify_shelling(order).ok and "position" not in vars(order)
-    position = order.position
-    assert vars(order)["position"] is position is order.position
-    assert position == _constructed(order).position
-    with pytest.raises(TypeError):
-        position[order.facets[0]] = 2
+    facets = order.facets
+    agreeing = _constructed(order)
+    assert agreeing == order and "position" not in vars(agreeing)
+    assert np.array_equal(agreeing.rows, order.rows)
+    for defect in ("missing", "extra", "swapped", "shifted"):
+        position = {f: i for i, f in enumerate(facets, 1)}
+        if defect == "missing":
+            del position[facets[3]]
+        elif defect == "extra":
+            position[(0, 0, 0)] = len(facets) + 1
+        elif defect == "swapped":
+            position[facets[0]], position[facets[1]] = 2, 1
+        else:  # 0-based ordinals
+            position = {f: i for i, f in enumerate(facets)}
+        with pytest.raises(IncompleteOrder):
+            ShellingOrder(cx=order.cx, facets=facets, position=position)
 
 
 def test_unsorted_hand_built_complex_orders_lex():

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import operator
 import pickle
 from unittest import mock
 
@@ -10,7 +9,6 @@ import pytest
 
 from hexcut import (
     Graph,
-    IncompleteOrder,
     InvalidParams,
     UnverifiedOrder,
     build_hex_graph,
@@ -89,7 +87,7 @@ def test_verified_is_exactly_a_stored_table():
     assert verify_shelling(order).ok and order.verified
     # no table comes in through the constructor, replace() or assignment
     with pytest.raises(TypeError):
-        ShellingOrder(cx=cx, facets=order.facets, position=order.position, _swaps=order._swaps)
+        ShellingOrder(cx=cx, facets=order.facets, _swaps=order._swaps)
     with pytest.raises(ValueError):
         dataclasses.replace(order, _swaps=order._swaps)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -97,8 +95,7 @@ def test_verified_is_exactly_a_stored_table():
     # the failing plain order, built from the verified one, holds no table
     # and gains none from its verification
     sorted_order = shelling_order(cx, relocate_tail=False)
-    plain = dataclasses.replace(order, facets=sorted_order.facets,
-                                position=sorted_order.position)
+    plain = dataclasses.replace(order, facets=sorted_order.facets)
     assert not plain.verified
     assert not verify_shelling(plain).ok
     assert not plain.verified and plain._swaps is None
@@ -112,59 +109,46 @@ def test_a_verified_order_lends_its_table_to_no_other_order(instance):
     # verified table, which would report psi = 77 for a non-shelling
     verified = instance(2, 2).order
     plain = shelling_order(verified.cx, relocate_tail=False)
-    spoof = dataclasses.replace(verified, facets=plain.facets, position=plain.position)
+    spoof = dataclasses.replace(verified, facets=plain.facets)
     assert verified.verified and not spoof.verified
     with pytest.raises(UnverifiedOrder):
         spanning_facets(spoof)
 
 
-def test_the_position_map_of_an_order_is_read_only():
-    # H(1, 2): exchanging the ordinals of the tail facet and of a spanning
-    # facet in place would leave the order verified while its map reads
-    # the tail facet as spanning; every change to the map is refused
-    order = shelling_order(enumerate_facets(build_hex_graph(1, 2), 3))
+def test_the_rows_of_an_order_are_read_only():
+    # H(2, 2): reversing the rows of a verified order in place would leave
+    # it verified while the spanning report read another order (its witness
+    # map grew from 24 to 85 entries); the rows refuse every write, also on
+    # a copy and on an unpickled order
+    order = shelling_order(enumerate_facets(build_hex_graph(2, 2), 3))
     assert verify_shelling(order).ok
     report = spanning_facets(order)
-    swaps = [swap_set(order, j) for j in range(1, order.n_facets + 1)]
-    assert check_spanning_structure(order, report)
-    pos = order.position
-    tail, spanning = order.tail[0].complement, report.spanning_complements[0]
-    with pytest.raises(TypeError):
-        pos[tail], pos[spanning] = pos[spanning], pos[tail]
-    for change in (
-        lambda: operator.delitem(pos, tail), lambda: operator.ior(pos, {tail: 1}),
-        pos.clear, lambda: pos.pop(tail), pos.popitem,
-        lambda: pos.setdefault((0, 0, 0), 1), lambda: pos.update({tail: 1}),
-    ):
-        with pytest.raises(TypeError):
-            change()
-    assert [swap_set(order, j) for j in range(1, order.n_facets + 1)] == swaps
-    assert check_spanning_structure(order, report)
-    assert verify_shelling(order).ok
-    # copies and pickles rebuild the map whole, and it stays read-only
-    for twin in (copy.deepcopy(order), pickle.loads(pickle.dumps(order))):
-        assert twin.position == pos and type(twin.position) is type(pos)
-        with pytest.raises(TypeError):
-            twin.position[tail] = 1
+    assert len(report.witness_map) == 24 and check_spanning_structure(order, report)
+    for twin in (order, copy.deepcopy(order), pickle.loads(pickle.dumps(order))):
+        assert twin.verified
+        with pytest.raises(ValueError):
+            twin.rows[:] = twin.rows[::-1]
+        assert spanning_facets(twin) == report
+        assert check_spanning_structure(twin, report)
 
 
-def test_the_position_map_is_built_once():
-    # the builder hands over a read-only map and replace() passes it on as
-    # it is; a plain dict is still copied read-only, and verification still
-    # ties the map to the facets it is given
+def test_replace_carries_no_position_map():
+    # the constructor checks a map and keeps none, so replace() carries
+    # none: other facets given to replace() are an order of their own
     cx = enumerate_facets(build_hex_graph(1, 2), 3)
     order = shelling_order(cx)
-    assert dataclasses.replace(order).position is order.position
-    plain = dict(order.position)
-    rebuilt = ShellingOrder(cx=cx, facets=order.facets, position=plain,
+    rebuilt = ShellingOrder(cx=cx, facets=order.facets,
+                            position={f: i for i, f in enumerate(order.facets, 1)},
                             tail=order.tail, base_count=order.base_count)
-    assert rebuilt.position is not plain and type(rebuilt.position) is type(order.position)
-    with pytest.raises(TypeError):
-        rebuilt.position[order.facets[0]] = 2
-    assert rebuilt == order and verify_shelling(rebuilt).ok
+    assert "position" not in vars(rebuilt)
+    assert "position" not in {f.name for f in dataclasses.fields(ShellingOrder)}
+    assert dataclasses.replace(rebuilt) == rebuilt == order
+    assert verify_shelling(rebuilt).ok
     sorted_order = shelling_order(cx, relocate_tail=False)
-    with pytest.raises(IncompleteOrder):
-        verify_shelling(dataclasses.replace(order, facets=sorted_order.facets))
+    replaced = dataclasses.replace(order, facets=sorted_order.facets)
+    assert replaced.rows.tolist() == sorted_order.rows.tolist()
+    assert verify_shelling(replaced) == verify_shelling(sorted_order)
+    assert not replaced.verified
 
 
 def test_an_order_equals_its_copies():
@@ -282,7 +266,7 @@ def test_spanning_structure_rule_rejects_each_break(instance):
     # the tail facet flagged as spanning
     (t,) = order.tail
     flags = list(report.spanning_flags)
-    flags[order.position[t.complement] - 1] = True
+    flags[order.facets.index(t.complement)] = True
     assert not check_spanning_structure(
         order, dataclasses.replace(report, spanning_flags=tuple(flags)))
 

@@ -107,10 +107,20 @@ MUTANTS = {
         "    keep[at] = False\n",
         "",
     ),
-    "position agreement check skipped": (
+    "constructor's position check skipped": (
         "shelling.py",
-        "            and np.array_equal(rows[ordinals - 1], named)):\n",
-        "            ):\n",
+        "    def __post_init__(self, position):\n        if position is not None and not (\n",
+        "    def __post_init__(self, position):\n        if False and not (\n",
+    ),
+    "ordinals off by one": (
+        "shelling.py",
+        "    ordinal[order.rows] = np.arange(1, order.n_facets + 1, dtype=np.int32)\n",
+        "    ordinal[order.rows] = np.arange(order.n_facets, dtype=np.int32)\n",
+    ),
+    "rows left writeable": (
+        "shelling.py",
+        "        rows.flags.writeable = False\n",
+        "",
     ),
     "builder's rows off by one position": (
         "shelling.py",
