@@ -4,11 +4,16 @@ The k-cut complex of a graph G has one facet per k-subset of V(G) whose
 induced subgraph is disconnected; the facet is the complement of that
 subset.  Facets are stored as their complement tuples, sorted ascending,
 and, privately, as one (eta, k) int32 array of the same rows, which the
-enumerator fills from the columns it selects the facets by.  An order on
-the facets is an array of rows of the complex; the complex keeps no
-complement -> row map, and finds rows by binary search over the
-complements read as big-endian bytes, exact for any k and N.  All set
+enumerator fills from the columns it selects the facets by.  All set
 algebra downstream happens in complement arithmetic.
+
+The complex owns every fact about it that the shelling verifier reads,
+each computed once and kept with it: its rows in lex order, the sorted
+view through which :func:`_find_rows` finds the row of a complement by
+binary search over big-endian bytes, exact for any k and N; the face
+numbering of :func:`_face_numbers`; and the closed face counts of
+:func:`_closed_faces`, which :func:`f_vector` returns and the verifier
+sums.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidParams, ResourceGuard, VertexOutOfRange
-from .hexgraph import Graph, HexGraph, build_hex_graph, hex_vertex_count
+from .hexgraph import Graph, build_hex_graph, hex_vertex_count
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
 FACET_SUBSET_GUARD = 20_000  # k-subsets walked without force, see check_subset_count
@@ -30,6 +35,10 @@ FACET_SUBSET_GUARD = 20_000  # k-subsets walked without force, see check_subset_
 BITMAP_VERTEX_CEILING = 62
 _COUNT_CHUNK = 1 << 16  # bitmap entries popcounted per numpy step
 _SUBSET_CHUNK = 1 << 12  # k-subsets per reach-mask chunk, k >= 4
+# Colex ranks of (k-1)-subsets that number the faces, C(N, k - 1) in all;
+# H(10, 10) at k = 3 needs C(240, 2) = 28 680.  Past it the faces are
+# searched by their big-endian bytes.
+POSITION_TABLE_LIMIT = 1 << 24
 
 
 def induced_p3_count(m: int, n: int) -> int:
@@ -142,33 +151,79 @@ def _lex_rows(cx: CutComplex) -> np.ndarray:
     return np.argsort(_keys(_complements(cx)), kind="stable").astype(np.int32)
 
 
-def _lex_keys(cx: CutComplex) -> np.ndarray:
-    """The keys of the rows of the complex in lex order."""
-    return _keys(np.take(_complements(cx), _lex_rows(cx), axis=0))
-
-
 @_per_complex
 def _distinct(cx: CutComplex) -> bool:
-    """True iff no complement is listed twice."""
-    keys = _lex_keys(cx)
+    """True iff no complement is listed twice: no two neighbours of the
+    sorted view of the keys are equal."""
+    keys = _keys(_complements(cx))[_lex_rows(cx)]
     return bool((keys[1:] != keys[:-1]).all())
 
 
-def _search(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """The index of each of the keys ``want`` among the ascending ``keys``,
-    or len(keys) where none equals it: one binary search, exact for the
-    byte keys of :func:`_keys`."""
+def _search(keys: np.ndarray, want: np.ndarray, sorter: np.ndarray | None = None) -> np.ndarray:
+    """The place of each of the keys ``want`` in the ascending order of
+    ``keys``, read through ``sorter`` when given, or len(keys) where no key
+    equals it: one binary search, exact for the byte keys of
+    :func:`_keys`."""
     if not len(keys):
         return np.zeros(len(want), dtype=np.intp)
-    at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
-    return np.where(keys[at] == want, at, len(keys))
+    at = np.searchsorted(keys, want, sorter=sorter).clip(max=len(keys) - 1)
+    return np.where(keys[at if sorter is None else sorter[at]] == want, at, len(keys))
 
 
 def _find_rows(cx: CutComplex, comp: np.ndarray) -> np.ndarray:
     """The row of the complex holding each row of ``comp``, an (n, k)
-    array, or -1 where no facet has that complement, int32: a
-    :func:`_search` over the keys of the rows in lex order."""
-    return np.append(_lex_rows(cx), np.int32(-1))[_search(_lex_keys(cx), _keys(comp))]
+    array, or -1 where no facet has that complement, int32; the lowest row
+    of a complement listed twice.  A :func:`_search` of the complements'
+    keys through their stable lex order; no sorted copy is made."""
+    lex = _lex_rows(cx)
+    return np.append(lex, np.int32(-1))[_search(_keys(_complements(cx)), _keys(comp), lex)]
+
+
+class _Positions:
+    """The faces of a complex, the (k-1)-subsets of its complements ``comp``,
+    numbered below ``count``: ``face[i, s]`` is the index of the face of row
+    i without its entry s, int32, and :meth:`index` finds a (k-1)-subset.
+
+    While the C(N, k - 1) subsets fit ``POSITION_TABLE_LIMIT``, the index of
+    a subset is its colex rank sum_t C(x_t - 1, t), t counted from 1, read
+    as sum_t weight[t, x_t], and ``count`` is C(N, k - 1), so a subset that
+    is no face has an index too; a weight no subset reaches, C(x - 1, t)
+    with x > N - k + 1 + t, is capped at C(N, k - 1) to fit int32.  Past the
+    limit a subset is keyed by its entries as big-endian bytes and searched
+    among the sorted face keys, exact for any k and N, ``count`` for one
+    that is no face: H(10, 10) at k = 237 would need about 1.3e8 ranks."""
+
+    def __init__(self, comp: np.ndarray, N: int):
+        eta, k = comp.shape
+        self.count = comb(N, k - 1)
+        self.dense = self.count <= POSITION_TABLE_LIMIT
+        if not self.dense:
+            keys = np.stack([_keys(np.delete(comp, s, axis=1)) for s in range(k)], axis=1)
+            self.sorted, face = np.unique(keys, return_inverse=True)
+            self.count, self.face = len(self.sorted), face.reshape(eta, k).astype(np.int32)
+            return
+        self.weight = np.array([[min(comb(x - 1, t), self.count) if x else 0
+                                  for x in range(N + 1)] for t in range(1, k)], dtype=np.int32)
+        # filled column by column: at k = 1 the rank of no column is the int 0
+        self.face = np.empty((eta, k), dtype=np.int32)
+        for s in range(k):
+            self.face[:, s] = self.index(np.delete(comp, s, axis=1).T)
+
+    def index(self, cols) -> np.ndarray:
+        """The index of each (k-1)-subset, given column by column in
+        ascending order: its colex rank, or past the limit its place among
+        the sorted face keys, ``count`` for one that is no face."""
+        if self.dense:
+            return sum(w[col] for w, col in zip(self.weight, cols))
+        return _search(self.sorted, _keys(np.stack(cols, axis=1)))
+
+
+@_per_complex
+def _face_numbers(cx: CutComplex) -> _Positions:
+    """The faces of the complex numbered once, by colex rank or by the
+    sorted byte keys as ``POSITION_TABLE_LIMIT`` stands at the first call,
+    and kept with their lookup."""
+    return _Positions(_complements(cx), cx.n_vertices)
 
 
 def _sparse_slabs(g: Graph, k: int) -> Iterator[np.ndarray]:
@@ -339,8 +394,8 @@ class FVector:
 
 
 def _closed_fvector(n_vertices: int, n_facets: int) -> FVector:
-    """The face counts of ``f_vector`` mode ``closed``: C(N, j) for each
-    size j up to N-4, then the facets at size N-3."""
+    """The closed-form face counts: C(N, j) for each size j up to N-4, then
+    the facets at size N-3."""
     return FVector(tuple(comb(n_vertices, j) for j in range(n_vertices - 3)) + (n_facets,))
 
 
@@ -363,6 +418,37 @@ def _neighbour_paths(g: Graph) -> list[tuple[int, int, int]] | None:
     return paths
 
 
+@_per_complex
+def _closed_faces(cx: CutComplex) -> FVector | None:
+    """The face counts of the complex, when this call shows it to be the
+    full 3-cut complex of a graph with no triangle and no 4-cycle; None for
+    every other complex.
+
+    Without either, as the walk of :func:`_neighbour_paths` shows, the
+    connected triples are exactly the paths a - v - c, one per pair, and
+    every set of at most N - 4 vertices is a face: f_{j-1} = C(N, j) for
+    j <= N - 4 and f(Delta) = 2^N - 1 - N - C(N, 2) - T for T pairs.  The
+    complements, each listed once, are all the disconnected triples when
+    they are increasing triples of [1, N], no path among them, and
+    C(N, 3) - T of them."""
+    N = cx.n_vertices
+    paths = _neighbour_paths(cx.graph) if cx.k == 3 else None
+    if paths is None:
+        return None
+    try:
+        comp = _complements(cx)
+    except InvalidParams:
+        return None
+    x, y, z = comp.T
+    if not (len(comp) == comb(N, 3) - len(paths) and _distinct(cx)
+            and ((1 <= x) & (x < y) & (y < z) & (z <= N)).all()):
+        return None
+    paths = np.sort(np.array(paths, dtype=np.int32).reshape(-1, 3), axis=1)
+    if (_find_rows(cx, paths) >= 0).any():
+        return None
+    return _closed_fvector(N, len(comp))
+
+
 def f_vector(
     cx: CutComplex,
     mode: str = "auto",
@@ -376,28 +462,24 @@ def f_vector(
     bitmap (guarded by ``EXHAUSTIVE_VERTEX_LIMIT`` unless ``force``, and by
     the bitmap ceiling before any subset is tested) and
     counts the set entries by popcount in fixed-size chunks; a subset is
-    counted iff :func:`is_face` holds for it.  ``closed`` applies to the
-    hexagonal family with k = 3 whose graph the walk of
-    :func:`_neighbour_paths` shows to have no triangle and no 4-cycle, as
-    girth 6 promises: then every 4-subset of V contains a disconnected
-    triple, hence every subset of size at most N-4 is a face and
-    f_{j-1} = C(N, j) for j <= N-4, with the top count equal to the number
-    of facets.  ``auto`` picks closed when it applies, else exhaustive.
+    counted iff :func:`is_face` holds for it.  ``closed`` returns the
+    counts of :func:`_closed_faces`, which the verifier's face count sums:
+    for the full 3-cut complex of any graph with no triangle and no 4-cycle,
+    as girth 6 promises for H(m, n), every 4-subset of V contains a
+    disconnected triple, so every subset of size at most N-4 is a face.  It
+    raises InvalidParams for any other complex, and ``auto`` falls back to
+    exhaustive there, so the two always agree.
     """
     if mode not in ("auto", "exhaustive", "closed"):
         raise InvalidParams(f"unknown f-vector mode {mode!r}")
-    closed_applies = (isinstance(cx.graph, HexGraph) and cx.k == 3
-                      and _neighbour_paths(cx.graph) is not None)
-    if mode == "closed" and not closed_applies:
-        raise InvalidParams("closed form requires the hexagonal family with k=3, "
+    closed = None if mode == "exhaustive" else _closed_faces(cx)
+    if closed is not None:
+        return closed
+    if mode == "closed":
+        raise InvalidParams("closed form requires the full 3-cut complex of a graph "
                             "with no triangle and no 4-cycle")
-    if mode == "auto":
-        mode = "closed" if closed_applies else "exhaustive"
 
     N = cx.n_vertices
-    if mode == "closed":
-        return _closed_fvector(N, cx.n_facets)
-
     check_size(N, "vertices of the exhaustive f-vector", EXHAUSTIVE_VERTEX_LIMIT, force)
     check_bitmap_ceiling(N)
     full = (1 << N) - 1

@@ -9,8 +9,8 @@ below) to the end.
 An order is held as rows of its complex: entry p of ``rows`` is the row of
 the complex's (eta, k) complement array that holds the facet at position
 p + 1.  The builder makes the rows in numpy from the lex order of the
-complex, finding the relocated complements by binary search over their
-big-endian bytes, exact for any k and N; an order made by the constructor
+complex, finding the relocated complements with
+:func:`hexcut.cutcomplex._find_rows`; an order made by the constructor
 finds its rows the same way on first use.  The verifier and the spanning
 report read complements only through ``rows``, and a reader that needs
 the position of a complement finds its row the same way and reads it
@@ -37,16 +37,14 @@ Wachs, "Shellable nonpure complexes and posets I", 1996, section 2).
 
 One flow verifies every order.  The verifier keeps one bitmask per face, a
 (k-1)-subset u of a complement, with bit z set iff u + {z} is a complement
-passed so far.  Faces are numbered once per complex, by colex rank through
-a dense table of C(N, k - 1) cells while that fits
-``POSITION_TABLE_LIMIT``, and by their big-endian bytes among the sorted
-face keys past it.  Every row of the table is built once, in blocks of
-4096 passed into the masks as soon as they are built: Lambda_j is the OR
-of the masks of the k faces of F_j^c, built with prefix sums over the
-block and packed into ceil((N + 1) / 64) words per row.  When f(Delta) is
-known, for the 3-cut complex of a graph with no triangle and no 4-cycle,
-checked in the same call, the sum alone passes the order.  Otherwise the
-masks are reset and the stored rows are checked block by block with the
+passed so far; the complex numbers its faces and knows its face count,
+once (:mod:`hexcut.cutcomplex`).  Every row of the table is built once, in
+blocks of 4096 passed into the masks as soon as they are built: Lambda_j
+is the OR of the masks of the k faces of F_j^c, built with prefix sums
+over the block and packed into ceil((N + 1) / 64) words per row.  When
+f(Delta) is known, for the full 3-cut complex of a graph with no triangle
+and no 4-cycle, the sum alone passes the order.  Otherwise the masks are
+reset and the stored rows are checked block by block with the
 containment test below: it names the failure of an order the sum
 rejects, and decides an order whose f(Delta) is unknown.
 
@@ -78,15 +76,12 @@ import numpy as np
 
 from .cutcomplex import (
     CutComplex,
-    _closed_fvector,
+    _closed_faces,
     _complements,
     _distinct,
+    _face_numbers,
     _find_rows,
-    _keys,
     _lex_rows,
-    _neighbour_paths,
-    _per_complex,
-    _search,
     enumerate_facets,
 )
 from .errors import (
@@ -101,10 +96,6 @@ from .errors import (
 )
 from .hexgraph import Graph, HexGraph, hex_vertex_count
 
-# Cells of the dense face -> index table, one int32 entry per colex rank of a
-# (k-1)-subset, C(N, k - 1) in all; H(10, 10) at k = 3 needs C(240, 2) =
-# 28 680.  Past it the faces are searched by their big-endian bytes.
-POSITION_TABLE_LIMIT = 1 << 24
 # Rows of the swap table built and checked together, and the mask words
 # read per numpy step by the subset test (one per candidate subset and row
 # word) and by the containment kernel (one per complement and sliced row
@@ -372,64 +363,6 @@ def swap_set(order: ShellingOrder, j: int) -> frozenset[int]:
     )
 
 
-class _Positions:
-    """The faces of a complex, the (k-1)-subsets of its complements ``comp``,
-    numbered: ``face[i, s]`` is the index of the face of row i without its
-    entry s, int32, among the ``count`` faces, and :meth:`index` finds a
-    (k-1)-subset among them.
-
-    While the C(N, k - 1) subsets fit ``POSITION_TABLE_LIMIT`` a subset is
-    keyed by its colex rank sum_t C(x_t - 1, t), t counted from 1, read as
-    sum_t weight[t, x_t], and indexes a dense int32 table; a weight no
-    subset reaches, C(x - 1, t) with x > N - k + 1 + t, is capped at
-    C(N, k - 1), so the weights fit int32.  Past the limit a subset is
-    keyed by its entries as big-endian bytes (:func:`_keys`) and searched
-    among the sorted face keys, exact for any k and N: H(10, 10) at
-    k = 237 would need C(240, 236), about 1.3e8 cells."""
-
-    def __init__(self, comp: np.ndarray, N: int):
-        eta, k = comp.shape
-        cells = comb(N, k - 1)
-        self.dense = cells <= POSITION_TABLE_LIMIT
-        if not self.dense:
-            keys = np.stack([_keys(np.delete(comp, s, axis=1)) for s in range(k)], axis=1)
-            self.sorted, face = np.unique(keys, return_inverse=True)
-            self.count, self.face = len(self.sorted), face.reshape(eta, k).astype(np.int32)
-            return
-        self.weight = np.array(
-            [[min(comb(x - 1, t), cells) if x else 0 for x in range(N + 1)] for t in range(1, k)],
-            dtype=np.int32,
-        )
-        keys = np.empty((eta, k), dtype=np.int32)
-        for s in range(k):
-            keys[:, s] = self.key(np.delete(comp, s, axis=1).T)
-        present = np.zeros(cells, dtype=bool)
-        present[keys] = True
-        index = np.cumsum(present, dtype=np.int32) - 1
-        self.count, self.face = int(index[-1]) + 1, index[keys]
-        self.table = np.where(present, index, self.count)
-
-    def key(self, cols) -> np.ndarray:
-        """Colex ranks of (k-1)-subsets given column by column."""
-        return sum(w[col] for w, col in zip(self.weight, cols))
-
-    def index(self, cols) -> np.ndarray:
-        """The index of each (k-1)-subset, given column by column in
-        ascending order, among the faces, or ``count`` for one that is no
-        face."""
-        if self.dense:
-            return self.table[self.key(cols)]
-        return _search(self.sorted, _keys(np.stack(cols, axis=1)))
-
-
-@_per_complex
-def _face_numbers(cx: CutComplex) -> _Positions:
-    """The faces of the complex numbered once, through the dense table or
-    the sorted byte keys as ``POSITION_TABLE_LIMIT`` stands at the first
-    call, and kept with their lookup."""
-    return _Positions(_complements(cx), cx.n_vertices)
-
-
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -456,10 +389,10 @@ class _Faces:
     uint64 words per face.  A face is a (k-1)-subset u of a complement, so
     each complement has k of them, and bit z of the mask of u is set iff
     u + {z} is a complement already passed.  The faces are numbered once
-    per complex (:func:`_face_numbers`) and looked up through
-    ``_Positions``; a (k-1)-subset that is no face reads the last mask,
-    which stays zero.  Masks are stored word by word, so that a gather reads
-    one contiguous array per word, and change only between row blocks.
+    per complex (:func:`_face_numbers`), plus one mask past them; a
+    (k-1)-subset that is no face reads its own mask or that last one, which
+    stay zero.  Masks are stored word by word, so that a gather reads one
+    contiguous array per word, and change only between row blocks.
     ``comp`` holds the complements of the order's ``rows`` as rows of k
     vertices, ``face[i, s]`` numbers the face of complement i without its
     entry s, ``vertices`` packs V = {1..N}, and ``packed(vertex <= last)``
@@ -472,8 +405,7 @@ class _Faces:
         # np.take gathers rows faster than fancy indexing does
         self.comp = np.take(_complements(cx), rows, axis=0)
         self.face = np.take(self.pos.face, rows, axis=0)
-        self.zero = self.pos.count
-        self.masks = np.zeros(((N + 64) // 64, self.zero + 1), dtype="<u8")
+        self.masks = np.zeros(((N + 64) // 64, self.pos.count + 1), dtype="<u8")
         self.vertex = np.arange(N + 1)
         self.vertex_bit = np.left_shift(np.uint64(1), (self.vertex & 63).astype(np.uint64))
         self.vertices = self.packed(self.vertex > 0)
@@ -495,10 +427,10 @@ class _Faces:
         entries sorted stably by face, exact modulo 2^64.  A face of F_j^c
         plus z is F_j^c itself only for the z it left out, which comes at j,
         not before, so no entry of F_j^c is set."""
-        words = self.masks.shape[0]
+        words, columns = self.masks.shape
         face = self.face[lo:hi].reshape(-1)
         # a stable argsort of int16 keys is a radix sort
-        order = np.argsort(face.astype(np.int16) if self.zero < 1 << 15 else face, kind="stable")
+        order = np.argsort(face.astype(np.int16) if columns <= 1 << 15 else face, kind="stable")
         face = face[order]
         head = np.flatnonzero(np.diff(face, prepend=-1))
         head = np.repeat(head, np.diff(head, append=len(face)))
@@ -667,36 +599,6 @@ def _first_failure(rows, lo, last, faces, choose, subsets) -> tuple[int, int] | 
     return next(a + int(np.flatnonzero(hit)[0]) for a, _, hit in hits if hit.any()), lo + j
 
 
-@_per_complex
-def _closed_total(cx: CutComplex) -> int | None:
-    """f(Delta), the number of faces of the complex, the empty face
-    included, when this call shows it to be the 3-cut complex of a graph
-    with no triangle and no 4-cycle; None for every other complex.  Once
-    an order has been shown to list each facet of the complex once, this
-    is the face count of the order, so it is computed once per complex.
-
-    The graph is read by the neighbour-pair walk of
-    :func:`hexcut.cutcomplex._neighbour_paths`.  Without a triangle or a
-    4-cycle, the connected triples are exactly its paths a - v - c, one per
-    pair, and every set of at most N - 4 vertices is a face, so
-    f(Delta) = 2^N - 1 - N - C(N, 2) - T for T pairs.  The complements,
-    each listed once, are all the disconnected triples when they are
-    increasing triples of [1, N], no path among them, and C(N, 3) - T of
-    them."""
-    N = cx.n_vertices
-    paths = _neighbour_paths(cx.graph) if cx.k == 3 else None
-    if paths is None:
-        return None
-    comp = _complements(cx)
-    x, y, z = comp.T
-    if not (len(comp) == comb(N, 3) - len(paths) and _distinct(cx)
-            and ((1 <= x) & (x < y) & (y < z) & (z <= N)).all()):
-        return None
-    if (_find_rows(cx, np.sort(_array(cx, paths), axis=1)) >= 0).any():
-        return None
-    return sum(_closed_fvector(N, len(comp)).counts)
-
-
 def _interval_sum(faces: _Faces, table: np.ndarray) -> int:
     """Build every row of the packed swap ``table``, block by block, passing
     each block into the masks of ``faces``, which must hold none; returns
@@ -744,14 +646,15 @@ def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | Non
     (i, j), minimal in (j, i), or None.
 
     Every row is built once, by :func:`_interval_sum`, with no containment
-    check.  When :func:`_closed_total` knows f(Delta), the order passes iff
-    the interval sum equals it.  Otherwise the masks are reset and
+    check.  When :func:`_closed_faces` knows the face counts, the order
+    passes iff the interval sum equals their sum, f(Delta).  Otherwise the masks are reset and
     :func:`_sweep` checks the stored rows: it names the failure of an order
     the count rejects, and finding none there raises CountWithoutFailure;
     without f(Delta) the sweep alone decides."""
     faces = _Faces(order.cx, order.rows)
     table = np.empty((order.n_facets, faces.masks.shape[0]), dtype="<u8")
-    total = _closed_total(order.cx)
+    closed = _closed_faces(order.cx)
+    total = None if closed is None else sum(closed.counts)
     if _interval_sum(faces, table) == total:
         return table, None
     faces.masks[:] = 0
@@ -785,10 +688,10 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     it verified; a failing run attaches nothing.
 
     Every row of the swap table is built once, with no containment check,
-    and the sum of 2^(N - k - |Lambda_j|) is formed.  For the 3-cut complex
-    of a graph with no triangle and no 4-cycle, shown to be one from the
-    graph's neighbour pairs and the complements of the complex, once per
-    complex, f(Delta) = 2^N - 1 - N - C(N, 2) - T for T connected triples,
+    and the sum of 2^(N - k - |Lambda_j|) is formed.  For the full 3-cut
+    complex of a graph with no triangle and no 4-cycle, shown to be one
+    from the graph's neighbour pairs and the complements of the complex,
+    once per complex, f(Delta) = 2^N - 1 - N - C(N, 2) - T for T connected triples,
     and the order passes iff the sum equals f(Delta).  Every other order
     is swept from its stored rows with the containment test below, which
     names the first failure or, where f(Delta) is unknown, passes the
@@ -805,9 +708,9 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     that one, it reads C(s, k - 1) - C(s - L, k - 1) masks, and a row takes
     it when that is below j.  Scans are bit-sliced: one complement against
     R rows costs k ceil(R / 64) words.  Faces are numbered once per
-    complex and looked up by colex rank in a dense table of C(N, k - 1)
-    cells, or past ``POSITION_TABLE_LIMIT`` by binary search among their
-    sorted big-endian bytes, exact for any k and N.
+    complex, by colex rank while the C(N, k - 1) ranks fit
+    ``cutcomplex.POSITION_TABLE_LIMIT``, or past it by binary search among
+    their sorted big-endian bytes, exact for any k and N.
     ``jobs`` is validated and echoed, and changes nothing.  ``pairs_checked``
     counts the pairs of the O(eta^2) definition, not the work done.
     """

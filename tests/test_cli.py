@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hexcut
 from hexcut import build_hex_graph, wedge_check
 from hexcut import cli
 from hexcut.cli import main
@@ -401,3 +406,14 @@ def test_every_json_command_writes_json_dump_bytes(monkeypatch, tmp_path, argv):
 def test_order_4_6_writes_json_dump_bytes(monkeypatch, tmp_path):
     written, expected = _emitted(monkeypatch, tmp_path, ["order", "--m", "4", "--n", "6", "--force"])
     assert written == expected and len(written) == 2_078_411
+
+
+def test_import_pulls_in_no_heavy_module():
+    # the start-up cost of every command is the import of hexcut and
+    # hexcut.cli in a fresh interpreter; none of these may load with it
+    heavy = ["scipy", "sympy", "networkx", "hypothesis", "multiprocessing", "concurrent.futures"]
+    code = f"import sys, hexcut, hexcut.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(hexcut.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == []

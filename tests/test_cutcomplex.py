@@ -221,10 +221,12 @@ def test_exhaustive_f_vector_ignores_the_facet_list():
     cx = enumerate_facets(build_hex_graph(1, 2), 3)
     facets = cx.facets[1:]
     tampered = CutComplex(graph=cx.graph, k=3, facets=facets)
-    # the exhaustive count derives the facets from the graph ...
+    # the exhaustive count derives the facets from the graph, and so does
+    # auto: the closed form refuses a complex that lists a facet too few
     assert f_vector(tampered, mode="exhaustive").f(6) == hex_facet_count(1, 2)
-    # ... while the closed form takes the stored facet count
-    assert f_vector(tampered, mode="closed").f(6) == hex_facet_count(1, 2) - 1
+    assert f_vector(tampered).f(6) == hex_facet_count(1, 2)
+    with pytest.raises(InvalidParams):
+        f_vector(tampered, mode="closed")
 
 
 def test_closed_f_vector_gated_on_the_graph_not_its_type():
@@ -255,8 +257,12 @@ def test_f_vector_guards(instance):
     # 68 vertices: no 2^N bitmap, so force does not lift the guard
     with pytest.raises(ResourceGuard, match="--force cannot lift it$"):
         f_vector(instance(4, 6, verify=False).cx, mode="exhaustive", force=True)
+    # C_6 has no triangle and no 4-cycle, so the closed form applies to its
+    # full 3-cut complex, whatever the graph's type, and to no 2-cut complex
+    six = enumerate_facets(cycle_graph(6), 3)
+    assert f_vector(six, mode="closed").counts == f_vector(six, mode="exhaustive").counts
     with pytest.raises(InvalidParams):
-        f_vector(enumerate_facets(cycle_graph(6), 3), mode="closed")
+        f_vector(enumerate_facets(cycle_graph(6), 2), mode="closed")
 
 
 def test_bitmap_ceiling_checked_before_any_subset_is_tested(instance):

@@ -10,12 +10,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexcut import (
     CountWithoutFailure,
     CutComplex,
+    FVector,
     Graph,
     IncompleteOrder,
     InvalidParams,
@@ -25,6 +26,7 @@ from hexcut import (
     TailFacetNotFound,
     UnverifiedOrder,
     build_hex_graph,
+    cutcomplex,
     cycle_graph,
     enumerate_facets,
     f_vector,
@@ -70,12 +72,13 @@ def _order_of(cx, seq):
 
 
 @contextmanager
-def _face_lookups(**patches):
-    """Patch module constants of the verifier; yields a list that gets,
-    for each face numbering a verification reads meanwhile, True when it
-    is the dense table and False when it is the sorted byte keys.  The
-    numbering is kept per complex as the table limit stands at its first
-    read, so a test that patches the limit builds its complex inside."""
+def _face_lookups(POSITION_TABLE_LIMIT=cutcomplex.POSITION_TABLE_LIMIT, **patches):
+    """Patch module constants of the verifier and the face table limit of
+    the complex; yields a list that gets, for each face numbering a
+    verification reads meanwhile, True when it is by colex rank and False
+    when it is by the sorted byte keys.  The numbering is kept per complex
+    as the table limit stands at its first read, so a test that patches
+    the limit builds its complex inside."""
     used = []
     real = shelling._face_numbers
 
@@ -83,7 +86,8 @@ def _face_lookups(**patches):
         used.append(real(cx).dense)
         return real(cx)
 
-    with mock.patch.multiple(shelling, _face_numbers=recording, **patches):
+    with mock.patch.multiple(shelling, _face_numbers=recording, **patches), \
+            mock.patch.object(cutcomplex, "POSITION_TABLE_LIMIT", POSITION_TABLE_LIMIT):
         yield used
 
 
@@ -253,7 +257,7 @@ def _verifier_sizes(draw):
     return dict(
         _BLOCK_ROWS=draw(st.sampled_from([1, 3, 7, 64, 65, shelling._BLOCK_ROWS])),
         _STEP_CELLS=draw(st.sampled_from([1, 50, shelling._STEP_CELLS])),
-        POSITION_TABLE_LIMIT=draw(st.sampled_from([1, shelling.POSITION_TABLE_LIMIT])),
+        POSITION_TABLE_LIMIT=draw(st.sampled_from([1, cutcomplex.POSITION_TABLE_LIMIT])),
     )
 
 
@@ -310,7 +314,7 @@ def test_any_k_verifier_and_report_match_oracles(case):
 def _counted(order):
     """True iff the verifier knows f(Delta) for the order, so that the face
     count decides it."""
-    return shelling._closed_total(order.cx) is not None
+    return shelling._closed_faces(order.cx) is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -451,7 +455,7 @@ def test_containment_kernel_matches_the_row_oracle(label, cx, seq, expected, bef
             assert (res.ok, res.counterexample) == (False, expected), sizes
 
 
-@pytest.mark.parametrize("limit", [1, shelling.POSITION_TABLE_LIMIT])
+@pytest.mark.parametrize("limit", [1, cutcomplex.POSITION_TABLE_LIMIT])
 def test_subsets_that_are_no_face_read_the_zero_mask(limit):
     # vertex 1 of the fan is adjacent to every other vertex, so it lies in
     # no complement and in every S_j, and the (k-1)-subsets of S_j through
@@ -474,17 +478,17 @@ def test_live_pruning_reads_under_a_tenth_of_the_pairs(instance, monkeypatch):
     pairs = size * (size - 1) // 2
     unpruned = int(pairs[pairs < np.arange(len(pairs))].sum())
     looked_up = []
-    real = shelling._Positions.index
+    real = cutcomplex._Positions.index
 
     def counting(pos, cols):
         looked_up.append(len(cols[0]))
         return real(pos, cols)
 
-    monkeypatch.setattr(shelling._Positions, "index", counting)
+    monkeypatch.setattr(cutcomplex._Positions, "index", counting)
     # a replaced order holds no table, so it is verified again from scratch
     assert verify_shelling(dataclasses.replace(order)).ok
     assert looked_up == []
-    monkeypatch.setattr(shelling, "_closed_total", lambda cx: None)
+    monkeypatch.setattr(shelling, "_closed_faces", lambda cx: None)
     assert verify_shelling(dataclasses.replace(order)).ok
     assert 0 < sum(looked_up) < unpruned / 10
 
@@ -631,14 +635,15 @@ def test_interval_sum_is_the_face_count_exactly_for_shellings(case):
     # and the sweep that follows a rejection names the oracle's failure
     cx, seq, patches = case
     facet_sets = _facet_sets(cx, seq)
-    total = sum(f_vector(cx, mode="exhaustive").counts)
+    exhaustive = f_vector(cx, mode="exhaustive")
+    total = sum(exhaustive.counts)
     with _face_lookups(**patches) as used:
         cx = enumerate_facets(cx.graph, cx.k)
         order = _order_of(cx, seq)
         faces = shelling._Faces(cx, order.rows)
         table = np.zeros((len(seq), faces.masks.shape[0]), dtype="<u8")
         counted = shelling._interval_sum(faces, table)
-        with mock.patch.object(shelling, "_closed_total", lambda cx: total):
+        with mock.patch.object(shelling, "_closed_faces", lambda cx: exhaustive):
             res = verify_shelling(order)
     assert used == [_dense(cx, patches["POSITION_TABLE_LIMIT"])] * 2
     oracle = oracle_is_shelling(facet_sets)
@@ -714,7 +719,7 @@ def test_h46_passes_by_the_face_count(instance, monkeypatch):
     # without one containment check
     order = dataclasses.replace(instance(4, 6, verify=False).order)
     N, T = order.n_vertices, 6 * 4 * 6 + 2 * 4 + 2 * 6 - 4
-    total = shelling._closed_total(order.cx)
+    total = sum(shelling._closed_faces(order.cx).counts)
     assert total == 2**N - 1 - N - comb(N, 2) - T and total > 2**64
 
     def no_check(*args):
@@ -752,12 +757,55 @@ def test_tampered_complexes_get_the_oracle_verdict(label, cx, seq):
         assert res.ok
 
 
+def _f_vector_cases():
+    """Complexes that list other than the full 3-cut complex of their graph:
+    H(1, 2) without its first facet, H(1, 2) with a pair in place of its
+    last facet, then the tampered complexes above."""
+    cx = _complex(1, 2)
+    yield CutComplex(graph=cx.graph, k=3, facets=cx.facets[1:])
+    yield CutComplex(graph=cx.graph, k=3, facets=cx.facets[:-1] + ((1, 9),))
+    yield from (tampered for _, tampered, _ in _TAMPERED)
+
+
+_F_VECTOR_CASES = list(_f_vector_cases())
+
+
+@st.composite
+def f_vector_complexes(draw):
+    """One of ``_F_VECTOR_CASES``, or the k-cut complex of a random graph on
+    N <= 12 vertices, k in {2, 3, 4}, with few enough edges that some have
+    no triangle and no 4-cycle."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_F_VECTOR_CASES))
+    k = draw(st.sampled_from([2, 3, 4]))
+    N = draw(st.integers(k + 1, 12))
+    edges = draw(st.sets(st.sampled_from(list(combinations(range(1, N + 1), 2))), max_size=N + 2))
+    return enumerate_facets(Graph(N, sorted(edges)), k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f_vector_complexes())
+@example(_F_VECTOR_CASES[0])
+@example(_F_VECTOR_CASES[1])
+def test_auto_and_closed_f_vectors_equal_the_exhaustive_one(cx):
+    # the closed form, which the verifier's face count sums, either equals
+    # the exhaustive count or is refused, and auto falls back to exhaustive
+    exhaustive = f_vector(cx, mode="exhaustive").counts
+    assert f_vector(cx).counts == exhaustive
+    try:
+        closed = f_vector(cx, mode="closed").counts
+    except InvalidParams:
+        assert shelling._closed_faces(cx) is None
+    else:
+        assert closed == exhaustive
+
+
 def test_count_without_failure_raises(monkeypatch):
     # a face count that rejects an order in which no row fails is an
     # internal contradiction: it raises and attaches no table
     order = shelling_order(_complex(1, 2))
-    total = shelling._closed_total(order.cx)
-    monkeypatch.setattr(shelling, "_closed_total", lambda cx: total + 1)
+    counts = shelling._closed_faces(order.cx).counts
+    monkeypatch.setattr(shelling, "_closed_faces", lambda cx: FVector((*counts, 1)))
     with pytest.raises(CountWithoutFailure):
         verify_shelling(order)
     assert not order.verified
@@ -813,7 +861,7 @@ def test_explore_past_the_table_limit(m, n, k, expected):
     assert oracle_row_violation(sets, j) == i
 
 
-@pytest.mark.parametrize("limit", [1, shelling.POSITION_TABLE_LIMIT])
+@pytest.mark.parametrize("limit", [1, cutcomplex.POSITION_TABLE_LIMIT])
 def test_explore_with_k_near_n(limit):
     # at k = N - 2 the colex weights of (k-1)-subsets no input reaches, such
     # as C(67, 33), pass int32 and are capped; the dense table and the byte
@@ -941,6 +989,38 @@ def test_random_orders_built_alike_both_ways(case):
         assert order.facets == tuple(seq) and order.base_count == 0
         _assert_built_alike(order)
     assert used == [_dense(cx, patches["POSITION_TABLE_LIMIT"])] * 4
+
+
+def test_find_rows_reads_the_lowest_row_through_the_sorted_view():
+    # H(2, 2) built by hand, its complements shuffled and one of them listed
+    # twice: every 3-subset of [1, N] and two triples outside it find the
+    # lowest row that holds them, or -1
+    cx = _complex(2, 2)
+    N, facets = cx.n_vertices, list(cx.facets)
+    random.Random(24).shuffle(facets)
+    facets.insert(5, facets[200])
+    hand = CutComplex(graph=cx.graph, k=3, facets=tuple(facets))
+    lowest = {}
+    for row, c in enumerate(facets):
+        lowest.setdefault(c, row)
+    queries = [*combinations(range(1, N + 1), 3), (0, 0, 0), (N - 1, N, N + 1)]
+    rows = cutcomplex._find_rows(hand, np.array(queries, dtype=np.int32))
+    assert rows.tolist() == [lowest.get(q, -1) for q in queries]
+    assert lowest[facets[5]] == 5 and not cutcomplex._distinct(hand)
+
+
+@pytest.mark.parametrize("limit", [0, cutcomplex.POSITION_TABLE_LIMIT])
+def test_k1_and_empty_complexes_verify_under_both_numberings(limit, capsys):
+    # no single vertex is disconnected, and every pair of K_4 is an edge, so
+    # both complexes are empty; at k = 1 a face has no entries, and its
+    # colex rank is the int 0
+    k4 = Graph(4, list(combinations(range(1, 5), 2)))
+    with _face_lookups(POSITION_TABLE_LIMIT=limit) as used:
+        verdicts = [verify_k_cut_order(build_hex_graph(1, 1), 1), verify_k_cut_order(k4, 2)]
+        assert main(["explore", "--m", "1", "--n", "1", "--k", "1"]) == 0
+    assert used == [limit > 0] * 3
+    assert [(v.ok, v.n_facets, v.counterexample) for v in verdicts] == [(True, 0, None)] * 2
+    assert '"ok": true' in capsys.readouterr().out
 
 
 @settings(max_examples=40, deadline=None)
@@ -1180,7 +1260,7 @@ def _seeded_connected_graphs():
             yield g, adj, rng
 
 
-@pytest.mark.parametrize("limit", [1, shelling.POSITION_TABLE_LIMIT])
+@pytest.mark.parametrize("limit", [1, cutcomplex.POSITION_TABLE_LIMIT])
 def test_k2_refutes_a_drawn_order_of_every_non_chordal_graph(limit):
     graphs = [(g, rng) for g, adj, rng in _seeded_connected_graphs() if not oracle_is_chordal(adj)]
     assert len(graphs) >= 20
@@ -1198,7 +1278,7 @@ def test_k2_refutes_a_drawn_order_of_every_non_chordal_graph(limit):
         assert all(oracle_row_violation(sets, r) is None for r in range(2, j))
 
 
-@pytest.mark.parametrize("limit", [1, shelling.POSITION_TABLE_LIMIT])
+@pytest.mark.parametrize("limit", [1, cutcomplex.POSITION_TABLE_LIMIT])
 @pytest.mark.parametrize("shuffle", [None, 1, 2, 3], ids=["revlex", "seed1", "seed2", "seed3"])
 def test_k2_refutes_h46(limit, shuffle):
     # girth 6, so H(4, 6) is not chordal and no order of its 2-cut facets

@@ -13,6 +13,7 @@ from hexcut import (
     UnverifiedOrder,
     build_hex_graph,
     check_spanning_structure,
+    cutcomplex,
     cycle_graph,
     enumerate_facets,
     non_spanning_pair_table,
@@ -180,7 +181,7 @@ def test_report_matches_swap_set_rows(N, k):
     order = _revlex_order(cx)
     assert verify_shelling(order).ok
     report = spanning_facets(order)
-    with mock.patch.object(shelling, "POSITION_TABLE_LIMIT", 1):
+    with mock.patch.object(cutcomplex, "POSITION_TABLE_LIMIT", 1):
         twin = _revlex_order(enumerate_facets(cycle_graph(N), k))
         assert verify_shelling(twin).ok
     assert shelling._face_numbers(cx).dense and not shelling._face_numbers(twin.cx).dense

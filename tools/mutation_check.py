@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation check for the shelling verifier, the order builder, the
-spanning report and the homology oracle, standard library only.
+"""Mutation check for the shelling verifier, the lookups of the complex it
+reads, the order builder, the spanning report and the homology oracle,
+standard library only.
 
 Copies ``src/`` to a temporary directory, applies one small change at a
 time to the copy of the module a mutant names, by exact string replacement,
@@ -67,7 +68,7 @@ MUTANTS = {
         "    failure = None if total is None else _sweep(faces, table)\n",
     ),
     "byte-key face lookup reads the columns in descending order": (
-        "shelling.py",
+        "cutcomplex.py",
         "        return _search(self.sorted, _keys(np.stack(cols, axis=1)))\n",
         "        return _search(self.sorted, _keys(np.stack(cols[::-1], axis=1)))\n",
     ),
@@ -76,6 +77,17 @@ MUTANTS = {
         "            if (a, c) in ends or g.is_edge(a, c):\n"
         "                return None\n",
         "",
+    ),
+    "face count trusted with a path listed as a facet": (
+        "cutcomplex.py",
+        "    if (_find_rows(cx, paths) >= 0).any():\n"
+        "        return None\n",
+        "",
+    ),
+    "row lookup searches the keys without their lex order": (
+        "cutcomplex.py",
+        "_search(_keys(_complements(cx)), _keys(comp), lex)",
+        "_search(_keys(_complements(cx)), _keys(comp))",
     ),
     "within-block check deleted": (
         "shelling.py",
