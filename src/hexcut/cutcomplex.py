@@ -2,18 +2,19 @@
 
 The k-cut complex of a graph G has one facet per k-subset of V(G) whose
 induced subgraph is disconnected; the facet is the complement of that
-subset.  Facets are stored as their complement tuples, sorted ascending,
-and, privately, as one (eta, k) int32 array of the same rows, which the
-enumerator fills from the columns it selects the facets by.  All set
-algebra downstream happens in complement arithmetic.
+subset.  Facets are stored as their complement tuples and, privately, as
+one (eta, k) int32 array of the same rows.  The complements are canonical,
+increasing k-subsets of [1, N] in strictly increasing lex order: the
+enumerator builds them so, and a complex built by hand that breaks this
+is refused with InvalidParams.  All set algebra downstream happens in
+complement arithmetic.
 
 The complex owns every fact about it that the shelling verifier reads,
-each computed once and kept with it: its rows in lex order, the sorted
-view through which :func:`_find_rows` finds the row of a complement by
-binary search over big-endian bytes, exact for any k and N; the face
-numbering of :func:`_face_numbers`; and the closed face counts of
-:func:`_closed_faces`, which :func:`f_vector` returns and the verifier
-sums.
+each computed once and kept with it: the array, in which
+:func:`_find_rows` finds the row of a complement by binary search over
+big-endian bytes, exact for any k and N; the face numbering of
+:func:`_face_numbers`; and the closed face counts of :func:`_closed_faces`,
+which :func:`f_vector` returns and the verifier sums.
 """
 
 from __future__ import annotations
@@ -85,12 +86,12 @@ def check_bitmap_ceiling(n_vertices: int) -> None:
 @dataclass(frozen=True)
 class CutComplex:
     """A k-cut complex, frozen: graph, k, and the facet complements as one
-    tuple sorted ascending.  It keeps no complement index.  What depends
-    on the facets alone is computed once per instance and kept with it:
-    the complements as an (eta, k) int32 array, row i being ``facets[i]``
-    (given by the enumerator, read from ``facets`` for a complex built by
-    hand), the rows in lex order of their complements, and the verifier's
-    face numbering and face count.  ``dataclasses.replace`` starts afresh."""
+    tuple of increasing k-subsets of [1, N] in strictly increasing lex
+    order, refused with InvalidParams by :func:`_complements` otherwise.  It
+    keeps no complement index.  What depends on the facets alone is
+    computed once per instance and kept with it: the complements as an
+    (eta, k) int32 array, row i being ``facets[i]``, and the verifier's face
+    numbering and face count.  ``dataclasses.replace`` starts afresh."""
 
     graph: Graph
     k: int
@@ -129,12 +130,24 @@ def _per_complex(build):
 @_per_complex
 def _complements(cx: CutComplex) -> np.ndarray:
     """The facet complements as an (eta, k) int32 array, row i holding
-    ``cx.facets[i]``.  Raises InvalidParams when a complement is no
-    k-tuple."""
+    ``cx.facets[i]``.  Raises InvalidParams when a complement is no k-tuple
+    of int32 entries or the complements are not canonical: every entry in
+    [1, N], each row increasing, and the first nonzero step between
+    neighbouring rows positive.  The enumerator seeds its array unchecked."""
     try:
-        return np.array(cx.facets, dtype=np.int32).reshape(cx.n_facets, cx.k)
-    except ValueError:
-        raise InvalidParams(f"a facet complement is no {cx.k}-tuple") from None
+        comp = np.array(cx.facets, dtype=np.int32).reshape(cx.n_facets, cx.k)
+    except (OverflowError, ValueError):
+        raise InvalidParams(f"a facet complement is no {cx.k}-tuple of int32 vertices") from None
+    step = np.diff(comp, axis=0)
+    lead = np.zeros(len(step), dtype=np.int32)
+    for col in step.T[::-1]:
+        lead = np.where(col, col, lead)
+    if not (((1 <= comp) & (comp <= cx.n_vertices)).all()
+            and (np.diff(comp, axis=1) > 0).all()
+            and (lead > 0).all()):
+        raise InvalidParams(f"facet complements are not increasing {cx.k}-subsets of "
+                            f"[1,{cx.n_vertices}] listed in increasing lex order")
+    return comp
 
 
 def _keys(comp: np.ndarray) -> np.ndarray:
@@ -144,39 +157,23 @@ def _keys(comp: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(comp, dtype=">i4").view(f"V{4 * comp.shape[1]}").ravel()
 
 
-@_per_complex
-def _lex_rows(cx: CutComplex) -> np.ndarray:
-    """The rows of the complex, int32, in ascending lex order of their
-    complements."""
-    return np.argsort(_keys(_complements(cx)), kind="stable").astype(np.int32)
-
-
-@_per_complex
-def _distinct(cx: CutComplex) -> bool:
-    """True iff no complement is listed twice: no two neighbours of the
-    sorted view of the keys are equal."""
-    keys = _keys(_complements(cx))[_lex_rows(cx)]
-    return bool((keys[1:] != keys[:-1]).all())
-
-
-def _search(keys: np.ndarray, want: np.ndarray, sorter: np.ndarray | None = None) -> np.ndarray:
-    """The place of each of the keys ``want`` in the ascending order of
-    ``keys``, read through ``sorter`` when given, or len(keys) where no key
-    equals it: one binary search, exact for the byte keys of
-    :func:`_keys`."""
+def _search(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The place of each of the keys ``want`` among the ascending ``keys``,
+    or len(keys) where no key equals it: one binary search, exact for the
+    byte keys of :func:`_keys`."""
     if not len(keys):
         return np.zeros(len(want), dtype=np.intp)
-    at = np.searchsorted(keys, want, sorter=sorter).clip(max=len(keys) - 1)
-    return np.where(keys[at if sorter is None else sorter[at]] == want, at, len(keys))
+    at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+    return np.where(keys[at] == want, at, len(keys))
 
 
 def _find_rows(cx: CutComplex, comp: np.ndarray) -> np.ndarray:
     """The row of the complex holding each row of ``comp``, an (n, k)
-    array, or -1 where no facet has that complement, int32; the lowest row
-    of a complement listed twice.  A :func:`_search` of the complements'
-    keys through their stable lex order; no sorted copy is made."""
-    lex = _lex_rows(cx)
-    return np.append(lex, np.int32(-1))[_search(_keys(_complements(cx)), _keys(comp), lex)]
+    array, or -1 where no facet has that complement, int32: one
+    :func:`_search` of the complements' keys, in lex order as the complex
+    is canonical; InvalidParams for a complex that is not."""
+    at = _search(_keys(_complements(cx)), _keys(comp))
+    return np.where(at < cx.n_facets, at, -1).astype(np.int32)
 
 
 class _Positions:
@@ -315,16 +312,15 @@ def enumerate_facets(g: Graph, k: int) -> CutComplex:
     lexicographic order.  For k <= 3 they are selected by induced edge
     counts (:func:`_sparse_slabs`), for larger k by reach masks grown over
     chunks of subsets (:func:`_reach_slabs`), both in numpy.  The selected
-    rows are stacked into the complex's complement array, in lex order and
-    each once, and the tuples are read from its columns.  Only the k range
+    rows are stacked into the complex's complement array, canonical as
+    built, and the tuples are read from its columns.  Only the k range
     of :func:`check_subset_count` is checked here, not its size guard."""
     N = g.n_vertices
     check_subset_count(N, k, force=True)
     slabs = _sparse_slabs(g, k) if k <= 3 else _reach_slabs(g, k)
     comp = np.concatenate([np.empty((0, k), dtype=np.int32), *slabs])
     cx = CutComplex(graph=g, k=k, facets=tuple(zip(*comp.T.tolist())))
-    cx._kept.update({_complements.__name__: comp, _distinct.__name__: True,
-                     _lex_rows.__name__: np.arange(len(comp), dtype=np.int32)})
+    cx._kept[_complements.__name__] = comp
     return cx
 
 
@@ -428,25 +424,21 @@ def _closed_faces(cx: CutComplex) -> FVector | None:
     connected triples are exactly the paths a - v - c, one per pair, and
     every set of at most N - 4 vertices is a face: f_{j-1} = C(N, j) for
     j <= N - 4 and f(Delta) = 2^N - 1 - N - C(N, 2) - T for T pairs.  The
-    complements, each listed once, are all the disconnected triples when
-    they are increasing triples of [1, N], no path among them, and
+    canonical complements, distinct increasing triples of [1, N], are all
+    the disconnected triples when no path is among them and there are
     C(N, 3) - T of them."""
     N = cx.n_vertices
     paths = _neighbour_paths(cx.graph) if cx.k == 3 else None
-    if paths is None:
+    if paths is None or cx.n_facets != comb(N, 3) - len(paths):
         return None
     try:
-        comp = _complements(cx)
+        _complements(cx)
     except InvalidParams:
-        return None
-    x, y, z = comp.T
-    if not (len(comp) == comb(N, 3) - len(paths) and _distinct(cx)
-            and ((1 <= x) & (x < y) & (y < z) & (z <= N)).all()):
         return None
     paths = np.sort(np.array(paths, dtype=np.int32).reshape(-1, 3), axis=1)
     if (_find_rows(cx, paths) >= 0).any():
         return None
-    return _closed_fvector(N, len(comp))
+    return _closed_fvector(N, cx.n_facets)
 
 
 def f_vector(

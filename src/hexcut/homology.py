@@ -34,6 +34,7 @@ from .cutcomplex import (
     CutComplex,
     FVector,
     _closed_fvector,
+    _complements,
     check_bitmap_ceiling,
     check_size,
     downward_closure,
@@ -206,10 +207,15 @@ def betti_numbers_from_facets(
 
 def betti_numbers(cx: CutComplex, force: bool = False) -> BettiVector:
     """Reduced GF(2) Betti numbers of a cut complex (facets = complements
-    of the stored tuples), read lazily so that the guards come first."""
+    of its canonical rows, else InvalidParams), read lazily so that the
+    guards come first."""
     N = cx.n_vertices
-    verts = set(range(1, N + 1))
-    return betti_numbers_from_facets((verts.difference(c) for c in cx.facets), N, force=force)
+
+    def facets():
+        verts = set(range(1, N + 1))
+        yield from (verts.difference(c) for c in _complements(cx).tolist())
+
+    return betti_numbers_from_facets(facets(), N, force=force)
 
 
 def boundary_composition_is_zero(

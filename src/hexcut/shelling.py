@@ -8,8 +8,10 @@ below) to the end.
 
 An order is held as rows of its complex: entry p of ``rows`` is the row of
 the complex's (eta, k) complement array that holds the facet at position
-p + 1.  The builder makes the rows in numpy from the lex order of the
-complex, finding the relocated complements with
+p + 1.  A complex lists its complements in strictly increasing lex order
+(one built by hand that does not is refused with InvalidParams), so its
+rows ascending are its lex order.  The builder makes the rows in numpy
+from them, finding the relocated complements with
 :func:`hexcut.cutcomplex._find_rows`; an order made by the constructor
 finds its rows the same way on first use.  The verifier and the spanning
 report read complements only through ``rows``, and a reader that needs
@@ -78,10 +80,8 @@ from .cutcomplex import (
     CutComplex,
     _closed_faces,
     _complements,
-    _distinct,
     _face_numbers,
     _find_rows,
-    _lex_rows,
     enumerate_facets,
 )
 from .errors import (
@@ -218,13 +218,15 @@ class ShellingOrder:
         :func:`_order` holds them from the start; any other order finds
         them on first read, matching ``facets`` against the complex, and
         keeps them.  Raises IncompleteOrder when a listed complement is no
-        k-tuple or no facet."""
+        k-tuple or no facet, InvalidParams for a complex not canonical."""
         if self._rows is None:
             cx = self.cx
             try:
-                rows = _find_rows(cx, _array(cx, self.facets))
-            except ValueError:
-                raise IncompleteOrder(f"order lists a complement that is no {cx.k}-tuple") from None
+                comp = _array(cx, self.facets)
+            except (OverflowError, ValueError):
+                raise IncompleteOrder(f"order lists a complement that is no {cx.k}-tuple "
+                                      "of int32 vertices") from None
+            rows = _find_rows(cx, comp)
             if (rows < 0).any():
                 raise IncompleteOrder("order lists a complement that is no facet")
             object.__setattr__(self, "_rows", rows)
@@ -247,7 +249,7 @@ class ShellingOrder:
 
 def _array(cx: CutComplex, complements) -> np.ndarray:
     """Complement tuples as an (n, k) int32 array; raises ValueError when
-    one is no k-tuple."""
+    one is no k-tuple, OverflowError when an entry is past int32."""
     return np.array(complements, dtype=np.int32).reshape(len(complements), cx.k)
 
 
@@ -274,16 +276,15 @@ def _order(cx: CutComplex, moved=(), tail=()) -> ShellingOrder:
     """The one order rule: the facet complements in lex order without
     ``moved``, then the ``moved`` complements in the order given, built as
     rows of the complex.  Raises TailFacetNotFound when a moved complement
-    is not a facet."""
+    is not a facet, InvalidParams when the complex is not canonical."""
     at = _find_rows(cx, _array(cx, moved))
     if (at < 0).any():
         first = moved[int(np.flatnonzero(at < 0)[0])]
         raise TailFacetNotFound(f"complement {first} to relocate not among facets")
     keep = np.ones(cx.n_facets, dtype=bool)
     keep[at] = False
-    lex = _lex_rows(cx)
-    base = lex[keep[lex]]
-    rows = np.concatenate([base, at])
+    base = np.flatnonzero(keep)
+    rows = np.concatenate([base, at], dtype=np.int32)
     order = ShellingOrder(
         cx=cx,
         facets=_tuples(cx, rows),
@@ -666,12 +667,11 @@ def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | Non
 
 
 def _cover(order: ShellingOrder) -> np.ndarray:
-    """The one cover check: the order's rows, when they list each facet of
-    the complex exactly once, each row counted by bincount; the complex
-    must list no complement twice.  Raises IncompleteOrder otherwise."""
+    """The one cover check: the order's rows, rows of its canonical
+    complex, when bincount counts each row of the complex exactly once.
+    Raises IncompleteOrder otherwise."""
     cx, rows = order.cx, order.rows
-    if not (len(rows) == cx.n_facets and _distinct(cx)
-            and (np.bincount(rows, minlength=cx.n_facets) == 1).all()):
+    if not (np.bincount(rows, minlength=cx.n_facets) == 1).all():
         raise IncompleteOrder("order does not cover the facets exactly once")
     return rows
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hexcut import (
     HexCutError,
+    InvalidParams,
     ResourceGuard,
     VertexOutOfRange,
     betti_numbers,
@@ -255,6 +256,18 @@ def test_betti_ceiling_checked_before_any_facet_is_read():
     cx = CutComplex(graph=build_hex_graph(4, 6), k=3, facets=_unread_facets())
     with pytest.raises(ResourceGuard, match="--force cannot lift it$"):
         betti_numbers(cx, force=True)
+
+
+@pytest.mark.parametrize("extra", [(4, 5, 7), (0, 1, 2), (1, 1, 2)],
+                         ids=["vertex-N+1", "vertex-0", "repeated-vertex"])
+def test_betti_numbers_refuse_a_malformed_complex(extra):
+    # H(1, 1) plus a complement with a vertex past N, the vertex 0 or a
+    # repeated vertex: its rows are not canonical, and no Betti numbers of
+    # some other complex come back
+    cx = enumerate_facets(build_hex_graph(1, 1), 3)
+    hand = CutComplex(graph=cx.graph, k=3, facets=cx.facets + (extra,))
+    with pytest.raises(InvalidParams):
+        betti_numbers(hand)
 
 
 def test_betti_from_facets_ceiling_checked_before_any_facet_is_read():

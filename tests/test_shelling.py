@@ -813,16 +813,18 @@ def test_count_without_failure_raises(monkeypatch):
 
 @pytest.mark.parametrize("listed", ["genuine", "connected-triple"])
 def test_complex_that_repeats_a_facet_is_refused(listed):
-    # the complex lists its first facet twice and its last one not at all;
-    # no order covers it exactly once, neither the genuine facets nor those
-    # with a connected triple in place of the one the complex lacks
+    # the complex lists its first facet twice and its last one not at all,
+    # so it is not canonical: it is refused whatever the order lists, the
+    # genuine facets or a connected triple in place of the one it lacks
     cx = _complex(1, 2)
     repeated = CutComplex(graph=cx.graph, k=3, facets=cx.facets[:-1] + cx.facets[:1])
     seq = list(cx.facets)
     if listed == "connected-triple":
         seq[-1] = (1, 2, 6)
-    with pytest.raises(IncompleteOrder):
-        verify_shelling(_order_of(repeated, seq))
+    order = _order_of(repeated, seq)
+    with pytest.raises(InvalidParams):
+        verify_shelling(order)
+    assert not order.verified
 
 
 def test_k3_past_130_vertices_is_refuted_without_python_rows(monkeypatch):
@@ -992,21 +994,22 @@ def test_random_orders_built_alike_both_ways(case):
 
 
 def test_find_rows_reads_the_lowest_row_through_the_sorted_view():
-    # H(2, 2) built by hand, its complements shuffled and one of them listed
-    # twice: every 3-subset of [1, N] and two triples outside it find the
-    # lowest row that holds them, or -1
+    # on the canonical H(2, 2) every 3-subset of [1, N] and two triples
+    # outside it find the row that holds them, or -1; the same complements
+    # shuffled, one of them listed twice, are refused
     cx = _complex(2, 2)
     N, facets = cx.n_vertices, list(cx.facets)
+    row_of = {c: row for row, c in enumerate(facets)}
+    queries = np.array([*combinations(range(1, N + 1), 3), (0, 0, 0), (N - 1, N, N + 1)],
+                       dtype=np.int32)
+    rows = cutcomplex._find_rows(cx, queries)
+    assert rows.dtype == np.int32
+    assert rows.tolist() == [row_of.get(tuple(q), -1) for q in queries.tolist()]
     random.Random(24).shuffle(facets)
     facets.insert(5, facets[200])
     hand = CutComplex(graph=cx.graph, k=3, facets=tuple(facets))
-    lowest = {}
-    for row, c in enumerate(facets):
-        lowest.setdefault(c, row)
-    queries = [*combinations(range(1, N + 1), 3), (0, 0, 0), (N - 1, N, N + 1)]
-    rows = cutcomplex._find_rows(hand, np.array(queries, dtype=np.int32))
-    assert rows.tolist() == [lowest.get(q, -1) for q in queries]
-    assert lowest[facets[5]] == 5 and not cutcomplex._distinct(hand)
+    with pytest.raises(InvalidParams):
+        cutcomplex._find_rows(hand, queries)
 
 
 @pytest.mark.parametrize("limit", [0, cutcomplex.POSITION_TABLE_LIMIT])
@@ -1043,19 +1046,81 @@ def test_ordinals_equal_the_places_in_facets(case):
 
 @pytest.mark.parametrize("path", ["builder", "constructor"])
 def test_repeated_facet_refused_on_both_paths(path):
-    # the complex lists its first facet again in place of its last one
+    # the complex lists its first facet again in place of its last one, so
+    # it is not canonical: the builder refuses it, and so does the verifier
+    # of an order the constructor made over it
     cx = _complex(1, 2)
     repeated = CutComplex(graph=cx.graph, k=3, facets=cx.facets[:-1] + cx.facets[:1])
-    order = shelling._order(repeated)
-    assert order.facets == tuple(sorted(repeated.facets))
-    if path == "constructor":
-        # the map holds the repeated complement once, one entry short
-        with pytest.raises(IncompleteOrder):
-            _constructed(order)
-        order = dataclasses.replace(order)
-    with pytest.raises(IncompleteOrder):
+    if path == "builder":
+        with pytest.raises(InvalidParams):
+            shelling._order(repeated)
+    else:
+        order = ShellingOrder(cx=repeated, facets=tuple(sorted(repeated.facets)))
+        with pytest.raises(InvalidParams):
+            verify_shelling(order)
+        assert not order.verified
+
+
+def _malformed(m, n):
+    """H(m, n) built by hand with one defect each: a complement written out
+    of order, the vertex 0, the vertex N + 1, a repeated vertex, two
+    complements out of lex order, one complement listed twice."""
+    cx = _complex(m, n)
+    F, N = list(cx.facets), cx.n_vertices
+    cases = {"unsorted-complement": [(2, 1, 3)] + F[1:], "vertex-0": [(0, 1, 2)] + F[1:],
+             "vertex-N+1": F[:-1] + [F[-1][:2] + (N + 1,)], "repeated-vertex": [(1, 1, 2)] + F[1:],
+             "out-of-lex-order": [F[1], F[0]] + F[2:], "listed-twice": F[:1] + F[:-1]}
+    return [(f"{m}-{n}-{name}", CutComplex(graph=cx.graph, k=3, facets=tuple(facets)))
+            for name, facets in cases.items()]
+
+
+_MALFORMED = _malformed(1, 1) + _malformed(1, 2)
+
+
+@pytest.mark.parametrize("label,hand", _MALFORMED, ids=[case[0] for case in _MALFORMED])
+def test_malformed_hand_built_complex_is_refused(label, hand):
+    # a complex that is not canonical is refused by every path that reads
+    # its complements; the exhaustive f-vector reads the graph alone, and
+    # the closed form is refused
+    with pytest.raises(InvalidParams):
+        shelling_order(hand)
+    with pytest.raises(InvalidParams):
+        shelling._order(hand)
+    order = ShellingOrder(cx=hand, facets=hand.facets)
+    with pytest.raises(InvalidParams):
         verify_shelling(order)
     assert not order.verified
+    with pytest.raises(InvalidParams):
+        cutcomplex._find_rows(hand, np.array([(1, 2, 3)], dtype=np.int32))
+    assert f_vector(hand) == f_vector(hand, mode="exhaustive")
+    with pytest.raises(InvalidParams):
+        f_vector(hand, mode="closed")
+
+
+def test_vertex_past_int32_is_refused():
+    # a vertex no int32 holds: in the complex it is the complex's fault, in
+    # an order over a canonical complex the order's
+    cx = _complex(1, 1)
+    past = cx.facets[:-1] + (cx.facets[-1][:2] + (2**31,),)
+    hand = CutComplex(graph=cx.graph, k=3, facets=past)
+    with pytest.raises(InvalidParams):
+        shelling_order(hand)
+    with pytest.raises(InvalidParams):
+        cutcomplex._find_rows(hand, np.array([(1, 2, 3)], dtype=np.int32))
+    with pytest.raises(IncompleteOrder):
+        verify_shelling(ShellingOrder(cx=cx, facets=past))
+
+
+def test_fault_in_the_complex_is_not_blamed_on_the_order():
+    # H(1, 2) with a pair in place of its last facet: an order listing the
+    # valid 3-tuples reads the complex's fault as InvalidParams, as the
+    # builder does, not as an order that lists no 3-tuple
+    cx = _complex(1, 2)
+    bad = CutComplex(graph=cx.graph, k=3, facets=cx.facets[:-1] + ((1, 9),))
+    with pytest.raises(InvalidParams, match="no 3-tuple"):
+        ShellingOrder(cx=bad, facets=bad.facets[:-1]).rows
+    with pytest.raises(InvalidParams, match="no 3-tuple"):
+        shelling_order(bad)
 
 
 def test_replaced_facets_refused():
@@ -1094,15 +1159,18 @@ def test_constructor_refuses_a_disagreeing_position_map():
 
 
 def test_unsorted_hand_built_complex_orders_lex():
-    # the builder lists a complex given out of order in lex order
+    # a complex given out of order is refused; the same complements built
+    # by hand in lex order give the enumerated complex's orders
     cx = _complex(2, 2)
     shuffled = list(cx.facets)
     random.Random(4).shuffle(shuffled)
-    hand = CutComplex(graph=cx.graph, k=3, facets=tuple(shuffled))
+    with pytest.raises(InvalidParams):
+        shelling_order(CutComplex(graph=cx.graph, k=3, facets=tuple(shuffled)))
+    hand = CutComplex(graph=cx.graph, k=3, facets=tuple(sorted(shuffled)))
     tail = tail_facets(2, 2, hand.graph)
     order, sorted_order = shelling_order(hand), shelling_order(cx)
     assert order.facets == sorted_order.facets
-    assert [shuffled[r] for r in order.rows.tolist()] == list(order.facets)
+    assert [hand.facets[r] for r in order.rows.tolist()] == list(order.facets)
     assert order_with_tail_reinserted(hand, 1)[1] == order_with_tail_reinserted(cx, 1)[1]
     assert verify_shelling(order) == verify_shelling(sorted_order)
     assert np.array_equal(order._swaps, sorted_order._swaps)
@@ -1120,11 +1188,11 @@ def test_rows_matched_exactly_past_int64_ranks():
     assert comb(N, k) >= 2**63
     low = tuple(range(1, k + 1))
     high = tuple(range(N - k + 1, N + 1))
-    facets = (low, low[:-1] + (N,), high[:1] + low[1:], high)
-    hand = CutComplex(graph=Graph(N, []), k=k, facets=facets[::-1])
+    facets = (high, low[1:] + high[:1], low[:-1] + (N,), low)
+    hand = CutComplex(graph=Graph(N, []), k=k, facets=tuple(sorted(facets)))
     order = shelling._order(hand, [low])
     assert order.facets == tuple(sorted(facets)[1:]) + (low,)
-    assert np.array_equal(order.rows, [2, 1, 0, 3])
+    assert np.array_equal(order.rows, [1, 2, 3, 0])
     assert np.array_equal(_constructed(order).rows, order.rows)
     with pytest.raises(TailFacetNotFound):
         shelling._order(hand, [low[:-1] + (N - 1,)])

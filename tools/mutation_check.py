@@ -84,10 +84,15 @@ MUTANTS = {
         "        return None\n",
         "",
     ),
-    "row lookup searches the keys without their lex order": (
+    "canonical check without its lex-order clause": (
         "cutcomplex.py",
-        "_search(_keys(_complements(cx)), _keys(comp), lex)",
-        "_search(_keys(_complements(cx)), _keys(comp))",
+        "            and (lead > 0).all()):\n",
+        "            and True):\n",
+    ),
+    "canonical check without its range clause": (
+        "cutcomplex.py",
+        "    if not (((1 <= comp) & (comp <= cx.n_vertices)).all()\n",
+        "    if not (True\n",
     ),
     "within-block check deleted": (
         "shelling.py",
