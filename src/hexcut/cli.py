@@ -12,11 +12,13 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from itertools import chain
 
 from . import __version__
 from .cutcomplex import (
     check_subset_count,
+    enumerate_facets,
     facets_to_csv,
     facets_to_json_dict,
     hex_cut_complex,
@@ -39,13 +41,16 @@ from .homology import (
     wedge_verdict_to_json_dict,
 )
 from .shelling import (
+    RowBlocks,
+    VerifyResult,
     non_spanning_pair_table,
-    order_to_json_dict,
     shelling_order,
     spanning_count_formula,
     spanning_facets,
     spanning_report_to_csv,
     spanning_report_to_json_dict,
+    stream_shelling,
+    streamed_order_to_json_dict,
     tail_facet_count,
     verify_k_cut_order,
     verify_shelling,
@@ -98,31 +103,45 @@ def _int_rows(value) -> bool:
     )
 
 
-def _write_rows(fh, rows) -> None:
-    """``rows`` as ``json.dumps(rows, indent=2)`` writes it one level deep,
-    from one ``%d`` row template, a block of rows per write."""
-    template = "    [\n" + ",\n".join(["      %d"] * len(rows[0])) + "\n    ]"
-    fh.write("[\n")
-    for lo in range(0, len(rows), _ROW_BLOCK):
-        fh.write(",\n" if lo else "")
-        fh.write(",\n".join(map(template.__mod__, rows[lo:lo + _ROW_BLOCK])))
-    fh.write("\n  ]")
+@lru_cache(maxsize=8)
+def _rows_template(width: int, rows: int) -> str:
+    """The ``%d`` template of ``rows`` rows of ``width`` ints, as
+    ``json.dumps(..., indent=2)`` writes a list of them one level deep."""
+    row = "    [\n" + ",\n".join(["      %d"] * width) + "\n    ]"
+    return ",\n".join([row] * rows)
+
+
+def _write_rows(fh, blocks) -> None:
+    """Rows of ints, given block by block as the row width and a tuple of
+    the block's entries row after row, as ``json.dumps`` writes the list of
+    all the rows one level deep: one ``%`` of the row template per block.
+    No row at all writes ``[]``."""
+    head = "[\n"
+    for width, flat in blocks:
+        if flat:
+            fh.write(head + _rows_template(width, len(flat) // width) % flat)
+            head = ",\n"
+    fh.write("[]" if head == "[\n" else "\n  ]")
 
 
 def _write_json(fh, obj) -> None:
     """The bytes of ``json.dump(obj, fh, indent=2)``.  A dict with string
-    keys is written key by key: lists of int tuples through
-    :func:`_write_rows`, any other value through ``json.dumps`` re-indented
-    one level; so a large document is streamed, never held as one string,
-    and the pure-Python encoder never walks its rows."""
+    keys is written key by key: lists of int tuples and the int32 blocks of
+    :class:`hexcut.shelling.RowBlocks` through :func:`_write_rows`, any
+    other value through ``json.dumps`` re-indented one level; so a large
+    document is streamed, never held as one string, and the pure-Python
+    encoder never walks its rows."""
     if not (isinstance(obj, dict) and obj and set(map(type, obj)) == {str}):
         json.dump(obj, fh, indent=2)
         return
     fh.write("{")
     for i, (key, value) in enumerate(obj.items()):
         fh.write(f"{',' if i else ''}\n  {json.dumps(key)}: ")
-        if _int_rows(value):
-            _write_rows(fh, value)
+        if isinstance(value, RowBlocks):
+            _write_rows(fh, ((b.shape[1], tuple(b.ravel().tolist())) for b in value))
+        elif _int_rows(value):
+            _write_rows(fh, ((len(value[0]), tuple(chain.from_iterable(value[lo:lo + _ROW_BLOCK])))
+                             for lo in range(0, len(value), _ROW_BLOCK)))
         else:
             fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
     fh.write("\n}")
@@ -170,23 +189,37 @@ def cmd_facets(args) -> int:
     return EXIT_OK
 
 
-def _build_order(args):
-    cx = hex_cut_complex(args.m, args.n, 3, args.force)
-    return shelling_order(cx, relocate_tail=not getattr(args, "no_relocate_t", False))
+def _hex_graph(args):
+    """H(m, n), built only after the subset guard on its C(N, 3) candidate
+    triples passes, as :func:`hexcut.cutcomplex.hex_cut_complex` checks."""
+    check_subset_count(hex_vertex_count(args.m, args.n), 3, args.force)
+    return build_hex_graph(args.m, args.n)
+
+
+def _materialised_order(g, relocate_tail: bool = True):
+    return shelling_order(enumerate_facets(g, 3), relocate_tail=relocate_tail)
 
 
 def cmd_order(args) -> int:
-    _emit_json(args, order_to_json_dict(_build_order(args)))
+    _emit_json(args, streamed_order_to_json_dict(_hex_graph(args), not args.no_relocate_t))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    order = _build_order(args)
-    res = verify_shelling(order, jobs=args.jobs)
+    # the relocated order is streamed; any order the stream does not pass,
+    # and the plain sorted order, are verified materialised
+    g = _hex_graph(args)
+    streamed = None if args.no_relocate_t else stream_shelling(g)
+    if streamed is not None:
+        eta = streamed.n_facets
+        res = VerifyResult(True, None, eta * (eta - 1) // 2, args.jobs)
+    else:
+        order = _materialised_order(g, not args.no_relocate_t)
+        res, eta = verify_shelling(order, jobs=args.jobs), order.n_facets
     payload = {
         "ok": res.ok,
         "counterexample": res.counterexample,
-        "n_facets": order.n_facets,
+        "n_facets": eta,
         "pairs_checked": res.pairs_checked,
         "relocated_tail": not args.no_relocate_t,
     }
@@ -195,12 +228,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spanning(args) -> int:
-    order = _build_order(args)
-    res = verify_shelling(order, jobs=args.jobs)
-    if not res.ok:
-        _emit_json(args, {"ok": False, "counterexample": res.counterexample})
-        return EXIT_CHECK_FAILED
-    report = spanning_facets(order)
+    g = _hex_graph(args)
+    report = stream_shelling(g)
+    if report is None:
+        order = _materialised_order(g)
+        res = verify_shelling(order, jobs=args.jobs)
+        if not res.ok:
+            _emit_json(args, {"ok": False, "counterexample": res.counterexample})
+            return EXIT_CHECK_FAILED
+        report = spanning_facets(order)
     expected = spanning_count_formula(args.m, args.n)
     computed_pairs = set(report.non_spanning_pairs)
     table_pairs = {(x, y) for x, y, _ in non_spanning_pair_table(args.m, args.n)}

@@ -40,6 +40,7 @@ _SUBSET_CHUNK = 1 << 12  # k-subsets per reach-mask chunk, k >= 4
 # H(10, 10) at k = 3 needs C(240, 2) = 28 680.  Past it the faces are
 # searched by their big-endian bytes.
 POSITION_TABLE_LIMIT = 1 << 24
+_INT32 = np.iinfo(np.int32)
 
 
 def induced_p3_count(m: int, n: int) -> int:
@@ -127,24 +128,44 @@ def _per_complex(build):
     return once
 
 
-@_per_complex
-def _complements(cx: CutComplex) -> np.ndarray:
-    """The facet complements as an (eta, k) int32 array, row i holding
-    ``cx.facets[i]``.  Raises InvalidParams when a complement is no k-tuple
-    of int32 entries or the complements are not canonical: every entry in
-    [1, N], each row increasing, and the first nonzero step between
-    neighbouring rows positive.  The enumerator seeds its array unchecked."""
-    try:
-        comp = np.array(cx.facets, dtype=np.int32).reshape(cx.n_facets, cx.k)
-    except (OverflowError, ValueError):
-        raise InvalidParams(f"a facet complement is no {cx.k}-tuple of int32 vertices") from None
+def _vertex_array(rows, k: int) -> np.ndarray:
+    """``rows`` of k integers as an (n, k) int32 array.  Raises ValueError
+    when an entry is no integer or a row no k-tuple, and OverflowError when
+    an entry is past int32: no entry is truncated or wrapped."""
+    arr = np.array(rows)
+    if arr.size:
+        if arr.dtype.kind not in "biu":
+            raise ValueError("an entry is no integer")
+        if arr.min() < _INT32.min or arr.max() > _INT32.max:
+            raise OverflowError("an entry is past int32")
+    return arr.astype(np.int32).reshape(len(rows), k)
+
+
+def _canonical(comp: np.ndarray, n_vertices: int) -> bool:
+    """True iff the rows of ``comp`` are increasing subsets of
+    [1, n_vertices] in strictly increasing lex order: every entry in range,
+    each row increasing, and the first nonzero step between neighbouring
+    rows positive."""
     step = np.diff(comp, axis=0)
     lead = np.zeros(len(step), dtype=np.int32)
     for col in step.T[::-1]:
         lead = np.where(col, col, lead)
-    if not (((1 <= comp) & (comp <= cx.n_vertices)).all()
-            and (np.diff(comp, axis=1) > 0).all()
-            and (lead > 0).all()):
+    return bool(((1 <= comp) & (comp <= n_vertices)).all()
+                and (np.diff(comp, axis=1) > 0).all()
+                and (lead > 0).all())
+
+
+@_per_complex
+def _complements(cx: CutComplex) -> np.ndarray:
+    """The facet complements as an (eta, k) int32 array, row i holding
+    ``cx.facets[i]``.  Raises InvalidParams when a complement is no k-tuple
+    of int32 integers or the complements are not :func:`_canonical`.  The
+    enumerator seeds its array unchecked."""
+    try:
+        comp = _vertex_array(cx.facets, cx.k)
+    except (OverflowError, ValueError):
+        raise InvalidParams(f"a facet complement is no {cx.k}-tuple of int32 integers") from None
+    if not _canonical(comp, cx.n_vertices):
         raise InvalidParams(f"facet complements are not increasing {cx.k}-subsets of "
                             f"[1,{cx.n_vertices}] listed in increasing lex order")
     return comp
@@ -201,10 +222,17 @@ class _Positions:
             return
         self.weight = np.array([[min(comb(x - 1, t), self.count) if x else 0
                                   for x in range(N + 1)] for t in range(1, k)], dtype=np.int32)
+        self.face = self.faces(comp)
+
+    def faces(self, comp: np.ndarray) -> np.ndarray:
+        """``face[i, s]``, the colex rank of row i of ``comp`` without its
+        entry s, for any increasing k-subsets of [1, N] while the ranks are
+        dense, so for a block of complements no complex holds."""
         # filled column by column: at k = 1 the rank of no column is the int 0
-        self.face = np.empty((eta, k), dtype=np.int32)
-        for s in range(k):
-            self.face[:, s] = self.index(np.delete(comp, s, axis=1).T)
+        face = np.empty(comp.shape, dtype=np.int32)
+        for s in range(comp.shape[1]):
+            face[:, s] = self.index(np.delete(comp, s, axis=1).T)
+        return face
 
     def index(self, cols) -> np.ndarray:
         """The index of each (k-1)-subset, given column by column in

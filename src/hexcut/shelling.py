@@ -65,12 +65,25 @@ over the scanned rows, and a complement lies inside S_j exactly for the
 rows in the AND of its k masks, k words per 64 rows.  A passing order
 keeps its packed swap table for the spanning report, so Lambda is built
 once per order.
+
+The relocated order of H(m, n) is also verified streamed, with no complex,
+order or swap table held (:func:`stream_shelling`; the CLI's ``order``,
+``verify`` and ``spanning`` take this path).  Its rows are walked from the
+graph in lex order in blocks, the tail complements held back and fed last.
+The same mask kernel builds each block's swap rows, which are counted by
+size |Lambda_j| and dropped, so only the masks, C(N, 2) + 1 faces of
+ceil((N + 1) / 64) words, outlive a block.  The walk checks what
+:func:`hexcut.cutcomplex._closed_faces` checks of a complex, and an order
+that fails a check, or whose sum is not f(Delta), is left to the
+materialised verifier, which names its failure.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import InitVar, dataclass, field
-from itertools import combinations, compress
+from functools import cached_property
+from itertools import chain, combinations, compress
 from math import comb
 from operator import itemgetter
 
@@ -78,11 +91,20 @@ import numpy as np
 
 from .cutcomplex import (
     CutComplex,
+    _canonical,
     _closed_faces,
+    _closed_fvector,
     _complements,
     _face_numbers,
     _find_rows,
+    _keys,
+    _neighbour_paths,
+    _Positions,
+    _search,
+    _sparse_slabs,
+    _vertex_array,
     enumerate_facets,
+    hex_facet_count,
 )
 from .errors import (
     CountWithoutFailure,
@@ -225,7 +247,7 @@ class ShellingOrder:
                 comp = _array(cx, self.facets)
             except (OverflowError, ValueError):
                 raise IncompleteOrder(f"order lists a complement that is no {cx.k}-tuple "
-                                      "of int32 vertices") from None
+                                      "of int32 integers") from None
             rows = _find_rows(cx, comp)
             if (rows < 0).any():
                 raise IncompleteOrder("order lists a complement that is no facet")
@@ -249,8 +271,9 @@ class ShellingOrder:
 
 def _array(cx: CutComplex, complements) -> np.ndarray:
     """Complement tuples as an (n, k) int32 array; raises ValueError when
-    one is no k-tuple, OverflowError when an entry is past int32."""
-    return np.array(complements, dtype=np.int32).reshape(len(complements), cx.k)
+    one is no k-tuple or an entry no integer, OverflowError when an entry
+    is past int32."""
+    return _vertex_array(complements, cx.k)
 
 
 def _ordinals(order: ShellingOrder, complements) -> np.ndarray:
@@ -387,26 +410,22 @@ def _colex_subsets(s: int, k: int) -> np.ndarray:
 
 class _Faces:
     """The complements passed so far, one mask of W = ceil((N + 1) / 64)
-    uint64 words per face.  A face is a (k-1)-subset u of a complement, so
-    each complement has k of them, and bit z of the mask of u is set iff
-    u + {z} is a complement already passed.  The faces are numbered once
-    per complex (:func:`_face_numbers`), plus one mask past them; a
-    (k-1)-subset that is no face reads its own mask or that last one, which
-    stay zero.  Masks are stored word by word, so that a gather reads one
-    contiguous array per word, and change only between row blocks.
-    ``comp`` holds the complements of the order's ``rows`` as rows of k
-    vertices, ``face[i, s]`` numbers the face of complement i without its
-    entry s, ``vertices`` packs V = {1..N}, and ``packed(vertex <= last)``
-    bounds the subsets starting at or below the last vertex that starts a
-    passed complement."""
+    uint64 words per face, and nothing else.  A face is a (k-1)-subset u of
+    a complement, so each complement has k of them, and bit z of the mask
+    of u is set iff u + {z} is a complement already passed.  The faces are
+    numbered below ``count`` (:func:`_face_numbers` for a complex, colex
+    ranks for a stream), plus one mask past them; a (k-1)-subset that is no
+    face reads its own mask or that last one, which stay zero.  Masks are
+    stored word by word, so that a gather reads one contiguous array per
+    word, and change only between row blocks.  A block comes as its
+    complements ``comp``, rows of k vertices, and ``face``, where
+    ``face[i, s]`` numbers the face of complement i without its entry s.
+    ``vertices`` packs V = {1..N}, and ``packed(vertex <= last)`` bounds
+    the subsets starting at or below the last vertex that starts a passed
+    complement."""
 
-    def __init__(self, cx: CutComplex, rows: np.ndarray):
-        N = cx.n_vertices
-        self.pos = _face_numbers(cx)
-        # np.take gathers rows faster than fancy indexing does
-        self.comp = np.take(_complements(cx), rows, axis=0)
-        self.face = np.take(self.pos.face, rows, axis=0)
-        self.masks = np.zeros(((N + 64) // 64, self.pos.count + 1), dtype="<u8")
+    def __init__(self, N: int, count: int):
+        self.masks = np.zeros(((N + 64) // 64, count + 1), dtype="<u8")
         self.vertex = np.arange(N + 1)
         self.vertex_bit = np.left_shift(np.uint64(1), (self.vertex & 63).astype(np.uint64))
         self.vertices = self.packed(self.vertex > 0)
@@ -416,26 +435,27 @@ class _Faces:
         bits = np.where(flags, self.vertex_bit, np.uint64(0))
         return np.bitwise_or.reduceat(bits, np.arange(0, len(self.vertex_bit), 64), axis=-1)
 
-    def swap_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 (0-based) of the packed swap table, bit v of row r
-        set iff v lies in Lambda_{lo+r+1}.  The masks must stand at lo,
-        every complement before lo passed and none after.
+    def swap_rows(self, comp: np.ndarray, face: np.ndarray) -> np.ndarray:
+        """The packed swap rows of the block ``comp``, bit v of row r set iff
+        v lies in Lambda of its complement r.  The masks must stand at the
+        block, every complement before it passed and none after.
 
         Lambda_j is the OR of the masks of the k faces of F_j^c as they
-        stand at j: the mask at lo, plus the extra vertices of the rows of
-        the block before j that share the face.  Those vertices are distinct
-        bits, so their OR is an exclusive prefix sum over the (face, row)
-        entries sorted stably by face, exact modulo 2^64.  A face of F_j^c
-        plus z is F_j^c itself only for the z it left out, which comes at j,
-        not before, so no entry of F_j^c is set."""
+        stand at j: the mask at the block, plus the extra vertices of the
+        rows of the block before j that share the face.  Those vertices are
+        distinct bits, so their OR is an exclusive prefix sum over the
+        (face, row) entries sorted stably by face, exact modulo 2^64.  A
+        face of F_j^c plus z is F_j^c itself only for the z it left out,
+        which comes at j, not before, so no entry of F_j^c is set."""
         words, columns = self.masks.shape
-        face = self.face[lo:hi].reshape(-1)
+        face = face.reshape(-1)
         # a stable argsort of int16 keys is a radix sort
         order = np.argsort(face.astype(np.int16) if columns <= 1 << 15 else face, kind="stable")
         face = face[order]
         head = np.flatnonzero(np.diff(face, prepend=-1))
         head = np.repeat(head, np.diff(head, append=len(face)))
-        comp = self.comp[lo:hi].reshape(-1)[order]
+        rows, k = comp.shape
+        comp = comp.reshape(-1)[order]
         word, bit = comp >> 6, self.vertex_bit[comp]
         entries = np.empty((len(face), words), dtype="<u8")
         for w in range(words):
@@ -443,13 +463,12 @@ class _Faces:
             sums = np.cumsum(own, dtype="<u8")
             sums -= own  # exclusive
             entries[order, w] = (sums - sums[head]) | self.masks[w, face]
-        return np.bitwise_or.reduce(entries.reshape(hi - lo, -1, words), axis=1)
+        return np.bitwise_or.reduce(entries.reshape(rows, k, words), axis=1)
 
-    def pass_rows(self, lo: int, hi: int) -> None:
-        """Pass the complements lo..hi-1: set each one's bits in the masks
+    def pass_rows(self, comp: np.ndarray, face: np.ndarray) -> None:
+        """Pass the block ``comp``: set each complement's bits in the masks
         of its faces."""
-        comp = self.comp[lo:hi]
-        np.bitwise_or.at(self.masks, (comp >> 6, self.face[lo:hi]), self.vertex_bit[comp])
+        np.bitwise_or.at(self.masks, (comp >> 6, face), self.vertex_bit[comp])
 
 
 def _sliced(inside: np.ndarray, vertices: int) -> np.ndarray:
@@ -490,9 +509,9 @@ def _contained(sliced, cols, p, ords) -> np.ndarray:
     return hit
 
 
-def _scan(inside, ords, faces, start):
+def _scan(inside, ords, faces, comp, start):
     """The rows ``inside`` at positions ``ords``, ascending, against the
-    complements from ``start`` up to each row, in steps of at most
+    complements ``comp`` from ``start`` up to each row, in steps of at most
     ``_STEP_CELLS`` words of :func:`_contained`.  A step over the
     complements [a, b) reads only the words from w, the word that holds
     the first row after a, so a block's scan of its own complements walks
@@ -502,25 +521,26 @@ def _scan(inside, ords, faces, start):
     while a < end:
         w = int(np.searchsorted(ords, a, side="right")) // 64
         b = min(a + max(1, _STEP_CELLS // (width - w)), end)
-        yield a, w, _contained(sliced[:, w:], faces.comp[a:b], np.arange(a, b), ords[64 * w:])
+        yield a, w, _contained(sliced[:, w:], comp[a:b], np.arange(a, b), ords[64 * w:])
         a = b
 
 
-def _first_row(inside, ords, faces, start) -> list[int]:
+def _first_row(inside, ords, faces, comp, start) -> list[int]:
     """The first of the rows ``inside`` at positions ``ords`` that holds a
-    complement from ``start`` before it, as a list of at most one index."""
+    complement of ``comp`` from ``start`` before it, as a list of at most
+    one index."""
     bad = np.zeros(-(-len(ords) // 64), dtype="<u8")
-    for _, w, hit in _scan(inside, ords, faces, start):
+    for _, w, hit in _scan(inside, ords, faces, comp, start):
         bad[w:] |= np.bitwise_or.reduce(hit, axis=0)
     return _rows_of(bad)[:1].tolist()
 
 
-def _subset_failure(inside, sel, size, skip, span, faces, subsets) -> int | None:
+def _subset_failure(inside, sel, size, skip, span, faces, index, subsets) -> int | None:
     """The first of the rows ``sel`` for which masks[P] & S_j is nonzero,
     with P running over the columns [skip, skip + span) of ``subsets`` over
-    the vertices of S_j in descending order, or None.  ``inside`` holds the
-    packed S_j; rows are read in ragged steps of at most ``_STEP_CELLS``
-    mask words, or one row."""
+    the vertices of S_j in descending order, each found by ``index``, or
+    None.  ``inside`` holds the packed S_j; rows are read in ragged steps
+    of at most ``_STEP_CELLS`` mask words, or one row."""
     words = inside.shape[1]
     # the vertices of each S_j in descending order, one row after another:
     # bit 64 W - 1 - c of a row is the big-endian bit c of its reversed bytes
@@ -540,7 +560,7 @@ def _subset_failure(inside, sel, size, skip, span, faces, subsets) -> int | None
         column += np.repeat(skip[a:e] - (np.cumsum(n) - n).astype(np.int32), n)
         base = offset[cell_row]
         # places ascend in vertex order, so descend in support index
-        at = faces.pos.index([support[base + c] for c in subsets[::-1, column]])
+        at = index([support[base + c] for c in subsets[::-1, column]])
         del column, base  # freed before the wider uint64 gathers, which set the peak
         hit = np.take(faces.masks[0], at) & np.take(inside[0], cell_row)
         for w in range(1, words):
@@ -551,10 +571,11 @@ def _subset_failure(inside, sel, size, skip, span, faces, subsets) -> int | None
     return None
 
 
-def _first_failure(rows, lo, last, faces, choose, subsets) -> tuple[int, int] | None:
+def _first_failure(rows, lo, last, faces, comp, index, choose,
+                   subsets) -> tuple[int, int] | None:
     """The 0-based (i, j) with j the smallest position among the packed
-    swap rows lo.. whose S_j contains an earlier complement, and i the first
-    such complement.
+    swap rows lo.. whose S_j contains an earlier complement of ``comp``,
+    and i the first such complement.
 
     Every row of the block is scanned against the complements of the block
     before it.  Against the complements before lo, each row is checked
@@ -577,7 +598,7 @@ def _first_failure(rows, lo, last, faces, choose, subsets) -> tuple[int, int] | 
     the block's scan costs k/64 words per pair of a row and an earlier
     complement of the block, and a scanned row k/64 words per earlier
     complement."""
-    eta = len(faces.comp)
+    eta = len(comp)
     ords = np.arange(lo, lo + len(rows))
     inside = ~rows & faces.vertices  # S_j
     size = np.bitwise_count(inside).sum(axis=1, dtype=np.int64)  # |S_j|
@@ -585,59 +606,68 @@ def _first_failure(rows, lo, last, faces, choose, subsets) -> tuple[int, int] | 
     skip = choose[size - L]
     span = choose[size] - skip
     by_subsets = (choose[size] < eta) & (span < ords)
-    failing = _first_row(inside, ords, faces, lo)
+    failing = _first_row(inside, ords, faces, comp, lo)
     sel = np.flatnonzero(by_subsets & (span > 0))
-    j = _subset_failure(inside, sel, size, skip, span, faces, subsets)
+    j = _subset_failure(inside, sel, size, skip, span, faces, index, subsets)
     if j is not None:
         failing.append(j)
     sel = np.flatnonzero(~by_subsets)
     if len(sel):
-        failing.extend(sel[_first_row(inside[sel], ords[sel], faces, 0)].tolist())
+        failing.extend(sel[_first_row(inside[sel], ords[sel], faces, comp, 0)].tolist())
     if not failing:
         return None
     j = min(failing)
-    hits = _scan(inside[j:j + 1], ords[j:j + 1], faces, 0)
+    hits = _scan(inside[j:j + 1], ords[j:j + 1], faces, comp, 0)
     return next(a + int(np.flatnonzero(hit)[0]) for a, _, hit in hits if hit.any()), lo + j
 
 
-def _interval_sum(faces: _Faces, table: np.ndarray) -> int:
-    """Build every row of the packed swap ``table``, block by block, passing
-    each block into the masks of ``faces``, which must hold none; returns
-    the sum over j of 2^(N - k - |Lambda_j|), in Python ints.
+def _interval_sum(sizes: np.ndarray) -> int:
+    """The sum over j of 2^(N - k - |Lambda_j|), in Python ints, from
+    ``sizes[s]``, the number of rows with |Lambda_j| = s for s = 0..N - k.
 
     The intervals [Lambda_j, F_j] cover Delta, so the sum is at least
     f(Delta), and it equals f(Delta) exactly when the order is a shelling
     (Bjorner and Wachs, "Shellable nonpure complexes and posets I", 1996,
-    section 2).  The sizes |Lambda_j| <= N - k are counted block by block."""
-    eta, k = faces.comp.shape
+    section 2)."""
+    top = len(sizes) - 1
+    return sum(count << (top - size) for size, count in enumerate(sizes.tolist()))
+
+
+def _build_table(faces: _Faces, comp, face, table: np.ndarray) -> np.ndarray:
+    """Build every row of the packed swap ``table`` of the complements
+    ``comp`` with faces ``face``, a block at a time, passing each block into
+    the masks of ``faces``, which must hold none; returns the number of rows
+    of each size |Lambda_j| = 0..N - k, counted block by block."""
+    eta, k = comp.shape
     top = len(faces.vertex) - 1 - k  # N - k
     sizes = np.zeros(top + 1, dtype=np.int64)
     for lo in range(0, eta, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, eta)
-        table[lo:hi] = faces.swap_rows(lo, hi)
+        table[lo:hi] = faces.swap_rows(comp[lo:hi], face[lo:hi])
         sizes += np.bincount(np.bitwise_count(table[lo:hi]).sum(axis=1, dtype=np.intp),
                              minlength=top + 1)
-        faces.pass_rows(lo, hi)
-    return sum(count << (top - size) for size, count in enumerate(sizes.tolist()))
+        faces.pass_rows(comp[lo:hi], face[lo:hi])
+    return sizes
 
 
-def _sweep(faces: _Faces, table: np.ndarray) -> tuple[int, int] | None:
-    """Check the stored rows of the packed swap ``table`` block by block,
-    with the masks of ``faces`` holding none; returns the failing 0-based
-    (i, j), minimal in (j, i), or None.  A block's complements are passed
-    into the masks once its check succeeds, and the sweep stops at the
-    first block holding a failing row."""
-    (eta, k), N = faces.comp.shape, len(faces.vertex) - 1
+def _sweep(faces: _Faces, comp, face, index, table: np.ndarray) -> tuple[int, int] | None:
+    """Check the stored rows of the packed swap ``table`` of the complements
+    ``comp`` block by block, with the masks of ``faces`` holding none;
+    returns the failing 0-based (i, j), minimal in (j, i), or None.  A
+    block's complements are passed into the masks once its check succeeds,
+    and the sweep stops at the first block holding a failing row.  ``index``
+    finds a face, as :meth:`hexcut.cutcomplex._Positions.index` does."""
+    (eta, k), N = comp.shape, len(faces.vertex) - 1
     choose = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
     subsets = _colex_subsets(int(np.flatnonzero(choose < eta).max(initial=0)), k - 1)
     last = 0  # the largest first vertex of a passed complement, 0 for none
     for lo in range(0, eta, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, eta)
-        failure = _first_failure(table[lo:hi], lo, last, faces, choose, subsets)
+        failure = _first_failure(table[lo:hi], lo, last, faces, comp, index, choose, subsets)
         if failure is not None:
             return failure
-        faces.pass_rows(lo, hi)
-        last = max(last, int(faces.comp[lo:hi, 0].max()))
+        faces.pass_rows(comp[lo:hi], face[lo:hi])
+        last = max(last, int(comp[lo:hi, 0].max()))
     return None
 
 
@@ -646,20 +676,26 @@ def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | Non
     Lambda_{j+1}, in W uint64 words per row, and the failing 0-based
     (i, j), minimal in (j, i), or None.
 
-    Every row is built once, by :func:`_interval_sum`, with no containment
-    check.  When :func:`_closed_faces` knows the face counts, the order
-    passes iff the interval sum equals their sum, f(Delta).  Otherwise the masks are reset and
-    :func:`_sweep` checks the stored rows: it names the failure of an order
-    the count rejects, and finding none there raises CountWithoutFailure;
-    without f(Delta) the sweep alone decides."""
-    faces = _Faces(order.cx, order.rows)
+    Every row is built once, by :func:`_build_table`, with no containment
+    check, from the order's complements and face numbers gathered once.
+    When :func:`_closed_faces` knows the face counts, the order passes iff
+    the interval sum equals their sum, f(Delta).  Otherwise the masks are
+    reset and :func:`_sweep` checks the stored rows: it names the failure
+    of an order the count rejects, and finding none there raises
+    CountWithoutFailure; without f(Delta) the sweep alone decides."""
+    cx = order.cx
+    pos = _face_numbers(cx)
+    # np.take gathers rows faster than fancy indexing does
+    comp = np.take(_complements(cx), order.rows, axis=0)
+    face = np.take(pos.face, order.rows, axis=0)
+    faces = _Faces(cx.n_vertices, pos.count)
     table = np.empty((order.n_facets, faces.masks.shape[0]), dtype="<u8")
-    closed = _closed_faces(order.cx)
+    closed = _closed_faces(cx)
     total = None if closed is None else sum(closed.counts)
-    if _interval_sum(faces, table) == total:
+    if _interval_sum(_build_table(faces, comp, face, table)) == total:
         return table, None
     faces.masks[:] = 0
-    failure = _sweep(faces, table)
+    failure = _sweep(faces, comp, face, pos.index, table)
     if failure is None and total is not None:
         raise CountWithoutFailure(
             f"the interval sum differs from the {total} faces, but no row fails")
@@ -727,6 +763,124 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
 
 
 # ---------------------------------------------------------------------------
+# the relocated order of H(m, n), streamed
+# ---------------------------------------------------------------------------
+
+def _lex_blocks(g: Graph, moved: np.ndarray) -> Iterator[np.ndarray]:
+    """The disconnected triples of ``g`` in lex order less the rows of
+    ``moved``, as int32 blocks of ``_BLOCK_ROWS`` rows but the last, read
+    from :func:`hexcut.cutcomplex._sparse_slabs` one slab per first vertex;
+    the streamed base segment of :func:`_order`.  After the last block,
+    raises TailFacetNotFound unless every row of ``moved`` was met."""
+    keys, found, pending = _keys(moved), 0, []
+    for a, slab in enumerate(_sparse_slabs(g, 3), 1):
+        mine = keys[moved[:, 0] == a]
+        if len(mine):
+            at = _search(_keys(slab), mine)
+            at = at[at < len(slab)]
+            found += len(at)
+            slab = np.delete(slab, at, axis=0)
+        pending.append(slab)
+        if sum(map(len, pending)) >= _BLOCK_ROWS:
+            rows = np.concatenate(pending)
+            cut = len(rows) - len(rows) % _BLOCK_ROWS
+            for lo in range(0, cut, _BLOCK_ROWS):
+                yield rows[lo:lo + _BLOCK_ROWS]
+            pending = [rows[cut:]]
+    rows = np.concatenate([np.empty((0, 3), dtype=np.int32), *pending])
+    if len(rows):
+        yield rows
+    if found != len(moved):
+        raise TailFacetNotFound(f"{len(moved) - found} complements to relocate not among facets")
+
+
+def _base_blocks(g: Graph, moved: np.ndarray) -> Iterator[tuple[bool, np.ndarray]]:
+    """The blocks of :func:`_lex_blocks`, each with True iff its rows are
+    canonical and continue the strictly increasing lex order of the blocks
+    before it."""
+    last = np.empty((0, 3), dtype=np.int32)
+    for block in _lex_blocks(g, moved):
+        yield _canonical(np.concatenate([last, block]), g.n_vertices), block
+        last = block[-1:]
+
+
+@dataclass(frozen=True, eq=False)
+class StreamedShelling:
+    """The relocated order of the 3-cut complex of H(m, n), verified as a
+    shelling by :func:`stream_shelling`: its facet count, ``sizes[s]`` the
+    number of rows with |Lambda_j| = s, and ``spanning``, its spanning
+    complements in order position as a (psi, 3) int32 array.  ``psi``,
+    ``spanning_complements`` and ``non_spanning_pairs`` read as those of
+    :class:`SpanningReport` do; the tuples are made on first read."""
+
+    n_vertices: int
+    n_facets: int
+    sizes: tuple[int, ...]
+    spanning: np.ndarray
+
+    @property
+    def psi(self) -> int:
+        return len(self.spanning)
+
+    @cached_property
+    def spanning_complements(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.spanning.tolist()))
+
+    @cached_property
+    def non_spanning_pairs(self) -> tuple[tuple[int, int], ...]:
+        return _non_spanning_pairs(self.spanning_complements, self.n_vertices)
+
+
+def stream_shelling(g: HexGraph) -> StreamedShelling | None:
+    """Verify the relocated order of the 3-cut complex of ``g``, the order
+    of :func:`shelling_order`, block by block, holding no complex, order or
+    swap table: only the face masks outlive a block, C(N, 2) + 1 faces
+    numbered by colex rank, of ceil((N + 1) / 64) words each.  The base
+    segment comes from :func:`_lex_blocks` with the tail complements held
+    back, then the tail in schedule order.  Each block's swap rows are
+    built, counted by size |Lambda_j|, their spanning rows kept, and the
+    block is passed into the masks.
+
+    The order passes only once the walk shows that it lists each facet of
+    a complex with known f(Delta) once, as :func:`_closed_faces` would: the
+    graph has no triangle and no 4-cycle (:func:`_neighbour_paths`), the
+    base rows strictly increase in lex order across blocks, every tail
+    complement is met once among them, there are C(N, 3) - T rows for T
+    paths, and no path is listed, read once from the final masks as bit z
+    of face {x, y} for each sorted path (x, y, z); then the interval sum
+    must equal f(Delta).  Returns None when any check fails, and the caller
+    verifies the materialised order instead, which names the failure.  The
+    caller checks the subset guard first, as for a materialised order."""
+    N = g.n_vertices
+    paths = _neighbour_paths(g)
+    pos = _Positions(np.empty((0, 3), dtype=np.int32), N)
+    if paths is None or not pos.dense:
+        return None
+    moved = _vertex_array([t.complement for t in tail_facets(g.m, g.n, g)], 3)
+    faces = _Faces(N, pos.count)
+    sizes = np.zeros(N - 2, dtype=np.int64)
+    spanning = [np.empty((0, 3), dtype=np.int32)]
+    try:
+        for canonical, block in chain(_base_blocks(g, moved), [(True, moved)]):
+            if not canonical:
+                return None
+            face = pos.faces(block)
+            size = np.bitwise_count(faces.swap_rows(block, face)).sum(axis=1, dtype=np.intp)
+            faces.pass_rows(block, face)
+            sizes += np.bincount(size, minlength=N - 2)
+            spanning.append(block[size == N - 3])
+    except TailFacetNotFound:
+        return None
+    count = int(sizes.sum())
+    x, y, z = np.sort(np.array(paths, dtype=np.int32).reshape(-1, 3), axis=1).T
+    listed = faces.masks[z >> 6, pos.index([x, y])] & faces.vertex_bit[z]
+    if (count != comb(N, 3) - len(paths) or listed.any()
+            or _interval_sum(sizes) != sum(_closed_fvector(N, count).counts)):
+        return None
+    return StreamedShelling(N, count, tuple(sizes.tolist()), np.concatenate(spanning))
+
+
+# ---------------------------------------------------------------------------
 # spanning facets
 # ---------------------------------------------------------------------------
 
@@ -769,18 +923,10 @@ def spanning_facets(order: ShellingOrder) -> SpanningReport:
     flags = tuple(map(bool, span))
     spanning_comps = tuple(compress(order.facets, flags))
 
-    # the rows whose complement is {x, y, N}, selected by mask; only the
-    # non-spanning ones are unpacked, for the witness map
+    # the non-spanning rows whose complement is {x, y, N}, selected by
+    # mask and unpacked for the witness map
     comp = np.take(_complements(order.cx), order.rows, axis=0)
     ends = comp[:, -1] == N if k == 3 else np.zeros(len(comp), dtype=bool)
-    span_pairs = set(map(tuple, comp[span & ends, :2].tolist()))
-    non_spanning = tuple(
-        (x, y)
-        for x in range(1, N)
-        for y in range(x + 1, N)
-        if (x, y) not in span_pairs
-    )
-
     rows = np.flatnonzero(ends & ~span)
     # bit v of a row: v is in the swap set, in the complement, or v = 0
     inside = np.unpackbits(swaps[rows].view(np.uint8), axis=1, bitorder="little")[:, :N + 1]
@@ -796,9 +942,17 @@ def spanning_facets(order: ShellingOrder) -> SpanningReport:
         spanning_flags=flags,
         psi=sum(flags),
         spanning_complements=spanning_comps,
-        non_spanning_pairs=non_spanning,
+        non_spanning_pairs=_non_spanning_pairs(spanning_comps, N),
         witness_map=witness,
     )
+
+
+def _non_spanning_pairs(spanning, N: int) -> tuple[tuple[int, int], ...]:
+    """Every pair (x, y), x < y < N, for which the triple (x, y, N) is not
+    among the ``spanning`` complements."""
+    span_pairs = {c[:2] for c in spanning if len(c) == 3 and c[-1] == N}
+    return tuple((x, y) for x in range(1, N) for y in range(x + 1, N)
+                 if (x, y) not in span_pairs)
 
 
 def check_spanning_structure(order: ShellingOrder, report: SpanningReport) -> bool:
@@ -1084,6 +1238,39 @@ def verify_k_cut_order(
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RowBlocks:
+    """Rows of integers made a block at a time: each iteration calls
+    ``blocks`` again, which yields 2-D int arrays.  The CLI writes them as
+    the list of tuples they stand for, without holding the list."""
+
+    blocks: Callable[[], Iterator[np.ndarray]]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return self.blocks()
+
+
+def streamed_order_to_json_dict(g: HexGraph, relocate_tail: bool = True) -> dict:
+    """:func:`order_to_json_dict` of ``shelling_order(enumerate_facets(g, 3),
+    relocate_tail)``, with the order as :class:`RowBlocks` walked from the
+    graph: the base segment by :func:`_lex_blocks`, then the tail.  No
+    complex or order is held, and ``t_tail_start`` follows from the closed
+    facet count :func:`hexcut.cutcomplex.hex_facet_count`.  A tail
+    complement that is no facet raises TailFacetNotFound only after the
+    base segment, so the caller makes sure that ``g`` is a validated
+    H(m, n), whose tail complements, open neighbourhoods in a bipartite
+    graph, are always facets."""
+    tail = tail_facets(g.m, g.n, g) if relocate_tail else []
+    moved = _vertex_array([t.complement for t in tail], 3)
+    return {
+        "m": g.m,
+        "n": g.n,
+        "k": 3,
+        "order": RowBlocks(lambda: chain(_lex_blocks(g, moved), [moved])),
+        "t_tail_start": hex_facet_count(g.m, g.n) - len(tail) + 1,
+    }
+
 
 def order_to_json_dict(order: ShellingOrder) -> dict:
     g = order.cx.graph

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hexcut
-from hexcut import build_hex_graph, wedge_check
+from hexcut import build_hex_graph, shelling, wedge_check
 from hexcut import cli
 from hexcut.cli import main
+from hexcut.shelling import RowBlocks
 
 from conftest import oracle_full_facets, oracle_row_violation
 
@@ -365,8 +366,16 @@ def test_writer_row_edge_cases():
     assert _written(cli._write_json, doc) == _written(_json_dump, doc)
 
 
+def _listed(rows):
+    """The rows of streamed row blocks as the list of tuples they stand for."""
+    if not isinstance(rows, RowBlocks):
+        raise TypeError(f"{type(rows).__name__} is not JSON serializable")
+    return [tuple(row) for block in rows for row in block.tolist()]
+
+
 def _emitted(monkeypatch, tmp_path, argv):
-    """The bytes a command writes with --out, and json.dump of its envelope."""
+    """The bytes a command writes with --out, and json.dump of its envelope,
+    with streamed row blocks walked again and listed as tuples."""
     envelopes = []
     envelope = cli._envelope
     monkeypatch.setattr(cli, "_envelope",
@@ -375,7 +384,8 @@ def _emitted(monkeypatch, tmp_path, argv):
     path = tmp_path / "doc.json"
     main(argv + ["--out", str(path)])
     (doc,) = envelopes
-    return path.read_text(encoding="utf-8"), _written(_json_dump, doc) + "\n"
+    dump = lambda fh, obj: json.dump(obj, fh, indent=2, default=_listed)  # noqa: E731
+    return path.read_text(encoding="utf-8"), _written(dump, doc) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -417,3 +427,81 @@ def test_import_pulls_in_no_heavy_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.split() == []
+
+
+# ---------------------------------------------------------------------------
+# order, verify and spanning of the relocated order are streamed
+# ---------------------------------------------------------------------------
+
+def _materialised(monkeypatch):
+    """Route the CLI through the materialised complex and order, as it ran
+    before the stream: no order is streamed and every verify builds one."""
+    monkeypatch.setattr(cli, "stream_shelling", lambda g: None)
+    monkeypatch.setattr(cli, "streamed_order_to_json_dict", lambda g, relocate_tail=True:
+                        shelling.order_to_json_dict(shelling.shelling_order(
+                            hexcut.enumerate_facets(g, 3), relocate_tail)))
+
+
+def _outputs(tmp_path, label, commands):
+    """Exit code and --out bytes of each command."""
+    out = []
+    for i, argv in enumerate(commands):
+        path = tmp_path / f"{label}{i}.out"
+        out.append((main(argv + ["--out", str(path)]), path.read_bytes()))
+    return out
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 4), (4, 6), (6, 6), (8, 8)])
+def test_streamed_commands_write_the_materialised_bytes(monkeypatch, tmp_path, m, n):
+    mn = ["--m", str(m), "--n", str(n), "--force"]
+    commands = [["order", *mn], ["order", *mn, "--no-relocate-t"], ["verify", *mn],
+                ["spanning", *mn], ["spanning", *mn, "--format", "csv"]]
+    passed = []
+    stream = cli.stream_shelling
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "stream_shelling", lambda g: passed.append(stream(g)) or passed[-1])
+        streamed = _outputs(tmp_path, "streamed", commands)
+    assert len(passed) == 3 and None not in passed
+    _materialised(monkeypatch)
+    assert streamed == _outputs(tmp_path, "materialised", commands)
+    assert [code for code, _ in streamed] == [0] * len(commands)
+
+
+@pytest.mark.parametrize("command", [["order"], ["order", "--no-relocate-t"], ["verify"],
+                                     ["spanning"]])
+def test_subset_guard_runs_before_any_stream(monkeypatch, capsys, command):
+    def unreachable(*args):
+        raise AssertionError("streamed past the subset guard")
+
+    monkeypatch.setattr(cli, "stream_shelling", unreachable)
+    monkeypatch.setattr(cli, "streamed_order_to_json_dict", unreachable)
+    assert main([*command, "--m", "4", "--n", "6"]) == 3
+    assert "50116 candidate subsets exceed guard 20000; use --force" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m,n,t", [(2, 2, 1), (3, 4, 5)])
+def test_stream_rejection_falls_back_to_the_materialised_failure(monkeypatch, tmp_path,
+                                                                 m, n, t):
+    # the tail schedule without tail facet t leaves t at its sorted place:
+    # the stream's interval sum rejects the order, and the materialised
+    # verifier names the failure of the reinserted order, in the bytes
+    # json.dump gives the document
+    cx = hexcut.enumerate_facets(build_hex_graph(m, n), 3)
+    reinserted, spot = hexcut.order_with_tail_reinserted(cx, t)
+    res = hexcut.verify_shelling(reinserted)
+    assert not res.ok and res.counterexample[1] == spot
+    real = shelling.tail_facets
+    monkeypatch.setattr(shelling, "tail_facets",
+                        lambda m, n, g: [f for f in real(m, n, g) if f.index != t])
+    assert shelling.stream_shelling(cx.graph) is None
+    assert hexcut.verify_shelling(shelling.shelling_order(cx)).counterexample == res.counterexample
+
+    head = {"m": m, "n": n, "k": 3, "tool_version": hexcut.__version__, "ok": False,
+            "counterexample": list(res.counterexample)}
+    verify = dict(head, n_facets=cx.n_facets, pairs_checked=res.pairs_checked,
+                  relocated_tail=True)
+    mn = ["--m", str(m), "--n", str(n), "--force"]
+    for argv, doc in ((["verify", *mn], verify), (["spanning", *mn], head)):
+        path = tmp_path / "doc.json"
+        assert main(argv + ["--out", str(path)]) == 1
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"

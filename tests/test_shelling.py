@@ -594,9 +594,9 @@ def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
     built = []
     real = shelling._Faces.swap_rows
 
-    def counting(faces, lo, hi):
-        built.extend(range(lo, hi))
-        return real(faces, lo, hi)
+    def counting(faces, comp, face):
+        built.extend(map(tuple, comp.tolist()))
+        return real(faces, comp, face)
 
     monkeypatch.setattr(shelling._Faces, "swap_rows", counting)
     monkeypatch.setattr(shelling, "_BLOCK_ROWS", 64)
@@ -604,7 +604,7 @@ def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
     order = shelling_order(cx)
     assert verify_shelling(order).ok
     report = spanning_facets(order)
-    assert sorted(built) == list(range(order.n_facets))
+    assert built == list(order.facets)
     assert list(report.spanning_flags) == oracle_spanning_flags(_facet_sets(cx, order.facets))
     # the table is no field of the constructor: a copy is unverified, and
     # compares and prints like the order it copies
@@ -619,7 +619,7 @@ def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
     built.clear()
     res = verify_shelling(plain)
     assert not res.ok and plain._swaps is None and not plain.verified
-    assert sorted(built) == list(range(plain.n_facets))
+    assert built == list(plain.facets)
     built.clear()
     with pytest.raises(UnverifiedOrder):
         spanning_facets(plain)
@@ -640,9 +640,12 @@ def test_interval_sum_is_the_face_count_exactly_for_shellings(case):
     with _face_lookups(**patches) as used:
         cx = enumerate_facets(cx.graph, cx.k)
         order = _order_of(cx, seq)
-        faces = shelling._Faces(cx, order.rows)
+        pos = shelling._face_numbers(cx)
+        faces = shelling._Faces(cx.n_vertices, pos.count)
         table = np.zeros((len(seq), faces.masks.shape[0]), dtype="<u8")
-        counted = shelling._interval_sum(faces, table)
+        comp = cutcomplex._complements(cx)[order.rows]
+        counted = shelling._interval_sum(
+            shelling._build_table(faces, comp, pos.face[order.rows], table))
         with mock.patch.object(shelling, "_closed_faces", lambda cx: exhaustive):
             res = verify_shelling(order)
     assert used == [_dense(cx, patches["POSITION_TABLE_LIMIT"])] * 2
@@ -1111,6 +1114,22 @@ def test_vertex_past_int32_is_refused():
         verify_shelling(ShellingOrder(cx=cx, facets=past))
 
 
+def test_entry_that_is_no_integer_is_refused():
+    # H(1, 1) listing (1.5, 2, 3) in place of (1, 2, 3): no entry is
+    # truncated to an int32 vertex, in the complex (the complex's fault) or
+    # in an order over the canonical complex (the order's)
+    cx = _complex(1, 1)
+    assert cx.facets[0] == (1, 2, 3)
+    listed = ((1.5, 2, 3),) + cx.facets[1:]
+    hand = CutComplex(graph=cx.graph, k=3, facets=listed)
+    with pytest.raises(InvalidParams, match="no 3-tuple of int32 integers"):
+        shelling_order(hand)
+    with pytest.raises(InvalidParams):
+        verify_shelling(ShellingOrder(cx=hand, facets=cx.facets))
+    with pytest.raises(IncompleteOrder, match="no 3-tuple of int32 integers"):
+        verify_shelling(ShellingOrder(cx=cx, facets=listed))
+
+
 def test_fault_in_the_complex_is_not_blamed_on_the_order():
     # H(1, 2) with a pair in place of its last facet: an order listing the
     # valid 3-tuples reads the complex's fault as InvalidParams, as the
@@ -1429,3 +1448,54 @@ def test_k2_revlex_shells_chordal_graphs_labelled_by_elimination_order():
         res = verify_shelling(_order_of(cx, seq))
         assert (res.ok, res.counterexample) == oracle_is_shelling(_facet_sets(cx, seq))
         assert res.ok
+
+
+# ---------------------------------------------------------------------------
+# the relocated order, streamed
+# ---------------------------------------------------------------------------
+
+STREAM_INSTANCES = [(1, 1), (1, 2), (2, 2), (3, 4), (4, 6), (6, 6), (8, 8)]
+
+
+@pytest.mark.parametrize("m,n", STREAM_INSTANCES)
+def test_stream_agrees_with_the_materialised_order(instance, m, n):
+    # the stream passes the order with no complex held, and agrees with
+    # the verified materialised order on the count of each size
+    # |Lambda_j|, read here from its swap table, and on the spanning report
+    b = instance(m, n)
+    streamed = shelling.stream_shelling(b.g)
+    assert streamed is not None and b.verify.ok
+    N = b.order.n_vertices
+    sizes = np.bincount(np.bitwise_count(b.order._swaps).sum(axis=1), minlength=N - 2)
+    assert streamed.sizes == tuple(sizes.tolist())
+    assert streamed.n_facets == b.order.n_facets == sum(streamed.sizes)
+    assert streamed.psi == b.report.psi == shelling.spanning_count_formula(m, n)
+    assert streamed.spanning_complements == b.report.spanning_complements
+    assert streamed.non_spanning_pairs == b.report.non_spanning_pairs
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 4)])
+@pytest.mark.parametrize("relocate", [True, False])
+def test_streamed_rows_are_the_materialised_order(monkeypatch, m, n, relocate):
+    # in blocks of 64 rows, merged across slabs and split within them, the
+    # streamed order lists each row of the builder's order once, in place
+    monkeypatch.setattr(shelling, "_BLOCK_ROWS", 64)
+    g = build_hex_graph(m, n)
+    order = shelling_order(enumerate_facets(g, 3), relocate_tail=relocate)
+    doc = shelling.streamed_order_to_json_dict(g, relocate)
+    blocks = list(doc.pop("order"))
+    assert all(len(b) == 64 for b in blocks[:-2])
+    rows = np.concatenate(blocks)
+    assert rows.dtype == np.int32 and rows.tolist() == [list(c) for c in order.facets]
+    expected = order_to_json_dict(order)
+    del expected["order"]
+    assert doc == expected
+    assert shelling.stream_shelling(g) is not None
+
+
+def test_stream_refuses_a_graph_with_a_four_cycle():
+    # the closed f(Delta) is unknown once an edge closes a 4-cycle, and the
+    # stream leaves the order to the materialised verifier
+    g = HexGraph(1, 1, hex_edges(1, 1) + [(1, 6)])
+    assert shelling._neighbour_paths(g) is None
+    assert shelling.stream_shelling(g) is None

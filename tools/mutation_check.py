@@ -38,12 +38,14 @@ MUTANTS = {
     ),
     "block passed into the masks before its check": (
         "shelling.py",
-        "        failure = _first_failure(table[lo:hi], lo, last, faces, choose, subsets)\n"
+        "        failure = _first_failure(table[lo:hi], lo, last, faces, comp, index, choose, "
+        "subsets)\n"
         "        if failure is not None:\n"
         "            return failure\n"
-        "        faces.pass_rows(lo, hi)\n",
-        "        faces.pass_rows(lo, hi)\n"
-        "        failure = _first_failure(table[lo:hi], lo, last, faces, choose, subsets)\n"
+        "        faces.pass_rows(comp[lo:hi], face[lo:hi])\n",
+        "        faces.pass_rows(comp[lo:hi], face[lo:hi])\n"
+        "        failure = _first_failure(table[lo:hi], lo, last, faces, comp, index, choose, "
+        "subsets)\n"
         "        if failure is not None:\n"
         "            return failure\n",
     ),
@@ -54,18 +56,18 @@ MUTANTS = {
     ),
     "interval sum: first block left out of the histogram": (
         "shelling.py",
-        "        sizes += np.bincount(",
-        "        sizes += (lo > 0) * np.bincount(",
+        "        sizes += np.bincount(np.bitwise_count(table[lo:hi])",
+        "        sizes += (lo > 0) * np.bincount(np.bitwise_count(table[lo:hi])",
     ),
     "interval sum: == f(Delta) becomes >=": (
         "shelling.py",
-        "    if _interval_sum(faces, table) == total:\n",
-        "    if _interval_sum(faces, table) >= total:\n",
+        "    if _interval_sum(_build_table(faces, comp, face, table)) == total:\n",
+        "    if _interval_sum(_build_table(faces, comp, face, table)) >= total:\n",
     ),
     "sweep skipped when f(Delta) is unknown": (
         "shelling.py",
-        "    failure = _sweep(faces, table)\n",
-        "    failure = None if total is None else _sweep(faces, table)\n",
+        "    failure = _sweep(faces, comp, face, pos.index, table)\n",
+        "    failure = None if total is None else _sweep(faces, comp, face, pos.index, table)\n",
     ),
     "byte-key face lookup reads the columns in descending order": (
         "cutcomplex.py",
@@ -86,23 +88,23 @@ MUTANTS = {
     ),
     "canonical check without its lex-order clause": (
         "cutcomplex.py",
-        "            and (lead > 0).all()):\n",
-        "            and True):\n",
+        "                and (lead > 0).all())\n",
+        "                and True)\n",
     ),
     "canonical check without its range clause": (
         "cutcomplex.py",
-        "    if not (((1 <= comp) & (comp <= cx.n_vertices)).all()\n",
-        "    if not (True\n",
+        "    return bool(((1 <= comp) & (comp <= n_vertices)).all()\n",
+        "    return bool(True\n",
     ),
     "within-block check deleted": (
         "shelling.py",
-        "    failing = _first_row(inside, ords, faces, lo)\n",
+        "    failing = _first_row(inside, ords, faces, comp, lo)\n",
         "    failing = []\n",
     ),
     "within-block scan starts at lo + 1": (
         "shelling.py",
-        "    failing = _first_row(inside, ords, faces, lo)\n",
-        "    failing = _first_row(inside, ords, faces, lo + 1)\n",
+        "    failing = _first_row(inside, ords, faces, comp, lo)\n",
+        "    failing = _first_row(inside, ords, faces, comp, lo + 1)\n",
     ),
     "live bound excludes its last vertex": (
         "shelling.py",
@@ -118,6 +120,16 @@ MUTANTS = {
         "shelling.py",
         "    for c in range(1, cols.shape[1]):\n",
         "    for c in range(2, cols.shape[1]):\n",
+    ),
+    "stream: a tail complement also left in the base segment": (
+        "shelling.py",
+        "            slab = np.delete(slab, at, axis=0)\n",
+        "",
+    ),
+    "stream: the first block of each batch fed twice": (
+        "shelling.py",
+        "            for lo in range(0, cut, _BLOCK_ROWS):\n",
+        "            for lo in [0, *range(0, cut, _BLOCK_ROWS)]:\n",
     ),
     "a moved row also left in the base segment": (
         "shelling.py",
