@@ -8,7 +8,12 @@ Betti numbers are reduced.  Boundary ranks drive everything:
 The face poset comes from one boolean bitmap over all 2^N vertex subsets:
 the facet masks are set and closed downward in N in-place numpy passes, and
 the set entries are split by popcount into levels, one ascending int64
-array per face size, which every step below reads as it is.
+array per face size.  The dense elimination and the d∘d spot-check read
+them as they are; the cone reduction first narrows a level's apex-free
+faces to the narrowest integer type that holds N bits (uint16 up to
+N = 16, uint32 up to 32, int64 up to the bitmap ceiling), and refuses the
+copy unless it equals the int64 faces by value, so no face is truncated
+unseen.
 
 Rank method per dimension: small matrices are row-reduced directly over
 GF(2) with integer bitmask rows.  When a dimension pair is a complete
@@ -18,8 +23,9 @@ with the rows lacking it, and every remaining column f is explicitly
 reduced to zero against those pivots.  Its residual is d(d(f | apex)),
 checked in numpy by the same d∘d kernel as
 :func:`boundary_composition_is_zero`: written out as a multiset of row
-faces, sorted, it must pair up into equal neighbours.  That keeps the
-N = 16 run well under the time guard without trusting any closed form.
+faces, in the dtype of the faces it starts from, sorted, it must pair up
+into equal neighbours.  That keeps the N = 16 run well under the time guard
+without trusting any closed form.
 """
 
 from __future__ import annotations
@@ -53,7 +59,9 @@ from .shelling import (
 
 HOMOLOGY_VERTEX_LIMIT = 16
 DENSE_ENTRY_LIMIT = 4_000_000
-_CHUNK_CELLS = 1 << 20  # int64 entries per numpy step of the cone reduction
+# face entries per numpy step of the cone reduction, each as wide as the
+# narrowed faces: 2 bytes up to N = 16, 4 up to 32, 8 beyond
+_CHUNK_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +111,9 @@ def boundary_matrix(levels: list[np.ndarray], s: int) -> list[int]:
 
 def _boundary(faces: np.ndarray, size: int) -> np.ndarray:
     """Row i lists the ``size`` faces obtained by removing one vertex from
-    ``faces[i]``, a face of exactly ``size`` vertices."""
-    out = np.empty((faces.size, size), dtype=np.int64)
+    ``faces[i]``, a face of exactly ``size`` vertices; in the dtype of
+    ``faces``."""
+    out = np.empty((faces.size, size), dtype=faces.dtype)
     rest = faces.copy()
     for i in range(size):
         low = rest & -rest
@@ -127,6 +136,22 @@ def _boundary_twice_cancels(faces: np.ndarray, size: int) -> bool:
     return _cancels(twice.reshape(faces.size, size * (size - 1)))
 
 
+def _narrowed(faces: np.ndarray, n_vertices: int) -> np.ndarray:
+    """``faces`` in the narrowest integer type that holds ``n_vertices``
+    bits: uint16 up to 16 vertices, uint32 up to 32, int64 up to the bitmap
+    ceiling.  The copy must equal ``faces`` by value, else HexCutError."""
+    if n_vertices <= 16:
+        dtype = np.uint16
+    elif n_vertices <= 32:
+        dtype = np.uint32
+    else:
+        dtype = np.int64
+    narrow = faces.astype(dtype, copy=False)
+    if not np.array_equal(narrow, faces):
+        raise HexCutError(f"a face does not fit {narrow.dtype} at {n_vertices} vertices")
+    return narrow
+
+
 def _rank_complete_skeleton(levels: list[np.ndarray], s: int, n_vertices: int) -> int:
     """Boundary rank at a complete skeleton level, by cone-pivot elimination.
 
@@ -139,6 +164,8 @@ def _rank_complete_skeleton(levels: list[np.ndarray], s: int, n_vertices: int) -
     The reduction is executed, not assumed, by the d∘d kernel shared with
     :func:`boundary_composition_is_zero`: each column's s + s^2 entries are
     sorted and must pair up, in chunks of at most ``_CHUNK_CELLS`` entries.
+    The apex-free faces are narrowed once by :func:`_narrowed`, so at
+    N <= 16 the kernel sorts 16-bit entries, a quarter of the int64 bytes.
     """
     apex = 1  # bit of vertex 1
     faces = levels[s]
@@ -146,7 +173,7 @@ def _rank_complete_skeleton(levels: list[np.ndarray], s: int, n_vertices: int) -
     pivot_count = int(np.count_nonzero(is_pivot))
     if pivot_count != comb(n_vertices - 1, s - 1):
         raise HexCutError("cone elimination invoked on an incomplete skeleton")
-    residual = faces[~is_pivot]
+    residual = _narrowed(faces[~is_pivot], n_vertices)
     chunk = max(1, _CHUNK_CELLS // (s + s * s))
     for start in range(0, residual.size, chunk):
         if not _boundary_twice_cancels(residual[start:start + chunk] | apex, s + 1):
@@ -289,7 +316,8 @@ def wedge_check(m: int, n: int, force: bool = False) -> WedgeVerdict:
     the top dimension with that value.  Skipped checks are reported, not
     failed: without ``force``, (a) and (b) past the subset guard of
     :func:`hexcut.cutcomplex.hex_cut_complex`, the builder the CLI uses,
-    and (d) past ``HOMOLOGY_VERTEX_LIMIT`` vertices."""
+    and (d) past ``HOMOLOGY_VERTEX_LIMIT`` vertices; with ``force``, (d)
+    only past the bitmap ceiling, as :func:`betti_numbers` refuses it."""
     N = hex_vertex_count(m, n)
     psi = spanning_count_formula(m, n)
     checks: dict[str, dict] = {}
@@ -315,17 +343,22 @@ def wedge_check(m: int, n: int, force: bool = False) -> WedgeVerdict:
     euler = reduced_euler_closed(m, n)
     checks["euler_eq_psi"] = {"ran": True, "pass": euler == psi, "computed": euler}
 
-    if N <= HOMOLOGY_VERTEX_LIMIT:
-        # cx was enumerated above: C(16, 3) = 560 triples pass the guard
-        bv = betti_numbers(cx)
-        concentrated = bv.b(N - 4) == psi and all(
-            bv.b(d) == 0 for d in range(-1, N - 4)
-        )
-        checks["betti"] = {"ran": True, "pass": concentrated,
-                           "top": bv.b(N - 4)}
-    else:
+    if N > HOMOLOGY_VERTEX_LIMIT and not force:
         checks["betti"] = {"ran": False, "pass": None,
                            "detail": f"N={N} exceeds homology limit {HOMOLOGY_VERTEX_LIMIT}"}
+    else:
+        # cx was enumerated above: with force always, else C(16, 3) = 560
+        # triples pass the guard
+        try:
+            bv = betti_numbers(cx, force=force)
+        except ResourceGuard as exc:  # past the bitmap ceiling
+            checks["betti"] = {"ran": False, "pass": None, "detail": str(exc)}
+        else:
+            concentrated = bv.b(N - 4) == psi and all(
+                bv.b(d) == 0 for d in range(-1, N - 4)
+            )
+            checks["betti"] = {"ran": True, "pass": concentrated,
+                               "top": bv.b(N - 4)}
 
     return WedgeVerdict(m=m, n=n, psi=psi, dimension=N - 4, checks=checks)
 

@@ -27,6 +27,31 @@ def run(capsys, *argv):
     return code, out
 
 
+def test_cached_parser_answers_like_a_fresh_one(capsysbinary):
+    # a usage error, --version, then two valid commands: one parser per
+    # process gives the bytes and exit codes of a parser built per call
+    commands = [["graph", "--m", "1"], ["--version"],
+                ["graph", "--m", "1", "--n", "2", "--format", "dot"],
+                ["formulas", "--m", "2", "--n", "3"]]
+
+    def outcomes(fresh):
+        seen = []
+        for argv in commands:
+            if fresh:
+                cli._parser.cache_clear()
+            code = main(argv)
+            captured = capsysbinary.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    cli._parser.cache_clear()
+    cached = outcomes(fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0]
+    assert cached[1][1] == f"{hexcut.__version__}\n".encode()
+    assert cached == outcomes(fresh=True)
+
+
 def test_graph_edges_smallest(capsys):
     code, out = run(capsys, "graph", "--m", "1", "--n", "1", "--format", "edges")
     assert code == 0

@@ -26,8 +26,9 @@ from hexcut import (
     wedge_check,
 )
 from hexcut import homology
-from hexcut.cutcomplex import CutComplex
+from hexcut.cutcomplex import CutComplex, hex_cut_complex
 from hexcut.homology import (
+    _narrowed,
     _rank_complete_skeleton,
     boundary_composition_is_zero,
     boundary_matrix,
@@ -106,12 +107,14 @@ def reference_boundary_matrix(levels, s):
 
 
 def corrupt_boundary(monkeypatch):
-    """Make the first entry of every boundary the kernels compute wrong."""
+    """Make the first entry of every boundary the kernels compute wrong: flip
+    bit 15, which fits a 16-bit face and lies outside the vertex sets of
+    the tests that call this."""
     real = homology._boundary
 
     def corrupted(faces, size):
         out = real(faces, size)
-        out[0, 0] ^= 1 << 20
+        out[0, 0] ^= 1 << 15
         return out
 
     monkeypatch.setattr(homology, "_boundary", corrupted)
@@ -187,6 +190,30 @@ def test_betti_2_2_concentrated():
     bv = betti_numbers(cx)
     assert bv.b(12) == 77
     assert all(bv.b(d) == 0 for d in range(-1, 12))
+
+
+def test_forced_betti_1_4_on_32_bit_faces(monkeypatch):
+    # N = 18: the cone reduction sorts uint32 faces, and the Betti numbers
+    # are the ones the int64 reduction gave: only b_14 = psi = 106 is nonzero
+    dtypes = set()
+    real_cancels = homology._cancels
+    monkeypatch.setattr(homology, "_cancels",
+                        lambda rows: dtypes.add(rows.dtype) or real_cancels(rows))
+    bv = betti_numbers(hex_cut_complex(1, 4, 3, force=True), force=True)
+    assert bv.values == (0,) * 15 + (106,)
+    assert dtypes == {np.dtype(np.uint32)}
+
+
+@pytest.mark.parametrize("n,dtype", [(6, np.uint16), (16, np.uint16), (17, np.uint32),
+                                     (32, np.uint32), (33, np.int64), (62, np.int64)])
+def test_narrowed_faces_equal_the_int64_faces(n, dtype):
+    faces = np.array([0, 1, 1 << (n - 1), (1 << n) - 1], dtype=np.int64)
+    narrow = _narrowed(faces, n)
+    assert narrow.dtype == dtype
+    assert narrow.tolist() == faces.tolist()
+    if dtype != np.int64:  # a face too wide for the type is refused, not truncated
+        with pytest.raises(HexCutError, match="does not fit"):
+            _narrowed(np.append(faces, 1 << np.iinfo(dtype).bits), n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -384,6 +411,16 @@ def test_wedge_check_small():
     assert v.psi == 77 and v.dimension == 12
     assert all(c["ran"] for c in v.checks.values())
     assert v.all_ran_pass
+
+
+def test_forced_wedge_check_runs_homology_past_the_limit():
+    v = wedge_check(1, 4, force=True)  # 18 vertices
+    assert v.checks["betti"] == {"ran": True, "pass": True, "top": 106}
+    assert all(c["ran"] and c["pass"] for c in v.checks.values())
+    v = wedge_check(4, 6, force=True)  # 68 vertices: no 2^N bitmap, force or not
+    assert not v.checks["betti"]["ran"]
+    assert v.checks["betti"]["detail"].endswith("--force cannot lift it")
+    assert v.all_ran_pass and v.checks["shelling"]["ran"]
 
 
 def test_wedge_check_skips_oversized_homology():

@@ -171,6 +171,11 @@ MUTANTS = {
         "np.bitwise_count(swaps).sum(axis=1) == N - k\n",
         "np.bitwise_count(swaps).sum(axis=1) >= N - k - 1\n",
     ),
+    "cone reduction narrows the faces to uint8 at N <= 16": (
+        "homology.py",
+        "        dtype = np.uint16\n",
+        "        dtype = np.uint8\n",
+    ),
     "cone reduction never runs": (
         "homology.py",
         "    for start in range(0, residual.size, chunk):\n",
