@@ -40,25 +40,35 @@ Wachs, "Shellable nonpure complexes and posets I", 1996, section 2).
 One flow verifies every order.  The verifier keeps one bitmask per face, a
 (k-1)-subset u of a complement, with bit z set iff u + {z} is a complement
 passed so far; the complex numbers its faces and knows its face count,
-once (:mod:`hexcut.cutcomplex`).  Every row of the table is built once, in
-blocks of 4096 passed into the masks as soon as they are built: Lambda_j
-is the OR of the masks of the k faces of F_j^c, built with prefix sums
-over the block and packed into ceil((N + 1) / 64) words per row.  When
+once (:mod:`hexcut.cutcomplex`).  Every row of the table is built once,
+packed into ceil((N + 1) / 64) words per row, and Lambda_j is the OR of
+the masks of the k faces of F_j^c.  An order opens with a lex run, its
+longest strictly increasing prefix of rows, in lex order as the complex
+is canonical.  Within the run earlier means lex-smaller, so the run is
+passed into the masks once and each of its rows is read from them by
+rank: the mask of the face without x_s cut to the vertices below x_s.
+The rows after the run are built in blocks of 4096 with prefix sums over
+the block, each block passed into the masks as soon as it is built.  When
 f(Delta) is known, for the full 3-cut complex of a graph with no triangle
-and no 4-cycle, the sum alone passes the order.  Otherwise the masks are
-reset and the stored rows are checked block by block with the
-containment test below: it names the failure of an order the sum
-rejects, and decides an order whose f(Delta) is unknown.
+and no 4-cycle, the sum alone passes the order.  Otherwise the run's rows
+are checked against the run's masks, which name a failing row with no
+block at all, and then the stored rows after the run are checked block by
+block with the containment test below: together they name the failure of
+an order the sum rejects, and decide an order whose f(Delta) is unknown.
 
 Row j fails iff some earlier complement lies inside S_j = V - Lambda_j.
-Every row of a block is scanned against the complements of the block
-before it.  Against the complements before the block, each row is checked
-along one of two exact paths: test S_j against the masks of its
-(k-1)-subsets P, since S_j holds such a complement iff masks[P] & S_j is
-nonzero for some P, or scan the j earlier complements.  Reading the
-subsets starting at or below the last vertex that starts a passed
-complement is enough, one vertex per block, so with s = |S_j| and L the
-vertices of S_j up to that one, the subset test reads
+In the run, that is a complement of the run inside S_j and lex-smaller
+than F_j^c: the face of F_j^c without its last entry x_k meets S_j below
+x_k, or the mask of one of the M_j (k-1)-subsets of S_j lex-smaller than
+that face meets S_j; a row scans its j earlier complements instead when
+M_j is not below j.  After the run, every row of a block is scanned
+against the complements of the block before it.  Against the complements
+before the block, each row is checked along one of two exact paths: test
+S_j against the masks of its (k-1)-subsets P, since S_j holds such a
+complement iff masks[P] & S_j is nonzero for some P, or scan the j earlier
+complements.  Reading the subsets starting at or below the last vertex
+that starts a passed complement is enough, one vertex per block, so with
+s = |S_j| and L the vertices of S_j up to that one, the subset test reads
 C(s, k - 1) - C(s - L, k - 1) masks, and a row takes it when that is below
 j.  Every scan tests containment bit-sliced: each vertex gets one mask
 over the scanned rows, and a complement lies inside S_j exactly for the
@@ -70,10 +80,12 @@ The relocated order of H(m, n) is also verified streamed, with no complex,
 order or swap table held (:func:`stream_shelling`; the CLI's ``order``,
 ``verify`` and ``spanning`` take this path).  Its rows are walked from the
 graph in lex order in blocks, the tail complements held back and fed last.
-The same mask kernel builds each block's swap rows, which are counted by
-size |Lambda_j| and dropped, so only the masks, C(N, 2) + 1 faces of
-ceil((N + 1) / 64) words, outlive a block.  The walk checks what
-:func:`hexcut.cutcomplex._closed_faces` checks of a complex, and an order
+The base segment is one lex run, whose masks are built from the graph, so
+each base block's swap rows are read by rank; the tail rows come from the
+prefix-sum kernel.  The rows are counted by size |Lambda_j| and dropped,
+so only the masks, C(N, 2) + 1 faces of ceil((N + 1) / 64) words, outlive
+a block.  The walk checks what :func:`hexcut.cutcomplex._closed_faces`
+checks of a complex, and that every base row is in the masks; an order
 that fails a check, or whose sum is not f(Delta), is left to the
 materialised verifier, which names its failure.
 """
@@ -429,6 +441,9 @@ class _Faces:
         self.vertex = np.arange(N + 1)
         self.vertex_bit = np.left_shift(np.uint64(1), (self.vertex & 63).astype(np.uint64))
         self.vertices = self.packed(self.vertex > 0)
+        # below[w, x], word w of the vertices 1..x - 1, stored like the masks
+        below = (0 < self.vertex) & (self.vertex < self.vertex[:, None])
+        self.below = np.ascontiguousarray(self.packed(below).T)
 
     def packed(self, flags: np.ndarray) -> np.ndarray:
         """Rows of per-vertex flags, vertices 0..N, as rows of W words."""
@@ -464,6 +479,23 @@ class _Faces:
             sums -= own  # exclusive
             entries[order, w] = (sums - sums[head]) | self.masks[w, face]
         return np.bitwise_or.reduce(entries.reshape(rows, k, words), axis=1)
+
+    def rank_rows(self, comp: np.ndarray, face: np.ndarray) -> np.ndarray:
+        """The packed swap rows of the block ``comp``, as :meth:`swap_rows`
+        gives them, when the block belongs to a lex run: a stretch of an
+        order listing complements in increasing lex order, whose every
+        complement, and none other, the masks hold.
+
+        Within the run, earlier means lex-smaller, and u + {z}, for the face
+        u of F_j^c without its entry x_s, is lex-smaller than F_j^c exactly
+        when z < x_s.  So Lambda_j is the OR over s of the mask of that face
+        cut to the vertices below x_s: k gathers per word, for any k, with
+        no sort and no prefix sum, and the masks do not change."""
+        rows = np.zeros((self.masks.shape[0], len(comp)), dtype="<u8")
+        for s in range(comp.shape[1]):
+            below = np.take(self.below, comp[:, s], axis=1)
+            rows |= np.take(self.masks, face[:, s], axis=1) & below
+        return rows.T
 
     def pass_rows(self, comp: np.ndarray, face: np.ndarray) -> None:
         """Pass the block ``comp``: set each complement's bits in the masks
@@ -579,18 +611,16 @@ def _first_failure(rows, lo, last, faces, comp, index, choose,
 
     Every row of the block is scanned against the complements of the block
     before it.  Against the complements before lo, each row is checked
-    along one of two exact paths: test (k-1)-subsets P of S_j against the
-    face masks as they stand at lo, or scan the j earlier complements.
-    Row j fails the test iff some masks[P] & S_j is nonzero.  ``last`` is
-    the largest first vertex of a complement before lo (0 for none), and
-    the face of such a complement that drops its last entry starts at or
-    below it.  So only the subsets starting at or below the last vertex
-    that starts a passed complement are read: listed in colex order over
-    the s vertices of S_j in descending order, they are the columns
-    [C(s - L, k - 1), C(s, k - 1)) of ``subsets``, where L counts the
-    vertices of S_j at or below ``last``.  ``choose[s]`` is C(s, k - 1)
-    capped at eta; a row whose S_j has eta or more (k-1)-subsets, or whose
-    span reaches j, is scanned.
+    along one of two exact paths (:func:`_name_first`): test (k-1)-subsets
+    P of S_j against the face masks as they stand at lo, or scan the j
+    earlier complements.  Row j fails the test iff some masks[P] & S_j is
+    nonzero.  ``last`` is the largest first vertex of a complement before
+    lo (0 for none), and the face of such a complement that drops its last
+    entry starts at or below it.  So only the subsets starting at or below
+    the last vertex that starts a passed complement are read: listed in
+    colex order over the s vertices of S_j in descending order, they are
+    the columns [C(s - L, k - 1), C(s, k - 1)) of ``subsets``, where L
+    counts the vertices of S_j at or below ``last``.
 
     Scans are bit-sliced (:func:`_scan`): every vertex gets one mask over
     the rows, and a complement lies inside S_j for the rows in the AND of
@@ -598,15 +628,72 @@ def _first_failure(rows, lo, last, faces, comp, index, choose,
     the block's scan costs k/64 words per pair of a row and an earlier
     complement of the block, and a scanned row k/64 words per earlier
     complement."""
-    eta = len(comp)
     ords = np.arange(lo, lo + len(rows))
     inside = ~rows & faces.vertices  # S_j
     size = np.bitwise_count(inside).sum(axis=1, dtype=np.int64)  # |S_j|
     L = np.bitwise_count(inside & faces.packed(faces.vertex <= last)).sum(axis=1, dtype=np.int64)
     skip = choose[size - L]
-    span = choose[size] - skip
-    by_subsets = (choose[size] < eta) & (span < ords)
     failing = _first_row(inside, ords, faces, comp, lo)
+    return _name_first(failing, inside, ords, size, skip, choose[size] - skip,
+                       faces, comp, index, choose, subsets)
+
+
+def _run_failure(table, r, faces, comp, face, index, choose,
+                 subsets) -> tuple[int, int] | None:
+    """The 0-based (i, j), minimal in (j, i), with j among the rows 0..r - 1
+    of the packed swap ``table``, the lex run that opens the order, of the
+    complements ``comp`` with faces ``face``, or None.  The masks of
+    ``faces`` hold exactly the run's complements, and are only read, so
+    each row is checked on its own; rows go in blocks of ``_BLOCK_ROWS``,
+    which bound the memory, up to the first block holding a failing row.
+
+    Within the run, earlier means lex-smaller, so S_j holds an earlier
+    complement D exactly when, with x_k the last entry of F_j^c and u the
+    face of F_j^c without it, either D is u + {z} for some z below x_k,
+    which the mask of u meets in S_j, or D without its last entry is a
+    (k-1)-subset P of S_j lex-smaller than u, and then every complement
+    P + {z} is lex-smaller than F_j^c, so masks[P] & S_j is nonzero.  In
+    colex order over the s vertices of S_j in descending order, the
+    (k-1)-subsets of S_j come in descending lex order, so the M_j
+    lex-smaller than u are the last M_j columns for range(s) of
+    ``subsets``: skip = C(s, k - 1) - M_j and span = M_j, with
+    C(s, k - 1) - 1 - M_j the colex rank of u.  ``choose[s]`` is
+    C(s, k - 1) capped at eta, and the colex rank sums capped binomials,
+    exact for every row that takes the subset test."""
+    eta, k = comp.shape
+    N = len(faces.vertex) - 1
+    binom = np.array([[min(comb(a, t), eta) for a in range(N + 1)] for t in range(k)])
+    for lo, hi in _blocks(0, r):
+        run = comp[lo:hi]
+        inside = ~table[lo:hi] & faces.vertices  # S_j
+        size = np.bitwise_count(inside).sum(axis=1, dtype=np.int64)  # |S_j|
+        rank = np.zeros(hi - lo, dtype=np.int64)
+        for c in range(k - 1):
+            # the vertices of S_j above x_{c+1}, its place in descending order
+            low = np.take(faces.below, run[:, c], axis=1) & inside.T
+            place = size - 1 - np.bitwise_count(low).sum(axis=0, dtype=np.int64)
+            rank += binom[k - 1 - c, place]
+        low = np.take(faces.below, run[:, -1], axis=1) & inside.T
+        hit = np.take(faces.masks, face[lo:hi, -1], axis=1) & low
+        failure = _name_first(np.flatnonzero(hit.any(axis=0))[:1].tolist(), inside,
+                              np.arange(lo, hi), size, rank + 1, choose[size] - 1 - rank,
+                              faces, comp, index, choose, subsets)
+        if failure is not None:
+            return failure
+    return None
+
+
+def _name_first(failing, inside, ords, size, skip, span, faces, comp, index, choose,
+                subsets) -> tuple[int, int] | None:
+    """The 0-based (i, j) of the first failing row among the packed S_j
+    ``inside`` of the rows at positions ``ords``, or None, given the list
+    ``failing`` of rows already found to fail.  A row with fewer than eta
+    (k-1)-subsets of S_j (``choose[size]``) and a ``span`` below j tests
+    masks[P] & S_j for the subsets P at columns [skip, skip + span) of
+    ``subsets`` (:func:`_subset_failure`); every other row scans the j
+    earlier complements.  i is the first complement inside S_j of the first
+    failing row, found by the one-row scan."""
+    by_subsets = (choose[size] < len(comp)) & (span < ords)
     sel = np.flatnonzero(by_subsets & (span > 0))
     j = _subset_failure(inside, sel, size, skip, span, faces, index, subsets)
     if j is not None:
@@ -618,7 +705,7 @@ def _first_failure(rows, lo, last, faces, comp, index, choose,
         return None
     j = min(failing)
     hits = _scan(inside[j:j + 1], ords[j:j + 1], faces, comp, 0)
-    return next(a + int(np.flatnonzero(hit)[0]) for a, _, hit in hits if hit.any()), lo + j
+    return next(a + int(np.flatnonzero(hit)[0]) for a, _, hit in hits if hit.any()), int(ords[j])
 
 
 def _interval_sum(sizes: np.ndarray) -> int:
@@ -633,36 +720,59 @@ def _interval_sum(sizes: np.ndarray) -> int:
     return sum(count << (top - size) for size, count in enumerate(sizes.tolist()))
 
 
-def _build_table(faces: _Faces, comp, face, table: np.ndarray) -> np.ndarray:
+def _sizes(rows: np.ndarray, top: int) -> np.ndarray:
+    """The number of the packed swap ``rows`` with |Lambda_j| = s, for
+    s = 0..top."""
+    return np.bincount(np.bitwise_count(rows).sum(axis=1, dtype=np.intp), minlength=top + 1)
+
+
+def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The row blocks [a, b) of at most ``_BLOCK_ROWS`` rows that cover
+    lo..hi - 1, in order."""
+    return ((a, min(a + _BLOCK_ROWS, hi)) for a in range(lo, hi, _BLOCK_ROWS))
+
+
+def _build_table(faces: _Faces, comp, face, table: np.ndarray, run: int = 0) -> np.ndarray:
     """Build every row of the packed swap ``table`` of the complements
-    ``comp`` with faces ``face``, a block at a time, passing each block into
-    the masks of ``faces``, which must hold none; returns the number of rows
-    of each size |Lambda_j| = 0..N - k, counted block by block."""
+    ``comp`` with faces ``face``, a block at a time; returns the number of
+    rows of each size |Lambda_j| = 0..N - k, counted block by block.  The
+    first ``run`` rows form a lex run, whose complements, and no other,
+    the masks of ``faces`` must hold: they are read by rank.  The rows
+    after it are built by prefix sums, each block passed into the masks
+    once built."""
     eta, k = comp.shape
     top = len(faces.vertex) - 1 - k  # N - k
     sizes = np.zeros(top + 1, dtype=np.int64)
-    for lo in range(0, eta, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, eta)
+    for lo, hi in _blocks(0, run):
+        table[lo:hi] = faces.rank_rows(comp[lo:hi], face[lo:hi])
+        sizes += _sizes(table[lo:hi], top)
+    for lo, hi in _blocks(run, eta):
         table[lo:hi] = faces.swap_rows(comp[lo:hi], face[lo:hi])
-        sizes += np.bincount(np.bitwise_count(table[lo:hi]).sum(axis=1, dtype=np.intp),
-                             minlength=top + 1)
+        sizes += _sizes(table[lo:hi], top)
         faces.pass_rows(comp[lo:hi], face[lo:hi])
     return sizes
 
 
-def _sweep(faces: _Faces, comp, face, index, table: np.ndarray) -> tuple[int, int] | None:
-    """Check the stored rows of the packed swap ``table`` of the complements
-    ``comp`` block by block, with the masks of ``faces`` holding none;
-    returns the failing 0-based (i, j), minimal in (j, i), or None.  A
-    block's complements are passed into the masks once its check succeeds,
-    and the sweep stops at the first block holding a failing row.  ``index``
-    finds a face, as :meth:`hexcut.cutcomplex._Positions.index` does."""
-    (eta, k), N = comp.shape, len(faces.vertex) - 1
+def _subset_table(eta: int, k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """``choose[s]``, C(s, k - 1) capped at eta for s = 0..N, and the
+    (k-1)-subsets of range(s) in colex order for the largest s with fewer
+    than eta of them: the subset tests of the containment check read
+    them."""
     choose = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
-    subsets = _colex_subsets(int(np.flatnonzero(choose < eta).max(initial=0)), k - 1)
-    last = 0  # the largest first vertex of a passed complement, 0 for none
-    for lo in range(0, eta, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, eta)
+    return choose, _colex_subsets(int(np.flatnonzero(choose < eta).max(initial=0)), k - 1)
+
+
+def _sweep(faces: _Faces, comp, face, index, table: np.ndarray, choose, subsets,
+           start: int, last: int) -> tuple[int, int] | None:
+    """Check the stored rows start.. of the packed swap ``table`` of the
+    complements ``comp`` block by block, with the masks of ``faces``
+    holding the complements before ``start``, of which ``last`` is the
+    largest first vertex (0 for none); returns the failing 0-based (i, j),
+    minimal in (j, i), or None.  A block's complements are passed into the
+    masks once its check succeeds, and the sweep stops at the first block
+    holding a failing row.  ``index`` finds a face, as
+    :meth:`hexcut.cutcomplex._Positions.index` does."""
+    for lo, hi in _blocks(start, len(comp)):
         failure = _first_failure(table[lo:hi], lo, last, faces, comp, index, choose, subsets)
         if failure is not None:
             return failure
@@ -671,18 +781,30 @@ def _sweep(faces: _Faces, comp, face, index, table: np.ndarray) -> tuple[int, in
     return None
 
 
+def _run_length(rows: np.ndarray) -> int:
+    """The length of the longest strictly increasing prefix of ``rows``."""
+    down = np.flatnonzero(rows[1:] <= rows[:-1])
+    return int(down[0]) + 1 if len(down) else len(rows)
+
+
 def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | None]:
     """The packed swap table, bit v of row j set iff v lies in
     Lambda_{j+1}, in W uint64 words per row, and the failing 0-based
     (i, j), minimal in (j, i), or None.
 
-    Every row is built once, by :func:`_build_table`, with no containment
-    check, from the order's complements and face numbers gathered once.
-    When :func:`_closed_faces` knows the face counts, the order passes iff
-    the interval sum equals their sum, f(Delta).  Otherwise the masks are
-    reset and :func:`_sweep` checks the stored rows: it names the failure
-    of an order the count rejects, and finding none there raises
-    CountWithoutFailure; without f(Delta) the sweep alone decides."""
+    Every row is built once, with no containment check, from the order's
+    complements and face numbers gathered once.  The order opens with a
+    lex run, its longest strictly increasing prefix of rows, which the
+    canonical complex lists in lex order: the run is passed into the masks
+    once, and its rows are read from those masks by rank
+    (:meth:`_Faces.rank_rows`).  The rows after it are built by
+    :func:`_build_table` from those masks on.  When :func:`_closed_faces`
+    knows the face counts, the order passes iff the interval sum equals
+    their sum, f(Delta).  Otherwise the run's rows are checked against the
+    run's masks (:func:`_run_failure`), and, if none fails, :func:`_sweep`
+    checks the stored rows after the run from those masks on: the two name
+    the failure of an order the count rejects, and finding none there
+    raises CountWithoutFailure; without f(Delta) they alone decide."""
     cx = order.cx
     pos = _face_numbers(cx)
     # np.take gathers rows faster than fancy indexing does
@@ -690,12 +812,20 @@ def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | Non
     face = np.take(pos.face, order.rows, axis=0)
     faces = _Faces(cx.n_vertices, pos.count)
     table = np.empty((order.n_facets, faces.masks.shape[0]), dtype="<u8")
+    r = _run_length(order.rows)
+    faces.pass_rows(comp[:r], face[:r])
+    run = faces.masks.copy()  # the run's masks, kept while the rows after it pass
+    sizes = _build_table(faces, comp, face, table, r)
     closed = _closed_faces(cx)
     total = None if closed is None else sum(closed.counts)
-    if _interval_sum(_build_table(faces, comp, face, table)) == total:
+    if _interval_sum(sizes) == total:
         return table, None
-    faces.masks[:] = 0
-    failure = _sweep(faces, comp, face, pos.index, table)
+    faces.masks = run
+    choose, subsets = _subset_table(order.n_facets, cx.k, cx.n_vertices)
+    failure = _run_failure(table, r, faces, comp, face, pos.index, choose, subsets)
+    if failure is None:
+        failure = _sweep(faces, comp, face, pos.index, table, choose, subsets,
+                         r, int(comp[:r, 0].max(initial=0)))
     if failure is None and total is not None:
         raise CountWithoutFailure(
             f"the interval sum differs from the {total} faces, but no row fails")
@@ -724,27 +854,31 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     it verified; a failing run attaches nothing.
 
     Every row of the swap table is built once, with no containment check,
-    and the sum of 2^(N - k - |Lambda_j|) is formed.  For the full 3-cut
+    and the sum of 2^(N - k - |Lambda_j|) is formed; the rows of the lex
+    run that opens the order, its longest strictly increasing prefix of
+    rows, are read by rank from the run's masks.  For the full 3-cut
     complex of a graph with no triangle and no 4-cycle, shown to be one
     from the graph's neighbour pairs and the complements of the complex,
-    once per complex, f(Delta) = 2^N - 1 - N - C(N, 2) - T for T connected triples,
-    and the order passes iff the sum equals f(Delta).  Every other order
-    is swept from its stored rows with the containment test below, which
-    names the first failure or, where f(Delta) is unknown, passes the
-    order; a rejected sum whose sweep finds no failure raises
+    once per complex, f(Delta) = 2^N - 1 - N - C(N, 2) - T for T connected
+    triples, and the order passes iff the sum equals f(Delta).  Every other
+    order is checked from its stored rows with the containment test below,
+    which names the first failure or, where f(Delta) is unknown, passes
+    the order; a rejected sum whose check finds no failure raises
     CountWithoutFailure.  Row j fails iff an earlier complement lies
     inside S_j = V - Lambda_j, tested for any k along one of two paths:
-    a test of (k-1)-subsets of S_j against bitmasks
-    of the earlier complements that contain them, or a scan of the j
-    earlier complements.  Rows are checked in blocks of ``_BLOCK_ROWS``:
-    each row is scanned against the complements of its block before it,
-    and tested against the earlier ones along the cheaper path.  The test
-    reads only the subsets starting at or below the last vertex that starts
-    a passed complement; with s = |S_j| and L the vertices of S_j up to
-    that one, it reads C(s, k - 1) - C(s - L, k - 1) masks, and a row takes
-    it when that is below j.  Scans are bit-sliced: one complement against
-    R rows costs k ceil(R / 64) words.  Faces are numbered once per
-    complex, by colex rank while the C(N, k - 1) ranks fit
+    a test of (k-1)-subsets of S_j against bitmasks of the earlier
+    complements that contain them, or a scan of the j earlier complements.
+    Each row of the run is checked on its own against the run's masks,
+    reading only the subsets of S_j lex-smaller than its complement
+    without the last entry.  The rows after it are checked in blocks of
+    ``_BLOCK_ROWS``: each row is scanned against the complements of its
+    block before it, and tested against the earlier ones along the cheaper
+    path.  That test reads only the subsets starting at or below the last
+    vertex that starts a passed complement; with s = |S_j| and L the
+    vertices of S_j up to that one, it reads C(s, k - 1) - C(s - L, k - 1)
+    masks, and a row takes it when that is below j.  Scans are bit-sliced:
+    one complement against R rows costs k ceil(R / 64) words.  Faces are
+    numbered once per complex, by colex rank while the C(N, k - 1) ranks fit
     ``cutcomplex.POSITION_TABLE_LIMIT``, or past it by binary search among
     their sorted big-endian bytes, exact for any k and N.
     ``jobs`` is validated and echoed, and changes nothing.  ``pairs_checked``
@@ -831,6 +965,21 @@ class StreamedShelling:
         return _non_spanning_pairs(self.spanning_complements, self.n_vertices)
 
 
+def _triple_masks(faces: _Faces, pos: _Positions, removed: np.ndarray) -> None:
+    """Set the masks of ``faces``, numbered by the colex ranks of ``pos``,
+    to those of every triple of [1, N] but the rows of ``removed``: bit z
+    of face {x, y} set iff z is neither x nor y and {x, y, z} is no sorted
+    row of ``removed``.  The mask past the faces stays zero."""
+    x, y = np.triu_indices(len(faces.vertex) - 1, 1)
+    x, y = x + 1, y + 1
+    at = pos.index([x, y])
+    faces.masks[:, at] = faces.vertices[:, None]
+    for v in (x, y):
+        faces.masks[v >> 6, at] &= ~faces.vertex_bit[v]
+    np.bitwise_and.at(faces.masks, (removed >> 6, pos.faces(removed)),
+                      ~faces.vertex_bit[removed])
+
+
 def stream_shelling(g: HexGraph) -> StreamedShelling | None:
     """Verify the relocated order of the 3-cut complex of ``g``, the order
     of :func:`shelling_order`, block by block, holding no complex, order or
@@ -838,46 +987,63 @@ def stream_shelling(g: HexGraph) -> StreamedShelling | None:
     numbered by colex rank, of ceil((N + 1) / 64) words each.  The base
     segment comes from :func:`_lex_blocks` with the tail complements held
     back, then the tail in schedule order.  Each block's swap rows are
-    built, counted by size |Lambda_j|, their spanning rows kept, and the
-    block is passed into the masks.
+    built, counted by size |Lambda_j|, and their spanning rows kept.
+
+    The base segment is one lex run, so its rows are read by rank
+    (:meth:`_Faces.rank_rows`) from the masks of the whole run, built from
+    the graph: bit z of face {x, y} is set iff {x, y, z} is neither a path
+    nor a tail complement.  The tail rows are built from those masks by
+    the prefix-sum kernel and passed into them.
 
     The order passes only once the walk shows that it lists each facet of
-    a complex with known f(Delta) once, as :func:`_closed_faces` would: the
-    graph has no triangle and no 4-cycle (:func:`_neighbour_paths`), the
-    base rows strictly increase in lex order across blocks, every tail
-    complement is met once among them, there are C(N, 3) - T rows for T
-    paths, and no path is listed, read once from the final masks as bit z
-    of face {x, y} for each sorted path (x, y, z); then the interval sum
-    must equal f(Delta).  Returns None when any check fails, and the caller
-    verifies the materialised order instead, which names the failure.  The
-    caller checks the subset guard first, as for a materialised order."""
+    a complex with known f(Delta) once, as :func:`_closed_faces` would, and
+    that the base segment is the run the masks hold: the graph has no
+    triangle and no 4-cycle (:func:`_neighbour_paths`), the base rows
+    strictly increase in lex order across blocks and each is set in the
+    masks (bit x_3 of face {x_1, x_2}), every tail complement is met once
+    among them, there are C(N, 3) - T rows for T paths, and no path is
+    listed, read once from the final masks as bit z of face {x, y} for each
+    sorted path (x, y, z); then the interval sum must equal f(Delta).
+    Returns None when any check fails, and the caller verifies the
+    materialised order instead, which names the failure.  The caller
+    checks the subset guard first, as for a materialised order."""
     N = g.n_vertices
     paths = _neighbour_paths(g)
     pos = _Positions(np.empty((0, 3), dtype=np.int32), N)
     if paths is None or not pos.dense:
         return None
     moved = _vertex_array([t.complement for t in tail_facets(g.m, g.n, g)], 3)
+    paths = np.sort(np.array(paths, dtype=np.int32).reshape(-1, 3), axis=1)
     faces = _Faces(N, pos.count)
+    _triple_masks(faces, pos, np.concatenate([paths, moved]))
     sizes = np.zeros(N - 2, dtype=np.int64)
     spanning = [np.empty((0, 3), dtype=np.int32)]
+
+    def count(block: np.ndarray, rows: np.ndarray) -> None:
+        size = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
+        sizes[:] += np.bincount(size, minlength=N - 2)
+        spanning.append(block[size == N - 3])
+
     try:
-        for canonical, block in chain(_base_blocks(g, moved), [(True, moved)]):
-            if not canonical:
-                return None
+        for canonical, block in _base_blocks(g, moved):
             face = pos.faces(block)
-            size = np.bitwise_count(faces.swap_rows(block, face)).sum(axis=1, dtype=np.intp)
-            faces.pass_rows(block, face)
-            sizes += np.bincount(size, minlength=N - 2)
-            spanning.append(block[size == N - 3])
+            x3 = block[:, 2]
+            held = faces.masks[x3 >> 6, face[:, 2]] & faces.vertex_bit[x3]
+            if not canonical or not held.all():
+                return None
+            count(block, faces.rank_rows(block, face))
     except TailFacetNotFound:
         return None
-    count = int(sizes.sum())
-    x, y, z = np.sort(np.array(paths, dtype=np.int32).reshape(-1, 3), axis=1).T
+    face = pos.faces(moved)
+    count(moved, faces.swap_rows(moved, face))
+    faces.pass_rows(moved, face)
+    x, y, z = paths.T
     listed = faces.masks[z >> 6, pos.index([x, y])] & faces.vertex_bit[z]
-    if (count != comb(N, 3) - len(paths) or listed.any()
-            or _interval_sum(sizes) != sum(_closed_fvector(N, count).counts)):
+    total = int(sizes.sum())
+    if (total != comb(N, 3) - len(paths) or listed.any()
+            or _interval_sum(sizes) != sum(_closed_fvector(N, total).counts)):
         return None
-    return StreamedShelling(N, count, tuple(sizes.tolist()), np.concatenate(spanning))
+    return StreamedShelling(N, total, tuple(sizes.tolist()), np.concatenate(spanning))
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,12 @@ def _facet_sets(cx, seq):
     return [frozenset(verts - set(c)) for c in seq]
 
 
+def _seeded_graph(seed, n_vertices, p):
+    rng = random.Random(seed)
+    return Graph(n_vertices, [e for e in combinations(range(1, n_vertices + 1), 2)
+                              if rng.random() < p])
+
+
 def test_tail_count_cases():
     assert tail_facet_count(1, 1) == 0
     assert tail_facet_count(2, 1) == 0
@@ -591,14 +597,19 @@ def test_h46_reinsertions_across_the_word_boundary(instance, t, expected):
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
 def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
+    # rows come from both kernels: by rank for the lex run that opens the
+    # order, by prefix sums for the rows after it; each row is built once,
+    # in its place
     built = []
-    real = shelling._Faces.swap_rows
 
-    def counting(faces, comp, face):
-        built.extend(map(tuple, comp.tolist()))
-        return real(faces, comp, face)
+    def counting(real):
+        def kernel(faces, comp, face):
+            built.extend(map(tuple, comp.tolist()))
+            return real(faces, comp, face)
+        return kernel
 
-    monkeypatch.setattr(shelling._Faces, "swap_rows", counting)
+    for name in ("swap_rows", "rank_rows"):
+        monkeypatch.setattr(shelling._Faces, name, counting(getattr(shelling._Faces, name)))
     monkeypatch.setattr(shelling, "_BLOCK_ROWS", 64)
     cx = _complex(m, n)
     order = shelling_order(cx)
@@ -624,6 +635,131 @@ def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
     with pytest.raises(UnverifiedOrder):
         spanning_facets(plain)
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# the lex run that opens an order, read by rank
+# ---------------------------------------------------------------------------
+
+def _prefix_sum_table(order):
+    """Every row of the packed swap table of ``order`` built by the
+    prefix-sum kernel alone, from masks that hold nothing."""
+    cx = order.cx
+    pos = shelling._face_numbers(cx)
+    faces = shelling._Faces(cx.n_vertices, pos.count)
+    table = np.empty((order.n_facets, faces.masks.shape[0]), dtype="<u8")
+    comp = cutcomplex._complements(cx)[order.rows]
+    shelling._build_table(faces, comp, pos.face[order.rows], table)
+    return table
+
+
+def _assert_rank_rows_are_prefix_sum_rows(order, run):
+    assert shelling._run_length(order.rows) == run
+    table, _ = shelling._swap_table(order)
+    assert np.array_equal(table, _prefix_sum_table(order))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (3, 3), (3, 4), (4, 4), (4, 6),
+                                 (6, 6)])
+def test_rank_rows_equal_the_prefix_sum_rows_on_hex_orders(instance, m, n):
+    # the relocated, the plain and every single-tail order: the base
+    # segment is the lex run, read by rank, and the tail rows after it come
+    # from the prefix-sum kernel starting at the run's masks
+    cx = instance(m, n, verify=False).cx
+    orders = [shelling_order(cx), shelling_order(cx, relocate_tail=False)]
+    orders += [order_with_tail_reinserted(cx, t)[0] for t in range(1, tail_facet_count(m, n) + 1)]
+    for order in orders:
+        _assert_rank_rows_are_prefix_sum_rows(order, order.base_count)
+
+
+def _explored_orders(g, k):
+    """The revlex order of the k-cut complex of ``g`` and the order that
+    moves its size-k open neighbourhoods to the end, with the length of
+    the lex run each opens with."""
+    cx = enumerate_facets(g, k)
+    facets = set(cx.facets)
+    hoods = sorted({nb for nb in map(g.neighbors, g.vertices()) if len(nb) == k} & facets)
+    yield shelling._order(cx), cx.n_facets
+    order = shelling._order(cx, hoods)
+    # the moved rows continue the run while they follow the last row of the base
+    yield order, shelling._run_length(order.rows)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("g", [build_hex_graph(1, 3), _seeded_graph(3, 12, 0.3),
+                               _seeded_graph(8, 13, 0.5)], ids=["hex-1-3", "random12", "random13"])
+def test_rank_rows_equal_the_prefix_sum_rows_at_k4_and_k5(g, k):
+    for order, run in _explored_orders(g, k):
+        assert run >= order.base_count
+        _assert_rank_rows_are_prefix_sum_rows(order, run)
+
+
+def test_run_masks_stay_as_the_run_left_them():
+    # H(2, 2), N = 16, packs a row into one word.  With tail facet 2 back at
+    # its sorted place, the run ends with the base segment, and tail facet
+    # 1, after it, passes into the masks.  The run's failure is checked
+    # against the masks of the run alone: counting tail facet 1 among them
+    # would flag row 488, which holds it in S_j, as failing
+    cx = _complex(2, 2)
+    order, spot = order_with_tail_reinserted(cx, 2)
+    assert shelling._Faces(cx.n_vertices, 1).masks.shape[0] == 1
+    assert shelling._run_length(order.rows) == order.n_facets - 1
+    res = verify_shelling(order)
+    assert (res.ok, res.counterexample) == (False, (306, 506)) and spot == 506
+    assert oracle_is_shelling(_facet_sets(cx, order.facets)) == (False, (306, 506))
+
+
+@st.composite
+def sorted_prefix_orders(draw):
+    """A random graph on N <= 9 vertices, k in {2, 3, 4, 5}, its k-cut
+    facets in lex order up to a cut and shuffled after it, plus the
+    verifier sizes.  When the lex order fails at row j, the cut often lies
+    at j - 1, j or j + 1 rows: the prefix ends just before, at or after
+    the failure."""
+    k = draw(st.sampled_from([2, 3, 4, 5]))
+    N = draw(st.integers(k + 1, 9))
+    edges = draw(st.sets(st.sampled_from(list(combinations(range(1, N + 1), 2)))))
+    cx = enumerate_facets(Graph(N, sorted(edges)), k)
+    seq = list(cx.facets)
+    ok, failure = oracle_is_shelling(_facet_sets(cx, seq))
+    if not ok and draw(st.booleans()):
+        cut = failure[1] + draw(st.sampled_from([-1, 0, 1]))
+    else:
+        cut = draw(st.integers(0, len(seq)))
+    return cx, seq[:cut] + draw(st.permutations(seq[cut:])), _verifier_sizes(draw)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sorted_prefix_orders())
+def test_sorted_prefix_orders_match_the_oracle(case):
+    # the run check names a failure inside the sorted prefix, the sweep one
+    # after it; either way the verdict is the oracle's minimal (i, j), with
+    # f(Delta) unknown and with the exhaustive count as f(Delta)
+    cx, seq, patches = case
+    facet_sets = _facet_sets(cx, seq)
+    exhaustive = f_vector(cx, mode="exhaustive")
+    oracle = oracle_is_shelling(facet_sets)
+    with _face_lookups(**patches):
+        cx = enumerate_facets(cx.graph, cx.k)
+        res = verify_shelling(_order_of(cx, seq))
+        with mock.patch.object(shelling, "_closed_faces", lambda cx: exhaustive):
+            counted = verify_shelling(_order_of(cx, seq))
+    assert (res.ok, res.counterexample) == (counted.ok, counted.counterexample) == oracle
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_hex_plain_prefix_around_its_failure(m, n, shift):
+    # the plain order of H(m, n) sorted up to one row before, at or after
+    # its first failing row j, and shuffled after it
+    cx = _complex(m, n)
+    seq = list(cx.facets)
+    j = verify_shelling(shelling_order(cx, relocate_tail=False)).counterexample[1]
+    rest = seq[j + shift:]
+    random.Random(j + shift).shuffle(rest)
+    seq = seq[:j + shift] + rest
+    res = verify_shelling(_order_of(cx, seq))
+    assert (res.ok, res.counterexample) == oracle_is_shelling(_facet_sets(cx, seq))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1268,12 +1404,6 @@ def test_every_single_reinsertion_follows_the_order_rule(m, n):
         assert (order.facets, order.tail, order.base_count) == (
             seq, tuple(others), len(seq) - len(others))
         assert spot == seq.index(tail[t - 1].complement) + 1
-
-
-def _seeded_graph(seed, n_vertices, p):
-    rng = random.Random(seed)
-    return Graph(n_vertices, [e for e in combinations(range(1, n_vertices + 1), 2)
-                              if rng.random() < p])
 
 
 @pytest.mark.parametrize("g,k", [(build_hex_graph(1, 2), 3), (build_hex_graph(1, 2), 4),

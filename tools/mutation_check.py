@@ -56,18 +56,24 @@ MUTANTS = {
     ),
     "interval sum: first block left out of the histogram": (
         "shelling.py",
-        "        sizes += np.bincount(np.bitwise_count(table[lo:hi])",
-        "        sizes += (lo > 0) * np.bincount(np.bitwise_count(table[lo:hi])",
+        "        table[lo:hi] = faces.swap_rows(comp[lo:hi], face[lo:hi])\n"
+        "        sizes += _sizes(table[lo:hi], top)\n",
+        "        table[lo:hi] = faces.swap_rows(comp[lo:hi], face[lo:hi])\n"
+        "        sizes += (lo > run) * _sizes(table[lo:hi], top)\n",
     ),
     "interval sum: == f(Delta) becomes >=": (
         "shelling.py",
-        "    if _interval_sum(_build_table(faces, comp, face, table)) == total:\n",
-        "    if _interval_sum(_build_table(faces, comp, face, table)) >= total:\n",
+        "    if _interval_sum(sizes) == total:\n",
+        "    if _interval_sum(sizes) >= total:\n",
     ),
     "sweep skipped when f(Delta) is unknown": (
         "shelling.py",
-        "    failure = _sweep(faces, comp, face, pos.index, table)\n",
-        "    failure = None if total is None else _sweep(faces, comp, face, pos.index, table)\n",
+        "    failure = _run_failure(table, r, faces, comp, face, pos.index, choose, subsets)\n"
+        "    if failure is None:\n",
+        "    failure = _run_failure(table, r, faces, comp, face, pos.index, choose, subsets)\n"
+        "    if failure is None and total is None:\n"
+        "        return table, None\n"
+        "    if failure is None:\n",
     ),
     "byte-key face lookup reads the columns in descending order": (
         "cutcomplex.py",
@@ -120,6 +126,26 @@ MUTANTS = {
         "shelling.py",
         "    for c in range(1, cols.shape[1]):\n",
         "    for c in range(2, cols.shape[1]):\n",
+    ),
+    "lex run: each face cut at low(x_s + 1)": (
+        "shelling.py",
+        "            below = np.take(self.below, comp[:, s], axis=1)\n",
+        "            below = np.take(self.below, comp[:, s] + 1, axis=1, mode=\"clip\")\n",
+    ),
+    "lex run one row longer (r + 1)": (
+        "shelling.py",
+        "    return int(down[0]) + 1 if len(down) else len(rows)\n",
+        "    return int(down[0]) + 2 if len(down) else len(rows)\n",
+    ),
+    "lex run check: subset span M_j - 1": (
+        "shelling.py",
+        "size, rank + 1, choose[size] - 1 - rank,",
+        "size, rank + 1, choose[size] - 2 - rank,",
+    ),
+    "stream: run masks keep the tail triples": (
+        "shelling.py",
+        "    _triple_masks(faces, pos, np.concatenate([paths, moved]))\n",
+        "    _triple_masks(faces, pos, paths)\n",
     ),
     "stream: a tail complement also left in the base segment": (
         "shelling.py",
