@@ -227,11 +227,20 @@ class _Positions:
     def faces(self, comp: np.ndarray) -> np.ndarray:
         """``face[i, s]``, the colex rank of row i of ``comp`` without its
         entry s, for any increasing k-subsets of [1, N] while the ranks are
-        dense, so for a block of complements no complex holds."""
-        # filled column by column: at k = 1 the rank of no column is the int 0
-        face = np.empty(comp.shape, dtype=np.int32)
-        for s in range(comp.shape[1]):
-            face[:, s] = self.index(np.delete(comp, s, axis=1).T)
+        dense, so for a block of complements no complex holds.
+
+        Without entry s, an entry x_c keeps its place c for c < s and
+        moves down to c - 1 for c > s, so the rank is a prefix sum of
+        weight[c, x_c] over c < s plus a suffix sum of weight[c - 1, x_c]
+        over c > s; at k = 1 both are empty and the rank is 0."""
+        rows, k = comp.shape
+        face = np.zeros((rows, k), dtype=np.int32)
+        lo, hi = np.zeros(rows, dtype=np.int32), np.zeros(rows, dtype=np.int32)
+        for s in range(1, k):
+            lo += self.weight[s - 1].take(comp[:, s - 1])
+            face[:, s] += lo
+            hi += self.weight[k - s - 1].take(comp[:, k - s])
+            face[:, k - s - 1] += hi
         return face
 
     def index(self, cols) -> np.ndarray:

@@ -40,21 +40,25 @@ Wachs, "Shellable nonpure complexes and posets I", 1996, section 2).
 One flow verifies every order.  The verifier keeps one bitmask per face, a
 (k-1)-subset u of a complement, with bit z set iff u + {z} is a complement
 passed so far; the complex numbers its faces and knows its face count,
-once (:mod:`hexcut.cutcomplex`).  Every row of the table is built once,
-packed into ceil((N + 1) / 64) words per row, and Lambda_j is the OR of
-the masks of the k faces of F_j^c.  An order opens with a lex run, its
-longest strictly increasing prefix of rows, in lex order as the complex
-is canonical.  Within the run earlier means lex-smaller, so the run is
-passed into the masks once and each of its rows is read from them by
-rank: the mask of the face without x_s cut to the vertices below x_s.
-The rows after the run are built in blocks of 4096 with prefix sums over
-the block, each block passed into the masks as soon as it is built.  When
+once (:mod:`hexcut.cutcomplex`).  The swap rows are built a block at a
+time, packed into ceil((N + 1) / 64) words per row, and no block is kept:
+Lambda_j is the OR of the masks of the k faces of F_j^c.  An order opens
+with a lex run, its longest strictly increasing prefix of rows, in lex
+order as the complex is canonical.  Within the run earlier means
+lex-smaller, so the run is passed into the masks once and each of its
+rows is read from them by rank: the mask of the face without x_s cut to
+the vertices below x_s.  The rows after the run are built in blocks of
+4096 with prefix sums over the block, each block passed into the masks
+as soon as it is read.  When
 f(Delta) is known, for the full 3-cut complex of a graph with no triangle
-and no 4-cycle, the sum alone passes the order.  Otherwise the run's rows
-are checked against the run's masks, which name a failing row with no
-block at all, and then the stored rows after the run are checked block by
-block with the containment test below: together they name the failure of
-an order the sum rejects, and decide an order whose f(Delta) is unknown.
+and no 4-cycle, every row is built once and tallied, and the sum alone
+passes the order.  Otherwise the rows are built again from the run's
+masks, up to the first failing block: the run's rows are checked against
+the run's masks, which name a failing row with no block at all, and then
+the rows after the run block by block with the containment test below,
+each block checked before it passes.  Together they name the failure of
+an order the sum rejects; where f(Delta) is unknown the count is skipped,
+so that they build each row once, and they decide the order.
 
 Row j fails iff some earlier complement lies inside S_j = V - Lambda_j.
 In the run, that is a complement of the run inside S_j and lex-smaller
@@ -72,28 +76,34 @@ s = |S_j| and L the vertices of S_j up to that one, the subset test reads
 C(s, k - 1) - C(s - L, k - 1) masks, and a row takes it when that is below
 j.  Every scan tests containment bit-sliced: each vertex gets one mask
 over the scanned rows, and a complement lies inside S_j exactly for the
-rows in the AND of its k masks, k words per 64 rows.  A passing order
-keeps its packed swap table for the spanning report, so Lambda is built
-once per order.
+rows in the AND of its k masks, k words per 64 rows.
 
-The relocated order of H(m, n) is also verified streamed, with no complex,
-order or swap table held (:func:`stream_shelling`; the CLI's ``order``,
-``verify`` and ``spanning`` take this path).  Its rows are walked from the
-graph in lex order in blocks, the tail complements held back and fed last.
-The base segment is one lex run, whose masks are built from the graph, so
-each base block's swap rows are read by rank; the tail rows come from the
-prefix-sum kernel.  The rows are counted by size |Lambda_j| and dropped,
-so only the masks, C(N, 2) + 1 faces of ceil((N + 1) / 64) words, outlive
-a block.  The walk checks what :func:`hexcut.cutcomplex._closed_faces`
-checks of a complex, and that every base row is in the masks; an order
-that fails a check, or whose sum is not f(Delta), is left to the
-materialised verifier, which names its failure.
+Every row built on the pass that decides the order goes into one tally
+(:class:`_Tally`): the count of each size |Lambda_j|, the positions and
+complements of the spanning rows, and, at k = 3, the witness vertex of
+each other row whose complement ends in N.  A passing order keeps the
+:class:`SpanningReport` made from it, which :func:`spanning_facets`
+returns, so Lambda is counted once per order and never stored.
+
+The relocated order of H(m, n) is also verified streamed, with no complex
+or order held (:func:`stream_shelling`; the CLI's ``order``, ``verify``
+and ``spanning`` take this path).  Its rows are walked from the graph in
+lex order in blocks, the tail complements held back and fed last.  The
+base segment is one lex run, whose masks are built from the graph, so
+each base block's swap rows are read by rank; the tail rows come from
+the prefix-sum kernel.  The rows go into the same tally and are dropped, so
+only the masks, C(N, 2) + 1 faces of ceil((N + 1) / 64) words, and the
+tally outlive a block, and the stream returns the same report.  The walk
+checks what :func:`hexcut.cutcomplex._closed_faces` checks of a complex,
+and that every base row is in the masks; an order that fails a check, or
+whose sum is not f(Delta), is left to the materialised verifier, which
+names its failure.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from itertools import chain, combinations, compress
 from math import comb
@@ -130,7 +140,7 @@ from .errors import (
 )
 from .hexgraph import Graph, HexGraph, hex_vertex_count
 
-# Rows of the swap table built and checked together, and the mask words
+# Swap rows built and checked together, and the mask words
 # read per numpy step by the subset test (one per candidate subset and row
 # word) and by the containment kernel (one per complement and sliced row
 # word, see _scan).  Both bound memory; steps of 2^15 words also ran the
@@ -224,11 +234,12 @@ class ShellingOrder:
     holds nothing else, and keeps no map, so ``dataclasses.replace``
     carries none.  The tail schedule, when relocated, occupies the last
     ``len(tail)`` positions in tail-index order.  A passing
-    :func:`verify_shelling` is the one writer of ``_swaps``, the packed
-    swap table of this order; the order is ``verified`` exactly when it
-    holds one.  The constructor and ``dataclasses.replace`` take no table
-    and no rows, so every order they build is unverified, and the spanning
-    report trusts ``verified`` without checking the order again.
+    :func:`verify_shelling` is the one writer of ``_report``, the
+    :class:`SpanningReport` tallied from the swap rows of this order; the
+    order is ``verified`` exactly when it holds one.  The constructor and
+    ``dataclasses.replace`` take no report and no rows, so every order
+    they build is unverified, and :func:`spanning_facets` trusts
+    ``verified`` without checking the order again.
     """
 
     cx: CutComplex
@@ -237,7 +248,7 @@ class ShellingOrder:
     tail: tuple[TailFacet, ...] = ()
     base_count: int = 0
     _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _swaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _report: SpanningReport | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, position):
         if position is not None and not (
@@ -256,7 +267,7 @@ class ShellingOrder:
         if self._rows is None:
             cx = self.cx
             try:
-                comp = _array(cx, self.facets)
+                comp = _vertex_array(self.facets, cx.k)
             except (OverflowError, ValueError):
                 raise IncompleteOrder(f"order lists a complement that is no {cx.k}-tuple "
                                       "of int32 integers") from None
@@ -270,7 +281,7 @@ class ShellingOrder:
 
     @property
     def verified(self) -> bool:
-        return self._swaps is not None
+        return self._report is not None
 
     @property
     def n_facets(self) -> int:
@@ -281,20 +292,13 @@ class ShellingOrder:
         return self.cx.n_vertices
 
 
-def _array(cx: CutComplex, complements) -> np.ndarray:
-    """Complement tuples as an (n, k) int32 array; raises ValueError when
-    one is no k-tuple or an entry no integer, OverflowError when an entry
-    is past int32."""
-    return _vertex_array(complements, cx.k)
-
-
 def _ordinals(order: ShellingOrder, complements) -> np.ndarray:
     """The 1-based position in ``order`` of each of ``complements``, or 0
     for one that is no facet: the rows found by :func:`_find_rows`, read
     through the inverse of ``order.rows``, scattered once."""
     ordinal = np.zeros(order.cx.n_facets + 1, dtype=np.int32)
     ordinal[order.rows] = np.arange(1, order.n_facets + 1, dtype=np.int32)
-    return ordinal[_find_rows(order.cx, _array(order.cx, complements))]
+    return ordinal[_find_rows(order.cx, _vertex_array(complements, order.cx.k))]
 
 
 def _tuples(cx: CutComplex, rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -312,7 +316,7 @@ def _order(cx: CutComplex, moved=(), tail=()) -> ShellingOrder:
     ``moved``, then the ``moved`` complements in the order given, built as
     rows of the complex.  Raises TailFacetNotFound when a moved complement
     is not a facet, InvalidParams when the complex is not canonical."""
-    at = _find_rows(cx, _array(cx, moved))
+    at = _find_rows(cx, _vertex_array(moved, cx.k))
     if (at < 0).any():
         first = moved[int(np.flatnonzero(at < 0)[0])]
         raise TailFacetNotFound(f"complement {first} to relocate not among facets")
@@ -397,6 +401,98 @@ def swap_set(order: ShellingOrder, j: int) -> frozenset[int]:
         lam for lam in range(1, order.n_vertices + 1)
         if lam not in compl and any(_swapped(compl, a, lam) in earlier for a in compl)
     )
+
+
+# ---------------------------------------------------------------------------
+# the spanning report, tallied a block of swap rows at a time
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class SpanningReport:
+    """The spanning verdicts of a shelling, tallied from its swap rows by
+    :class:`_Tally`: ``sizes[s]``, the number of rows with |Lambda_j| = s
+    for s = 0..N - k; ``positions``, 0-based, and ``spanning``, (psi, k)
+    int32 complements, of the spanning rows, |Lambda_j| = N - k; at k = 3,
+    ``ends``, the (x, y) of each other row whose complement is {x, y, N},
+    and ``witnesses``, for each, the least vertex in neither Lambda_j nor
+    the complement.  The other fields are built on first read, with
+    Python bools and ints.  ``non_spanning_pairs`` lists every (x, y),
+    x < y < N, for which {x, y, N} is no spanning complement, whether its
+    facet does not span or the triple is connected; every spanning
+    complement holds N, so these pairs determine psi.  Reports with equal
+    content are equal."""
+
+    n_vertices: int
+    sizes: tuple[int, ...]
+    positions: np.ndarray
+    spanning: np.ndarray
+    ends: np.ndarray
+    witnesses: np.ndarray
+
+    def __eq__(self, other):
+        return isinstance(other, SpanningReport) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    @property
+    def n_facets(self) -> int:
+        return sum(self.sizes)
+
+    @property
+    def psi(self) -> int:
+        return len(self.positions)
+
+    @cached_property
+    def spanning_flags(self) -> tuple[bool, ...]:
+        flags = np.zeros(self.n_facets, dtype=bool)
+        flags[self.positions] = True
+        return tuple(flags.tolist())
+
+    @cached_property
+    def spanning_complements(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.spanning.tolist()))
+
+    @cached_property
+    def non_spanning_pairs(self) -> tuple[tuple[int, int], ...]:
+        return _non_spanning_pairs(self.spanning_complements, self.n_vertices)
+
+    @cached_property
+    def witness_map(self) -> dict[tuple[int, int], int]:
+        return dict(zip(map(tuple, self.ends.tolist()), self.witnesses.tolist()))
+
+
+class _Tally:
+    """The spanning report of an order, counted from its packed swap rows
+    one block at a time, in order, keeping none of them."""
+
+    def __init__(self, N: int, k: int):
+        self.N, self.k, self.rows = N, k, 0
+        self.sizes = np.zeros(N - k + 1, dtype=np.int64)
+        # per block: the positions and complements of the spanning rows,
+        # then the ends and witnesses; the first block is empty
+        self.blocks = [(np.empty(0, dtype=np.intp), np.empty((0, k), dtype=np.int32),
+                        np.empty((0, 2), dtype=np.int32), np.empty(0, dtype=np.intp))]
+
+    def add(self, comp: np.ndarray, rows: np.ndarray) -> None:
+        """Count the packed swap ``rows`` of the complements ``comp``, the
+        block that follows the rows counted so far."""
+        N, k = self.N, self.k
+        size = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
+        self.sizes += np.bincount(size, minlength=N - k + 1)
+        span = size == N - k
+        ends = np.flatnonzero(~span & (comp[:, -1] == N)) if k == 3 else np.empty(0, np.intp)
+        # bit v of a row: v is in the swap set, in the complement, or v = 0
+        seen = np.unpackbits(rows[ends].view(np.uint8), axis=1, bitorder="little")[:, :N + 1]
+        seen[:, 0] = 1
+        seen[np.arange(len(ends))[:, None], comp[ends]] = 1
+        self.blocks.append((self.rows + np.flatnonzero(span), comp[span], comp[ends, :2],
+                            seen.argmin(axis=1)))
+        self.rows += len(comp)
+
+    def report(self) -> SpanningReport:
+        parts = [np.concatenate(part) for part in zip(*self.blocks)]
+        for part in parts:
+            part.flags.writeable = False
+        return SpanningReport(self.N, tuple(self.sizes.tolist()), *parts)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +591,7 @@ class _Faces:
         for s in range(comp.shape[1]):
             below = np.take(self.below, comp[:, s], axis=1)
             rows |= np.take(self.masks, face[:, s], axis=1) & below
-        return rows.T
+        return np.ascontiguousarray(rows.T)
 
     def pass_rows(self, comp: np.ndarray, face: np.ndarray) -> None:
         """Pass the block ``comp``: set each complement's bits in the masks
@@ -638,14 +734,13 @@ def _first_failure(rows, lo, last, faces, comp, index, choose,
                        faces, comp, index, choose, subsets)
 
 
-def _run_failure(table, r, faces, comp, face, index, choose,
+def _run_failure(rows, lo, faces, comp, face, index, binom,
                  subsets) -> tuple[int, int] | None:
-    """The 0-based (i, j), minimal in (j, i), with j among the rows 0..r - 1
-    of the packed swap ``table``, the lex run that opens the order, of the
-    complements ``comp`` with faces ``face``, or None.  The masks of
+    """The 0-based (i, j), minimal in (j, i), with j among the packed swap
+    ``rows`` from position lo, a block of the lex run that opens the order
+    of the complements ``comp`` with faces ``face``, or None.  The masks of
     ``faces`` hold exactly the run's complements, and are only read, so
-    each row is checked on its own; rows go in blocks of ``_BLOCK_ROWS``,
-    which bound the memory, up to the first block holding a failing row.
+    each row is checked on its own.
 
     Within the run, earlier means lex-smaller, so S_j holds an earlier
     complement D exactly when, with x_k the last entry of F_j^c and u the
@@ -657,30 +752,25 @@ def _run_failure(table, r, faces, comp, face, index, choose,
     (k-1)-subsets of S_j come in descending lex order, so the M_j
     lex-smaller than u are the last M_j columns for range(s) of
     ``subsets``: skip = C(s, k - 1) - M_j and span = M_j, with
-    C(s, k - 1) - 1 - M_j the colex rank of u.  ``choose[s]`` is
-    C(s, k - 1) capped at eta, and the colex rank sums capped binomials,
-    exact for every row that takes the subset test."""
-    eta, k = comp.shape
-    N = len(faces.vertex) - 1
-    binom = np.array([[min(comb(a, t), eta) for a in range(N + 1)] for t in range(k)])
-    for lo, hi in _blocks(0, r):
-        run = comp[lo:hi]
-        inside = ~table[lo:hi] & faces.vertices  # S_j
-        size = np.bitwise_count(inside).sum(axis=1, dtype=np.int64)  # |S_j|
-        rank = np.zeros(hi - lo, dtype=np.int64)
-        for c in range(k - 1):
-            # the vertices of S_j above x_{c+1}, its place in descending order
-            low = np.take(faces.below, run[:, c], axis=1) & inside.T
-            place = size - 1 - np.bitwise_count(low).sum(axis=0, dtype=np.int64)
-            rank += binom[k - 1 - c, place]
-        low = np.take(faces.below, run[:, -1], axis=1) & inside.T
-        hit = np.take(faces.masks, face[lo:hi, -1], axis=1) & low
-        failure = _name_first(np.flatnonzero(hit.any(axis=0))[:1].tolist(), inside,
-                              np.arange(lo, hi), size, rank + 1, choose[size] - 1 - rank,
-                              faces, comp, index, choose, subsets)
-        if failure is not None:
-            return failure
-    return None
+    C(s, k - 1) - 1 - M_j the colex rank of u.  ``binom[t, s]`` is
+    C(s, t) capped at eta, and the colex rank sums capped binomials, exact
+    for every row that takes the subset test."""
+    k = comp.shape[1]
+    hi = lo + len(rows)
+    run, choose = comp[lo:hi], binom[k - 1]
+    inside = ~rows & faces.vertices  # S_j
+    size = np.bitwise_count(inside).sum(axis=1, dtype=np.int64)  # |S_j|
+    rank = np.zeros(hi - lo, dtype=np.int64)
+    for c in range(k - 1):
+        # the vertices of S_j above x_{c+1}, its place in descending order
+        low = np.take(faces.below, run[:, c], axis=1) & inside.T
+        place = size - 1 - np.bitwise_count(low).sum(axis=0, dtype=np.int64)
+        rank += binom[k - 1 - c, place]
+    low = np.take(faces.below, run[:, -1], axis=1) & inside.T
+    hit = np.take(faces.masks, face[lo:hi, -1], axis=1) & low
+    return _name_first(np.flatnonzero(hit.any(axis=0))[:1].tolist(), inside,
+                       np.arange(lo, hi), size, rank + 1, choose[size] - 1 - rank,
+                       faces, comp, index, choose, subsets)
 
 
 def _name_first(failing, inside, ords, size, skip, span, faces, comp, index, choose,
@@ -720,64 +810,63 @@ def _interval_sum(sizes: np.ndarray) -> int:
     return sum(count << (top - size) for size, count in enumerate(sizes.tolist()))
 
 
-def _sizes(rows: np.ndarray, top: int) -> np.ndarray:
-    """The number of the packed swap ``rows`` with |Lambda_j| = s, for
-    s = 0..top."""
-    return np.bincount(np.bitwise_count(rows).sum(axis=1, dtype=np.intp), minlength=top + 1)
-
-
 def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
     """The row blocks [a, b) of at most ``_BLOCK_ROWS`` rows that cover
     lo..hi - 1, in order."""
     return ((a, min(a + _BLOCK_ROWS, hi)) for a in range(lo, hi, _BLOCK_ROWS))
 
 
-def _build_table(faces: _Faces, comp, face, table: np.ndarray, run: int = 0) -> np.ndarray:
-    """Build every row of the packed swap ``table`` of the complements
-    ``comp`` with faces ``face``, a block at a time; returns the number of
-    rows of each size |Lambda_j| = 0..N - k, counted block by block.  The
-    first ``run`` rows form a lex run, whose complements, and no other,
-    the masks of ``faces`` must hold: they are read by rank.  The rows
-    after it are built by prefix sums, each block passed into the masks
-    once built."""
-    eta, k = comp.shape
-    top = len(faces.vertex) - 1 - k  # N - k
-    sizes = np.zeros(top + 1, dtype=np.int64)
+def _row_blocks(faces: _Faces, comp, face, run: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The packed swap rows of the complements ``comp`` with faces
+    ``face``, bit v of row j set iff v lies in Lambda_{j+1}, in W uint64
+    words per row, one block at a time: yields the first position lo of
+    each block and its rows, and keeps none.  The first ``run`` rows form
+    a lex run, whose complements, and no other, the masks of ``faces``
+    must hold: they are read by rank, and the masks stay as they are.
+    Each block after the run is built by prefix sums from the masks as
+    they stand at it, and passed into them once the caller has read it."""
     for lo, hi in _blocks(0, run):
-        table[lo:hi] = faces.rank_rows(comp[lo:hi], face[lo:hi])
-        sizes += _sizes(table[lo:hi], top)
-    for lo, hi in _blocks(run, eta):
-        table[lo:hi] = faces.swap_rows(comp[lo:hi], face[lo:hi])
-        sizes += _sizes(table[lo:hi], top)
+        yield lo, faces.rank_rows(comp[lo:hi], face[lo:hi])
+    for lo, hi in _blocks(run, len(comp)):
+        yield lo, faces.swap_rows(comp[lo:hi], face[lo:hi])
         faces.pass_rows(comp[lo:hi], face[lo:hi])
-    return sizes
 
 
 def _subset_table(eta: int, k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """``choose[s]``, C(s, k - 1) capped at eta for s = 0..N, and the
-    (k-1)-subsets of range(s) in colex order for the largest s with fewer
-    than eta of them: the subset tests of the containment check read
-    them."""
-    choose = np.array([min(comb(s, k - 1), eta) for s in range(N + 1)])
-    return choose, _colex_subsets(int(np.flatnonzero(choose < eta).max(initial=0)), k - 1)
+    """``binom[t, s]``, C(s, t) capped at eta for t = 0..k - 1 and
+    s = 0..N, and the (k-1)-subsets of range(s) in colex order for the
+    largest s with fewer than eta of them: the subset tests of the
+    containment check read them."""
+    binom = np.array([[min(comb(s, t), eta) for s in range(N + 1)] for t in range(k)])
+    s = int(np.flatnonzero(binom[k - 1] < eta).max(initial=0))
+    return binom, _colex_subsets(s, k - 1)
 
 
-def _sweep(faces: _Faces, comp, face, index, table: np.ndarray, choose, subsets,
-           start: int, last: int) -> tuple[int, int] | None:
-    """Check the stored rows start.. of the packed swap ``table`` of the
-    complements ``comp`` block by block, with the masks of ``faces``
-    holding the complements before ``start``, of which ``last`` is the
-    largest first vertex (0 for none); returns the failing 0-based (i, j),
-    minimal in (j, i), or None.  A block's complements are passed into the
-    masks once its check succeeds, and the sweep stops at the first block
-    holding a failing row.  ``index`` finds a face, as
-    :meth:`hexcut.cutcomplex._Positions.index` does."""
-    for lo, hi in _blocks(start, len(comp)):
-        failure = _first_failure(table[lo:hi], lo, last, faces, comp, index, choose, subsets)
+def _failure(faces: _Faces, comp, face, index, run: int,
+             tally: _Tally | None) -> tuple[int, int] | None:
+    """The failing 0-based (i, j), minimal in (j, i), of the order of the
+    complements ``comp`` with faces ``face``, or None, with the masks of
+    ``faces`` holding the ``run`` complements of the lex run that opens
+    it.  The rows are rebuilt block by block (:func:`_row_blocks`), up to
+    the first block holding a failing row, and ``tally``, when given,
+    counts each.  A block of the run is checked against the run's masks
+    (:func:`_run_failure`), a block after it against the masks as they
+    stand at it (:func:`_first_failure`), which it passes into only once
+    checked.  ``index`` finds a face, as :meth:`_Positions.index` does."""
+    eta, k = comp.shape
+    binom, subsets = _subset_table(eta, k, len(faces.vertex) - 1)
+    last = int(comp[:run, 0].max(initial=0))  # the largest first vertex before the block
+    for lo, rows in _row_blocks(faces, comp, face, run):
+        hi = lo + len(rows)
+        if tally is not None:
+            tally.add(comp[lo:hi], rows)
+        if hi <= run:
+            failure = _run_failure(rows, lo, faces, comp, face, index, binom, subsets)
+        else:
+            failure = _first_failure(rows, lo, last, faces, comp, index, binom[k - 1], subsets)
+            last = max(last, int(comp[lo:hi, 0].max()))
         if failure is not None:
             return failure
-        faces.pass_rows(comp[lo:hi], face[lo:hi])
-        last = max(last, int(comp[lo:hi, 0].max()))
     return None
 
 
@@ -787,49 +876,45 @@ def _run_length(rows: np.ndarray) -> int:
     return int(down[0]) + 1 if len(down) else len(rows)
 
 
-def _swap_table(order: ShellingOrder) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """The packed swap table, bit v of row j set iff v lies in
-    Lambda_{j+1}, in W uint64 words per row, and the failing 0-based
-    (i, j), minimal in (j, i), or None.
+def _verify(order: ShellingOrder) -> tuple[SpanningReport | None, tuple[int, int] | None]:
+    """The spanning report of the order when it is a shelling, else None,
+    and the failing 0-based (i, j), minimal in (j, i), or None.
 
-    Every row is built once, with no containment check, from the order's
-    complements and face numbers gathered once.  The order opens with a
-    lex run, its longest strictly increasing prefix of rows, which the
-    canonical complex lists in lex order: the run is passed into the masks
-    once, and its rows are read from those masks by rank
-    (:meth:`_Faces.rank_rows`).  The rows after it are built by
-    :func:`_build_table` from those masks on.  When :func:`_closed_faces`
-    knows the face counts, the order passes iff the interval sum equals
-    their sum, f(Delta).  Otherwise the run's rows are checked against the
-    run's masks (:func:`_run_failure`), and, if none fails, :func:`_sweep`
-    checks the stored rows after the run from those masks on: the two name
-    the failure of an order the count rejects, and finding none there
-    raises CountWithoutFailure; without f(Delta) they alone decide."""
+    The order's complements and face numbers are gathered once, and the
+    lex run that opens it, which the canonical complex lists in lex order,
+    is passed into the masks once.  When :func:`_closed_faces` knows the
+    face counts, every row is built once (:func:`_row_blocks`), tallied
+    and dropped, and the order passes iff the interval sum is f(Delta).
+    Otherwise :func:`_failure` rebuilds the rows from the run's masks up
+    to the first failing block and names the failure, or raises
+    CountWithoutFailure when it finds none.  Without f(Delta) the count
+    is skipped and :func:`_failure` alone decides, tallying each row it
+    builds, so every row is still built once."""
     cx = order.cx
     pos = _face_numbers(cx)
     # np.take gathers rows faster than fancy indexing does
     comp = np.take(_complements(cx), order.rows, axis=0)
     face = np.take(pos.face, order.rows, axis=0)
     faces = _Faces(cx.n_vertices, pos.count)
-    table = np.empty((order.n_facets, faces.masks.shape[0]), dtype="<u8")
     r = _run_length(order.rows)
     faces.pass_rows(comp[:r], face[:r])
-    run = faces.masks.copy()  # the run's masks, kept while the rows after it pass
-    sizes = _build_table(faces, comp, face, table, r)
+    tally = _Tally(cx.n_vertices, cx.k)
     closed = _closed_faces(cx)
-    total = None if closed is None else sum(closed.counts)
-    if _interval_sum(sizes) == total:
-        return table, None
-    faces.masks = run
-    choose, subsets = _subset_table(order.n_facets, cx.k, cx.n_vertices)
-    failure = _run_failure(table, r, faces, comp, face, pos.index, choose, subsets)
-    if failure is None:
-        failure = _sweep(faces, comp, face, pos.index, table, choose, subsets,
-                         r, int(comp[:r, 0].max(initial=0)))
-    if failure is None and total is not None:
+    if closed is not None:
+        run = faces.masks.copy()  # the run's masks, kept while the rows after it pass
+        for lo, rows in _row_blocks(faces, comp, face, r):
+            tally.add(comp[lo:lo + len(rows)], rows)
+        total = sum(closed.counts)
+        if _interval_sum(tally.sizes) == total:
+            return tally.report(), None
+        faces.masks, tally = run, None
+    failure = _failure(faces, comp, face, pos.index, r, tally)
+    if failure is not None:
+        return None, failure
+    if tally is None:
         raise CountWithoutFailure(
             f"the interval sum differs from the {total} faces, but no row fails")
-    return table, failure
+    return tally.report(), None
 
 
 def _cover(order: ShellingOrder) -> np.ndarray:
@@ -850,35 +935,27 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     raised: an order from the builder holds its rows of the complex, any
     other finds them by an exact match of ``facets`` against the complex,
     and the rows must name each row of the complex once.
-    A passing run attaches the packed swap table to the order, which marks
+    A passing run attaches its spanning report to the order, which marks
     it verified; a failing run attaches nothing.
 
-    Every row of the swap table is built once, with no containment check,
-    and the sum of 2^(N - k - |Lambda_j|) is formed; the rows of the lex
-    run that opens the order, its longest strictly increasing prefix of
-    rows, are read by rank from the run's masks.  For the full 3-cut
-    complex of a graph with no triangle and no 4-cycle, shown to be one
-    from the graph's neighbour pairs and the complements of the complex,
-    once per complex, f(Delta) = 2^N - 1 - N - C(N, 2) - T for T connected
-    triples, and the order passes iff the sum equals f(Delta).  Every other
-    order is checked from its stored rows with the containment test below,
-    which names the first failure or, where f(Delta) is unknown, passes
-    the order; a rejected sum whose check finds no failure raises
-    CountWithoutFailure.  Row j fails iff an earlier complement lies
-    inside S_j = V - Lambda_j, tested for any k along one of two paths:
-    a test of (k-1)-subsets of S_j against bitmasks of the earlier
-    complements that contain them, or a scan of the j earlier complements.
-    Each row of the run is checked on its own against the run's masks,
-    reading only the subsets of S_j lex-smaller than its complement
-    without the last entry.  The rows after it are checked in blocks of
-    ``_BLOCK_ROWS``: each row is scanned against the complements of its
-    block before it, and tested against the earlier ones along the cheaper
-    path.  That test reads only the subsets starting at or below the last
-    vertex that starts a passed complement; with s = |S_j| and L the
-    vertices of S_j up to that one, it reads C(s, k - 1) - C(s - L, k - 1)
-    masks, and a row takes it when that is below j.  Scans are bit-sliced:
-    one complement against R rows costs k ceil(R / 64) words.  Faces are
-    numbered once per complex, by colex rank while the C(N, k - 1) ranks fit
+    The swap rows are built a block at a time and tallied, none kept; the
+    rows of the lex run that opens the order, its longest strictly
+    increasing prefix of rows, are read by rank from the run's masks.  For
+    the full 3-cut complex of a graph with no triangle and no 4-cycle,
+    shown to be one from the graph's neighbour pairs and the complements
+    of the complex, once per complex, f(Delta) = 2^N - 1 - N - C(N, 2) - T
+    for T connected triples: every row is built once, with no containment
+    check, and the order passes iff the sum of 2^(N - k - |Lambda_j|)
+    equals f(Delta).  Every other order has its rows built again, block by
+    block, and checked with the containment test up to the first failing
+    block, which names the first failure: row j fails iff an earlier
+    complement lies inside S_j = V - Lambda_j, tested for any k by
+    (k-1)-subsets of S_j against the face masks or by a bit-sliced scan
+    of the j earlier complements, as the module docstring details.  Where
+    f(Delta) is unknown that pass is the only one, and finding no failure
+    passes the order; a rejected sum whose check finds no failure raises
+    CountWithoutFailure.  Faces are numbered once per complex, by colex
+    rank while the C(N, k - 1) ranks fit
     ``cutcomplex.POSITION_TABLE_LIMIT``, or past it by binary search among
     their sorted big-endian bytes, exact for any k and N.
     ``jobs`` is validated and echoed, and changes nothing.  ``pairs_checked``
@@ -887,11 +964,11 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
     if jobs < 1:
         raise InvalidParams(f"jobs must be >= 1, got {jobs}")
     _cover(order)
-    table, failure = _swap_table(order)
+    report, failure = _verify(order)
     if failure is not None:
         i, j = failure
         return VerifyResult(False, (i + 1, j + 1), j * (j + 1) // 2, jobs)
-    object.__setattr__(order, "_swaps", table)  # the one write of a table to an order
+    object.__setattr__(order, "_report", report)  # the one write of a report to an order
     eta = order.n_facets
     return VerifyResult(True, None, eta * (eta - 1) // 2, jobs)
 
@@ -938,33 +1015,6 @@ def _base_blocks(g: Graph, moved: np.ndarray) -> Iterator[tuple[bool, np.ndarray
         last = block[-1:]
 
 
-@dataclass(frozen=True, eq=False)
-class StreamedShelling:
-    """The relocated order of the 3-cut complex of H(m, n), verified as a
-    shelling by :func:`stream_shelling`: its facet count, ``sizes[s]`` the
-    number of rows with |Lambda_j| = s, and ``spanning``, its spanning
-    complements in order position as a (psi, 3) int32 array.  ``psi``,
-    ``spanning_complements`` and ``non_spanning_pairs`` read as those of
-    :class:`SpanningReport` do; the tuples are made on first read."""
-
-    n_vertices: int
-    n_facets: int
-    sizes: tuple[int, ...]
-    spanning: np.ndarray
-
-    @property
-    def psi(self) -> int:
-        return len(self.spanning)
-
-    @cached_property
-    def spanning_complements(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.spanning.tolist()))
-
-    @cached_property
-    def non_spanning_pairs(self) -> tuple[tuple[int, int], ...]:
-        return _non_spanning_pairs(self.spanning_complements, self.n_vertices)
-
-
 def _triple_masks(faces: _Faces, pos: _Positions, removed: np.ndarray) -> None:
     """Set the masks of ``faces``, numbered by the colex ranks of ``pos``,
     to those of every triple of [1, N] but the rows of ``removed``: bit z
@@ -980,14 +1030,15 @@ def _triple_masks(faces: _Faces, pos: _Positions, removed: np.ndarray) -> None:
                       ~faces.vertex_bit[removed])
 
 
-def stream_shelling(g: HexGraph) -> StreamedShelling | None:
+def stream_shelling(g: HexGraph) -> SpanningReport | None:
     """Verify the relocated order of the 3-cut complex of ``g``, the order
     of :func:`shelling_order`, block by block, holding no complex, order or
-    swap table: only the face masks outlive a block, C(N, 2) + 1 faces
-    numbered by colex rank, of ceil((N + 1) / 64) words each.  The base
-    segment comes from :func:`_lex_blocks` with the tail complements held
-    back, then the tail in schedule order.  Each block's swap rows are
-    built, counted by size |Lambda_j|, and their spanning rows kept.
+    swap row past its block: only the face masks outlive a block,
+    C(N, 2) + 1 faces numbered by colex rank, of ceil((N + 1) / 64) words
+    each.  The base segment comes from :func:`_lex_blocks` with the tail
+    complements held back, then the tail in schedule order.  Each block's
+    swap rows are built and tallied (:class:`_Tally`) into the spanning
+    report that :func:`spanning_facets` gives for the materialised order.
 
     The base segment is one lex run, so its rows are read by rank
     (:meth:`_Faces.rank_rows`) from the masks of the whole run, built from
@@ -1004,9 +1055,9 @@ def stream_shelling(g: HexGraph) -> StreamedShelling | None:
     among them, there are C(N, 3) - T rows for T paths, and no path is
     listed, read once from the final masks as bit z of face {x, y} for each
     sorted path (x, y, z); then the interval sum must equal f(Delta).
-    Returns None when any check fails, and the caller verifies the
-    materialised order instead, which names the failure.  The caller
-    checks the subset guard first, as for a materialised order."""
+    Returns the report, or None when any check fails, and the caller
+    verifies the materialised order instead, which names the failure.  The
+    caller checks the subset guard first, as for a materialised order."""
     N = g.n_vertices
     paths = _neighbour_paths(g)
     pos = _Positions(np.empty((0, 3), dtype=np.int32), N)
@@ -1016,14 +1067,7 @@ def stream_shelling(g: HexGraph) -> StreamedShelling | None:
     paths = np.sort(np.array(paths, dtype=np.int32).reshape(-1, 3), axis=1)
     faces = _Faces(N, pos.count)
     _triple_masks(faces, pos, np.concatenate([paths, moved]))
-    sizes = np.zeros(N - 2, dtype=np.int64)
-    spanning = [np.empty((0, 3), dtype=np.int32)]
-
-    def count(block: np.ndarray, rows: np.ndarray) -> None:
-        size = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
-        sizes[:] += np.bincount(size, minlength=N - 2)
-        spanning.append(block[size == N - 3])
-
+    tally = _Tally(N, 3)
     try:
         for canonical, block in _base_blocks(g, moved):
             face = pos.faces(block)
@@ -1031,19 +1075,19 @@ def stream_shelling(g: HexGraph) -> StreamedShelling | None:
             held = faces.masks[x3 >> 6, face[:, 2]] & faces.vertex_bit[x3]
             if not canonical or not held.all():
                 return None
-            count(block, faces.rank_rows(block, face))
+            tally.add(block, faces.rank_rows(block, face))
     except TailFacetNotFound:
         return None
     face = pos.faces(moved)
-    count(moved, faces.swap_rows(moved, face))
+    tally.add(moved, faces.swap_rows(moved, face))
     faces.pass_rows(moved, face)
     x, y, z = paths.T
     listed = faces.masks[z >> 6, pos.index([x, y])] & faces.vertex_bit[z]
-    total = int(sizes.sum())
+    total = tally.rows
     if (total != comb(N, 3) - len(paths) or listed.any()
-            or _interval_sum(sizes) != sum(_closed_fvector(N, total).counts)):
+            or _interval_sum(tally.sizes) != sum(_closed_fvector(N, total).counts)):
         return None
-    return StreamedShelling(N, total, tuple(sizes.tolist()), np.concatenate(spanning))
+    return tally.report()
 
 
 # ---------------------------------------------------------------------------
@@ -1058,59 +1102,14 @@ def spanning_count_formula(m: int, n: int) -> int:
     return comb(N - 1, 2) - ((6 * m + 2) * n + (2 * m - 4))
 
 
-@dataclass
-class SpanningReport:
-    """Spanning verdicts for a verified order."""
-
-    spanning_flags: tuple[bool, ...]
-    psi: int
-    spanning_complements: tuple[tuple[int, ...], ...]
-    non_spanning_pairs: tuple[tuple[int, int], ...]
-    witness_map: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
-
-
 def spanning_facets(order: ShellingOrder) -> SpanningReport:
-    """Flag each facet as spanning iff its swap set covers the whole facet,
-    read from the swap table that the order's verification attached; raises
-    UnverifiedOrder for an order that holds none.  A frozen order holds only
-    the table of its own facets, so ``verified`` is trusted as it stands.
-
-    ``non_spanning_pairs`` lists every pair (x, y) with x < y < N for which
-    the triple {x, y, N} is NOT the complement of a spanning facet, whether
-    because that facet is non-spanning or because the triple is connected
-    and no such facet exists.  Spanning facets always put the last vertex
-    in their complement, so these pairs determine the spanning count.
-    """
+    """The spanning report that the order's passing verification tallied
+    and kept; raises UnverifiedOrder for an order that holds none.  A
+    frozen order holds only the report of its own facets, so ``verified``
+    is trusted as it stands."""
     if not order.verified:
         raise UnverifiedOrder("verify the order first: only a shelling has a spanning report")
-    N, k = order.n_vertices, order.cx.k
-    swaps = order._swaps
-    span = np.bitwise_count(swaps).sum(axis=1) == N - k
-    flags = tuple(map(bool, span))
-    spanning_comps = tuple(compress(order.facets, flags))
-
-    # the non-spanning rows whose complement is {x, y, N}, selected by
-    # mask and unpacked for the witness map
-    comp = np.take(_complements(order.cx), order.rows, axis=0)
-    ends = comp[:, -1] == N if k == 3 else np.zeros(len(comp), dtype=bool)
-    rows = np.flatnonzero(ends & ~span)
-    # bit v of a row: v is in the swap set, in the complement, or v = 0
-    inside = np.unpackbits(swaps[rows].view(np.uint8), axis=1, bitorder="little")[:, :N + 1]
-    inside[:, 0] = 1
-    inside[np.arange(len(rows))[:, None], comp[rows]] = 1
-    witness = {
-        (x, y): v
-        for (x, y, _), v, full in zip(comp[rows].tolist(), inside.argmin(axis=1).tolist(),
-                                      inside.all(axis=1).tolist())
-        if not full
-    }
-    return SpanningReport(
-        spanning_flags=flags,
-        psi=sum(flags),
-        spanning_complements=spanning_comps,
-        non_spanning_pairs=_non_spanning_pairs(spanning_comps, N),
-        witness_map=witness,
-    )
+    return order._report
 
 
 def _non_spanning_pairs(spanning, N: int) -> tuple[tuple[int, int], ...]:
@@ -1389,7 +1388,7 @@ def verify_k_cut_order(
     relocated: list[tuple[int, ...]] = []
     if rule == "revlex-with-neighborhood-tail":
         hoods = sorted({nb for nb in map(g.neighbors, g.vertices()) if len(nb) == k})
-        relocated = list(compress(hoods, _find_rows(cx, _array(cx, hoods)) >= 0))
+        relocated = list(compress(hoods, _find_rows(cx, _vertex_array(hoods, cx.k)) >= 0))
     res = verify_shelling(_order(cx, relocated), jobs=jobs)
     return ExploreVerdict(
         k=k,

@@ -5,6 +5,7 @@ from itertools import combinations
 from math import comb
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +66,23 @@ def test_facets_sorted_unique_with_exact_index():
     order = shelling_order(cx, relocate_tail=False)
     for i, t in enumerate(cx.facets):
         assert order.facets.index(t) + 1 == i + 1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_face_numbers_equal_the_index_of_each_face(k):
+    # the prefix and suffix sums of the weights number each face of every
+    # k-subset of [1, 9] as index does the (k-1)-subset itself
+    comp = np.array(list(combinations(range(1, 10), k)), dtype=np.int32)
+    pos = cutcomplex._Positions(comp, 9)
+    assert pos.dense
+    face = pos.faces(comp)
+    assert face.dtype == np.int32 and face.shape == comp.shape
+    for s in range(k):
+        rest = [comp[:, c] for c in range(k) if c != s]
+        assert np.array_equal(face[:, s], pos.index(rest)), s
+    # at k = 1 the one face of a complement is the empty set, rank 0
+    single = cutcomplex._Positions(np.array([[1], [9]], dtype=np.int32), 9)
+    assert single.face.tolist() == [[0], [0]]
 
 
 def test_complement_soundness():

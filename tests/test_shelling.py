@@ -307,14 +307,30 @@ def test_any_k_verifier_and_report_match_oracles(case):
         res = verify_shelling(order)
     assert used == [_dense(cx, patches["POSITION_TABLE_LIMIT"])]
     assert (res.ok, res.counterexample) == oracle_is_shelling(facet_sets)
-    # only a passing order carries a swap table, and so a spanning report
-    assert order.verified == res.ok == (order._swaps is not None)
+    # only a passing order carries a spanning report
+    assert order.verified == res.ok == (order._report is not None)
     if res.ok:
         report = spanning_facets(order)
         assert list(report.spanning_flags) == oracle_spanning_flags(facet_sets)
     else:
         with pytest.raises(UnverifiedOrder):
             spanning_facets(order)
+
+
+def _swap_rows(order, run=None):
+    """Every packed swap row of ``order``, concatenated from the blocks the
+    verifier's block driver yields: the opening lex run, ``run`` rows long
+    by default, read by rank from its masks, and the rows after it by
+    prefix sums.  ``run`` 0 builds every row by prefix sums."""
+    cx = order.cx
+    pos = shelling._face_numbers(cx)
+    comp = cutcomplex._complements(cx)[order.rows]
+    face = pos.face[order.rows]
+    faces = shelling._Faces(cx.n_vertices, pos.count)
+    run = shelling._run_length(order.rows) if run is None else run
+    faces.pass_rows(comp[:run], face[:run])
+    blocks = [rows for _, rows in shelling._row_blocks(faces, comp, face, run)]
+    return np.concatenate([np.empty((0, faces.masks.shape[0]), dtype="<u8"), *blocks])
 
 
 def _counted(order):
@@ -326,13 +342,13 @@ def _counted(order):
 @settings(max_examples=60, deadline=None)
 @given(random_k_orders())
 def test_packed_swap_rows_equal_swap_set(case):
-    # every order, passing or failing, builds every row of its packed table
-    # once, and each row, unpacked, is the one-row reference
+    # the block driver yields every packed row of every order, passing or
+    # failing, once, and each row, unpacked, is the one-row reference
     cx, seq, patches = case
     with _face_lookups(**patches) as used:
         cx = enumerate_facets(cx.graph, cx.k)
         order = _order_of(cx, seq)
-        table, _ = shelling._swap_table(order)
+        table = _swap_rows(order)
     assert used == [_dense(cx, patches["POSITION_TABLE_LIMIT"])]
     assert len(table) == order.n_facets
     bits = np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")
@@ -480,7 +496,7 @@ def test_live_pruning_reads_under_a_tenth_of_the_pairs(instance, monkeypatch):
     # the block check, the rows that an unpruned test would check by
     # subsets, C(|S_j|, 2) < j - 1, read under a tenth of those pairs
     order = instance(4, 6).order
-    size = order.n_vertices - np.bitwise_count(order._swaps).sum(axis=1, dtype=np.int64)
+    size = order.n_vertices - np.bitwise_count(_swap_rows(order)).sum(axis=1, dtype=np.int64)
     pairs = size * (size - 1) // 2
     unpruned = int(pairs[pairs < np.arange(len(pairs))].sum())
     looked_up = []
@@ -558,7 +574,7 @@ def test_h33_failing_orders_match_row_brute_force(jobs):
         assert (res.ok, res.counterexample) == (False, (i, j)), label
         # rows before the failure take both paths: C(|S_j|, k - 1) prefix
         # bitmask tests and pair scans
-        rows = shelling._swap_table(order)[0][: j - 1]
+        rows = _swap_rows(order)[: j - 1]
         size = order.n_vertices - np.bitwise_count(rows).sum(axis=1)
         by_prefixes = size * (size - 1) // 2 < range(j - 1)
         assert by_prefixes.any() and not by_prefixes.all(), label
@@ -595,11 +611,9 @@ def test_h46_reinsertions_across_the_word_boundary(instance, t, expected):
     assert s * (s - 1) // 2 < j - 1
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
-def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
-    # rows come from both kernels: by rank for the lex run that opens the
-    # order, by prefix sums for the rows after it; each row is built once,
-    # in its place
+def _counting_kernels(monkeypatch):
+    """Patch both row kernels to record, in a list they return, the
+    complement of every row they build, in the order built."""
     built = []
 
     def counting(real):
@@ -610,6 +624,15 @@ def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
 
     for name in ("swap_rows", "rank_rows"):
         monkeypatch.setattr(shelling._Faces, name, counting(getattr(shelling._Faces, name)))
+    return built
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
+def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
+    # rows come from both kernels: by rank for the lex run that opens the
+    # order, by prefix sums for the rows after it; each row is built once,
+    # in its place, and the spanning report is the one its tally kept
+    built = _counting_kernels(monkeypatch)
     monkeypatch.setattr(shelling, "_BLOCK_ROWS", 64)
     cx = _complex(m, n)
     order = shelling_order(cx)
@@ -617,46 +640,53 @@ def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
     report = spanning_facets(order)
     assert built == list(order.facets)
     assert list(report.spanning_flags) == oracle_spanning_flags(_facet_sets(cx, order.facets))
-    # the table is no field of the constructor: a copy is unverified, and
+    # the report is no field of the constructor: a copy is unverified, and
     # compares and prints like the order it copies
     twin = dataclasses.replace(order)
     assert order.verified and not twin.verified
     assert twin == order and repr(twin) == repr(order)
 
-    # a failing order builds every row once, for the face count, and names
-    # its failure from the stored rows.  It keeps no table, so its spanning
+    # a failing order builds every row once, for the face count, and then
+    # rebuilds, to name its failure, only the blocks of 64 rows up to the
+    # one that holds the failing row.  It keeps no report, so its spanning
     # report is refused without building a row
     plain = shelling_order(cx, relocate_tail=False)
     built.clear()
     res = verify_shelling(plain)
-    assert not res.ok and plain._swaps is None and not plain.verified
-    assert built == list(plain.facets)
+    assert not res.ok and plain._report is None and not plain.verified
+    named = ((res.counterexample[1] - 1) // 64 + 1) * 64  # the rows up to its block's end
+    assert built == list(plain.facets) + list(plain.facets[:named])
+    # H(2, 2) fails at row 488 of 532, so its last block is not rebuilt
+    assert (m, n) != (2, 2) or named == 512 < plain.n_facets
     built.clear()
     with pytest.raises(UnverifiedOrder):
         spanning_facets(plain)
     assert built == []
 
 
+def test_rows_built_once_where_the_face_count_is_unknown(monkeypatch):
+    # revlex shells the 4-cut complex of the 9-cycle, whose f(Delta) the
+    # verifier does not know: the count is skipped, and the containment
+    # check builds each row once, in blocks of 7, and tallies the report
+    built = _counting_kernels(monkeypatch)
+    monkeypatch.setattr(shelling, "_BLOCK_ROWS", 7)
+    cx = enumerate_facets(cycle_graph(9), 4)
+    order = shelling._order(cx)
+    assert not _counted(order)
+    assert verify_shelling(order).ok
+    assert built == list(order.facets)
+    report = spanning_facets(order)
+    assert list(report.spanning_flags) == oracle_spanning_flags(_facet_sets(cx, order.facets))
+    assert report.witness_map == {} and report.n_facets == order.n_facets
+
+
 # ---------------------------------------------------------------------------
 # the lex run that opens an order, read by rank
 # ---------------------------------------------------------------------------
 
-def _prefix_sum_table(order):
-    """Every row of the packed swap table of ``order`` built by the
-    prefix-sum kernel alone, from masks that hold nothing."""
-    cx = order.cx
-    pos = shelling._face_numbers(cx)
-    faces = shelling._Faces(cx.n_vertices, pos.count)
-    table = np.empty((order.n_facets, faces.masks.shape[0]), dtype="<u8")
-    comp = cutcomplex._complements(cx)[order.rows]
-    shelling._build_table(faces, comp, pos.face[order.rows], table)
-    return table
-
-
 def _assert_rank_rows_are_prefix_sum_rows(order, run):
     assert shelling._run_length(order.rows) == run
-    table, _ = shelling._swap_table(order)
-    assert np.array_equal(table, _prefix_sum_table(order))
+    assert np.array_equal(_swap_rows(order), _swap_rows(order, run=0))
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (3, 3), (3, 4), (4, 4), (4, 6),
@@ -778,10 +808,11 @@ def test_interval_sum_is_the_face_count_exactly_for_shellings(case):
         order = _order_of(cx, seq)
         pos = shelling._face_numbers(cx)
         faces = shelling._Faces(cx.n_vertices, pos.count)
-        table = np.zeros((len(seq), faces.masks.shape[0]), dtype="<u8")
         comp = cutcomplex._complements(cx)[order.rows]
-        counted = shelling._interval_sum(
-            shelling._build_table(faces, comp, pos.face[order.rows], table))
+        tally = shelling._Tally(cx.n_vertices, cx.k)
+        for lo, rows in shelling._row_blocks(faces, comp, pos.face[order.rows], 0):
+            tally.add(comp[lo:lo + len(rows)], rows)
+        counted = shelling._interval_sum(tally.sizes)
         with mock.patch.object(shelling, "_closed_faces", lambda cx: exhaustive):
             res = verify_shelling(order)
     assert used == [_dense(cx, patches["POSITION_TABLE_LIMIT"])] * 2
@@ -1094,16 +1125,16 @@ def _constructed(order):
 
 def _assert_built_alike(order):
     # the builder's rows and the rows the constructor's order matches give
-    # the same verdict and, row for row, the same packed table
+    # the same verdict, row for row the same packed swap rows, and for a
+    # shelling the same report
     twin = _constructed(order)
     assert np.array_equal(order.rows, twin.rows) and twin.rows.dtype == np.int32
-    tables = [shelling._swap_table(o) for o in (order, twin)]
+    assert np.array_equal(_swap_rows(order), _swap_rows(twin))
     results = [verify_shelling(o) for o in (order, twin)]
-    assert np.array_equal(tables[0][0], tables[1][0]) and tables[0][1] == tables[1][1]
     assert results[0] == results[1]
     assert order.verified == twin.verified == results[0].ok
     if results[0].ok:
-        assert np.array_equal(order._swaps, twin._swaps)
+        assert order._report == twin._report
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 3), (3, 4)])
@@ -1328,7 +1359,7 @@ def test_unsorted_hand_built_complex_orders_lex():
     assert [hand.facets[r] for r in order.rows.tolist()] == list(order.facets)
     assert order_with_tail_reinserted(hand, 1)[1] == order_with_tail_reinserted(cx, 1)[1]
     assert verify_shelling(order) == verify_shelling(sorted_order)
-    assert np.array_equal(order._swaps, sorted_order._swaps)
+    assert np.array_equal(_swap_rows(order), _swap_rows(sorted_order))
     assert spanning_facets(order) == spanning_facets(sorted_order)
     connected = tuple(sorted((1,) + hand.graph.neighbors(1)[:2]))
     with pytest.raises(TailFacetNotFound):
@@ -1589,19 +1620,25 @@ STREAM_INSTANCES = [(1, 1), (1, 2), (2, 2), (3, 4), (4, 6), (6, 6), (8, 8)]
 
 @pytest.mark.parametrize("m,n", STREAM_INSTANCES)
 def test_stream_agrees_with_the_materialised_order(instance, m, n):
-    # the stream passes the order with no complex held, and agrees with
-    # the verified materialised order on the count of each size
-    # |Lambda_j|, read here from its swap table, and on the spanning report
+    # the stream passes the order with no complex held, and its report
+    # equals the one the verified materialised order kept, field by field:
+    # the count of each size |Lambda_j|, also read here from the rows the
+    # block driver yields, the spanning rows and the witnesses
     b = instance(m, n)
     streamed = shelling.stream_shelling(b.g)
     assert streamed is not None and b.verify.ok
-    N = b.order.n_vertices
-    sizes = np.bincount(np.bitwise_count(b.order._swaps).sum(axis=1), minlength=N - 2)
-    assert streamed.sizes == tuple(sizes.tolist())
-    assert streamed.n_facets == b.order.n_facets == sum(streamed.sizes)
-    assert streamed.psi == b.report.psi == shelling.spanning_count_formula(m, n)
-    assert streamed.spanning_complements == b.report.spanning_complements
-    assert streamed.non_spanning_pairs == b.report.non_spanning_pairs
+    report, N = b.report, b.order.n_vertices
+    sizes = np.bincount(np.bitwise_count(_swap_rows(b.order)).sum(axis=1), minlength=N - 2)
+    assert streamed.sizes == report.sizes == tuple(sizes.tolist())
+    assert streamed.n_facets == report.n_facets == b.order.n_facets
+    assert streamed.psi == report.psi == shelling.spanning_count_formula(m, n)
+    for name in ("positions", "spanning", "ends", "witnesses"):
+        assert np.array_equal(getattr(streamed, name), getattr(report, name)), name
+    assert streamed.spanning_flags == report.spanning_flags
+    assert streamed.spanning_complements == report.spanning_complements
+    assert streamed.non_spanning_pairs == report.non_spanning_pairs
+    assert streamed.witness_map == report.witness_map
+    assert streamed == report
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 4)])

@@ -5,6 +5,7 @@ import dataclasses
 import pickle
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from hexcut import (
@@ -78,36 +79,36 @@ def test_requires_verified_order():
 
 
 def test_verified_is_exactly_a_stored_table():
-    # verified is read from the swap table, never set on its own, and only
-    # a passing verification attaches a table
+    # verified is read from the stored spanning report, never set on its
+    # own, and only a passing verification attaches a report
     assert "verified" not in {f.name for f in dataclasses.fields(ShellingOrder)}
     cx = enumerate_facets(build_hex_graph(1, 2), 3)
     order = shelling_order(cx)
     with pytest.raises(AttributeError):
         order.verified = True
     assert verify_shelling(order).ok and order.verified
-    # no table comes in through the constructor, replace() or assignment
+    # no report comes in through the constructor, replace() or assignment
     with pytest.raises(TypeError):
-        ShellingOrder(cx=cx, facets=order.facets, _swaps=order._swaps)
+        ShellingOrder(cx=cx, facets=order.facets, _report=order._report)
     with pytest.raises(ValueError):
-        dataclasses.replace(order, _swaps=order._swaps)
+        dataclasses.replace(order, _report=order._report)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        order._swaps = None
-    # the failing plain order, built from the verified one, holds no table
+        order._report = None
+    # the failing plain order, built from the verified one, holds no report
     # and gains none from its verification
     sorted_order = shelling_order(cx, relocate_tail=False)
     plain = dataclasses.replace(order, facets=sorted_order.facets)
     assert not plain.verified
     assert not verify_shelling(plain).ok
-    assert not plain.verified and plain._swaps is None
+    assert not plain.verified and plain._report is None
     with pytest.raises(UnverifiedOrder):
         spanning_facets(plain)
 
 
 def test_a_verified_order_lends_its_table_to_no_other_order(instance):
     # H(2, 2): the plain sorted order is no shelling.  Given the facets of
-    # the plain order, a copy of the verified order must not read the
-    # verified table, which would report psi = 77 for a non-shelling
+    # the plain order, a copy of the verified order must not carry the
+    # verified report, which would give psi = 77 for a non-shelling
     verified = instance(2, 2).order
     plain = shelling_order(verified.cx, relocate_tail=False)
     spoof = dataclasses.replace(verified, facets=plain.facets)
@@ -118,9 +119,9 @@ def test_a_verified_order_lends_its_table_to_no_other_order(instance):
 
 def test_the_rows_of_an_order_are_read_only():
     # H(2, 2): reversing the rows of a verified order in place would leave
-    # it verified while the spanning report read another order (its witness
-    # map grew from 24 to 85 entries); the rows refuse every write, also on
-    # a copy and on an unpickled order
+    # it verified, holding the report of another order; the rows refuse
+    # every write, also on a copy and on an unpickled order, which keep
+    # the report
     order = shelling_order(enumerate_facets(build_hex_graph(2, 2), 3))
     assert verify_shelling(order).ok
     report = spanning_facets(order)
@@ -225,14 +226,14 @@ def test_hex_report_equals_the_row_by_row_reference(instance, m, n):
 
 def test_one_facet_complex_has_no_spanning_facet():
     # the path 1-2-3 at k = 2 has the single facet {2}; its swap set is
-    # empty, so it does not span, and the report reads the stored table
+    # empty, so it does not span, and the report counts it at size 0
     cx = enumerate_facets(Graph(3, [(1, 2), (2, 3)]), 2)
     order = _revlex_order(cx)
     assert cx.facets == ((1, 3),)
     res = verify_shelling(order)
     assert (res.ok, res.pairs_checked) == (True, 0)
-    assert order._swaps is not None and not order._swaps.any()
     report = spanning_facets(order)
+    assert report.sizes == (1, 0) and report.n_facets == 1
     assert (report.spanning_flags, report.psi) == ((False,), 0)
     assert report.non_spanning_pairs == ((1, 2),)
 
@@ -262,14 +263,16 @@ def test_spanning_structure_rule_rejects_each_break(instance):
     order, report = bundle.order, bundle.report
     # a spanning complement without the last vertex
     moved = dataclasses.replace(
-        report, spanning_complements=report.spanning_complements + ((1, 2, 3),))
+        report, spanning=np.concatenate([report.spanning, [(1, 2, 3)]]).astype(np.int32))
+    assert moved.spanning_complements == report.spanning_complements + ((1, 2, 3),)
     assert not check_spanning_structure(order, moved)
-    # the tail facet flagged as spanning
+    # the tail facet flagged as spanning: its position added to the
+    # spanning positions
     (t,) = order.tail
-    flags = list(report.spanning_flags)
-    flags[order.facets.index(t.complement)] = True
-    assert not check_spanning_structure(
-        order, dataclasses.replace(report, spanning_flags=tuple(flags)))
+    at = order.facets.index(t.complement)
+    flagged = dataclasses.replace(report, positions=np.append(report.positions, at))
+    assert flagged.spanning_flags[at] and not report.spanning_flags[at]
+    assert not check_spanning_structure(order, flagged)
 
 
 def test_table_smallest_case_exact(instance):

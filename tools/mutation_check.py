@@ -38,16 +38,11 @@ MUTANTS = {
     ),
     "block passed into the masks before its check": (
         "shelling.py",
-        "        failure = _first_failure(table[lo:hi], lo, last, faces, comp, index, choose, "
-        "subsets)\n"
-        "        if failure is not None:\n"
-        "            return failure\n"
+        "        yield lo, faces.swap_rows(comp[lo:hi], face[lo:hi])\n"
         "        faces.pass_rows(comp[lo:hi], face[lo:hi])\n",
+        "        rows = faces.swap_rows(comp[lo:hi], face[lo:hi])\n"
         "        faces.pass_rows(comp[lo:hi], face[lo:hi])\n"
-        "        failure = _first_failure(table[lo:hi], lo, last, faces, comp, index, choose, "
-        "subsets)\n"
-        "        if failure is not None:\n"
-        "            return failure\n",
+        "        yield lo, rows\n",
     ),
     "interval sum: exponent off by one": (
         "shelling.py",
@@ -56,24 +51,22 @@ MUTANTS = {
     ),
     "interval sum: first block left out of the histogram": (
         "shelling.py",
-        "        table[lo:hi] = faces.swap_rows(comp[lo:hi], face[lo:hi])\n"
-        "        sizes += _sizes(table[lo:hi], top)\n",
-        "        table[lo:hi] = faces.swap_rows(comp[lo:hi], face[lo:hi])\n"
-        "        sizes += (lo > run) * _sizes(table[lo:hi], top)\n",
+        "        self.sizes += np.bincount(size, minlength=N - k + 1)\n",
+        "        self.sizes += (self.rows > 0) * np.bincount(size, minlength=N - k + 1)\n",
     ),
     "interval sum: == f(Delta) becomes >=": (
         "shelling.py",
-        "    if _interval_sum(sizes) == total:\n",
-        "    if _interval_sum(sizes) >= total:\n",
+        "        if _interval_sum(tally.sizes) == total:\n",
+        "        if _interval_sum(tally.sizes) >= total:\n",
     ),
     "sweep skipped when f(Delta) is unknown": (
         "shelling.py",
-        "    failure = _run_failure(table, r, faces, comp, face, pos.index, choose, subsets)\n"
-        "    if failure is None:\n",
-        "    failure = _run_failure(table, r, faces, comp, face, pos.index, choose, subsets)\n"
-        "    if failure is None and total is None:\n"
-        "        return table, None\n"
-        "    if failure is None:\n",
+        "        else:\n"
+        "            failure = _first_failure(",
+        "        elif tally is not None:\n"
+        "            failure = None\n"
+        "        else:\n"
+        "            failure = _first_failure(",
     ),
     "byte-key face lookup reads the columns in descending order": (
         "cutcomplex.py",
@@ -182,20 +175,31 @@ MUTANTS = {
         '    object.__setattr__(order, "_rows", rows)\n',
         '    object.__setattr__(order, "_rows", np.roll(rows, 1))\n',
     ),
-    "swap table taken by the constructor and replace()": (
+    "spanning report taken by the constructor and replace()": (
         "shelling.py",
-        "    _swaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)\n",
-        "    _swaps: np.ndarray | None = field(default=None, repr=False, compare=False)\n",
+        "    _report: SpanningReport | None = field(default=None, init=False, repr=False, "
+        "compare=False)\n",
+        "    _report: SpanningReport | None = field(default=None, repr=False, compare=False)\n",
     ),
-    "verified without a swap table": (
+    "verified without a spanning report": (
         "shelling.py",
-        "        return self._swaps is not None\n",
+        "        return self._report is not None\n",
         "        return True\n",
     ),
     "spanning flag: == N - k becomes >= N - k - 1": (
         "shelling.py",
-        "np.bitwise_count(swaps).sum(axis=1) == N - k\n",
-        "np.bitwise_count(swaps).sum(axis=1) >= N - k - 1\n",
+        "        span = size == N - k\n",
+        "        span = size >= N - k - 1\n",
+    ),
+    "tally: spanning positions without the block offset": (
+        "shelling.py",
+        "        self.blocks.append((self.rows + np.flatnonzero(span), comp[span],",
+        "        self.blocks.append((np.flatnonzero(span), comp[span],",
+    ),
+    "tally: witness vertex 0 left unmasked": (
+        "shelling.py",
+        "        seen[:, 0] = 1\n",
+        "",
     ),
     "cone reduction narrows the faces to uint8 at N <= 16": (
         "homology.py",
