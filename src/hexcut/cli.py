@@ -13,10 +13,10 @@ import json
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import chain
 
 from . import __version__
 from .cutcomplex import (
+    RowBlocks,
     check_subset_count,
     enumerate_facets,
     facets_to_csv,
@@ -41,7 +41,6 @@ from .homology import (
     wedge_verdict_to_json_dict,
 )
 from .shelling import (
-    RowBlocks,
     VerifyResult,
     non_spanning_pair_table,
     shelling_order,
@@ -88,21 +87,6 @@ def _emit(args, text: str) -> None:
         fh.write(text)
 
 
-_ROW_BLOCK = 4096  # rows of an int-tuple list formatted per write
-
-
-def _int_rows(value) -> bool:
-    """True iff ``value`` is a non-empty list or tuple of equal-length,
-    non-empty tuples whose items are exactly ``int`` (not bool, not numpy)."""
-    return (
-        isinstance(value, (list, tuple))
-        and bool(value)
-        and set(map(type, value)) == {tuple}
-        and len(set(map(len, value))) == 1
-        and set(map(type, chain.from_iterable(value))) == {int}
-    )
-
-
 @lru_cache(maxsize=8)
 def _rows_template(width: int, rows: int) -> str:
     """The ``%d`` template of ``rows`` rows of ``width`` ints, as
@@ -111,26 +95,27 @@ def _rows_template(width: int, rows: int) -> str:
     return ",\n".join([row] * rows)
 
 
-def _write_rows(fh, blocks) -> None:
-    """Rows of ints, given block by block as the row width and a tuple of
-    the block's entries row after row, as ``json.dumps`` writes the list of
-    all the rows one level deep: one ``%`` of the row template per block.
-    No row at all writes ``[]``."""
+def _write_rows(fh, rows: RowBlocks) -> None:
+    """The rows of ``rows`` as ``json.dumps`` writes the list of them one
+    level deep: one ``%`` of the row template per block.  No row at all
+    writes ``[]``."""
     head = "[\n"
-    for width, flat in blocks:
-        if flat:
-            fh.write(head + _rows_template(width, len(flat) // width) % flat)
+    for block in rows:
+        if len(block):
+            flat = tuple(block.ravel().tolist())
+            fh.write(head + _rows_template(block.shape[1], len(block)) % flat)
             head = ",\n"
     fh.write("[]" if head == "[\n" else "\n  ]")
 
 
 def _write_json(fh, obj) -> None:
-    """The bytes of ``json.dump(obj, fh, indent=2)``.  A dict with string
-    keys is written key by key: lists of int tuples and the int32 blocks of
-    :class:`hexcut.shelling.RowBlocks` through :func:`_write_rows`, any
-    other value through ``json.dumps`` re-indented one level; so a large
-    document is streamed, never held as one string, and the pure-Python
-    encoder never walks its rows."""
+    """The bytes of ``json.dump(obj, fh, indent=2)``, where a
+    :class:`hexcut.cutcomplex.RowBlocks` stands for the list of its rows.
+    A dict with string keys is written key by key: each RowBlocks value,
+    the int32 arrays an export hands over, through :func:`_write_rows`, any
+    other value through ``json.dumps`` re-indented one level.  So the rows
+    of a large document are written a block at a time, never held as one
+    string or as tuples, and the pure-Python encoder never walks them."""
     if not (isinstance(obj, dict) and obj and set(map(type, obj)) == {str}):
         json.dump(obj, fh, indent=2)
         return
@@ -138,10 +123,7 @@ def _write_json(fh, obj) -> None:
     for i, (key, value) in enumerate(obj.items()):
         fh.write(f"{',' if i else ''}\n  {json.dumps(key)}: ")
         if isinstance(value, RowBlocks):
-            _write_rows(fh, ((b.shape[1], tuple(b.ravel().tolist())) for b in value))
-        elif _int_rows(value):
-            _write_rows(fh, ((len(value[0]), tuple(chain.from_iterable(value[lo:lo + _ROW_BLOCK])))
-                             for lo in range(0, len(value), _ROW_BLOCK)))
+            _write_rows(fh, value)
         else:
             fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
     fh.write("\n}")
@@ -212,7 +194,7 @@ def cmd_verify(args) -> int:
     streamed = None if args.no_relocate_t else stream_shelling(g)
     if streamed is not None:
         eta = streamed.n_facets
-        res = VerifyResult(True, None, eta * (eta - 1) // 2, args.jobs)
+        res = VerifyResult.passed(eta, args.jobs)
     else:
         order = _materialised_order(g, not args.no_relocate_t)
         res, eta = verify_shelling(order, jobs=args.jobs), order.n_facets

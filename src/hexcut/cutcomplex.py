@@ -14,12 +14,14 @@ each computed once and kept with it: the array, in which
 :func:`_find_rows` finds the row of a complement by binary search over
 big-endian bytes, exact for any k and N; the face numbering of
 :func:`_face_numbers`; and the closed face counts of :func:`_closed_faces`,
-which :func:`f_vector` returns and the verifier sums.
+which :func:`f_vector` returns and the verifier sums.  Its exports hand
+the array to the CLI's JSON writer as :class:`RowBlocks`, so no complement
+tuple is built for them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain, combinations, islice
@@ -41,6 +43,9 @@ _SUBSET_CHUNK = 1 << 12  # k-subsets per reach-mask chunk, k >= 4
 # searched by their big-endian bytes.
 POSITION_TABLE_LIMIT = 1 << 24
 _INT32 = np.iinfo(np.int32)
+# Rows per block: swap rows built and checked together by the shelling
+# verifier, and rows handed to a writer at a time by RowBlocks.of.
+_BLOCK_ROWS = 4096
 
 
 def induced_p3_count(m: int, n: int) -> int:
@@ -527,11 +532,37 @@ def f_vector(
     return FVector(tuple(int(c) for c in counts[: N - cx.k + 1]))
 
 
+@dataclass(frozen=True)
+class RowBlocks:
+    """Rows of integers made a block at a time: each iteration calls
+    ``blocks`` again, which yields 2-D int arrays of at least one column.
+    The CLI writes them as the list of tuples they stand for, without
+    holding the list."""
+
+    blocks: Callable[[], Iterator[np.ndarray]]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return self.blocks()
+
+    @classmethod
+    def of(cls, array: np.ndarray, rows: np.ndarray | None = None) -> RowBlocks:
+        """The rows of the 2-D ``array``, or its ``rows`` in that order,
+        ``_BLOCK_ROWS`` at a time, each block gathered as it is read."""
+        count = len(array) if rows is None else len(rows)
+
+        def blocks() -> Iterator[np.ndarray]:
+            for lo in range(0, count, _BLOCK_ROWS):
+                at = slice(lo, lo + _BLOCK_ROWS)
+                yield array[at] if rows is None else array[rows[at]]
+
+        return cls(blocks)
+
+
 def facets_to_json_dict(cx: CutComplex) -> dict:
     return {
         "k": cx.k,
         "n_vertices": cx.n_vertices,
-        "facet_complements": cx.facets,
+        "facet_complements": RowBlocks.of(_complements(cx)),
     }
 
 

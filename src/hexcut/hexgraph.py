@@ -316,9 +316,13 @@ def graph_to_dot(g: Graph) -> str:
 
 
 def graph_to_json_dict(g: HexGraph) -> dict:
+    """The edges as :class:`hexcut.cutcomplex.RowBlocks` of (u, v), u < v,
+    lexicographically sorted."""
+    from .cutcomplex import RowBlocks, _vertex_array  # cutcomplex imports this module
+
     return {
         "m": g.m,
         "n": g.n,
         "vertices": g.n_vertices,
-        "edges": g.edges(),
+        "edges": RowBlocks.of(_vertex_array(g.edges(), 2)),
     }

@@ -102,7 +102,7 @@ names its failure.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from itertools import chain, combinations, compress
@@ -112,7 +112,9 @@ from operator import itemgetter
 import numpy as np
 
 from .cutcomplex import (
+    _BLOCK_ROWS,
     CutComplex,
+    RowBlocks,
     _canonical,
     _closed_faces,
     _closed_fvector,
@@ -140,12 +142,11 @@ from .errors import (
 )
 from .hexgraph import Graph, HexGraph, hex_vertex_count
 
-# Swap rows built and checked together, and the mask words
-# read per numpy step by the subset test (one per candidate subset and row
-# word) and by the containment kernel (one per complement and sliced row
-# word, see _scan).  Both bound memory; steps of 2^15 words also ran the
-# H(4,6) verify in 0.09 s against 0.14 s with 2^20 on one Xeon core.
-_BLOCK_ROWS = 4096
+# The mask words read per numpy step by the subset test (one per candidate
+# subset and row word) and by the containment kernel (one per complement
+# and sliced row word, see _scan).  It bounds memory, as _BLOCK_ROWS does;
+# steps of 2^15 words also ran the H(4,6) verify in 0.09 s against 0.14 s
+# with 2^20 on one Xeon core.
 _STEP_CELLS = 1 << 15
 # The word with bits n..63 set, for n = 0..64.
 _FROM_BIT = np.array([(1 << 64) - (1 << n) for n in range(65)], dtype=np.uint64)
@@ -419,8 +420,10 @@ class SpanningReport:
     Python bools and ints.  ``non_spanning_pairs`` lists every (x, y),
     x < y < N, for which {x, y, N} is no spanning complement, whether its
     facet does not span or the triple is connected; every spanning
-    complement holds N, so these pairs determine psi.  Reports with equal
-    content are equal."""
+    complement holds N, so these pairs determine psi.  They are read from
+    ``spanning`` in numpy, and so are the exports: only a library caller
+    of ``spanning_complements`` or ``spanning_flags`` builds those tuples.
+    Reports with equal content are equal."""
 
     n_vertices: int
     sizes: tuple[int, ...]
@@ -453,7 +456,14 @@ class SpanningReport:
 
     @cached_property
     def non_spanning_pairs(self) -> tuple[tuple[int, int], ...]:
-        return _non_spanning_pairs(self.spanning_complements, self.n_vertices)
+        N, spanning = self.n_vertices, self.spanning
+        spans = np.zeros((N, N), dtype=bool)  # spans[x, y]: {x, y, N} spans
+        if spanning.shape[1] == 3:
+            ends = spanning[spanning[:, 2] == N]
+            spans[ends[:, 0], ends[:, 1]] = True
+        # the pairs 1 <= x < y < N, in lex order, that do not span
+        x, y = np.nonzero(np.triu(~spans[1:, 1:], 1))
+        return tuple(zip((x + 1).tolist(), (y + 1).tolist()))
 
     @cached_property
     def witness_map(self) -> dict[tuple[int, int], int]:
@@ -505,6 +515,12 @@ class VerifyResult:
     counterexample: tuple[int, int] | None  # 1-based (i, j), minimal in (j, i)
     pairs_checked: int  # pairs of the O(eta^2) definition, not the work done
     jobs: int
+
+    @classmethod
+    def passed(cls, eta: int, jobs: int) -> VerifyResult:
+        """The result of a shelling of ``eta`` facets: no counterexample,
+        and every pair i < j of the definition checked."""
+        return cls(True, None, eta * (eta - 1) // 2, jobs)
 
 
 def _colex_subsets(s: int, k: int) -> np.ndarray:
@@ -969,8 +985,7 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
         i, j = failure
         return VerifyResult(False, (i + 1, j + 1), j * (j + 1) // 2, jobs)
     object.__setattr__(order, "_report", report)  # the one write of a report to an order
-    eta = order.n_facets
-    return VerifyResult(True, None, eta * (eta - 1) // 2, jobs)
+    return VerifyResult.passed(order.n_facets, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -1112,24 +1127,17 @@ def spanning_facets(order: ShellingOrder) -> SpanningReport:
     return order._report
 
 
-def _non_spanning_pairs(spanning, N: int) -> tuple[tuple[int, int], ...]:
-    """Every pair (x, y), x < y < N, for which the triple (x, y, N) is not
-    among the ``spanning`` complements."""
-    span_pairs = {c[:2] for c in spanning if len(c) == 3 and c[-1] == N}
-    return tuple((x, y) for x in range(1, N) for y in range(x + 1, N)
-                 if (x, y) not in span_pairs)
-
-
 def check_spanning_structure(order: ShellingOrder, report: SpanningReport) -> bool:
     """True iff every spanning complement contains the last vertex and every
-    tail facet is non-spanning."""
-    N = order.n_vertices
-    if any(c[-1] != N for c in report.spanning_complements):
+    tail facet is non-spanning: the last column of ``report.spanning`` is
+    all N, and no tail facet's 0-based position is among
+    ``report.positions``."""
+    if (report.spanning[:, -1] != order.n_vertices).any():
         return False
     tail = order.tail
     ordinals = _ordinals(order, [t.complement for t in tail]).tolist()
-    return not any(report.spanning_flags[_tail_position(t, p) - 1]
-                   for t, p in zip(tail, ordinals))
+    at = [_tail_position(t, p) - 1 for t, p in zip(tail, ordinals)]
+    return not np.isin(at, report.positions).any()
 
 
 # ---------------------------------------------------------------------------
@@ -1404,18 +1412,6 @@ def verify_k_cut_order(
 # exports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RowBlocks:
-    """Rows of integers made a block at a time: each iteration calls
-    ``blocks`` again, which yields 2-D int arrays.  The CLI writes them as
-    the list of tuples they stand for, without holding the list."""
-
-    blocks: Callable[[], Iterator[np.ndarray]]
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return self.blocks()
-
-
 def streamed_order_to_json_dict(g: HexGraph, relocate_tail: bool = True) -> dict:
     """:func:`order_to_json_dict` of ``shelling_order(enumerate_facets(g, 3),
     relocate_tail)``, with the order as :class:`RowBlocks` walked from the
@@ -1438,13 +1434,15 @@ def streamed_order_to_json_dict(g: HexGraph, relocate_tail: bool = True) -> dict
 
 
 def order_to_json_dict(order: ShellingOrder) -> dict:
+    """The order as :class:`RowBlocks` of its rows of the complex's
+    complement array, gathered a block at a time."""
     g = order.cx.graph
     out: dict = {}
     if isinstance(g, HexGraph):
         out["m"] = g.m
         out["n"] = g.n
     out["k"] = order.cx.k
-    out["order"] = order.facets
+    out["order"] = RowBlocks.of(_complements(order.cx), order.rows)
     out["t_tail_start"] = order.base_count + 1
     return out
 
@@ -1452,15 +1450,16 @@ def order_to_json_dict(order: ShellingOrder) -> dict:
 def spanning_report_to_json_dict(report: SpanningReport) -> dict:
     return {
         "psi": report.psi,
-        "spanning_complements": report.spanning_complements,
+        "spanning_complements": RowBlocks.of(report.spanning),
         "non_spanning_pairs": report.non_spanning_pairs,
     }
 
 
 def spanning_report_to_csv(report: SpanningReport) -> str:
-    lines = ["kind,x,y"]
-    for c in report.spanning_complements:
-        lines.append(f"spanning,{c[0]},{c[1]}")
-    for x, y in report.non_spanning_pairs:
-        lines.append(f"non_spanning,{x},{y}")
-    return "\n".join(lines) + "\n"
+    """One ``spanning,x,y`` line per spanning complement {x, y, N}, formatted
+    from its two columns of ``report.spanning`` with one ``%``, then one
+    ``non_spanning,x,y`` line per non-spanning pair."""
+    ends = report.spanning[:, :2]
+    spanning = "spanning,%d,%d\n" * len(ends) % tuple(ends.ravel().tolist())
+    return "kind,x,y\n" + spanning + "".join(
+        f"non_spanning,{x},{y}\n" for x, y in report.non_spanning_pairs)

@@ -22,6 +22,7 @@ from hexcut import (
     spanning_facets,
     verify_shelling,
 )
+from hexcut.cutcomplex import RowBlocks
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +173,19 @@ def oracle_face_counts(facet_sets: list[frozenset[int]], n_vertices: int) -> lis
         if any(mask & ~fm == 0 for fm in masks):
             counts[bin(mask).count("1")] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# exports
+# ---------------------------------------------------------------------------
+
+def listed(value) -> list[tuple[int, ...]]:
+    """The rows of :class:`RowBlocks` as the list of tuples they stand for,
+    so that ``json.dump(..., default=listed)`` writes them as the CLI does;
+    any other value is refused with the error json gives it."""
+    if not isinstance(value, RowBlocks):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return [tuple(row) for block in value for row in block.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hexcut
-from hexcut import build_hex_graph, shelling, wedge_check
+from hexcut import build_hex_graph, cutcomplex, shelling, wedge_check
 from hexcut import cli
 from hexcut.cli import main
-from hexcut.shelling import RowBlocks
+from hexcut.cutcomplex import RowBlocks
 
-from conftest import oracle_full_facets, oracle_row_violation
+from conftest import listed, oracle_full_facets, oracle_row_violation
 
 
 def run(capsys, *argv):
@@ -351,7 +351,14 @@ def _written(write, obj):
 
 
 def _json_dump(fh, obj):
-    json.dump(obj, fh, indent=2)
+    json.dump(obj, fh, indent=2, default=listed)
+
+
+def _blocks(width, *blocks):
+    """RowBlocks over int32 arrays of the given rows of ``width`` ints, one
+    array per block."""
+    arrays = [np.array(b, dtype=np.int32).reshape(len(b), width) for b in blocks]
+    return RowBlocks(lambda: iter(arrays))
 
 
 _ITEMS = st.one_of(st.integers(-(10 ** 20), 10 ** 20), st.integers(-3, 3), st.booleans(),
@@ -368,13 +375,20 @@ _VALUES = st.recursive(
                             st.dictionaries(st.text(max_size=6), inner, max_size=4)),
     max_leaves=12,
 )
-_DOCS = st.one_of(st.dictionaries(st.text(max_size=8), _VALUES, max_size=6),
+# RowBlocks of 1 to 5 columns: empty blocks, and as many as three blocks
+_INT32 = st.integers(-(2 ** 31), 2 ** 31 - 1)
+_ROW_BLOCKS = st.integers(1, 5).flatmap(
+    lambda w: st.lists(st.lists(st.lists(_INT32, min_size=w, max_size=w), max_size=4),
+                       max_size=3).map(lambda blocks, w=w: _blocks(w, *blocks)))
+_DOCS = st.one_of(st.dictionaries(st.text(max_size=8), st.one_of(_VALUES, _ROW_BLOCKS),
+                                  max_size=6),
                   st.dictionaries(st.integers(), _VALUES, max_size=3), _VALUES)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_DOCS)
 def test_writer_equals_json_dump(doc):
+    # a RowBlocks value is dumped as the list of tuples it stands for
     assert _written(cli._write_json, doc) == _written(_json_dump, doc)
 
 
@@ -383,19 +397,17 @@ def test_writer_row_edge_cases():
     for doc in ({"rows": rows}, {"rows": list(rows)}, {"e": [], "t": (), "u": ((),)},
                 {"b": ((1, True),)}, {"r": ((1, 2), (3,))},
                 {"x": ((np.int64(1), 2),)}, {"é\u2028": ((1,), (2, 3))},
-                {"none": None, "nested": {"rows": rows}}, {}, {"a": 1}):
+                {"none": None, "nested": {"rows": rows}}, {}, {"a": 1},
+                {"none": _blocks(2), "empty": _blocks(3, [], []), "one": _blocks(1, [[7]])},
+                {"r": _blocks(2, [(1, 2)], [], [(-(2 ** 31), 2 ** 31 - 1), (0, 5)]), "z": 0}):
         assert _written(cli._write_json, doc) == _written(_json_dump, doc)
     assert _written(cli._write_json, {"x": ((np.int64(1), 2),)})[0] is TypeError
-    # more rows than one block
-    doc = {"rows": tuple((i, i + 1, -i) for i in range(2 * cli._ROW_BLOCK + 5)), "z": 0}
+    # RowBlocks.of splits rows into blocks, the last one partial
+    rows = np.arange(3 * (2 * cutcomplex._BLOCK_ROWS + 5), dtype=np.int32).reshape(-1, 3)
+    doc = {"rows": RowBlocks.of(rows), "z": 0}
+    assert [len(b) for b in doc["rows"]] == [cutcomplex._BLOCK_ROWS] * 2 + [5]
     assert _written(cli._write_json, doc) == _written(_json_dump, doc)
-
-
-def _listed(rows):
-    """The rows of streamed row blocks as the list of tuples they stand for."""
-    if not isinstance(rows, RowBlocks):
-        raise TypeError(f"{type(rows).__name__} is not JSON serializable")
-    return [tuple(row) for block in rows for row in block.tolist()]
+    assert json.loads(_written(cli._write_json, doc))["rows"] == rows.tolist()
 
 
 def _emitted(monkeypatch, tmp_path, argv):
@@ -409,8 +421,7 @@ def _emitted(monkeypatch, tmp_path, argv):
     path = tmp_path / "doc.json"
     main(argv + ["--out", str(path)])
     (doc,) = envelopes
-    dump = lambda fh, obj: json.dump(obj, fh, indent=2, default=_listed)  # noqa: E731
-    return path.read_text(encoding="utf-8"), _written(dump, doc) + "\n"
+    return path.read_text(encoding="utf-8"), _written(_json_dump, doc) + "\n"
 
 
 @pytest.mark.parametrize(

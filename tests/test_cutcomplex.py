@@ -27,7 +27,7 @@ from hexcut import cutcomplex
 from hexcut.cutcomplex import CutComplex, facets_to_csv, facets_to_json_dict
 from hexcut.hexgraph import HexGraph, hex_edges
 
-from conftest import oracle_face_counts, oracle_facet_complements, oracle_full_facets
+from conftest import listed, oracle_face_counts, oracle_facet_complements, oracle_full_facets
 
 
 def test_formula_values():
@@ -297,8 +297,10 @@ def test_exports_deterministic():
     cx = enumerate_facets(build_hex_graph(1, 1), 3)
     doc = facets_to_json_dict(cx)
     assert doc["k"] == 3 and doc["n_vertices"] == 6
-    assert len(doc["facet_complements"]) == 14
-    assert list(doc["facet_complements"]) == sorted(doc["facet_complements"])
+    rows = listed(doc["facet_complements"])
+    assert len(rows) == 14
+    assert rows == sorted(rows) == list(cx.facets)
+    assert listed(doc["facet_complements"]) == rows  # each reading walks the array again
     csv = facets_to_csv(cx)
     assert len(csv.splitlines()) == 14
     assert facets_to_csv(cx) == csv

@@ -32,7 +32,7 @@ from hexcut.shelling import (
     spanning_report_to_json_dict,
 )
 
-from conftest import oracle_spanning_flags
+from conftest import listed, oracle_spanning_flags
 
 
 def test_formula_values():
@@ -250,6 +250,47 @@ def test_non_spanning_pair_count_is_triple_count(instance):
         )
 
 
+def _pairs_by_tuples(report):
+    """The tuple definition of the non-spanning pairs: every (x, y),
+    x < y < N, for which (x, y, N) is no spanning complement."""
+    N = report.n_vertices
+    ends = {c[:2] for c in report.spanning_complements if len(c) == 3 and c[-1] == N}
+    return tuple((x, y) for x in range(1, N) for y in range(x + 1, N) if (x, y) not in ends)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 7)])
+def test_non_spanning_pairs_equal_the_tuple_definition(m, n):
+    # read from the int32 spanning array, the pairs are those the spanning
+    # complement tuples define, in lex order, as Python ints
+    report = shelling.stream_shelling(build_hex_graph(m, n))
+    pairs = report.non_spanning_pairs
+    assert pairs == _pairs_by_tuples(report)
+    assert all(type(v) is int for pair in pairs for v in pair)
+
+
+def test_non_spanning_pairs_of_any_report_equal_the_tuple_definition(instance):
+    # k = 2, 4 and 5, where no complement is a triple and every pair is
+    # non-spanning; a report with no spanning row; and one with a spanning
+    # triple that misses N, which leaves the pairs as they were
+    reports = []
+    for g, k in [(Graph(3, [(1, 2), (2, 3)]), 2), (Graph(6, [(i, i + 1) for i in range(1, 6)]), 2),
+                 (cycle_graph(9), 4), (cycle_graph(9), 5)]:
+        order = _revlex_order(enumerate_facets(g, k))
+        assert verify_shelling(order).ok
+        reports.append(spanning_facets(order))
+    assert [r.spanning.shape[1] for r in reports] == [2, 2, 4, 5]
+    assert [r.psi for r in reports[2:]] == [47, 61]
+    report = instance(1, 2).report
+    reports.append(dataclasses.replace(report, spanning=report.spanning[:0],
+                                       positions=report.positions[:0]))
+    moved = np.concatenate([report.spanning, [(1, 2, 3)]]).astype(np.int32)
+    reports.append(dataclasses.replace(report, spanning=moved))
+    for r in reports:
+        assert r.non_spanning_pairs == _pairs_by_tuples(r)
+    assert len(reports[-2].non_spanning_pairs) == 36  # all C(N - 1, 2) pairs, N = 10
+    assert reports[-1].non_spanning_pairs == report.non_spanning_pairs
+
+
 def test_spanning_structure_rule(instance):
     for m, n in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1)]:
         bundle = instance(m, n)
@@ -371,6 +412,8 @@ def test_report_exports(instance):
     bundle = instance(1, 1)
     doc = spanning_report_to_json_dict(bundle.report)
     assert doc["psi"] == 4
+    assert listed(doc["spanning_complements"]) == list(bundle.report.spanning_complements)
+    assert len(listed(doc["spanning_complements"])) == 4
     assert len(doc["non_spanning_pairs"]) == 6
     assert list(doc["non_spanning_pairs"]) == sorted(doc["non_spanning_pairs"])
     csv = spanning_report_to_csv(bundle.report)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check for the shelling verifier, the lookups of the complex it
-reads, the order builder, the spanning report and the homology oracle,
-standard library only.
+reads, the order builder, the spanning report and its exports and the
+homology oracle, standard library only.
 
 Copies ``src/`` to a temporary directory, applies one small change at a
 time to the copy of the module a mutant names, by exact string replacement,
@@ -200,6 +200,17 @@ MUTANTS = {
         "shelling.py",
         "        seen[:, 0] = 1\n",
         "",
+    ),
+    "spanning export: the JSON complements drop their last partial block": (
+        "shelling.py",
+        '        "spanning_complements": RowBlocks.of(report.spanning),\n',
+        '        "spanning_complements": RowBlocks.of('
+        'report.spanning[:len(report.spanning) // _BLOCK_ROWS * _BLOCK_ROWS]),\n',
+    ),
+    "non-spanning pairs skip y = N - 1": (
+        "shelling.py",
+        "        x, y = np.nonzero(np.triu(~spans[1:, 1:], 1))\n",
+        "        x, y = np.nonzero(np.triu(~spans[1:, 1:-1], 1))\n",
     ),
     "cone reduction narrows the faces to uint8 at N <= 16": (
         "homology.py",
