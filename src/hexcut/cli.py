@@ -42,6 +42,7 @@ from .homology import (
 )
 from .shelling import (
     VerifyResult,
+    check_jobs,
     non_spanning_pair_table,
     shelling_order,
     spanning_count_formula,
@@ -178,8 +179,17 @@ def _hex_graph(args):
     return build_hex_graph(args.m, args.n)
 
 
-def _materialised_order(g, relocate_tail: bool = True):
-    return shelling_order(enumerate_facets(g, 3), relocate_tail=relocate_tail)
+def _verdict(g, relocate_tail: bool, jobs: int):
+    """The verdict on the candidate order of H(m, n) ``g``, its facet
+    count, and its spanning report when it is a shelling, else None.  The
+    relocated order is streamed; any order the stream does not pass, and
+    the plain sorted order, are verified materialised."""
+    report = stream_shelling(g) if relocate_tail else None
+    if report is not None:
+        return VerifyResult.passed(report.n_facets, jobs), report.n_facets, report
+    order = shelling_order(enumerate_facets(g, 3), relocate_tail=relocate_tail)
+    res = verify_shelling(order, jobs=jobs)
+    return res, order.n_facets, spanning_facets(order) if res.ok else None
 
 
 def cmd_order(args) -> int:
@@ -188,16 +198,7 @@ def cmd_order(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the relocated order is streamed; any order the stream does not pass,
-    # and the plain sorted order, are verified materialised
-    g = _hex_graph(args)
-    streamed = None if args.no_relocate_t else stream_shelling(g)
-    if streamed is not None:
-        eta = streamed.n_facets
-        res = VerifyResult.passed(eta, args.jobs)
-    else:
-        order = _materialised_order(g, not args.no_relocate_t)
-        res, eta = verify_shelling(order, jobs=args.jobs), order.n_facets
+    res, eta, _ = _verdict(_hex_graph(args), not args.no_relocate_t, args.jobs)
     payload = {
         "ok": res.ok,
         "counterexample": res.counterexample,
@@ -210,15 +211,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spanning(args) -> int:
-    g = _hex_graph(args)
-    report = stream_shelling(g)
-    if report is None:
-        order = _materialised_order(g)
-        res = verify_shelling(order, jobs=args.jobs)
-        if not res.ok:
-            _emit_json(args, {"ok": False, "counterexample": res.counterexample})
-            return EXIT_CHECK_FAILED
-        report = spanning_facets(order)
+    res, _, report = _verdict(_hex_graph(args), True, args.jobs)
+    if not res.ok:
+        _emit_json(args, {"ok": False, "counterexample": res.counterexample})
+        return EXIT_CHECK_FAILED
     expected = spanning_count_formula(args.m, args.n)
     computed_pairs = set(report.non_spanning_pairs)
     table_pairs = {(x, y) for x, y, _ in non_spanning_pair_table(args.m, args.n)}
@@ -385,8 +381,7 @@ def main(argv=None) -> int:
     try:
         # --jobs changes no result, but every command that takes it refuses
         # a count below one before doing any work
-        if getattr(args, "jobs", 1) < 1:
-            raise InvalidParams(f"jobs must be >= 1, got {args.jobs}")
+        check_jobs(getattr(args, "jobs", 1))
         return args.func(args)
     except ResourceGuard as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidParams, ResourceGuard, VertexOutOfRange
-from .hexgraph import Graph, build_hex_graph, hex_vertex_count
+from .hexgraph import Graph, build_hex_graph, hex_vertex_count, neighbor_pairs
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
 FACET_SUBSET_GUARD = 20_000  # k-subsets walked without force, see check_subset_count
@@ -438,21 +438,21 @@ def _closed_fvector(n_vertices: int, n_facets: int) -> FVector:
 
 
 def _neighbour_paths(g: Graph) -> list[tuple[int, int, int]] | None:
-    """The neighbour pairs of the graph as paths (a, v, c), a < c both
-    adjacent to v, or None when a pair closes a triangle (a ~ c) or a
-    4-cycle (a pair met at two middles v).  The first such pair ends the
-    walk, so it reads at most C(N, 2) + 1 pairs.  Without either, the
+    """The neighbour pairs of the graph, as
+    :func:`hexcut.hexgraph.neighbor_pairs` walks them, as paths (a, v, c),
+    a < c both adjacent to v, or None when a pair closes a triangle
+    (a ~ c) or a 4-cycle (a pair met at two middles v).  The first such
+    pair ends the walk, so it reads at most C(N, 2) + 1 pairs.  Without either, the
     paths are exactly the connected triples, one per pair, and every
     4-set of vertices holds a disconnected triple: a 4-set whose four
     triples are all connected spans at least four of its six pairs, so a
     triangle or a 4-cycle."""
     paths, ends = [], set()
-    for v in g.vertices():
-        for a, c in combinations(g.neighbors(v), 2):
-            if (a, c) in ends or g.is_edge(a, c):
-                return None
-            ends.add((a, c))
-            paths.append((a, v, c))
+    for a, v, c in neighbor_pairs(g):
+        if (a, c) in ends or g.is_edge(a, c):
+            return None
+        ends.add((a, c))
+        paths.append((a, v, c))
     return paths
 
 
@@ -497,7 +497,7 @@ def f_vector(
     the bitmap ceiling before any subset is tested) and
     counts the set entries by popcount in fixed-size chunks; a subset is
     counted iff :func:`is_face` holds for it.  ``closed`` returns the
-    counts of :func:`_closed_faces`, which the verifier's face count sums:
+    counts of :func:`_closed_faces`, whose sum certifies a verifier pass:
     for the full 3-cut complex of any graph with no triangle and no 4-cycle,
     as girth 6 promises for H(m, n), every 4-subset of V contains a
     disconnected triple, so every subset of size at most N-4 is a face.  It

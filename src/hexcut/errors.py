@@ -38,8 +38,9 @@ class IncompleteOrder(HexCutError):
 
 
 class CountWithoutFailure(HexCutError):
-    """The face count rejected an order, but the containment scan found no
-    failing row in it: the verifier contradicts itself."""
+    """The containment check found no failing row in an order, but its
+    interval sum is not the face count f(Delta): the verifier contradicts
+    itself."""
 
 
 class NoTailFacets(HexCutError):

@@ -20,8 +20,9 @@ validator loudly.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 
 from .errors import (
     ConstructionInvariantViolated,
@@ -213,22 +214,24 @@ def girth(g: Graph) -> int | float:
     return best
 
 
+def neighbor_pairs(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """Each pair of neighbors of each vertex as (a, v, c), a < c both
+    adjacent to v: middles v ascending, each one's pairs in lex order.
+    Every walk over neighbor pairs reads this one: a pair closes a
+    triangle when a ~ c, and some pair (a, c) met at two middles closes a
+    4-cycle."""
+    for v in g.vertices():
+        for a, c in combinations(g.neighbors(v), 2):
+            yield a, v, c
+
+
 def induced_p3_list(g: Graph) -> list[tuple[int, int, int]]:
     """All connected 3-subsets as (a, b, c) with b the midpoint and a < c.
 
     In a triangle-free graph a connected triple is exactly an induced path on
     three vertices, found once per midpoint and unordered endpoint pair.
     """
-    out = []
-    for b in g.vertices():
-        nb = g.neighbors(b)
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                a, c = nb[i], nb[j]
-                if not g.is_edge(a, c):
-                    out.append((a, b, c))
-    out.sort()
-    return out
+    return sorted((a, b, c) for a, b, c in neighbor_pairs(g) if not g.is_edge(a, c))
 
 
 @dataclass
@@ -282,15 +285,8 @@ def validate_structure(g: HexGraph) -> StructureReport:
     )
 
     # two vertices sharing two common neighbors would close a 4-cycle
-    no_c4 = True
-    for v in g.vertices():
-        nb = g.neighbors(v)
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                common = set(g.neighbors(nb[i])) & set(g.neighbors(nb[j]))
-                if len(common) > 1:
-                    no_c4 = False
-    rep.record("no_four_cycle", no_c4)
+    ends = [(a, c) for a, _, c in neighbor_pairs(g)]
+    rep.record("no_four_cycle", len(set(ends)) == len(ends))
 
     gg = girth(g)
     rep.record("girth_six", gg == 6, f"girth={gg}")

@@ -48,17 +48,15 @@ order as the complex is canonical.  Within the run earlier means
 lex-smaller, so the run is passed into the masks once and each of its
 rows is read from them by rank: the mask of the face without x_s cut to
 the vertices below x_s.  The rows after the run are built in blocks of
-4096 with prefix sums over the block, each block passed into the masks
-as soon as it is read.  When
-f(Delta) is known, for the full 3-cut complex of a graph with no triangle
-and no 4-cycle, every row is built once and tallied, and the sum alone
-passes the order.  Otherwise the rows are built again from the run's
-masks, up to the first failing block: the run's rows are checked against
-the run's masks, which name a failing row with no block at all, and then
-the rows after the run block by block with the containment test below,
-each block checked before it passes.  Together they name the failure of
-an order the sum rejects; where f(Delta) is unknown the count is skipped,
-so that they build each row once, and they decide the order.
+4096 with prefix sums over the block.  Each row is built once and
+checked as it is built, up to the first failing block: the run's rows
+against the run's masks, which name a failing row with no block at all,
+and the rows after the run block by block with the containment test
+below, each block checked before it passes into the masks.  The check
+names the first failure, or passes the order.  When f(Delta) is known,
+for the full 3-cut complex of a graph with no triangle and no 4-cycle,
+the interval sum then certifies the pass: it must equal f(Delta), or the
+count and the check disagree and CountWithoutFailure is raised.
 
 Row j fails iff some earlier complement lies inside S_j = V - Lambda_j.
 In the run, that is a complement of the run inside S_j and lex-smaller
@@ -78,10 +76,10 @@ j.  Every scan tests containment bit-sliced: each vertex gets one mask
 over the scanned rows, and a complement lies inside S_j exactly for the
 rows in the AND of its k masks, k words per 64 rows.
 
-Every row built on the pass that decides the order goes into one tally
-(:class:`_Tally`): the count of each size |Lambda_j|, the positions and
-complements of the spanning rows, and, at k = 3, the witness vertex of
-each other row whose complement ends in N.  A passing order keeps the
+Every row the check builds goes into one tally (:class:`_Tally`): the
+count of each size |Lambda_j|, the positions and complements of the
+spanning rows, and, at k = 3, the witness vertex of each other row whose
+complement ends in N.  A passing order keeps the
 :class:`SpanningReport` made from it, which :func:`spanning_facets`
 returns, so Lambda is counted once per order and never stored.
 
@@ -95,9 +93,11 @@ the prefix-sum kernel.  The rows go into the same tally and are dropped, so
 only the masks, C(N, 2) + 1 faces of ceil((N + 1) / 64) words, and the
 tally outlive a block, and the stream returns the same report.  The walk
 checks what :func:`hexcut.cutcomplex._closed_faces` checks of a complex,
-and that every base row is in the masks; an order that fails a check, or
-whose sum is not f(Delta), is left to the materialised verifier, which
-names its failure.
+and that every base row is in the masks, and then the interval sum alone
+decides, since no complex is held to scan; an order that fails a check,
+or whose sum is not f(Delta), is left to the materialised verifier, which
+names its failure.  So a streamed and a materialised verdict rest on two
+independent criteria, the face count and the containment check.
 """
 
 from __future__ import annotations
@@ -858,13 +858,12 @@ def _subset_table(eta: int, k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     return binom, _colex_subsets(s, k - 1)
 
 
-def _failure(faces: _Faces, comp, face, index, run: int,
-             tally: _Tally | None) -> tuple[int, int] | None:
+def _failure(faces: _Faces, comp, face, index, run: int, tally: _Tally) -> tuple[int, int] | None:
     """The failing 0-based (i, j), minimal in (j, i), of the order of the
     complements ``comp`` with faces ``face``, or None, with the masks of
     ``faces`` holding the ``run`` complements of the lex run that opens
-    it.  The rows are rebuilt block by block (:func:`_row_blocks`), up to
-    the first block holding a failing row, and ``tally``, when given,
+    it.  The rows are built block by block (:func:`_row_blocks`), up to
+    the first block holding a failing row or to the end, and ``tally``
     counts each.  A block of the run is checked against the run's masks
     (:func:`_run_failure`), a block after it against the masks as they
     stand at it (:func:`_first_failure`), which it passes into only once
@@ -874,8 +873,7 @@ def _failure(faces: _Faces, comp, face, index, run: int,
     last = int(comp[:run, 0].max(initial=0))  # the largest first vertex before the block
     for lo, rows in _row_blocks(faces, comp, face, run):
         hi = lo + len(rows)
-        if tally is not None:
-            tally.add(comp[lo:hi], rows)
+        tally.add(comp[lo:hi], rows)
         if hi <= run:
             failure = _run_failure(rows, lo, faces, comp, face, index, binom, subsets)
         else:
@@ -898,14 +896,12 @@ def _verify(order: ShellingOrder) -> tuple[SpanningReport | None, tuple[int, int
 
     The order's complements and face numbers are gathered once, and the
     lex run that opens it, which the canonical complex lists in lex order,
-    is passed into the masks once.  When :func:`_closed_faces` knows the
-    face counts, every row is built once (:func:`_row_blocks`), tallied
-    and dropped, and the order passes iff the interval sum is f(Delta).
-    Otherwise :func:`_failure` rebuilds the rows from the run's masks up
-    to the first failing block and names the failure, or raises
-    CountWithoutFailure when it finds none.  Without f(Delta) the count
-    is skipped and :func:`_failure` alone decides, tallying each row it
-    builds, so every row is still built once."""
+    is passed into the masks once.  :func:`_failure` then builds each row
+    once, up to the first failing block, tallies it and checks it: it
+    names the failure, or passes the order, and its tally is the report.
+    Where :func:`_closed_faces` knows f(Delta), a passing order's interval
+    sum must equal it, or CountWithoutFailure is raised: the count and the
+    containment check disagree.  That certificate reads only the tally."""
     cx = order.cx
     pos = _face_numbers(cx)
     # np.take gathers rows faster than fancy indexing does
@@ -915,22 +911,24 @@ def _verify(order: ShellingOrder) -> tuple[SpanningReport | None, tuple[int, int
     r = _run_length(order.rows)
     faces.pass_rows(comp[:r], face[:r])
     tally = _Tally(cx.n_vertices, cx.k)
-    closed = _closed_faces(cx)
-    if closed is not None:
-        run = faces.masks.copy()  # the run's masks, kept while the rows after it pass
-        for lo, rows in _row_blocks(faces, comp, face, r):
-            tally.add(comp[lo:lo + len(rows)], rows)
-        total = sum(closed.counts)
-        if _interval_sum(tally.sizes) == total:
-            return tally.report(), None
-        faces.masks, tally = run, None
     failure = _failure(faces, comp, face, pos.index, r, tally)
     if failure is not None:
         return None, failure
-    if tally is None:
+    closed = _closed_faces(cx)
+    if closed is not None and _interval_sum(tally.sizes) != sum(closed.counts):
         raise CountWithoutFailure(
-            f"the interval sum differs from the {total} faces, but no row fails")
+            f"no row fails, but the interval sum differs from the {sum(closed.counts)} faces")
     return tally.report(), None
+
+
+def check_jobs(jobs) -> None:
+    """Refuse, with InvalidParams, a ``jobs`` that is no int, a bool
+    included, or is below one.  Every caller that takes ``jobs`` checks it
+    here before any work; the count changes no result."""
+    if isinstance(jobs, bool) or not isinstance(jobs, int):
+        raise InvalidParams(f"jobs must be an int, got {jobs!r}")
+    if jobs < 1:
+        raise InvalidParams(f"jobs must be >= 1, got {jobs}")
 
 
 def _cover(order: ShellingOrder) -> np.ndarray:
@@ -956,29 +954,27 @@ def verify_shelling(order: ShellingOrder, jobs: int = 1) -> VerifyResult:
 
     The swap rows are built a block at a time and tallied, none kept; the
     rows of the lex run that opens the order, its longest strictly
-    increasing prefix of rows, are read by rank from the run's masks.  For
-    the full 3-cut complex of a graph with no triangle and no 4-cycle,
-    shown to be one from the graph's neighbour pairs and the complements
-    of the complex, once per complex, f(Delta) = 2^N - 1 - N - C(N, 2) - T
-    for T connected triples: every row is built once, with no containment
-    check, and the order passes iff the sum of 2^(N - k - |Lambda_j|)
-    equals f(Delta).  Every other order has its rows built again, block by
-    block, and checked with the containment test up to the first failing
-    block, which names the first failure: row j fails iff an earlier
-    complement lies inside S_j = V - Lambda_j, tested for any k by
-    (k-1)-subsets of S_j against the face masks or by a bit-sliced scan
-    of the j earlier complements, as the module docstring details.  Where
-    f(Delta) is unknown that pass is the only one, and finding no failure
-    passes the order; a rejected sum whose check finds no failure raises
+    increasing prefix of rows, are read by rank from the run's masks.
+    Each row is built once and checked with the containment test, up to
+    the first failing block, which names the first failure: row j fails
+    iff an earlier complement lies inside S_j = V - Lambda_j, tested for
+    any k by (k-1)-subsets of S_j against the face masks or by a
+    bit-sliced scan of the j earlier complements, as the module docstring
+    details.  Finding no failure passes the order.  For the full 3-cut
+    complex of a graph with no triangle and no 4-cycle, shown to be one
+    from the graph's neighbour pairs and the complements of the complex,
+    once per complex, f(Delta) = 2^N - 1 - N - C(N, 2) - T for T connected
+    triples, and the sum of 2^(N - k - |Lambda_j|) over a passing order's
+    rows certifies the pass: a sum other than f(Delta) raises
     CountWithoutFailure.  Faces are numbered once per complex, by colex
     rank while the C(N, k - 1) ranks fit
     ``cutcomplex.POSITION_TABLE_LIMIT``, or past it by binary search among
     their sorted big-endian bytes, exact for any k and N.
-    ``jobs`` is validated and echoed, and changes nothing.  ``pairs_checked``
-    counts the pairs of the O(eta^2) definition, not the work done.
+    ``jobs`` is checked by :func:`check_jobs` and echoed, and changes
+    nothing.  ``pairs_checked`` counts the pairs of the O(eta^2)
+    definition, not the work done.
     """
-    if jobs < 1:
-        raise InvalidParams(f"jobs must be >= 1, got {jobs}")
+    check_jobs(jobs)
     _cover(order)
     report, failure = _verify(order)
     if failure is not None:
@@ -1389,9 +1385,12 @@ def verify_k_cut_order(
     in complement-lex order.  Purely mechanical; no claim beyond the verdict.
     Unguarded: a caller that must bound the C(N, k) subsets walked checks
     :func:`hexcut.cutcomplex.check_subset_count` first, as the CLI does.
+    ``rule`` and ``jobs`` (:func:`check_jobs`) are checked before the
+    complex is enumerated.
     """
     if rule not in ("revlex", "revlex-with-neighborhood-tail"):
         raise InvalidParams(f"unknown ordering rule {rule!r}")
+    check_jobs(jobs)
     cx = enumerate_facets(g, k)
     relocated: list[tuple[int, ...]] = []
     if rule == "revlex-with-neighborhood-tail":

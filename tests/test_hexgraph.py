@@ -23,6 +23,7 @@ from hexcut.hexgraph import (
     graph_to_json_dict,
     hex_edges,
     hex_vertex_count,
+    neighbor_pairs,
 )
 from hexcut.cutcomplex import hex_facet_count, induced_p3_count
 from hexcut.homology import reduced_euler_closed
@@ -184,6 +185,23 @@ def test_validator_catches_mutation():
     report = validate_structure(mutated)
     assert not report.ok
     assert "degree_counts" in report.failed()
+
+
+def test_four_cycle_check_reads_the_neighbor_pairs():
+    # H(2, 2) plus each missing edge in turn: the walk yields each pair of
+    # neighbors of each vertex once, middles ascending, and the validator
+    # sees a 4-cycle exactly when two vertices share two common neighbors
+    base = hex_edges(2, 2)
+    verdicts = []
+    for edge in sorted(set(combinations(range(1, 17), 2)) - set(base)):
+        g = HexGraph(2, 2, base + [edge])
+        brute = [(a, v, c) for v in g.vertices() for a, c in combinations(g.neighbors(v), 2)]
+        assert list(neighbor_pairs(g)) == brute
+        shared = any(len(set(g.neighbors(a)) & set(g.neighbors(c))) > 1
+                     for a, c in combinations(g.vertices(), 2))
+        assert validate_structure(g).checks["no_four_cycle"] == (not shared)
+        verdicts.append(shared)
+    assert verdicts.count(True) == 30 and verdicts.count(False) == 71
 
 
 def test_edge_families_are_disjoint_offsets():

@@ -336,7 +336,7 @@ def _swap_rows(order, run=None):
 
 def _counted(order):
     """True iff the verifier knows f(Delta) for the order, so that the face
-    count decides it."""
+    count certifies a pass."""
     return shelling._closed_faces(order.cx) is not None
 
 
@@ -493,9 +493,9 @@ def test_subsets_that_are_no_face_read_the_zero_mask(limit):
 
 
 def test_live_pruning_reads_under_a_tenth_of_the_pairs(instance, monkeypatch):
-    # the face count passes the H(4, 6) order without reading a mask.  Under
-    # the block check, the rows that an unpruned test would check by
-    # subsets, C(|S_j|, 2) < j - 1, read under a tenth of those pairs
+    # the containment check passes the H(4, 6) order reading, for the rows
+    # that an unpruned test would check by subsets, C(|S_j|, 2) < j - 1,
+    # under a tenth of those pairs
     order = instance(4, 6).order
     size = order.n_vertices - np.bitwise_count(_swap_rows(order)).sum(axis=1, dtype=np.int64)
     pairs = size * (size - 1) // 2
@@ -510,9 +510,6 @@ def test_live_pruning_reads_under_a_tenth_of_the_pairs(instance, monkeypatch):
     monkeypatch.setattr(cutcomplex._Positions, "index", counting)
     # a replaced order holds no table, so it is verified again from scratch
     assert verify_shelling(dataclasses.replace(order)).ok
-    assert looked_up == []
-    monkeypatch.setattr(shelling, "_closed_faces", lambda cx: None)
-    assert verify_shelling(dataclasses.replace(order)).ok
     assert 0 < sum(looked_up) < unpruned / 10
 
 
@@ -523,6 +520,24 @@ def test_jobs_do_not_change_the_verdict():
     r2 = verify_shelling(plain, jobs=2)
     assert not r1.ok and r2.jobs == 2
     assert dataclasses.replace(r2, jobs=1) == r1
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 1.5, 2.0, "2", None, True, False])
+def test_jobs_other_than_an_int_of_at_least_one_is_refused(monkeypatch, jobs):
+    # jobs changes no result, but anything other than an int >= 1, a bool
+    # included, is refused, and verify_k_cut_order refuses it before it
+    # enumerates the complex
+    order = shelling_order(_complex(1, 2))
+    with pytest.raises(InvalidParams, match="jobs must be"):
+        verify_shelling(order, jobs=jobs)
+    assert not order.verified
+
+    def unreachable(*args):
+        raise AssertionError("complex enumerated")
+
+    monkeypatch.setattr(shelling, "enumerate_facets", unreachable)
+    with pytest.raises(InvalidParams, match="jobs must be"):
+        verify_k_cut_order(build_hex_graph(1, 2), 3, jobs=jobs)
 
 
 @st.composite
@@ -647,17 +662,16 @@ def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
     assert order.verified and not twin.verified
     assert twin == order and repr(twin) == repr(order)
 
-    # a failing order builds every row once, for the face count, and then
-    # rebuilds, to name its failure, only the blocks of 64 rows up to the
-    # one that holds the failing row.  It keeps no report, so its spanning
-    # report is refused without building a row
+    # a failing order builds only the blocks of 64 rows up to the one that
+    # holds the failing row, each row once.  It keeps no report, so its
+    # spanning report is refused without building a row
     plain = shelling_order(cx, relocate_tail=False)
     built.clear()
     res = verify_shelling(plain)
     assert not res.ok and plain._report is None and not plain.verified
     named = ((res.counterexample[1] - 1) // 64 + 1) * 64  # the rows up to its block's end
-    assert built == list(plain.facets) + list(plain.facets[:named])
-    # H(2, 2) fails at row 488 of 532, so its last block is not rebuilt
+    assert built == list(plain.facets[:named])
+    # H(2, 2) fails at row 488 of 532, so its last block is never built
     assert (m, n) != (2, 2) or named == 512 < plain.n_facets
     built.clear()
     with pytest.raises(UnverifiedOrder):
@@ -667,7 +681,7 @@ def test_swap_table_built_once_per_verified_order(monkeypatch, m, n):
 
 def test_rows_built_once_where_the_face_count_is_unknown(monkeypatch):
     # revlex shells the 4-cut complex of the 9-cycle, whose f(Delta) the
-    # verifier does not know: the count is skipped, and the containment
+    # verifier does not know: no certificate is read, and the containment
     # check builds each row once, in blocks of 7, and tallies the report
     built = _counting_kernels(monkeypatch)
     monkeypatch.setattr(shelling, "_BLOCK_ROWS", 7)
@@ -798,8 +812,8 @@ def test_hex_plain_prefix_around_its_failure(m, n, shift):
 def test_interval_sum_is_the_face_count_exactly_for_shellings(case):
     # the intervals [Lambda_j, F_j] cover Delta: the sum of their sizes is
     # the exhaustive face count for a shelling and exceeds it otherwise.
-    # With that count as f(Delta), every complex is decided by the count,
-    # and the sweep that follows a rejection names the oracle's failure
+    # With that count as f(Delta), every complex gets the oracle's verdict,
+    # and no passing order trips the certificate
     cx, seq, patches = case
     facet_sets = _facet_sets(cx, seq)
     exhaustive = f_vector(cx, mode="exhaustive")
@@ -844,7 +858,7 @@ _FAILURES = {
 
 @pytest.mark.parametrize("m,n", list(_FAILURES))
 def test_failing_orders_keep_their_counterexamples(m, n):
-    # each order is rejected by the face count and swept again for its
+    # each order has a known face count, and the one pass names its
     # failure, which must be the one the block check named
     cx = _complex(m, n)
     orders = [shelling_order(cx, relocate_tail=False)]
@@ -886,18 +900,23 @@ def test_several_reinserted_tail_facets_keep_their_counterexample(chosen, expect
 
 def test_h46_passes_by_the_face_count(instance, monkeypatch):
     # N = 68: f(Delta) is about 2^68, past int64 and the 53-bit mantissa of
-    # a float, so only an exact integer sum can equal it.  The order passes
-    # without one containment check
+    # a float, so only an exact integer sum can equal it.  The containment
+    # check passes the order, and the certificate compares that exact sum
+    # with f(Delta)
     order = dataclasses.replace(instance(4, 6, verify=False).order)
     N, T = order.n_vertices, 6 * 4 * 6 + 2 * 4 + 2 * 6 - 4
     total = sum(shelling._closed_faces(order.cx).counts)
     assert total == 2**N - 1 - N - comb(N, 2) - T and total > 2**64
+    sums = []
+    real = shelling._interval_sum
 
-    def no_check(*args):
-        raise AssertionError("containment checked")
+    def certified(sizes):
+        sums.append(real(sizes))
+        return sums[-1]
 
-    monkeypatch.setattr(shelling, "_first_failure", no_check)
+    monkeypatch.setattr(shelling, "_interval_sum", certified)
     assert verify_shelling(order).ok and order.verified
+    assert sums == [total] and isinstance(sums[0], int)
 
 
 def _tampered_cases():
@@ -977,6 +996,18 @@ def test_count_without_failure_raises(monkeypatch):
     order = shelling_order(_complex(1, 2))
     counts = shelling._closed_faces(order.cx).counts
     monkeypatch.setattr(shelling, "_closed_faces", lambda cx: FVector((*counts, 1)))
+    with pytest.raises(CountWithoutFailure):
+        verify_shelling(order)
+    assert not order.verified
+
+
+def test_count_below_the_interval_sum_raises(monkeypatch):
+    # the certificate asks for equality: a face count one below the sum of
+    # a passing order is as much a contradiction as one above it
+    order = shelling_order(_complex(1, 2))
+    counts = shelling._closed_faces(order.cx).counts
+    monkeypatch.setattr(shelling, "_closed_faces",
+                        lambda cx: FVector((*counts[:-1], counts[-1] - 1)))
     with pytest.raises(CountWithoutFailure):
         verify_shelling(order)
     assert not order.verified

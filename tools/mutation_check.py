@@ -54,19 +54,21 @@ MUTANTS = {
         "        self.sizes += np.bincount(size, minlength=N - k + 1)\n",
         "        self.sizes += (self.rows > 0) * np.bincount(size, minlength=N - k + 1)\n",
     ),
-    "interval sum: == f(Delta) becomes >=": (
+    "certificate: interval sum == f(Delta) becomes >=": (
         "shelling.py",
-        "        if _interval_sum(tally.sizes) == total:\n",
-        "        if _interval_sum(tally.sizes) >= total:\n",
+        "    if closed is not None and _interval_sum(tally.sizes) != sum(closed.counts):\n",
+        "    if closed is not None and _interval_sum(tally.sizes) < sum(closed.counts):\n",
     ),
-    "sweep skipped when f(Delta) is unknown": (
+    "certificate skipped": (
         "shelling.py",
-        "        else:\n"
-        "            failure = _first_failure(",
-        "        elif tally is not None:\n"
-        "            failure = None\n"
-        "        else:\n"
-        "            failure = _first_failure(",
+        "    closed = _closed_faces(cx)\n",
+        "    closed = None\n",
+    ),
+    "blocks after the lex run never checked": (
+        "shelling.py",
+        "            failure = _first_failure(rows, lo, last, faces, comp, index, binom[k - 1], "
+        "subsets)\n",
+        "            failure = None\n",
     ),
     "byte-key face lookup reads the columns in descending order": (
         "cutcomplex.py",
@@ -75,8 +77,8 @@ MUTANTS = {
     ),
     "face count trusted without the triangle and 4-cycle check": (
         "cutcomplex.py",
-        "            if (a, c) in ends or g.is_edge(a, c):\n"
-        "                return None\n",
+        "        if (a, c) in ends or g.is_edge(a, c):\n"
+        "            return None\n",
         "",
     ),
     "face count trusted with a path listed as a facet": (
